@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.apps.common import OwnerMap
 from repro.cstar.driver import Env
-from repro.cstar.embedded import EmbeddedProgram, access
+from repro.cstar.embedded import EmbeddedProgram, access, keyed_build
 from repro.cstar.runtime import RowBlock2D
 
 DEFAULTS = dict(size=16, iterations=10, threshold=0.08, work_scale=1.0)
@@ -132,6 +132,7 @@ def _interior_cells(size: int, color: int):
     ]
 
 
+@keyed_build
 def build(
     size: int = DEFAULTS["size"],
     iterations: int = DEFAULTS["iterations"],
@@ -143,7 +144,7 @@ def build(
     n = size
 
     def setup(env: Env) -> None:
-        nodes = env.machine.config.n_nodes
+        nodes = env.config.n_nodes
         # a cell is a C++ object (value + quad-tree pointer + bookkeeping):
         # pad to 32 bytes so one cell occupies a whole minimum-size block
         mesh = env.runtime.aggregate(

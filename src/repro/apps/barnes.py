@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.apps.common import OwnerMap, RowAligned, read_vec, rows, write_vec
 from repro.cstar.driver import Env
-from repro.cstar.embedded import EmbeddedProgram, LoopSpec, access
+from repro.cstar.embedded import EmbeddedProgram, LoopSpec, access, keyed_build
 from repro.util.errors import SimulationError
 
 DEFAULTS = dict(n=128, iterations=3, theta=0.6, dt=0.1, vel_scale=0.4, work_scale=1.0)
@@ -262,6 +262,7 @@ def max_tree_rows(n: int) -> int:
     return 8 * n + 64
 
 
+@keyed_build
 def build(
     n: int = DEFAULTS["n"],
     iterations: int = DEFAULTS["iterations"],
@@ -277,11 +278,11 @@ def build(
     maxn = max_tree_rows(n)
 
     def setup(env: Env) -> None:
-        nodes = env.machine.config.n_nodes
+        nodes = env.config.n_nodes
         # partition boundaries aligned to the home-assignment granularity
         # (Stache distributes at page granularity), as hand-partitioned
         # codes do; one tree/body row is 64 bytes
-        align = max(1, env.machine.config.page_size // (BODY_FIELDS * 8))
+        align = max(1, env.config.page_size // (BODY_FIELDS * 8))
         bodies = env.runtime.aggregate(
             "bodies", (n, BODY_FIELDS),
             dist=RowAligned(n, BODY_FIELDS, nodes, align=align),

@@ -16,13 +16,11 @@ def rows(n: int):
 
 def read_vec(ctx: ElementContext, agg: Aggregate, row: int, k: int = 3) -> tuple:
     """Read fields 0..k-1 of a row of a (n, fields) aggregate."""
-    read = ctx.read
-    return tuple(float(read(agg, (row, f))) for f in range(k))
+    return ctx.read_row(agg, row, k)
 
 
 def write_vec(ctx: ElementContext, agg: Aggregate, row: int, values) -> None:
-    for f, v in enumerate(values):
-        ctx.write(agg, (row, f), float(v))
+    ctx.write_row(agg, row, values)
 
 
 class RowAligned(Distribution):

@@ -52,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.common import RowAligned, lattice_positions, read_vec, rows, write_vec
-from repro.cstar.embedded import EmbeddedProgram, access
+from repro.cstar.embedded import EmbeddedProgram, access, keyed_build
 from repro.cstar.driver import Env
 
 DEFAULTS = dict(n=64, iterations=5, box=6.0, dt=0.002, work_scale=1.0)
@@ -93,6 +93,7 @@ def _neighbor_window(i: int, n: int):
         yield (i - off) % n
 
 
+@keyed_build
 def build(
     n: int = DEFAULTS["n"],
     iterations: int = DEFAULTS["iterations"],
@@ -112,7 +113,7 @@ def build(
     home = "round_robin" if splashy else "owner"
 
     def setup(env: Env) -> None:
-        nodes = env.machine.config.n_nodes
+        nodes = env.config.n_nodes
         dist = RowAligned(n, 4, nodes)
         pos = env.runtime.aggregate("pos", (n, 4), dist=dist, home=home)
         vel = env.runtime.aggregate("vel", (n, 4), dist=dist, home=home)
@@ -287,7 +288,7 @@ def build(
     def splash_update_body(ctx, env: Env) -> None:
         i = ctx.pos[0]
         pos, vel, fpart = env.agg("pos"), env.agg("vel"), env.agg("fpart")
-        nodes = env.machine.config.n_nodes
+        nodes = env.config.n_nodes
         fx = fy = fz = 0.0
         for p in range(nodes):
             ctx.charge(3 * work_scale)
@@ -317,7 +318,7 @@ def build(
     molecule_rows = lambda env: rows(n)
     if variant == "splash":
         proc_rows = lambda env: [
-            (p,) for p in range(env.machine.config.n_nodes)
+            (p,) for p in range(env.config.n_nodes)
         ]
         prog.build(
             prog.loop(

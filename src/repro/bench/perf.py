@@ -136,11 +136,16 @@ def _run_app(case: BenchCase, fast: bool,
     """One timed run; returns (sim_seconds, total_seconds, stats, events).
 
     ``sim_seconds`` covers ``run_phase`` + ``begin_group`` only — the part
-    the fast path accelerates; trace generation (app physics) is identical
-    Python on both paths and would only dilute the ratio.
+    the fast path accelerates; the front end (app physics, recording,
+    replay materialization) is identical Python on both paths and would
+    only dilute the ratio.  ``total_seconds`` is one *cold* command — build,
+    record the value pass, replay, finish — so the recording cache is
+    emptied first: a warm repeat would silently drop the front end.
     """
     import repro.apps as apps
+    from repro.cstar.recording import clear_cache
 
+    clear_cache()
     app = getattr(apps, case.app)
     prog = app.build(**case.build_kwargs)
     machine = make_machine(_case_config(case), case.protocol, fast=fast,
@@ -220,6 +225,14 @@ def measure(cases, repeats: int = 3):
 
 
 def _workload_row(result: CaseResult, paired: CaseResult | None) -> dict:
+    """One ``repro.bench/v1`` workload row.
+
+    ``sim_seconds`` is the best-of-repeats time inside ``run_phase`` +
+    ``begin_group``; ``total_seconds`` is the best-of-repeats time of the
+    whole command with a cold front end (value pass recorded, then
+    replayed — see :func:`_run_app`).  ``speedup_*`` compare against the
+    paired baseline run; only ``speedup_sim`` is gated.
+    """
     case = result.case
     row = {
         "label": case.label,

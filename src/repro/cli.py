@@ -154,6 +154,18 @@ def _run_meta(args: argparse.Namespace) -> dict:
     return meta
 
 
+def _frontend_line() -> str:
+    """Which front end produced this command's numbers (host-side counters
+    of ``repro.cstar.recording``; farm workers keep their own)."""
+    from repro.cstar.recording import cache_info
+
+    info = cache_info()
+    return (f"front end: {info['recordings']} value pass(es) recorded "
+            f"({info['ops_recorded']} ops, {info['record_seconds']:.2f}s), "
+            f"{info['replays']} replay(s) served, "
+            f"{info['column_bytes'] / 1e6:.2f} MB of columns resident")
+
+
 def _write_json(path: str, doc: dict) -> None:
     import pathlib
 
@@ -324,6 +336,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
           f"wall={stats.wall_time:g} cycles")
     print()
     print(report.render())
+    print()
+    print(_frontend_line())
     if args.json:
         _write_json(args.json, report.to_dict())
         print(f"\nprofile written to {args.json}")
@@ -342,6 +356,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         "fig7": figures.fig7_water,
     }[args.name](fast=args.fast, jobs=args.jobs, corpus=_open_corpus(args))
     print(fig.render())
+    print(_frontend_line())
     return 0
 
 
@@ -409,6 +424,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     tail = ("corpus-warmed run; shape checks skipped" if warmed
             else "all shape checks passed")
     report.append(f"({tail}; total {time.time() - t0:.1f}s)")
+    report.append(_frontend_line())
     text = "\n".join(report)
     print(text)
     out = pathlib.Path(args.output)
@@ -435,10 +451,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         _write_json(args.json, doc)
         print(f"figure stats written to {args.json}")
     if args.metrics_out:
+        from repro.cstar.recording import cache_info
         from repro.obs import MetricsRegistry
 
         merged = MetricsRegistry.merge_all(f.metrics() for f in figure_results)
-        _write_json(args.metrics_out, merged.to_dict())
+        # host-side provenance rides beside the registry, never inside it
+        _write_json(args.metrics_out,
+                    dict(merged.to_dict(), frontend=cache_info()))
         print(f"metrics written to {args.metrics_out}")
     if args.trace:
         # Timeline of the paper's headline configuration: optimized water
@@ -745,6 +764,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         variant=args.variant, calibration=calibration, fast=args.fast,
         progress=print if args.verbose else None)
     print(render_grid(doc))
+    print(_frontend_line())
     if args.out:
         export_grid(args.out, doc)
         print(f"sweep grid written to {args.out}")

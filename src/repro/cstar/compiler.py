@@ -24,7 +24,7 @@ from repro.cstar.flow import FlowCall, FlowIf, FlowLoop, FlowNode, FlowSeq, Flow
 from repro.cstar.interp import BodyInterp, eval_scalar
 from repro.cstar.parser import parse
 from repro.cstar.placement import PlacementResult, place_directives
-from repro.cstar.runtime import CStarRuntime
+from repro.cstar.recording import record, replay
 from repro.cstar.sema import FunctionInfo, ProgramInfo, analyze
 from repro.tempest.machine import Machine
 from repro.util.errors import CompileError
@@ -173,18 +173,20 @@ class CompiledProgram:
 
     # -- execution ----------------------------------------------------------------------
 
+    def execute(self, env: Env, optimized: bool = True) -> None:
+        """The value pass: walk the (placed) flow tree of ``main``."""
+        env.state["vars"] = {}
+        execute(self.placement.root if optimized else self.flow, env)
+
     def run(
         self,
         machine: Machine,
         optimized: bool = True,
         params: dict[str, Any] | None = None,
     ) -> Env:
-        runtime = CStarRuntime(machine)
-        env = Env(runtime=runtime, params=dict(params or {}))
-        env.state["vars"] = {}
-        root = self.placement.root if optimized else self.flow
-        execute(root, env)
-        return env
+        recording = record(
+            machine.config, lambda env: self.execute(env, optimized), params)
+        return replay(recording, machine, optimized)
 
 
 def compile_source(source: str) -> CompiledProgram:

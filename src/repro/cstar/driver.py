@@ -1,8 +1,8 @@
 """Executor for (placed) flow trees with embedded-frontend payloads.
 
-Walks a :mod:`repro.cstar.flow` tree, issuing runtime directives at
+Walks a :mod:`repro.cstar.flow` tree, logging runtime directives at
 :class:`~repro.cstar.flow.FlowGroup` boundaries and running parallel calls
-through the trace-capturing runtime.
+through the recording runtime.
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ class Env:
     params: dict[str, Any] = field(default_factory=dict)
     #: free-form application state (trees, element lists, iteration counters)
     state: dict[str, Any] = field(default_factory=dict)
+    #: the machine the recording was replayed on (None during the value pass)
+    machine: Any = None
 
     def agg(self, name: str):
         return self.runtime.aggregates[name]
 
     @property
-    def machine(self):
-        return self.runtime.machine
+    def config(self):
+        """What the value pass may depend on: ``n_nodes`` and ``page_size``."""
+        return self.runtime.config
 
     def finish(self):
-        return self.runtime.finish()
+        return self.machine.finish()
 
 
 def execute(node: FlowNode, env: Env) -> None:

@@ -8,19 +8,23 @@ declare exactly that information — each parallel function's
 :class:`~repro.cstar.access.AccessSummary` and the ``main`` flow tree — and
 feeds it through the very same dataflow and directive-placement passes as
 the textual compiler.  Invocation bodies are Python callables executed under
-the trace-capturing runtime.
+the recording runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cstar.access import Access, AccessKind, AccessSummary, Locality
 from repro.cstar.driver import Env, execute
 from repro.cstar.flow import FlowCall, FlowIf, FlowLoop, FlowSeq, FlowStmt
 from repro.cstar.placement import PlacementResult, place_directives
-from repro.cstar.runtime import CStarRuntime, ElementContext
+from repro.cstar.recording import record, record_program, replay
+from repro.cstar.runtime import ElementContext
 from repro.tempest.machine import Machine
 from repro.util.errors import CompileError
 
@@ -70,6 +74,10 @@ class EmbeddedProgram:
         self._bodies: dict[str, Callable] = {}
         self.main: FlowSeq | None = None
         self._placement: PlacementResult | None = None
+        #: ``(app module, build kwargs)`` when an application's ``build``
+        #: made this program (see :func:`keyed_build`): its recording is
+        #: shared through :func:`~repro.cstar.recording.record_program`
+        self.identity: tuple[Any, dict] | None = None
 
     # -- declaring parallel functions ---------------------------------------------
 
@@ -141,22 +149,47 @@ class EmbeddedProgram:
             self._placement = place_directives(self.main, label_prefix=f"{self.name}:")
         return self._placement
 
+    def execute(self, env: Env, optimized: bool = True) -> None:
+        """The value pass: declare aggregates, then walk the flow tree."""
+        self.setup(env)
+        execute(self.compile().root if optimized else self.main, env)
+
     def run(
         self,
         machine: Machine,
         params: dict[str, Any] | None = None,
         optimized: bool = True,
     ) -> Env:
-        """Execute on ``machine``.
+        """Execute on ``machine``: record (or reuse) the value pass, replay it.
 
         ``optimized=True`` runs the directive-annotated program (the paper's
         "optimized communication" versions); ``False`` runs the same program
         with no directives (the unoptimized baseline), regardless of
-        protocol.
+        protocol.  ``params`` or a program without a build identity make the
+        recording private to this run.
         """
-        runtime = CStarRuntime(machine)
-        env = Env(runtime=runtime, params=dict(params or {}))
-        self.setup(env)
-        root = self.compile().root if optimized else self.main
-        execute(root, env)
-        return env
+        cfg = machine.config
+        if self.identity is not None and not params:
+            app, kwargs = self.identity
+            recording = record_program(app, kwargs, n_nodes=cfg.n_nodes,
+                                       page_size=cfg.page_size)
+        else:
+            recording = record(
+                cfg, lambda env: self.execute(env, optimized), params)
+        return replay(recording, machine, optimized)
+
+
+def keyed_build(build: Callable[..., EmbeddedProgram]):
+    """Decorator for an application module's ``build``: stamps the program
+    with ``(module, bound kwargs)`` so every bar of a figure shares one
+    recording per placement."""
+    signature = inspect.signature(build)
+
+    @functools.wraps(build)
+    def stamped(*args, **kwargs) -> EmbeddedProgram:
+        prog = build(*args, **kwargs)
+        prog.identity = (sys.modules[build.__module__],
+                         dict(signature.bind(*args, **kwargs).arguments))
+        return prog
+
+    return stamped

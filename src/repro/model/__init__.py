@@ -10,8 +10,9 @@ is what makes ``repro sweep --model`` parameter grids instant.
 
 Pipeline (docs/MODEL.md has the derivations):
 
-1. :mod:`.recording` runs the program's *value pass* once on a machine-free
-   stand-in, capturing per-phase aggregate access streams (no timing).
+1. :mod:`repro.cstar.recording` runs the program's *value pass* once,
+   machine-free (the very recording the simulator replays), capturing
+   per-phase aggregate access streams (no timing).
 2. :mod:`.predictor` *walks* those streams against an analytical directory
    (cost-independent: miss classes, pre-send programs, learned schedules),
    then *assembles* cycles from any cost table — so sweeps over cost
@@ -23,6 +24,7 @@ Pipeline (docs/MODEL.md has the derivations):
    benchmark suite and gates the committed error budgets.
 """
 
+from repro.cstar.recording import ProgramRecording, record_program
 from repro.model.calibrate import (
     Calibration,
     calibrate,
@@ -31,7 +33,6 @@ from repro.model.calibrate import (
     save_calibration,
 )
 from repro.model.predictor import ModelPrediction, predict
-from repro.model.recording import ProgramRecording, record_program
 
 __all__ = [
     "Calibration",

@@ -1,6 +1,6 @@
 """Block/home geometry for a recording at one evaluated block size.
 
-A :class:`~repro.model.recording.ProgramRecording` stores accesses as
+A :class:`~repro.cstar.recording.ProgramRecording` stores accesses as
 (aggregate, flat element index); this module maps them onto the cache-block
 space of the configuration being predicted.  Region bases are page-aligned
 and depend only on ``page_size`` and declaration order, so the recording's
@@ -13,25 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.recording import ProgramRecording
+from repro.cstar.recording import ProgramRecording
 from repro.util.config import MachineConfig
-from repro.util.errors import ConfigError
 
 
 class LayoutModel:
     """Element→block and block→home mapping for one (recording, config)."""
 
     def __init__(self, recording: ProgramRecording, config: MachineConfig):
-        if config.n_nodes != recording.n_nodes:
-            raise ConfigError(
-                f"recording is for {recording.n_nodes} nodes, "
-                f"config has {config.n_nodes}"
-            )
-        if config.page_size != recording.page_size:
-            raise ConfigError(
-                f"recording is for page_size={recording.page_size}, "
-                f"config has {config.page_size}"
-            )
+        recording.check_placement(config)
         self.recording = recording
         self.block_size = config.block_size
         self._shift = config.block_size.bit_length() - 1
@@ -39,9 +29,7 @@ class LayoutModel:
 
     def blocks(self, agg_idx: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """Vectorized element→block map (first byte of each element)."""
-        base = self.recording.agg_base[agg_idx]
-        stride = self.recording.agg_stride[agg_idx]
-        return (base + flat * stride) >> self._shift
+        return self.recording.blocks(agg_idx, flat, self._shift)
 
     def home(self, block: int) -> int:
         h = self._home_cache.get(block)

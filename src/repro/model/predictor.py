@@ -57,8 +57,8 @@ from repro.core.schedule import (
     ScheduleStore,
     coalesce_blocks,
 )
+from repro.cstar.recording import ProgramRecording, record_program
 from repro.model.layout import LayoutModel
-from repro.model.recording import ProgramRecording, record_program
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, ProtocolError
@@ -225,13 +225,11 @@ class _Walker:
         return st
 
     def run(self) -> WalkResult:
-        for kind, payload in self.recording.events:
+        for kind, payload in self.recording.session(self.optimized):
             if kind == "begin_group":
-                if self.optimized:
-                    self._begin_group(payload)
+                self._begin_group(payload)
             elif kind == "end_group":
-                if self.optimized:
-                    self._end_group()
+                self._end_group()
             else:
                 self.steps.append(("phase", self._walk_phase(payload)))
         return WalkResult(
@@ -384,7 +382,8 @@ class _Walker:
     def _walk_phase(self, ph) -> PhaseWalk:
         n = self.n
         compute = np.asarray(ph.compute, dtype=np.float64)
-        accesses = np.array([len(f) for f in ph.flat], dtype=np.int64)
+        accesses = np.array([len(ph.accesses(node)[0]) for node in range(n)],
+                            dtype=np.int64)
         read_misses = np.zeros(n, dtype=np.int64)
         write_misses = np.zeros(n, dtype=np.int64)
         coeff = np.zeros((n, 5), dtype=np.float64)
@@ -471,13 +470,12 @@ class _Walker:
         """
         cols_node, cols_block, cols_kind, cols_pos = [], [], [], []
         for node in range(self.n):
-            flat = ph.flat[node]
+            agg, flat, kind = ph.accesses(node)
             if len(flat) == 0:
                 continue
-            blocks = self.layout.blocks(ph.agg[node], flat)
             cols_node.append(np.full(len(flat), node, dtype=np.int64))
-            cols_block.append(blocks)
-            cols_kind.append(ph.kind[node].astype(np.int64))
+            cols_block.append(self.layout.blocks(agg, flat))
+            cols_kind.append(kind)
             cols_pos.append(np.arange(len(flat), dtype=np.int64))
         if not cols_node:
             return [], set(), [], np.zeros(self.n, dtype=np.float64)

@@ -43,6 +43,12 @@ class EventKind:
     BARRIER_ARRIVE = "barrier.arrive"
     BARRIER_RELEASE = "barrier.release"
 
+    # trace front end (repro.cstar.recording): a program run closes with
+    # ``frontend.replay``, preceded by ``frontend.record`` when this run paid
+    # for the value pass instead of reusing a cached recording
+    FRONTEND_RECORD = "frontend.record"
+    FRONTEND_REPLAY = "frontend.replay"
+
     # shared-data accesses (base protocol / replay processor)
     MISS_BEGIN = "miss.begin"
     MISS_END = "miss.end"

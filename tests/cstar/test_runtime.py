@@ -1,9 +1,10 @@
-"""Tests for aggregates, distributions, and trace-capturing parallel calls."""
+"""Tests for aggregates, distributions, and recorded parallel calls."""
 
 import numpy as np
 import pytest
 
 from repro.core import make_machine
+from repro.cstar.recording import record, replay
 from repro.cstar.runtime import (
     Block1D,
     CStarRuntime,
@@ -16,7 +17,7 @@ from repro.util import ConfigError, MachineConfig, SimulationError
 
 @pytest.fixture
 def rt():
-    return CStarRuntime(make_machine(MachineConfig(n_nodes=4), "stache"))
+    return CStarRuntime(MachineConfig(n_nodes=4))
 
 
 class TestDistributions:
@@ -82,9 +83,9 @@ class TestAggregates:
         """A page's home is the owner of its first element, so own-element
         accesses are home-local."""
         a = rt.aggregate("a", (512,))  # 4096 bytes = 1 page per 512 elements
-        m = rt.machine
-        blk = m.addr_space.block_of(a.addr((0,)))
-        assert m.home(blk) == a.owner((0,))
+        space = rt.addr_space
+        blk = space.block_of(a.addr((0,)))
+        assert space.home_of_block(blk) == a.owner((0,))
 
 
 class TestParCall:
@@ -120,9 +121,9 @@ class TestParCall:
             seen_nodes.append(ctx.node)
             ctx.write(a, ctx.pos, 0.0)
 
-        trace = rt.par_call(body, over=a)
+        phase = rt.par_call(body, over=a)
         assert sorted(set(seen_nodes)) == [0, 1, 2, 3]
-        assert all(len(ops) > 0 for ops in trace.ops)
+        assert all(len(phase.accesses(node)[1]) > 0 for node in range(4))
 
     def test_compute_charges_recorded(self, rt):
         a = rt.aggregate("a", (4,))
@@ -131,9 +132,11 @@ class TestParCall:
             ctx.charge(10)
             ctx.write(a, ctx.pos, 0.0)
 
-        trace = rt.par_call(body, over=a)
-        flat = [op for ops in trace.ops for op in ops]
-        assert ("c", 10.0) in flat or ("c", 10) in flat
+        phase = rt.par_call(body, over=a)
+        flat = [op for node in range(4)
+                for op in phase.ops(node, lambda agg, flat: flat)]
+        assert ("c", 10.0) in flat
+        assert phase.compute == (10.0,) * 4
 
     def test_elements_restriction(self, rt):
         a = rt.aggregate("a", (8,))
@@ -145,16 +148,21 @@ class TestParCall:
         rt.par_call(body, over=a, elements=[(0,), (3,)])
         assert list(a.data) == [9.0, 5.0, 5.0, 9.0, 5.0, 5.0, 5.0, 5.0]
 
-    def test_timing_accumulates_across_phases(self, rt):
-        a = rt.aggregate("a", (8,))
+    def test_timing_accumulates_across_phases(self):
+        def drive(env):
+            a = env.runtime.aggregate("a", (8,))
 
-        def body(ctx):
-            ctx.charge(100)
-            ctx.write(a, ctx.pos, 1.0)
+            def body(ctx):
+                ctx.charge(100)
+                ctx.write(a, ctx.pos, 1.0)
 
-        rt.par_call(body, over=a)
-        t1 = rt.machine.clock
-        rt.par_call(body, over=a)
-        assert rt.machine.clock > t1
-        stats = rt.finish()
+            env.runtime.par_call(body, over=a)
+            env.runtime.par_call(body, over=a)
+
+        m = make_machine(MachineConfig(n_nodes=4), "stache")
+        env = replay(record(m.config, drive), m)
+        first, second = m.stats.phases
+        assert second.wall_end > first.wall_end == second.wall_start
+        assert m.clock == second.wall_end
+        stats = env.finish()
         stats.check_conservation()

@@ -6,7 +6,7 @@ import pytest
 from repro.apps import water
 from repro.core import make_machine
 from repro.model.layout import LayoutModel
-from repro.model.recording import record_program, recording_key
+from repro.cstar.recording import record_program, recording_key
 from repro.util import MachineConfig
 from repro.util.errors import ConfigError
 
@@ -52,9 +52,10 @@ class TestLayoutModel:
         checked = 0
         for ph in rec.phases():
             for node in range(rec.n_nodes):
-                if not len(ph.flat[node]):
+                agg, flat, _ = ph.accesses(node)
+                if not len(flat):
                     continue
-                blocks = layout.blocks(ph.agg[node], ph.flat[node])
+                blocks = layout.blocks(agg, flat)
                 for b in np.unique(blocks)[:8]:
                     assert layout.home(int(b)) == m.home(int(b))
                     checked += 1

@@ -56,23 +56,11 @@ class TestOnRealRuns:
         from repro.core import make_machine
         from repro.util import MachineConfig
 
-        captured = []
         prog = water.build(n=16, iterations=1)
         m = make_machine(MachineConfig(n_nodes=4, page_size=512), "stache")
-        from repro.cstar.runtime import CStarRuntime
-
-        orig = CStarRuntime.par_call
-
-        def capture(self, *a, **kw):
-            t = orig(self, *a, **kw)
-            captured.append(t)
-            return t
-
-        CStarRuntime.par_call = capture
-        try:
-            prog.run(m, optimized=False)
-        finally:
-            CStarRuntime.par_call = orig
+        m.recorder = session = []
+        prog.run(m, optimized=False)
+        captured = [ev[1] for ev in session if ev[0] == "phase"]
         stats = TraceStats.of(captured)
         assert stats.phases == 2  # interactions + update
         assert stats.reads > stats.writes
