@@ -62,9 +62,9 @@ Commands
     Inspect (and optionally compact/scrub) a durable schedule corpus.
     Opening a corpus is itself the repair: torn tails are truncated and
     damaged records quarantined, so the doctor reports what a run would
-    see.  ``run``, ``verify``, ``faults``, ``bench``, ``figure``, and
-    ``reproduce`` all accept ``--corpus DIR`` to warm-start from (and,
-    where learning is fault-free, harvest into) the same store.
+    see.  ``run``, ``verify``, ``faults``, ``figure``, and ``reproduce``
+    all accept ``--corpus DIR`` to warm-start from (and, where learning is
+    fault-free, harvest into) the same store.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def _simulate_file(args: argparse.Namespace, tracer=None, corpus=None):
             entry = corpus.lookup(key, cfg.n_nodes)
             if entry is not None:
                 warm = entry["records"]
-    machine = make_machine(cfg, args.protocol,
-                           fast=getattr(args, "fast", False), warm=warm)
+    machine = make_machine(cfg, args.protocol, warm=warm)
     if tracer is not None:
         machine.attach_tracer(tracer)
     env = program.run(machine, optimized=not args.unoptimized)
@@ -146,12 +145,8 @@ def _simulate_file(args: argparse.Namespace, tracer=None, corpus=None):
 
 
 def _run_meta(args: argparse.Namespace) -> dict:
-    meta = dict(app=args.file, protocol=args.protocol, nodes=args.nodes,
+    return dict(app=args.file, protocol=args.protocol, nodes=args.nodes,
                 block_size=args.block_size, optimized=not args.unoptimized)
-    # only label fast-path runs, so reference-path metric labels are stable
-    if getattr(args, "fast", False):
-        meta["fast"] = True
-    return meta
 
 
 def _frontend_line() -> str:
@@ -354,7 +349,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         "fig5": figures.fig5_adaptive,
         "fig6": figures.fig6_barnes,
         "fig7": figures.fig7_water,
-    }[args.name](fast=args.fast, jobs=args.jobs, corpus=_open_corpus(args))
+    }[args.name](jobs=args.jobs, corpus=_open_corpus(args))
     print(fig.render())
     print(_frontend_line())
     return 0
@@ -391,17 +386,17 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     corpus = _open_corpus(args)
     warmed = corpus is not None
 
-    fig5 = figures.fig5_adaptive(fast=args.fast, jobs=args.jobs, corpus=corpus)
+    fig5 = figures.fig5_adaptive(jobs=args.jobs, corpus=corpus)
     if not warmed:
         figures.check_fig5(fig5)
     sections.append(("Figure 5", fig5.render()))
 
-    fig6 = figures.fig6_barnes(fast=args.fast, jobs=args.jobs, corpus=corpus)
+    fig6 = figures.fig6_barnes(jobs=args.jobs, corpus=corpus)
     if not warmed:
         figures.check_fig6(fig6)
     sections.append(("Figure 6", fig6.render()))
 
-    fig7 = figures.fig7_water(fast=args.fast, jobs=args.jobs, corpus=corpus)
+    fig7 = figures.fig7_water(jobs=args.jobs, corpus=corpus)
     if not warmed:
         figures.check_fig7(fig7)
     sections.append(("Figure 7", fig7.render()))
@@ -470,102 +465,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         spec = VersionSpec("C** opt (32)", water, "predictive", True,
                            WATER_CFG.with_(block_size=32), dict(WATER_KW))
         tracer = EventTrace()
-        run_version(spec, tracer=tracer, fast=args.fast)
+        run_version(spec, tracer=tracer)
         if _export_trace(args.trace, tracer, spec.config.n_nodes):
             return 1
-    return 0
-
-
-def _check_snapshot(args, committed_path, measured) -> int:
-    """Gate a measured snapshot doc against a committed one; 0 = pass."""
-    import json
-
-    from repro.bench import perf
-
-    if not committed_path.is_file():
-        print(f"error: no committed snapshot at {committed_path}",
-              file=sys.stderr)
-        return 2
-    problems = perf.compare_snapshots(
-        perf.load_snapshot(json.loads(committed_path.read_text())),
-        measured, tolerance=args.tolerance,
-    )
-    if problems:
-        print(f"\nPERF GATE: {len(problems)} regression(s) "
-              f"vs {committed_path}:")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    print(f"\nperf gate passed (tolerance {args.tolerance:.0%}, "
-          f"vs {committed_path})")
-    return 0
-
-
-def _cmd_bench_farm(args: argparse.Namespace) -> int:
-    """Measure the farm scaling curve; write/check BENCH_farm.json."""
-    import pathlib
-
-    from repro.bench import perf
-    from repro.util.tables import format_table
-
-    curve = tuple(int(x) for x in args.jobs_curve.split(","))
-    doc = perf.farm_scaling(curve, progress=print)
-    rows = [[w["label"], float(w["workers"]), w["sim_seconds"],
-             w["speedup_sim"]] for w in doc["workloads"]]
-    print(format_table(
-        ["sweep", "workers", "seconds", "speedup"], rows, floatfmt=".3g",
-        title=f"farm scaling (byte-identical reports; "
-              f"host has {doc['host_cpus']} cpu(s))",
-    ))
-    path = pathlib.Path(args.dir) / "BENCH_farm.json"
-    if args.write:
-        _write_json(str(path), doc)
-        print(f"farm snapshot written to {path}")
-    if args.check:
-        return _check_snapshot(args, path, doc)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Time the fast path against the reference path; write/check snapshots."""
-    import pathlib
-
-    from repro.bench import perf
-
-    if args.farm:
-        return _cmd_bench_farm(args)
-
-    profile = "quick" if args.quick else None
-    cases = perf.table1_cases(profile)
-    corpus = _open_corpus(args)
-    if args.jobs > 1 or corpus is not None:
-        # the payload path carries the corpus warm envelope at any job
-        # count (jobs=1 runs the same computation in-process)
-        payloads = perf.measure_payloads(cases, repeats=args.repeats,
-                                         jobs=args.jobs, progress=print,
-                                         corpus=corpus)
-        print(perf.render_payloads(payloads))
-
-        def snapshot(mode):
-            return perf.snapshot_from_payloads(payloads, mode,
-                                               repeats=args.repeats)
-    else:
-        pairs = perf.measure(cases, repeats=args.repeats)
-        print(perf.render_pairs(pairs))
-
-        def snapshot(mode):
-            return perf.snapshot(pairs, mode, repeats=args.repeats)
-
-    if args.write:
-        out_dir = pathlib.Path(args.dir)
-        for mode, name in (("baseline", "BENCH_baseline.json"),
-                           ("fastpath", "BENCH_fastpath.json")):
-            _write_json(str(out_dir / name), snapshot(mode))
-            print(f"{mode} snapshot written to {out_dir / name}")
-
-    if args.check:
-        committed = pathlib.Path(args.dir) / "BENCH_fastpath.json"
-        return _check_snapshot(args, committed, snapshot("fastpath"))
     return 0
 
 
@@ -685,8 +587,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
         sim = run_version(
             VersionSpec("validate", app, args.protocol, optimized, cfg,
-                        kwargs, variant=args.variant),
-            fast=True).stats
+                        kwargs, variant=args.variant)).stats
         sim_rows = dict((name, value) for name, value in sim.summary_rows())
         rows = []
         for name, mval in pred.stats.summary_rows():
@@ -761,7 +662,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = sweep_grid(
         app, kwargs, base_config=cfg, axes=axes, backend=backend,
         protocol=args.protocol, optimized=not args.unoptimized,
-        variant=args.variant, calibration=calibration, fast=args.fast,
+        variant=args.variant, calibration=calibration,
         progress=print if args.verbose else None)
     print(render_grid(doc))
     print(_frontend_line())
@@ -924,7 +825,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         progress=print,
         dump_scripts=args.dump_scripts,
-        fast=args.fast,
         jobs=args.jobs,
         tracer=tracer,
         farm_transport=_build_farm_transport(args, tracer),
@@ -947,8 +847,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         protocol = (protocols or ["predictive"])[0]
         workload = generate_workload(0)
         tracer = EventTrace()
-        obs = run_workload(workload, protocol, fault_plan=plan, tracer=tracer,
-                           fast=args.fast)
+        obs = run_workload(workload, protocol, fault_plan=plan, tracer=tracer)
         if args.metrics_out:
             _write_json(
                 args.metrics_out,
@@ -987,9 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--page-size", type=int, default=512)
         p.add_argument("--unoptimized", action="store_true",
                        help="ignore compiler directives (the paper's baseline)")
-        p.add_argument("--fast", action="store_true",
-                       help="run on the compiled fast path (calendar-queue "
-                            "engine + packed state; bit-identical results)")
 
     def add_corpus_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--corpus", metavar="DIR",
@@ -1046,8 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="shard the work across N farm worker processes "
                         "(repro.farm; reports are byte-identical to --jobs 1)")
-    p.add_argument("--fast", action="store_true",
-                   help="run on the compiled fast path (bit-identical)")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("ablation", help="run a design-choice ablation")
@@ -1124,8 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="predict each point with repro.model instead of "
                         "simulating it (same document shape, milliseconds "
                         "per grid)")
-    p.add_argument("--fast", action="store_true",
-                   help="sim backend: run on the compiled fast path")
     p.add_argument("--out", metavar="FILE",
                    help="atomically export the grid as .json or .csv "
                         "(sim- and model-backed grids are byte-comparable)")
@@ -1147,50 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH",
                    help="also export a Chrome trace of the optimized water "
                         "run (Figure 7's fastest bar) to PATH")
-    p.add_argument("--fast", action="store_true",
-                   help="run the figure matrix on the compiled fast path "
-                        "(bit-identical; ablations and sweeps stay on the "
-                        "reference path)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="shard the work across N farm worker processes "
                         "(repro.farm; reports are byte-identical to --jobs 1)")
     add_corpus_option(p)
     p.set_defaults(fn=_cmd_reproduce)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the compiled fast path against the reference path on the "
-             "Table-1 workloads; write or check BENCH_*.json snapshots",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="run the scaled-down CI profile instead of the full "
-                        "Table-1 matrix")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats per case (best-of; default 3)")
-    p.add_argument("--write", action="store_true",
-                   help="write BENCH_baseline.json and BENCH_fastpath.json "
-                        "snapshots into --dir")
-    p.add_argument("--check", action="store_true",
-                   help="compare measured speedups against the committed "
-                        "BENCH_fastpath.json in --dir; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.15,
-                   help="fractional speedup drop tolerated by --check "
-                        "(default 0.15)")
-    p.add_argument("--dir", default="benchmarks",
-                   help="snapshot directory (default: benchmarks)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard the work across N farm worker processes "
-                        "(repro.farm; reports are byte-identical to --jobs 1)")
-    p.add_argument("--farm", action="store_true",
-                   help="instead of the fast-path matrix, measure the farm's "
-                        "worker-scaling curve (verify fuzz, fault campaign, "
-                        "and quick bench sweeps at each --jobs-curve point, "
-                        "asserting byte-identical reports) and write/check "
-                        "BENCH_farm.json")
-    p.add_argument("--jobs-curve", default="1,2,4,8", metavar="N,N,...",
-                   help="worker counts measured by --farm (default: 1,2,4,8)")
-    add_corpus_option(p)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("audit", help="audit protocol transition tables")
     p.set_defaults(fn=_cmd_audit)
@@ -1288,9 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH",
                    help="export a Chrome trace of one representative "
                         "faulted run to PATH")
-    p.add_argument("--fast", action="store_true",
-                   help="run the campaign's FIFO replays on the compiled "
-                        "fast path (bit-identical)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="shard the work across N farm worker processes "
                         "(repro.farm; reports are byte-identical to --jobs 1)")

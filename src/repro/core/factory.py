@@ -22,40 +22,45 @@ PROTOCOLS = {
 
 
 def make_machine(config: MachineConfig, protocol: str = "stache",
-                 engine=None, fast: bool = False, warm=None) -> Machine:
+                 engine=None, warm=None) -> Machine:
     """Create a simulated machine running the named coherence protocol.
 
     ``protocol`` is one of ``"stache"`` (the write-invalidate default),
     ``"predictive"`` (the paper's contribution), or ``"write-update"``
-    (the hand-optimized SPMD baseline's custom protocol).  ``engine``
-    optionally supplies a pre-built event engine — the verification
-    subsystem passes an :class:`~repro.verify.interleave.ExplorerEngine`
-    here to fuzz message interleavings.  ``fast=True`` selects the
-    compiled fast path (:mod:`repro.fastpath`): a calendar-queue engine,
-    packed tag tables, and the analyze/specialize/schedule pipeline, with
-    behaviour bit-identical to the reference path.  ``warm`` optionally
-    supplies schedule records (``CommSchedule.to_record`` dicts, e.g. from
-    the durable corpus) seeded into the protocol before the run so
-    pre-sends start at iteration 1; protocols without schedule support
-    silently ignore it.
+    (the hand-optimized SPMD baseline's custom protocol).
+
+    This is the one place the timing path is chosen, and it is chosen from
+    the engine, never from a switch.  With no ``engine`` (every production
+    caller under FIFO tie-breaking) the machine runs on the compiled path
+    (:mod:`repro.fastpath`): a calendar-queue
+    :class:`~repro.fastpath.calqueue.FastEngine`, packed tag tables and the
+    analyze/specialize/schedule pipeline.  A caller-supplied ``FastEngine``
+    gets the same.  Any other engine — the verification subsystem's
+    :class:`~repro.verify.interleave.ExplorerEngine`, whose policy-driven
+    tie-breaks the batched calendar dispatch cannot honour, or the plain
+    heap :class:`~repro.sim.engine.Engine` the differential tests use as
+    the oracle — gets the reference :class:`~repro.tempest.machine.
+    ReplayProcessor` and dict-backed tags.  The two are bit-identical under
+    FIFO order (``tests/fastpath``), and a mixed machine cannot be built
+    here.
+
+    ``warm`` optionally supplies schedule records
+    (``CommSchedule.to_record`` dicts, e.g. from the durable corpus) seeded
+    into the protocol before the run so pre-sends start at iteration 1;
+    protocols without schedule support silently ignore it.
     """
     cls = PROTOCOLS.get(protocol)
     if cls is None:
         raise ConfigError(
             f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
         )
-    if fast:
-        from repro.fastpath.calqueue import FastEngine
+    # Imported lazily; repro.fastpath subclasses repro.tempest.machine types.
+    from repro.fastpath.calqueue import FastEngine
 
-        if engine is None:
-            engine = FastEngine()
-        elif not isinstance(engine, FastEngine):
-            raise ConfigError(
-                "fast=True requires a FastEngine (or no engine argument); "
-                f"got {type(engine).__name__}"
-            )
+    if engine is None:
+        engine = FastEngine()
     machine = Machine(config, cls, engine=engine)
-    if fast:
+    if isinstance(engine, FastEngine):
         machine.use_fastpath()
     if warm and hasattr(machine.protocol, "warm_seed"):
         machine.protocol.warm_seed(warm)

@@ -79,9 +79,8 @@ def bench_key(app: str, protocol: str, config: MachineConfig, *,
     """The corpus key for one benchmark application version.
 
     ``app`` is the bare application name (``"water"``, not the dotted
-    module path), so the figure harness and the perf suite derive the same
-    key for the same workload and can share each other's learned
-    schedules.
+    module path), so every caller derives the same key for the same
+    workload and shares its learned schedules.
     """
     ident = "bench/" + json.dumps(
         {"app": app, "optimized": optimized, "variant": variant,

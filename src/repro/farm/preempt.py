@@ -11,10 +11,10 @@ checkpointable points — the retry-forward loop mirrors
 returns a JSON-safe **resume envelope**: the snapshot, the event cursor,
 and the partial :class:`~repro.verify.oracle.Observables`.  Feeding the
 envelope back as ``resume=`` on any worker restores the machine
-(:func:`~repro.recovery.checkpoint.restore_machine` under the same engine
-type) and finishes the run — bit-identically to the uninterrupted run,
-which is exactly the determinism guarantee the checkpoint tests already
-prove for the underlying snapshot format.
+(:func:`~repro.recovery.checkpoint.restore_machine`) and finishes the run
+— bit-identically to the uninterrupted run, which is exactly the
+determinism guarantee the checkpoint tests already prove for the
+underlying snapshot format.
 
 The same envelopes double as crash insurance: a preemptible farm job
 streams one after each completed slice group, so the coordinator can
@@ -29,7 +29,6 @@ from repro.core.factory import make_machine
 from repro.recovery.checkpoint import restore_machine, snapshot_machine
 from repro.tempest.tracefile import replay_session
 from repro.util.errors import ProtocolError, SimulationError, TransportTimeout
-from repro.verify.interleave import ExplorerEngine, FifoPolicy
 from repro.verify.monitor import CoherenceViolation, InvariantMonitor
 from repro.verify.oracle import Observables
 from repro.verify.workload import Workload
@@ -56,21 +55,11 @@ def deserialize_observables(data: dict) -> Observables:
     return obs
 
 
-def _engine_for(fast: bool, max_events: int | None):
-    if fast:
-        from repro.fastpath.calqueue import FastEngine
-
-        return FastEngine(default_max_events=max_events), FifoPolicy()
-    policy = FifoPolicy()
-    return ExplorerEngine(policy, default_max_events=max_events), policy
-
-
 def sliced_run(
     workload: Workload,
     protocol: str,
     fault_plan=None,
     max_events: int | None = 2_000_000,
-    fast: bool = False,
     should_preempt=None,
     on_checkpoint=None,
     resume: dict | None = None,
@@ -80,8 +69,8 @@ def sliced_run(
     """Run ``workload`` under ``protocol`` in preemptible slices (FIFO order).
 
     Returns ``("done", Observables)`` — identical to what
-    ``run_workload(workload, protocol, fault_plan=..., fast=...)`` under
-    FIFO tie-breaking produces — or ``("preempted", envelope)`` when
+    ``run_workload(workload, protocol, fault_plan=...)`` under FIFO
+    tie-breaking produces — or ``("preempted", envelope)`` when
     ``should_preempt()`` fired and a quiescent checkpoint was reached.
     ``on_checkpoint(envelope)`` (optional) observes every checkpointable
     boundary, which is how farm workers stream crash-resume state.
@@ -92,22 +81,21 @@ def sliced_run(
     attached.
     """
     events, regions = workload.session
-    engine, policy = _engine_for(fast, max_events)
     if resume is None:
         cursor = 0
-        machine = make_machine(workload.config, protocol, engine=engine,
-                               fast=fast, warm=warm)
+        machine = make_machine(workload.config, protocol, warm=warm)
         if fault_plan is not None:
             machine.install_fault_plan(fault_plan)
         obs = Observables(protocol=protocol)
         first_regions = regions
     else:
         cursor = resume["cursor"]
-        machine = restore_machine(resume["snapshot"], fast=fast,
-                                  engine=engine)
+        machine = restore_machine(resume["snapshot"])
         obs = deserialize_observables(resume["obs"])
         first_regions = []  # the snapshot already restored region state
-    monitor = InvariantMonitor(seed=workload.seed, policy=policy)
+    machine.engine.default_max_events = max_events
+    # FIFO order has no choice points: violations carry an empty schedule
+    monitor = InvariantMonitor(seed=workload.seed)
     monitor.attach(machine)
     machine.access_hooks.append(obs.record)
 
@@ -167,7 +155,7 @@ def sliced_run(
         violation = CoherenceViolation(
             invariant, str(exc),
             protocol=protocol, phase="(during run)",
-            seed=workload.seed, schedule=list(policy.choices),
+            seed=workload.seed, schedule=[],
         )
         violation.fault_events = injected()
         raise violation from exc

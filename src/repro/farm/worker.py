@@ -63,10 +63,6 @@ def execute_job(job: FarmJob, control=None):
         from repro.faults.campaign import run_fault_probe
 
         return run_fault_probe(job.params)
-    if job.kind == "bench-case":
-        from repro.bench.perf import bench_case_job
-
-        return bench_case_job(job.params)
     if job.kind == "bench-version":
         from repro.bench.harness import version_job
 

@@ -1,4 +1,4 @@
-"""The compiled simulation fast path (opt-in, behind ``--fast``).
+"""The compiled timing path: what every FIFO-ordered simulation runs on.
 
 ``repro.fastpath`` replaces the three interpreter-bound layers of the
 reference simulator with compiled-down equivalents while preserving
@@ -9,19 +9,24 @@ order):
   (:class:`FastEngine`) that dispatches same-timestamp batches without
   per-event heap churn or closure allocation;
 * :mod:`~repro.fastpath.packed` — packed-int/array representations for
-  sharer sets, tag tables, and data-flow bit vectors;
+  sharer sets and tag tables;
 * :mod:`~repro.fastpath.passes` — a pass-group pipeline
   (analyze → specialize → schedule) that turns each phase trace into
   static dispatch state for :class:`FastReplayProcessor`, whose ``step``
   loop avoids dict lookups and virtual calls.
 
-The reference path stays untouched and authoritative: the differential
-equivalence suite (``tests/fastpath/``) proves the two paths agree before
-any benchmark number is trusted (see ``docs/PERFORMANCE.md``).
+:func:`repro.core.factory.make_machine` builds this path whenever it is not
+handed another engine.  The reference path (heap
+:class:`~repro.sim.engine.Engine` + :class:`~repro.tempest.machine.
+ReplayProcessor`) stays in the tree for the one input the batched calendar
+dispatch cannot serve — policy-driven tie-breaking under
+:class:`~repro.verify.interleave.ExplorerEngine` — and as the oracle the
+differential suite (``tests/fastpath/``) holds this package to (see
+``docs/PERFORMANCE.md``).
 """
 
 from repro.fastpath.calqueue import FastEngine
-from repro.fastpath.packed import NodeSet, PackedBitVector, PackedTagTable
+from repro.fastpath.packed import NodeSet, PackedTagTable
 from repro.fastpath.passes import FastPathPipeline, FastReplayProcessor
 
 __all__ = [
@@ -29,6 +34,5 @@ __all__ = [
     "FastPathPipeline",
     "FastReplayProcessor",
     "NodeSet",
-    "PackedBitVector",
     "PackedTagTable",
 ]

@@ -58,7 +58,7 @@ class FastEngine(Engine):
     """
 
     def __init__(self, default_max_events: int | None = None) -> None:
-        super().__init__()
+        super().__init__(default_max_events)
         #: time -> seq-ascending list of Event | (proc, incarnation)
         self._slots: dict[float, list] = {}
         #: heap of distinct slot times present in ``_slots``
@@ -68,9 +68,6 @@ class FastEngine(Engine):
         self._cur_list: list | None = None
         self._cur_time: float = 0.0
         self._cur_idx: int = 0
-        #: applied when run() is called without an explicit max_events
-        #: (the fault campaign's livelock guard, cf. ExplorerEngine)
-        self.default_max_events = default_max_events
 
     # -- scheduling ----------------------------------------------------------
 
@@ -214,7 +211,7 @@ class FastEngine(Engine):
         return n
 
     def _next_event(self) -> Event | None:
-        """API-compat hook; the batched :meth:`run` below never calls it."""
+        """API-compat hook; the batched :meth:`_drain` below never calls it."""
         t = self._peek_future()
         if t is None:
             return None
@@ -231,10 +228,10 @@ class FastEngine(Engine):
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+    def _drain(self, until: float | None, max_events: int | None) -> int:
         """Dispatch events in (time, seq) order until the queue empties.
 
-        Identical semantics to :meth:`Engine.run`, including the
+        Identical semantics to :meth:`Engine._drain`, including the
         ``until`` cutoff (the first later event stays queued), the
         ``max_events`` guard raising *after* the offending dispatch, and
         the idle-clock advance to ``until`` when the queue drains.
@@ -251,11 +248,6 @@ class FastEngine(Engine):
         ``finally`` — nothing reads it mid-run (checkpointing requires
         quiescence).
         """
-        if max_events is None:
-            max_events = self.default_max_events
-        if self._running:
-            raise SimulationError("Engine.run is not reentrant")
-        self._running = True
         dispatched = 0
         limit = (1 << 62) if max_events is None else max_events
         slots, times = self._slots, self._times
@@ -488,8 +480,5 @@ class FastEngine(Engine):
             if until is not None and self.now < until and exhausted:
                 self.now = until
         finally:
-            self._running = False
             self._dispatched += dispatched
-        if self.obs is not None and self.obs.enabled and dispatched:
-            self.obs.emit("engine.run", self.now, dispatched=dispatched)
         return dispatched

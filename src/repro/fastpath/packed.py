@@ -1,25 +1,23 @@
-"""Packed-int/array state representations for the fast path.
+"""Packed-int/array state representations for the compiled timing path.
 
-Three hot per-object structures get flat encodings:
+Two hot per-object structures get flat encodings:
 
 * :class:`NodeSet` — sharer sets as a single int bitmask.  Node ids are
   small (a machine has a handful of nodes), so membership, union and
   difference are one machine-word operation, and iteration is *always
   ascending* — which also makes every sharers walk deterministic instead
   of depending on CPython hash-set ordering.  Adopted by the directory on
-  both paths (protocol code is shared between reference and fast).
+  both paths (protocol code is shared between reference and compiled).
 * :class:`PackedTagTable` — per-node block→tag map as a ``bytearray``
   indexed by global block id (tag values are the :class:`AccessTag` ints
   0/1/2).  The replay hot loop reads raw bytes; the full
   :class:`~repro.tempest.tags.TagTable` API is preserved for protocol
-  code.  Adopted only on fast machines so the reference path keeps its
-  dict-backed, independently-validated representation.
-* :class:`PackedBitVector` — the data-flow vector of
-  :mod:`repro.util.bitvec` backed by a ``numpy`` ``uint64`` word array,
-  for analyses whose widths make single-int shifting expensive.
+  code.  Adopted only on ``FastEngine`` machines so the reference path
+  keeps its dict-backed, independently-validated representation.
 
-All three are differentially property-tested against their reference
-counterparts in ``tests/fastpath/test_properties.py``.
+Both are differentially property-tested against their reference
+counterparts in ``tests/fastpath/test_properties.py``.  This module is
+imported by protocol code (``NodeSet``), so it stays dependency-free.
 """
 
 from __future__ import annotations
@@ -27,16 +25,8 @@ from __future__ import annotations
 from collections.abc import Set
 from typing import Iterable, Iterator
 
-try:  # numpy backs PackedBitVector only; the rest of the fast path
-    import numpy as _np  # does not require it
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
-
 from repro.tempest.tags import AccessTag
 from repro.util.errors import SimulationError
-
-#: whether PackedBitVector is usable in this interpreter
-HAVE_NUMPY = _np is not None
 
 # ---------------------------------------------------------------------------
 # NodeSet
@@ -132,7 +122,7 @@ _TAG_OF = (AccessTag.INVALID, AccessTag.READ_ONLY, AccessTag.READ_WRITE)
 
 
 class PackedTagTable:
-    """Block→tag map as a byte-per-block array (fast-path tag storage).
+    """Block→tag map as a byte-per-block array (compiled-path tag storage).
 
     API-compatible with :class:`~repro.tempest.tags.TagTable`; missing or
     out-of-range blocks are INVALID, so capacity is an optimization, not a
@@ -212,170 +202,3 @@ class PackedTagTable:
         data = self._data
         data[:] = bytes(len(data))  # in place: storage identity survives
         self._count = 0
-
-
-# ---------------------------------------------------------------------------
-# PackedBitVector
-# ---------------------------------------------------------------------------
-
-_WORD = 64
-
-
-class PackedBitVector:
-    """A :class:`~repro.util.bitvec.BitVector` drop-in over uint64 words.
-
-    Same indexing, operator, and error semantics (width mismatch raises
-    ``ValueError``, out-of-range bit access raises ``IndexError``); widths
-    in the thousands cost O(width/64) per whole-vector op without big-int
-    shifting.  Operations never mix with the reference class — data-flow
-    lattices are built from one representation end to end.
-    """
-
-    __slots__ = ("width", "_words")
-
-    def __init__(self, width: int, bits: int = 0):
-        if _np is None:  # pragma: no cover - numpy is baked into the image
-            raise SimulationError("PackedBitVector requires numpy")
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        mask = (1 << width) - 1
-        if bits & ~mask:
-            raise ValueError("initial bits exceed width")
-        self.width = width
-        n_words = (width + _WORD - 1) // _WORD
-        words = _np.zeros(n_words, dtype=_np.uint64)
-        i = 0
-        while bits:
-            words[i] = bits & 0xFFFFFFFFFFFFFFFF
-            bits >>= _WORD
-            i += 1
-        self._words = words
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_indices(cls, width: int, indices: Iterable[int]) -> "PackedBitVector":
-        v = cls(width)
-        for i in indices:
-            v.set(i)
-        return v
-
-    @classmethod
-    def full(cls, width: int) -> "PackedBitVector":
-        v = cls(width)
-        v._words[:] = _np.uint64(0xFFFFFFFFFFFFFFFF)
-        tail = width % _WORD
-        if tail and len(v._words):
-            v._words[-1] = _np.uint64((1 << tail) - 1)
-        return v
-
-    def copy(self) -> "PackedBitVector":
-        dup = PackedBitVector(self.width)
-        dup._words[:] = self._words
-        return dup
-
-    # -- single-bit operations ------------------------------------------------
-
-    def _check(self, i: int) -> None:
-        if not (0 <= i < self.width):
-            raise IndexError(f"bit {i} out of range for width {self.width}")
-
-    def set(self, i: int) -> None:
-        self._check(i)
-        self._words[i // _WORD] |= _np.uint64(1 << (i % _WORD))
-
-    def clear(self, i: int) -> None:
-        self._check(i)
-        self._words[i // _WORD] &= _np.uint64(~(1 << (i % _WORD)) & 0xFFFFFFFFFFFFFFFF)
-
-    def test(self, i: int) -> bool:
-        self._check(i)
-        return bool((int(self._words[i // _WORD]) >> (i % _WORD)) & 1)
-
-    __getitem__ = test
-
-    # -- whole-vector operations ----------------------------------------------
-
-    def _check_width(self, other: "PackedBitVector") -> None:
-        if not isinstance(other, PackedBitVector):
-            raise TypeError(
-                f"expected PackedBitVector, got {type(other).__name__}"
-            )
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
-    def _make(self, words) -> "PackedBitVector":
-        dup = PackedBitVector(self.width)
-        dup._words = words
-        return dup
-
-    def __or__(self, other: "PackedBitVector") -> "PackedBitVector":
-        self._check_width(other)
-        return self._make(self._words | other._words)
-
-    def __and__(self, other: "PackedBitVector") -> "PackedBitVector":
-        self._check_width(other)
-        return self._make(self._words & other._words)
-
-    def __sub__(self, other: "PackedBitVector") -> "PackedBitVector":
-        """Set difference: bits in self and not in other."""
-        self._check_width(other)
-        return self._make(self._words & ~other._words)
-
-    def __ior__(self, other: "PackedBitVector") -> "PackedBitVector":
-        self._check_width(other)
-        self._words |= other._words
-        return self
-
-    def __iand__(self, other: "PackedBitVector") -> "PackedBitVector":
-        self._check_width(other)
-        self._words &= other._words
-        return self
-
-    def __isub__(self, other: "PackedBitVector") -> "PackedBitVector":
-        self._check_width(other)
-        self._words &= ~other._words
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedBitVector):
-            return NotImplemented
-        return self.width == other.width and bool(
-            _np.array_equal(self._words, other._words)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self._words.tobytes()))
-
-    def __bool__(self) -> bool:
-        return bool(self._words.any())
-
-    def __len__(self) -> int:
-        return self.width
-
-    def __iter__(self) -> Iterator[bool]:
-        for i in range(self.width):
-            yield bool((int(self._words[i // _WORD]) >> (i % _WORD)) & 1)
-
-    def indices(self) -> Iterator[int]:
-        """Yield the indices of set bits, ascending."""
-        for w, word in enumerate(self._words):
-            bits = int(word)
-            base = w * _WORD
-            while bits:
-                low = bits & -bits
-                yield base + low.bit_length() - 1
-                bits ^= low
-
-    def count(self) -> int:
-        return int(_np.bitwise_count(self._words).sum())
-
-    def is_subset(self, other: "PackedBitVector") -> bool:
-        self._check_width(other)
-        return not bool((self._words & ~other._words).any())
-
-    def __repr__(self) -> str:
-        bits = 0
-        for w in range(len(self._words) - 1, -1, -1):
-            bits = (bits << _WORD) | int(self._words[w])
-        return f"PackedBitVector({self.width}, 0b{bits:0{max(self.width, 1)}b})"

@@ -142,11 +142,11 @@ def _rel_err(model: float, sim: float) -> float | None:
     return round((model - sim) / sim, 9)
 
 
-def _case_row(spec, calibration, *, fast: bool) -> dict:
+def _case_row(spec, calibration) -> dict:
     from repro.bench.harness import run_version
     from repro.sim.stats import TimeCategory
 
-    sim = run_version(spec, fast=fast).stats
+    sim = run_version(spec).stats
     pred = predict(
         spec.app, spec.build_kwargs, protocol=spec.protocol,
         optimized=spec.optimized, config=spec.config, variant=spec.variant,
@@ -245,8 +245,7 @@ def _grid_shape(sim_doc: dict, model_doc: dict) -> dict:
 
 
 def validate(calibration: Calibration | None = None, *, quick: bool = False,
-             fast: bool = True, timing: bool = False,
-             progress=None, tracer=None) -> dict:
+             timing: bool = False, progress=None, tracer=None) -> dict:
     """Run the cross-validation suite; returns the validation document.
 
     Deterministic except for the optional ``"measured"`` key (wall-clock
@@ -263,7 +262,7 @@ def validate(calibration: Calibration | None = None, *, quick: bool = False,
     for spec in specs:
         if progress is not None:
             progress(f"validating {spec.label} ...")
-        row = _case_row(spec, calibration, fast=fast)
+        row = _case_row(spec, calibration)
         rows.append(row)
         failures.extend(_case_failures(row))
 
@@ -281,7 +280,7 @@ def validate(calibration: Calibration | None = None, *, quick: bool = False,
         grid["app"], grid["build_kwargs"],
         base_config=grid["base_config"], axes=grid["axes"], backend="sim",
         protocol=grid["protocol"], optimized=grid["optimized"],
-        variant=grid["variant"], fast=fast)
+        variant=grid["variant"])
     sim_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     model_doc = sweep_grid(
@@ -369,11 +368,10 @@ def compare_validation(committed: dict, measured: dict) -> list[str]:
     """The regression gate: a freshly measured validation run against the
     committed document.
 
-    Ratio-style, like :func:`repro.bench.perf.compare_snapshots`: the gate
-    passes when the fresh run is within budget *and* no case's wall error
-    grew past the budget relative to what was committed (cases present
-    only in the committed full profile are ignored when CI measures the
-    quick profile).
+    Ratio-style: the gate passes when the fresh run is within budget *and*
+    no case's wall error grew past the budget relative to what was
+    committed (cases present only in the committed full profile are ignored
+    when CI measures the quick profile).
     """
     problems = list(measured.get("failures", ()))
     committed_cases = {c["label"]: c for c in committed.get("cases", ())}

@@ -265,18 +265,18 @@ def _snapshot_crash(machine: "Machine") -> dict | None:
 # -- restore -------------------------------------------------------------------
 
 
-def restore_machine(snap: dict, fast: bool = False, engine=None) -> "Machine":
+def restore_machine(snap: dict, engine=None) -> "Machine":
     """Build a fresh machine in exactly the snapshotted state.
 
     Replaying the remainder of the session on the returned machine is
     bit-identical to the uninterrupted run: every counter, clock, RNG state,
-    and structure iteration order is reproduced.  ``fast`` restores onto the
-    compiled fast path (checkpoints are representation-independent, so
-    either path can resume the other's snapshot).  ``engine`` optionally
-    supplies a pre-built event engine, exactly as in
-    :func:`~repro.core.factory.make_machine` — the farm's preemption layer
-    resumes runs under the same :class:`~repro.verify.interleave.
-    ExplorerEngine` the original machine used.
+    and structure iteration order is reproduced.  ``engine`` optionally
+    supplies a pre-built event engine and, exactly as in
+    :func:`~repro.core.factory.make_machine`, selects the timing path:
+    none restores onto the calendar-queue path, an
+    :class:`~repro.verify.interleave.ExplorerEngine` onto the reference
+    path.  Checkpoints are representation-independent, so either path
+    resumes the other's snapshot.
     """
     if snap.get("version") != CHECKPOINT_VERSION:
         raise SimulationError(
@@ -288,7 +288,7 @@ def restore_machine(snap: dict, fast: bool = False, engine=None) -> "Machine":
     from repro.util.config import MachineConfig
 
     config = MachineConfig(**snap["config"])
-    machine = make_machine(config, snap["protocol"], engine=engine, fast=fast)
+    machine = make_machine(config, snap["protocol"], engine=engine)
     restore_regions(machine, snap["regions"])
     if snap["plan"] is not None:
         from repro.faults.plan import FaultPlan
@@ -299,7 +299,7 @@ def restore_machine(snap: dict, fast: bool = False, engine=None) -> "Machine":
     machine.clock = m["clock"]
     machine.phase_index = m["phase_index"]
     machine.current_directive = m["current_directive"]
-    # in-place: the fast path's processors cache these sets by identity
+    # in-place: the compiled path's processors cache these sets by identity
     machine.group_accessed.clear()
     machine.group_accessed.update(tuple(p) for p in m["group_accessed"])
     machine.phase_writes.clear()

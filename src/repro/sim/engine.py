@@ -43,8 +43,12 @@ class Engine:
     :class:`SimulationError` — that always indicates a modelling bug.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, default_max_events: int | None = None) -> None:
         self.now: float = 0.0
+        #: applied when run() is called without an explicit max_events, so
+        #: a protocol bug that livelocks (under an adversarial tie-break
+        #: order, or a fault plan) raises instead of hanging the campaign
+        self.default_max_events = default_max_events
         self._queue: list[Event] = []
         self._seq: int = 0
         self._dispatched: int = 0
@@ -108,36 +112,45 @@ class Engine:
 
         ``until`` stops the run once the next event is strictly later than
         that time (the event stays queued).  ``max_events`` guards against
-        runaway models.  Returns the number of events dispatched by this call.
+        runaway models (``None`` falls back to ``default_max_events``).
+        Returns the number of events dispatched by this call.
         """
+        if max_events is None:
+            max_events = self.default_max_events
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
-        dispatched = 0
         try:
-            while True:
-                t = self.peek_time()
-                if t is None:
-                    break
-                if until is not None and t > until:
-                    break
-                ev = self._next_event()
-                if ev is None:
-                    break
-                self.now = ev.time
-                ev.fn()
-                dispatched += 1
-                self._dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelocked model"
-                    )
-            if until is not None and self.now < until and not self._queue:
-                self.now = until
+            dispatched = self._drain(until, max_events)
         finally:
             self._running = False
         if self.obs is not None and self.obs.enabled and dispatched:
             self.obs.emit("engine.run", self.now, dispatched=dispatched)
+        return dispatched
+
+    def _drain(self, until: float | None, max_events: int | None) -> int:
+        """The dispatch loop behind :meth:`run` (the queue representation's
+        half; :class:`repro.fastpath.calqueue.FastEngine` overrides it)."""
+        dispatched = 0
+        while True:
+            t = self.peek_time()
+            if t is None:
+                break
+            if until is not None and t > until:
+                break
+            ev = self._next_event()
+            if ev is None:
+                break
+            self.now = ev.time
+            ev.fn()
+            dispatched += 1
+            self._dispatched += 1
+            if max_events is not None and dispatched >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; likely a livelocked model"
+                )
+        if until is not None and self.now < until and not self._queue:
+            self.now = until
         return dispatched
 
     @property

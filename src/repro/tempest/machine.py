@@ -279,7 +279,8 @@ class Machine:
         #: every instrumented site a single ``if obs.enabled`` check
         self.obs: Tracer = NULL_TRACER
         #: compiled-simulation pipeline (repro.fastpath); None on the
-        #: reference path — see :meth:`use_fastpath`
+        #: reference path (policy-driven or oracle engines) — see
+        #: :meth:`use_fastpath`
         self._fastpath = None
         self.protocol: CoherenceProtocolAPI = protocol_factory(self)
         self.network.attach(self._deliver)
@@ -373,14 +374,16 @@ class Machine:
             self.network.incarnation_of = self.crash_controller.incarnation
 
     def use_fastpath(self) -> None:
-        """Switch this machine to the compiled fast path (repro.fastpath).
+        """Switch this machine to the compiled path (repro.fastpath).
 
         Replays then run through the calendar-queue engine's batched
         dispatch, packed tag tables, and the analyze/specialize/schedule
-        pass pipeline — with bit-identical observable behaviour (enforced
-        by the differential suite in ``tests/fastpath``).  Requires the
-        engine to be a :class:`~repro.fastpath.calqueue.FastEngine`;
-        normally reached via ``make_machine(..., fast=True)``.
+        pass pipeline — with observable behaviour bit-identical to the
+        reference :class:`ReplayProcessor` (enforced by the differential
+        suite in ``tests/fastpath``).  Requires the engine to be a
+        :class:`~repro.fastpath.calqueue.FastEngine`.  Called by
+        :func:`repro.core.factory.make_machine`, the one place that chooses
+        between the two, for every machine built on a ``FastEngine``.
         """
         # Imported lazily; repro.fastpath subclasses this module's types.
         from repro.fastpath.calqueue import FastEngine
@@ -389,7 +392,7 @@ class Machine:
 
         if not isinstance(self.engine, FastEngine):
             raise SimulationError(
-                "the fast path requires the machine to run on a FastEngine"
+                "the compiled path requires the machine to run on a FastEngine"
             )
         for node in self.nodes:
             packed = PackedTagTable(node.id)

@@ -109,17 +109,17 @@ class ExplorerEngine(Engine):
     """An engine whose same-timestamp dispatch order is policy-controlled.
 
     With :class:`FifoPolicy` it is behaviourally identical to the base
-    engine.  ``default_max_events`` bounds every :meth:`run` call so a
-    protocol bug that livelocks under an adversarial order is reported as
-    a :class:`~repro.util.errors.SimulationError` instead of hanging the
+    engine.  ``default_max_events`` (see :class:`Engine`) defaults to a
+    finite bound here, so a protocol bug that livelocks under an
+    adversarial order is reported as a
+    :class:`~repro.util.errors.SimulationError` instead of hanging the
     fuzzer.
     """
 
     def __init__(self, policy: TieBreakPolicy | None = None,
                  default_max_events: int | None = 2_000_000) -> None:
-        super().__init__()
+        super().__init__(default_max_events)
         self.policy = policy if policy is not None else FifoPolicy()
-        self.default_max_events = default_max_events
 
     def _next_event(self) -> Event | None:
         self._prune_cancelled_front()
@@ -138,11 +138,6 @@ class ExplorerEngine(Engine):
         for ev in frontier:
             heapq.heappush(self._queue, ev)
         return chosen
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        if max_events is None:
-            max_events = self.default_max_events
-        return super().run(until=until, max_events=max_events)
 
 
 def explore_dfs(

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.apps import water
-from repro.bench.harness import FigureResult, VersionSpec, run_version
+from repro.bench.harness import (
+    FigureResult,
+    VersionSpec,
+    run_version,
+    spec_from_params,
+    spec_to_params,
+)
 from repro.bench.figures import TABLE1_ROWS, table1
 from repro.util import MachineConfig
 
@@ -32,6 +38,16 @@ class TestRunVersion:
         r1 = run_version(tiny_spec())
         r2 = run_version(tiny_spec())
         assert r1.wall == r2.wall  # deterministic, independent machines
+
+
+class TestSpecParams:
+    def test_round_trips_with_no_path_selector(self):
+        import json
+
+        spec = tiny_spec("opt", "predictive", True, variant="splash")
+        params = json.loads(json.dumps(spec_to_params(spec)))
+        assert "fast" not in params
+        assert spec_from_params(params) == spec
 
 
 class TestFigureResult:

@@ -1,8 +1,8 @@
 """The one trace front end: record once, replay for every machine.
 
 Pins the recorded path to the results committed before it existed
-(``benchmarks/MODEL_validation.json``, ``benchmarks/BENCH_fastpath.json``),
-and checks the recording's own contracts: block/home derivation for every
+(``benchmarks/MODEL_validation.json``, the Table-1 rows below), on the
+production engine and on the reference oracle, and checks the recording's own contracts: block/home derivation for every
 block size, immutability under replay, cache-key completeness, the bypass
 rules, and the front-end counters and events.
 """
@@ -25,6 +25,8 @@ from repro.obs.events import EventKind, EventTrace
 from repro.recovery.checkpoint import snapshot_machine
 from repro.util import ConfigError, MachineConfig, SimulationError
 
+from tests.helpers import oracle_machine
+
 BENCHMARKS = pathlib.Path(__file__).parent.parent.parent / "benchmarks"
 TINY = dict(n=16, iterations=2)
 CFG = MachineConfig(n_nodes=4, page_size=512)
@@ -45,17 +47,27 @@ def columns(rec) -> list[bytes]:
     return out
 
 
-def run_stats(prog, protocol="stache", optimized=True, cfg=CFG, fast=False):
-    m = make_machine(cfg, protocol, fast=fast)
+def run_stats(prog, protocol="stache", optimized=True, cfg=CFG,
+              reference=False):
+    m = (oracle_machine if reference else make_machine)(cfg, protocol)
     stats = prog.run(m, optimized=optimized).finish()
     return snapshot_machine(m), stats.to_dict()
+
+
+@pytest.fixture(params=[True, False], ids=["reference", "fastpath"])
+def harness_path(request, monkeypatch):
+    """Runs ``repro.bench.harness`` on the reference oracle (heap engine,
+    ``ReplayProcessor``) or, untouched, on the production path."""
+    if request.param:
+        from repro.bench import harness
+
+        monkeypatch.setattr(harness, "make_machine", oracle_machine)
 
 
 # -- (i)/(iv) the committed results, through the recorded front end ------------
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["reference", "fastpath"])
-def test_committed_validation_rows_reproduced(fast):
+def test_committed_validation_rows_reproduced(harness_path):
     """All 12 figure bars (6 of them ``optimized=False`` replays of a
     recording captured from the placed tree) give the committed simulated
     wall, miss/message errors against the unchanged model, and pre-sends."""
@@ -67,22 +79,36 @@ def test_committed_validation_rows_reproduced(fast):
     specs = mv.validation_specs()
     assert [s.label for s in specs] == [c["label"] for c in committed["cases"]]
     for spec, case in zip(specs, committed["cases"]):
-        assert mv._case_row(spec, calibration, fast=fast) == case
+        assert mv._case_row(spec, calibration) == case
     assert R.cache_info()["recordings"] == 5  # one per placement, not per bar
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["reference", "fastpath"])
-def test_committed_bench_rows_reproduced(fast):
-    from repro.bench import perf
+#: the six Table-1 rows of the retired BENCH_fastpath.json snapshot:
+#: (app, protocol, optimized, block size) -> (wall cycles, engine dispatches)
+TABLE1_ROWS = [
+    (adaptive, "stache", False, 32, 1466405.7999999921, 51017),
+    (adaptive, "predictive", True, 32, 348331.0000000002, 45417),
+    (barnes, "predictive", True, 32, 6952507.19999976, 108953),
+    (water, "stache", False, 64, 3984945.3999999864, 162237),
+    (water, "predictive", True, 32, 3857750.7999999966, 163335),
+    (water, "predictive", True, 256, 3555424.200000004, 157712),
+]
 
-    rows = {w["label"]: w for w in json.loads(
-        (BENCHMARKS / "BENCH_fastpath.json").read_text())["workloads"]}
-    for case in perf.table1_cases():
-        if case.app == perf.MICROBENCH:
-            continue  # never enters the front end
-        _, _, stats, events = perf._run_app(case, fast)
-        row = rows[case.label]
-        assert (stats.wall_time, events) == (row["wall_cycles"], row["events"])
+
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["reference", "fastpath"])
+def test_committed_bench_rows_reproduced(reference):
+    from repro.bench import figures as F
+
+    base = {adaptive: (F.ADAPTIVE_KW, F.ADAPTIVE_CFG),
+            barnes: (F.BARNES_KW, F.BARNES_CFG),
+            water: (F.WATER_KW, F.WATER_CFG)}
+    for app, protocol, optimized, block_size, wall, events in TABLE1_ROWS:
+        kwargs, cfg = base[app]
+        m = (oracle_machine if reference else make_machine)(
+            cfg.with_(block_size=block_size), protocol)
+        stats = app.build(**kwargs).run(m, optimized=optimized).finish()
+        assert (stats.wall_time, m.engine.total_dispatched) == (wall, events)
 
 
 # -- (ii) one recording serves every block size --------------------------------
@@ -188,12 +214,10 @@ def test_replays_are_repeatable_and_leave_the_recording_untouched():
     prog = water.build(**TINY)
     first = {p: run_stats(prog, p) for p in ("stache", "predictive")}
     # interleaved across protocols, both engine paths, again
-    for fast in (False, True):
+    for reference in (True, False):
         for protocol in ("predictive", "stache", "predictive"):
-            snap, stats = run_stats(prog, protocol, fast=fast)
-            assert stats == first[protocol][1]
-            if not fast:
-                assert snap == first[protocol][0]
+            snap, stats = run_stats(prog, protocol, reference=reference)
+            assert (snap, stats) == first[protocol]
     assert columns(rec) == before
     assert R.cache_info()["recordings"] == 1
     with pytest.raises(ValueError):

@@ -68,21 +68,6 @@ class TestFaultsDifferential:
 
 
 class TestBenchDifferential:
-    def test_bench_payload_sim_results_identical_across_jobs(self):
-        from repro.bench import perf
-
-        tiny = [perf.BenchCase(f"tiny{i}/lockstep", perf.MICROBENCH,
-                               "predictive", True, 32, dict(ops=300), "quick")
-                for i in range(3)]
-        seq = perf.measure_payloads(tiny, repeats=1, jobs=1)
-        par = perf.measure_payloads(tiny, repeats=1, jobs=2)
-        assert (json.dumps(perf._bench_sim_doc(par), sort_keys=True)
-                == json.dumps(perf._bench_sim_doc(seq), sort_keys=True))
-        # snapshots built from farmed payloads validate and round-trip
-        doc = perf.snapshot_from_payloads(par, "fastpath", repeats=1)
-        perf.load_snapshot(json.loads(json.dumps(doc)))
-        assert doc["workloads"][0]["speedup_sim"] > 0
-
     def test_version_specs_identical_across_jobs(self):
         from repro.apps import water
         from repro.bench.figures import WATER_CFG

@@ -121,7 +121,7 @@ def test_farm_result_counts_preemptions():
     spec = {"workload": {"type": "seed", "seed": 0, "name": "seed0"},
             "w_index": 0, "plan_name": "chaos",
             "plan": BUNDLED_PLANS["chaos"].to_dict(), "variant": 0,
-            "protocols": ["stache"], "shrink": False, "fast": False}
+            "protocols": ["stache"], "shrink": False}
     job = FarmJob(index=0, kind="fault-cell", params=spec, preemptible=True)
     farm = run_farm([job], transport=InlineTransport(),
                     controller=controller)

@@ -1,7 +1,11 @@
-"""Differential equivalence: the fast path must be bit-identical.
+"""Differential equivalence: the production path must be bit-identical
+to the reference.
 
-Every test replays the same workload through a reference machine and a
-fast-path machine and requires *exact* equality of
+Every test replays the same workload through the reference machine
+(``tests.helpers.oracle_machine``, i.e. ``engine=Engine()``: heap engine,
+``ReplayProcessor``, dict tags) and the production machine
+(``make_machine(cfg, proto)``: calendar queue, compiled processors, packed
+tags) and requires *exact* equality of
 
 * the full checkpoint snapshot (:func:`snapshot_machine` — engine seq and
   dispatch counters, tag tables, directory state, fault/crash controller
@@ -23,6 +27,8 @@ from repro.recovery.checkpoint import snapshot_machine
 from repro.tempest.tracefile import replay_session
 from repro.verify.workload import ALL_PROTOCOLS, generate_workload
 
+from tests.helpers import oracle_machine
+
 #: one representative of each fault regime the campaign distinguishes
 REGIMES = ["drop", "delay", "chaos", "crash", "crash-storm"]
 
@@ -43,8 +49,12 @@ def _stats_key(stats):
     )
 
 
-def _run_one(workload, protocol, regime, fast):
-    machine = make_machine(workload.config, protocol, fast=fast)
+def _machine(config, protocol, reference):
+    return (oracle_machine if reference else make_machine)(config, protocol)
+
+
+def _run_one(workload, protocol, regime, reference):
+    machine = _machine(workload.config, protocol, reference)
     plan = _plan(regime)
     if plan is not None:
         machine.install_fault_plan(plan)
@@ -54,15 +64,16 @@ def _run_one(workload, protocol, regime, fast):
 
 def assert_equivalent(workload, protocol, regime=None):
     try:
-        ref_snap, ref_stats = _run_one(workload, protocol, regime, fast=False)
+        ref_snap, ref_stats = _run_one(workload, protocol, regime,
+                                       reference=True)
     except Exception as ref_exc:  # both paths must fail identically
         with pytest.raises(type(ref_exc)) as info:
-            _run_one(workload, protocol, regime, fast=True)
+            _run_one(workload, protocol, regime, reference=False)
         assert str(info.value) == str(ref_exc)
         return
-    fast_snap, fast_stats = _run_one(workload, protocol, regime, fast=True)
-    assert fast_snap == ref_snap
-    assert fast_stats == ref_stats
+    snap, stats = _run_one(workload, protocol, regime, reference=False)
+    assert snap == ref_snap
+    assert stats == ref_stats
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -97,18 +108,18 @@ def test_fuzz_sweep(protocol):
 ])
 def test_real_apps(app_name, kwargs, protocol, optimized):
     """Small real-application runs: stats and final machine state match."""
-    import repro.apps as apps
+    import importlib
 
     from repro.util.config import MachineConfig
 
-    app = getattr(apps, app_name)
+    app = importlib.import_module(f"repro.apps.{app_name}")
     cfg = MachineConfig(n_nodes=4, block_size=32, page_size=256)
     results = {}
-    for fast in (False, True):
-        machine = make_machine(cfg, protocol, fast=fast)
+    for reference in (True, False):
+        machine = _machine(cfg, protocol, reference)
         env = app.build(**kwargs).run(machine, optimized=optimized)
         stats = env.finish()
-        results[fast] = (
+        results[reference] = (
             _stats_key(stats),
             machine.engine.total_dispatched,
             machine.engine._seq,
@@ -118,13 +129,16 @@ def test_real_apps(app_name, kwargs, protocol, optimized):
 
 
 def test_oracle_fast_matches_reference():
-    """run_workload(fast=True) observes exactly what the reference does."""
+    """run_workload on the default calendar path observes exactly what it
+    observes on the explorer's reference path under a FIFO replay."""
+    from repro.verify.interleave import ReplayPolicy
     from repro.verify.oracle import run_workload
 
     workload = generate_workload(3)
     for protocol in workload.protocols:
-        ref = run_workload(workload, protocol)
-        fst = run_workload(workload, protocol, fast=True)
+        ref = run_workload(workload, protocol, policy=ReplayPolicy([]))
+        fst = run_workload(workload, protocol)
         assert fst.readers == ref.readers
         assert fst.writers == ref.writers
         assert fst.image == ref.image
+        assert fst.stats.to_dict() == ref.stats.to_dict()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fastpath.packed import NodeSet, PackedBitVector, PackedTagTable
+from repro.cstar.dataflow import PackedBitVector
+from repro.fastpath.packed import NodeSet, PackedTagTable
 from repro.tempest.tags import AccessTag, TagTable
 from repro.util.bitvec import BitVector
 

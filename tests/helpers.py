@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 from repro.core import make_machine
+from repro.sim.engine import Engine
 from repro.tempest.machine import Machine, PhaseTrace
 from repro.tempest.tags import AccessTag
 from repro.util import MachineConfig
+
+
+def oracle_machine(config: MachineConfig, protocol: str = "stache",
+                   **kwargs) -> Machine:
+    """``make_machine`` on the reference timing path (heap engine,
+    ``ReplayProcessor``, dict tags) — the oracle the production calendar
+    path is differentially tested against."""
+    return make_machine(config, protocol, engine=Engine(), **kwargs)
 
 
 def small_machine(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import make_machine
 from repro.faults import CRASH_PLANS, FaultPlan
+from repro.fastpath import FastEngine
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -20,8 +21,10 @@ from repro.recovery.checkpoint import (
     save_checkpoint,
     snapshot_machine,
 )
+from repro.sim.engine import Engine
 from repro.tempest.tracefile import replay_session
 from repro.util import SimulationError
+from repro.verify.interleave import ExplorerEngine
 from repro.verify.workload import generate_workload
 
 CHAOS = FaultPlan(name="chaos-lite", drop_rate=0.02, dup_rate=0.03,
@@ -38,11 +41,17 @@ def _run_full(workload, protocol, plan=None):
     return snapshot_machine(machine)
 
 
-def _run_interrupted(workload, protocol, plan=None, cut=None):
-    """Run to ``cut`` events, checkpoint, restore, replay the rest."""
+def _run_interrupted(workload, protocol, plan=None, cut=None,
+                     engines=(None, None)):
+    """Run to ``cut`` events, checkpoint, restore, replay the rest.
+
+    ``engines`` is the (before, after) pair of engines handed to
+    ``make_machine`` / ``restore_machine`` — i.e. which timing path takes
+    the snapshot and which one resumes it.
+    """
     events, regions = workload.session
     cut = cut if cut is not None else len(events) // 2
-    machine = make_machine(workload.config, protocol)
+    machine = make_machine(workload.config, protocol, engine=engines[0])
     if plan is not None:
         machine.install_fault_plan(plan)
     # a cut can land mid-recovery (e.g. a restart still pending); step
@@ -58,7 +67,7 @@ def _run_interrupted(workload, protocol, plan=None, cut=None):
             replay_session(([events[cut]], regions), machine,
                            regions=[], finish=False)
             cut += 1
-    resumed = restore_machine(snap)
+    resumed = restore_machine(snap, engine=engines[1])
     replay_session((events[cut:], regions), resumed,
                    regions=[], finish=False)
     return snap, snapshot_machine(resumed)
@@ -101,6 +110,22 @@ class TestInterruptedReplay:
         w = generate_workload(0)
         for proto in w.protocols:
             _, resumed = _run_interrupted(w, proto, plan=plan)
+            assert resumed == _run_full(w, proto, plan=plan)
+
+    @pytest.mark.parametrize("before,after", [
+        (Engine, None), (None, ExplorerEngine), (ExplorerEngine, FastEngine),
+    ], ids=["heap-to-calendar", "calendar-to-explorer",
+            "explorer-to-calendar"])
+    @pytest.mark.parametrize("plan", [None, CHAOS, CRASH],
+                             ids=["fault-free", "chaos-lite", "crash"])
+    def test_resume_crosses_timing_paths(self, plan, before, after):
+        """Checkpoints are representation-independent: a snapshot taken on
+        either path resumes bit-identically on the other."""
+        w = generate_workload(0)
+        for proto in w.protocols:
+            engines = (before and before(), after and after())
+            _, resumed = _run_interrupted(w, proto, plan=plan,
+                                          engines=engines)
             assert resumed == _run_full(w, proto, plan=plan)
 
     def test_resume_from_disk(self, tmp_path):

@@ -26,6 +26,32 @@ class TestParser:
         assert not args.unoptimized
 
 
+class TestOneTimingPath:
+    """The engine is chosen by the system; no verb offers a switch."""
+
+    VERBS = ["run", "trace", "profile", "figure", "sweep", "reproduce",
+             "faults"]
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_help_offers_no_fast_flag(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "--help"])
+        assert exit_.value.code == 0
+        assert "--fast" not in capsys.readouterr().out
+
+    def test_fast_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(JACOBI), "--fast"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+
+    def test_bench_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestCompile(object):
     def test_compile_example(self, capsys):
         assert main(["compile", str(JACOBI)]) == 0
