@@ -6,8 +6,9 @@ with scaled problems; this module provides
 * :func:`sweep_grid` — the general Cartesian machine-parameter grid behind
   ``repro sweep``.  The same grid runs against two backends: ``"sim"``
   (one full simulation per point) and ``"model"`` (``repro.model``
-  closed-form prediction — milliseconds per point, since cost-axis points
-  reuse one cached walk).  Both backends emit *identical document shapes*
+  closed-form prediction — points that differ only in their cost table
+  share one walk and are priced together as one array-valued grid).  Both
+  backends emit *identical document shapes*
   (schema, row keys, row order), so a model grid is byte-comparable with a
   sim grid and diffable point by point;
 * :func:`export_grid` — atomic JSON/CSV export for ``repro sweep --out``;
@@ -21,10 +22,15 @@ with scaled problems; this module provides
 
 from __future__ import annotations
 
+import itertools
 import pathlib
+from dataclasses import asdict
+
+import numpy as np
 
 from repro.apps import adaptive, water
 from repro.core import make_machine
+from repro.sim.stats import TimeCategory
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError
 from repro.util.tables import format_table
@@ -41,11 +47,13 @@ GRID_COLUMNS = ("wall_time", "compute", "remote_wait", "predictive",
                 "synch", "misses", "local_hits", "messages",
                 "bytes_on_wire", "presend_blocks_sent")
 
+#: most points priced by one model grid: bounds its arrays, a larger
+#: structural group takes several
+_MODEL_GRID_POINTS = 1024
+
 
 def _grid_points(axes: dict) -> list[dict]:
     """Cartesian product of axis values in canonical axis order."""
-    import itertools
-
     for name in axes:
         if name not in SWEEP_AXES:
             raise ConfigError(
@@ -57,27 +65,19 @@ def _grid_points(axes: dict) -> list[dict]:
             for values in itertools.product(*(axes[n] for n in names))]
 
 
-def _point_row(point: dict, stats) -> dict:
-    """One grid row: the point's axis values plus the shared metric columns
-    (mean cycles per category, as in the paper's figures)."""
-    from repro.sim.stats import TimeCategory
-
+def _metric_rows(stats) -> list[dict]:
+    """The shared metric columns (mean cycles per category, as in the paper's
+    figures): one row for a ``RunStats``, one per point for a model
+    ``GridPrediction`` (the same attributes, its cycles arrays over points)."""
     totals = stats.totals()
-    row = dict(point)
-    row.update(
-        wall_time=float(stats.wall_time),
-        compute=float(totals[TimeCategory.COMPUTE]),
-        remote_wait=float(totals[TimeCategory.REMOTE_WAIT]),
-        predictive=float(totals[TimeCategory.PREDICTIVE]),
-        synch=float(totals[TimeCategory.SYNCH]),
-        misses=int(stats.misses),
-        local_hits=int(stats.local_hits),
-        messages=int(stats.messages),
-        bytes_on_wire=int(stats.bytes_on_wire),
-        presend_blocks_sent=int(sum(n.presend_blocks_sent
-                                    for n in stats.nodes)),
-    )
-    return row
+    cycles = np.array([
+        stats.wall_time, totals[TimeCategory.COMPUTE],
+        totals[TimeCategory.REMOTE_WAIT], totals[TimeCategory.PREDICTIVE],
+        totals[TimeCategory.SYNCH]], dtype=np.float64)
+    counts = [int(stats.misses), int(stats.local_hits), int(stats.messages),
+              int(stats.bytes_on_wire), int(stats.presend_blocks_sent)]
+    return [dict(zip(GRID_COLUMNS, point + counts))
+            for point in cycles.reshape(5, -1).T.tolist()]
 
 
 def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
@@ -96,29 +96,38 @@ def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
     if backend not in ("sim", "model"):
         raise ConfigError(f"unknown sweep backend {backend!r}")
     points = _grid_points(axes)
+    protocols = [point.get("protocol", protocol) for point in points]
+    configs = [base_config.with_(
+        **{k: v for k, v in point.items() if k != "protocol"})
+        for point in points]
+    if backend == "sim":
+        from repro.bench.harness import VersionSpec, run_version
+    else:
+        from repro.model.predictor import predict_grid
+    # what a model walk depends on: points equal here differ in cost only
+    walks = [(proto, cfg.n_nodes, cfg.page_size, cfg.block_size)
+             for proto, cfg in zip(protocols, configs)]
+    metrics: list = [None] * len(points)
     rows = []
-    for i, point in enumerate(points):
-        proto = point.get("protocol", protocol)
-        cfg = base_config.with_(
-            **{k: v for k, v in point.items() if k != "protocol"})
+    for i, (point, proto, cfg) in enumerate(zip(points, protocols, configs)):
         if progress is not None:
             progress(f"[{backend}] point {i + 1}/{len(points)}: "
                      + ", ".join(f"{k}={v}" for k, v in point.items()))
         if backend == "sim":
-            from repro.bench.harness import VersionSpec, run_version
-
             spec = VersionSpec(f"sweep point {i}", app, proto, optimized,
                                cfg, dict(build_kwargs), variant=variant)
-            stats = run_version(spec).stats
-        else:
-            from repro.model.predictor import predict
-
-            stats = predict(app, dict(build_kwargs), protocol=proto,
-                            optimized=optimized, config=cfg,
-                            variant=variant, calibration=calibration).stats
-        rows.append(_point_row(point, stats))
-    from dataclasses import asdict
-
+            metrics[i] = _metric_rows(run_version(spec).stats)[0]
+        elif metrics[i] is None:
+            # price it together with the points still open on its walk
+            group = [j for j in range(i, len(points)) if walks[j] == walks[i]
+                     and metrics[j] is None][:_MODEL_GRID_POINTS]
+            grid = predict_grid(
+                app, build_kwargs, protocol=proto, optimized=optimized,
+                configs=[configs[j] for j in group], variant=variant,
+                calibration=calibration)
+            for j, row in zip(group, _metric_rows(grid)):
+                metrics[j] = row
+        rows.append({**point, **metrics[i]})
     return {
         "schema": SWEEP_SCHEMA,
         "app": app.__name__.rsplit(".", 1)[-1],

@@ -161,6 +161,17 @@ def _frontend_line() -> str:
             f"{info['column_bytes'] / 1e6:.2f} MB of columns resident")
 
 
+def _model_line() -> str:
+    """How the model backend priced this command's points (host-side
+    counters of ``repro.model.predictor``)."""
+    from repro.model.predictor import model_info
+
+    info = model_info()
+    return (f"model: {info['points']} points, {info['groups']} structural "
+            f"groups, {info['walks']} walks ({info['walks_cached']} cached), "
+            f"{info['folds']} folds")
+
+
 def _write_json(path: str, doc: dict) -> None:
     import pathlib
 
@@ -666,6 +677,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         progress=print if args.verbose else None)
     print(render_grid(doc))
     print(_frontend_line())
+    if backend == "model":
+        print(_model_line())
     if args.out:
         export_grid(args.out, doc)
         print(f"sweep grid written to {args.out}")

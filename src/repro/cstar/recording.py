@@ -54,6 +54,11 @@ class ProgramRecording:
     #: the value pass's final environment (aggregate values, app state)
     env: Env
     replays: int = 0
+    #: what consumers derive from the columns and want to live exactly as
+    #: long as the recording does (``repro.model``: the access fold per block
+    #: size; walks per block size, protocol, placement and warm start)
+    folds: dict = dataclasses.field(default_factory=dict, repr=False)
+    walks: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def phases(self) -> list:
         return [ev[1] for ev in self.events if ev[0] == "phase"]
@@ -224,6 +229,11 @@ def cache_info() -> dict:
     the cached columns cost."""
     return dict(_STATS, cached=len(_CACHE),
                 column_bytes=sum(rec.nbytes for rec in _CACHE.values()))
+
+
+def cached_recordings() -> list[ProgramRecording]:
+    """The recordings currently held by the keyed table."""
+    return list(_CACHE.values())
 
 
 def clear_cache() -> None:

@@ -13,10 +13,11 @@ Pipeline (docs/MODEL.md has the derivations):
 1. :mod:`repro.cstar.recording` runs the program's *value pass* once,
    machine-free (the very recording the simulator replays), capturing
    per-phase aggregate access streams (no timing).
-2. :mod:`.predictor` *walks* those streams against an analytical directory
-   (cost-independent: miss classes, pre-send programs, learned schedules),
-   then *assembles* cycles from any cost table — so sweeps over cost
-   parameters reuse one walk.
+2. :mod:`.predictor` *folds* those streams per block size, *walks* the
+   fold against an analytical directory per protocol (cost-independent:
+   miss classes, pre-send programs, learned schedules), then *assembles*
+   cycles for a whole grid of cost tables at once — so sweeps over cost
+   parameters reuse one walk and one array-valued assemble.
 3. :mod:`.calibrate` fits per-protocol residual coefficients (handler
    contention, per-miss queueing) from a handful of short reference
    simulations.
@@ -32,7 +33,7 @@ from repro.model.calibrate import (
     load_calibration,
     save_calibration,
 )
-from repro.model.predictor import ModelPrediction, predict
+from repro.model.predictor import ModelPrediction, predict, predict_grid
 
 __all__ = [
     "Calibration",
@@ -42,6 +43,7 @@ __all__ = [
     "default_calibration",
     "load_calibration",
     "predict",
+    "predict_grid",
     "record_program",
     "save_calibration",
 ]

@@ -36,13 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.model.predictor import PROTOCOLS, predict
+from repro.model.predictor import PROTOCOLS, predict, predict_grid
 from repro.util.errors import ConfigError, ReproError
 
 CALIBRATION_SCHEMA = "repro.model-calibration/v1"
-
-#: feature columns fitted per phase (see the module docstring)
-_FEATURES = ("alpha", "gamma", "delta")
 
 #: search ceiling for the fitted ping-pong fraction: delta is the realized
 #: share of the positional chain exposure, physically ~[0, 1]; the margin
@@ -173,45 +170,50 @@ def _fit_protocol(specs, protocol: str):
         base = predict(
             spec.app, spec.build_kwargs, protocol=protocol,
             optimized=spec.optimized, config=spec.config,
-            variant=spec.variant,
-            calibration=Calibration(alpha={protocol: 0.0},
-                                    gamma={protocol: 1.0},
-                                    delta={protocol: 0.0}),
-        )
+            variant=spec.variant)
         _check_structure(spec, protocol, sim, base)
         refs.append((spec, sim.wall_time))
         walls[spec.label] = sim.wall_time
 
-    def total_err(delta: float) -> float:
-        cal = Calibration(alpha={protocol: 0.0}, gamma={protocol: 1.0},
-                          delta={protocol: delta})
-        err = 0.0
+    def total_errs(deltas: list[float]) -> list[float]:
+        """Each candidate's summed squared error: one grid per reference,
+        delta the per-point column."""
+        cals = [Calibration(alpha={protocol: 0.0}, gamma={protocol: 1.0},
+                            delta={protocol: d}) for d in deltas]
+        errs = [0.0] * len(deltas)
         for spec, wall in refs:
-            pr = predict(
+            grid = predict_grid(
                 spec.app, spec.build_kwargs, protocol=protocol,
-                optimized=spec.optimized, config=spec.config,
-                variant=spec.variant, calibration=cal)
-            err += ((pr.stats.wall_time - wall) / wall) ** 2
-        return err
+                optimized=spec.optimized,
+                configs=[spec.config] * len(deltas), variant=spec.variant,
+                calibration=cals)
+            for i, predicted in enumerate(grid.wall_time.tolist()):
+                errs[i] += ((predicted - wall) / wall) ** 2
+        return errs
 
-    err_before = total_err(0.0)
-    best, best_err = 0.0, err_before
     coarse = 0.05
-    for i in range(1, int(round(_DELTA_MAX / coarse)) + 1):
-        d = round(i * coarse, 9)
-        e = total_err(d)
+    candidates = [round(i * coarse, 9)
+                  for i in range(int(round(_DELTA_MAX / coarse)) + 1)]
+    errs = total_errs(candidates)
+    best, best_err, err_before = 0.0, errs[0], errs[0]
+    for d, e in zip(candidates, errs):
         if e < best_err:
             best, best_err = d, e
+    # the fine stage re-centres on every improvement, so it can reach any
+    # lattice point within 9 + 8 + ... + 1 steps of the coarse best: price
+    # that whole lattice as one grid, then search it in the usual order
     fine = 0.005
+    lattice = sorted({round(best + k * fine, 9) for k in range(-45, 46)})
+    lattice = [d for d in lattice if 0.0 <= d <= _DELTA_MAX]
+    err_at = dict(zip(lattice, total_errs(lattice)))
     for i in range(-9, 10):
         if i == 0:
             continue
         d = round(best + i * fine, 9)
         if d < 0.0 or d > _DELTA_MAX:
             continue
-        e = total_err(d)
-        if e < best_err:
-            best, best_err = d, e
+        if err_at[d] < best_err:
+            best, best_err = d, err_at[d]
 
     diag = {
         "references": {label: round(float(w), 6)

@@ -1,32 +1,33 @@
-"""The analytical predictor: walk the recording, then assemble cycles.
+"""The analytical predictor: fold and walk the recording, then assemble cycles.
 
 The simulator replays every access through a discrete-event engine; the
-predictor replaces that timing pass with two closed-form stages:
+predictor replaces that timing pass with closed-form stages (docs/MODEL.md):
 
-**Walk** (cost-independent, cached per ``(recording, block_size, protocol,
-optimized, warm-start)``): fold each phase's access streams to at most two
-events per (node, block) — the first read and the first write — and evolve
-an analytical directory through them.  Every miss is classified into one of
-six coefficient vectors over the cost basis ``(fault, control-flight,
-data-flight, handler, dir-lookup)``; pre-send phases, schedule learning,
-deferred judgment and degradation run against the *real*
+**Fold** (:mod:`repro.model.layout`; per block size, shared by every
+protocol): reduce each phase's access streams to at most two events per
+(node, block) — the first read and the first write.
+
+**Walk** (cost-independent, kept on the recording per ``(block_size,
+protocol, optimized, warm-start)``): evolve an analytical directory through
+the fold's events.  Every miss is classified into one of six coefficient
+vectors over the cost basis ``(fault, control-flight, data-flight, handler,
+dir-lookup)``; pre-send phases, schedule learning, deferred judgment and
+degradation run against the *real*
 :class:`~repro.core.schedule.CommSchedule` / ``ScheduleStore`` classes, so
 fault-free pre-send counts are exact by construction.  The walk also counts
 every message and byte the protocol would send.
 
-**Assemble** (per cost table): evaluate the walk's coefficient sums against
-a :class:`~repro.util.config.MachineConfig`, replay pre-send token programs
-and write-update push programs for their cursor arithmetic, add an M/D/1
-home-handler contention estimate, and apply the calibration's per-protocol
-residual coefficients.  The output is a :class:`~repro.sim.stats.RunStats`
-in the simulator's own schema, conservative by construction: each node's
-category cycles sum to wall time because phases are assembled exactly the
-way the machine charges them (compute + wait -> barrier arrival; barrier
-release = max arrival + latency; the remainder is SYNCH).
-
-Splitting walk from assemble is what makes ``repro sweep --model`` fast:
-a grid over cost axes (``msg_latency``, ``per_byte_cost``, ...) reuses one
-walk per structural point and pays only the assemble per cell.
+**Assemble** (per *grid* of cost tables): price the walk against P
+:class:`~repro.util.config.MachineConfig` s at once — cursors, arrivals,
+barrier releases and per-category cycles are ``(P,)`` / ``(n, P)`` arrays
+advanced by the same left-to-right float operations a point-at-a-time
+evaluation performs, so every column is bit-identical to pricing that point
+alone (:func:`predict` *is* the P = 1 grid).  A
+:class:`~repro.sim.stats.RunStats` in the simulator's own schema is
+materialised per point on request, conservative by construction: phases are
+assembled exactly the way the machine charges them (compute + wait ->
+barrier arrival; barrier release = max arrival + latency; the remainder is
+SYNCH), so each node's category cycles sum to wall time.
 
 Miss classes (derived from :mod:`repro.protocols.stache` +
 :mod:`repro.protocols.base`; ``k`` = remote sharers invalidated, and ACK /
@@ -57,8 +58,12 @@ from repro.core.schedule import (
     ScheduleStore,
     coalesce_blocks,
 )
-from repro.cstar.recording import ProgramRecording, record_program
-from repro.model.layout import LayoutModel
+from repro.cstar.recording import (
+    ProgramRecording,
+    cached_recordings,
+    record_program,
+)
+from repro.model.layout import LayoutModel, PhaseFold
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, ProtocolError
@@ -68,10 +73,6 @@ PROTOCOLS = ("stache", "predictive", "write-update")
 # analytical directory states (the walk never needs the transient BUSY
 # states: queued requests are simply processed in sequence)
 _IDLE, _SHARED, _EXCL, _UPD = 0, 1, 2, 3
-
-# coefficient columns: fault, control flight (L), data flight (L + pb*B),
-# handler (h), directory lookup (d)
-_F, _L, _DATA, _H, _D = range(5)
 
 #: default knobs mirrored from PredictiveProtocol (the model predicts the
 #: default configuration; ablation knobs are a simulator-only affair)
@@ -83,11 +84,17 @@ _MAX_SCHEDULES = 64
 #: phase's handler demand approaches its makespan
 _RHO_MAX = 0.95
 
-#: ping-pong burst compression: consecutive same-(node, block) ops whose
-#: positions are at most this far apart count as one atomic burst (a few
-#: ops take far less time than a steal's fault round-trip, so a mid-burst
-#: steal is not a realizable ownership alternation)
-_BURST_GAP = 8
+#: the categories the model charges, in TimeCategory order (DOWNTIME is a
+#: crash-recovery category and stays 0.0), and their rows in cycle arrays
+_CATEGORIES = (TimeCategory.COMPUTE, TimeCategory.REMOTE_WAIT,
+               TimeCategory.PREDICTIVE, TimeCategory.SYNCH)
+_COMPUTE, _WAIT, _PRESEND, _SYNCH = range(4)
+
+#: pre-send token codes (``PresendWalk.programs``)
+_ENTRY, _RECALL, _INV, _SEND = range(4)
+
+#: REM_RECALL (write flavor): what one ping-pong re-steal costs
+_STEAL = np.array([1, 2, 2, 4, 2])
 
 
 def _permits_r(st: list, node: int, home: int) -> bool:
@@ -116,39 +123,46 @@ class PhaseWalk:
     directive: int | None
     compute: np.ndarray        # (n,) value-pass compute cycles
     accesses: np.ndarray       # (n,) shared-access op count
-    read_misses: np.ndarray    # (n,)
-    write_misses: np.ndarray   # (n,)
+    misses: np.ndarray         # (n,) read + write misses
     coeff: np.ndarray          # (n, 5) summed miss-class coefficients
-    messages: np.ndarray       # (n,) messages sent during the phase
-    bytes_sent: np.ndarray     # (n,)
+    messages: int              # messages sent during the phase
     #: (n, n): (handler+lookup) services node i's misses demand at node j
     services: np.ndarray
-    #: (n,) intra-phase ping-pong exposure: how many times each node
-    #: *re*-acquired a block it had already written this phase (ownership
-    #: alternation the first-access fold cannot see; the calibration fits
-    #: a per-protocol scale ``delta`` for how much of it the simulator's
-    #: timing actually realizes)
-    pingpong: np.ndarray = None
-    #: write-update push program: [(producer, [(consumer, n_runs), ...])]
-    pushes: list | None = None
+    #: (n,) the fold's ping-pong exposure; the calibration fits a
+    #: per-protocol scale ``delta`` for how much of it timing realizes
+    pingpong: np.ndarray
+    pushes: PushWalk | None = None
+
+
+@dataclass
+class PushWalk:
+    """A write-update push program (``adjust_barrier``'s loop): producer
+    ``producers[j]`` sends ``runs[j]`` single-block updates back to back;
+    ``dst`` is every update's consumer, in push order."""
+
+    producers: np.ndarray
+    runs: np.ndarray
+    dst: np.ndarray
 
 
 @dataclass
 class PresendWalk:
-    """One pre-send phase: per-home token programs plus its exact counters.
+    """One pre-send phase as per-home token programs.
 
-    Tokens — ``("e",)`` schedule-entry walk, ``("recall",)`` synchronous
-    writer recall, ``("inv", dst)`` pre-send invalidation, ``("send", dst,
-    count)`` a (possibly bulk) data transfer — carry everything the assemble
-    stage needs to recompute cursors and arrival queues under any cost table.
+    ``programs[home]`` is home's token codes — ``_ENTRY`` schedule-entry
+    walk, ``_RECALL`` synchronous writer recall, ``_INV`` pre-send
+    invalidation, ``_SEND`` a (possibly bulk) data transfer — and
+    ``tokens[home]`` the positions of its ``_INV`` / ``_SEND`` tokens, each a
+    message; ``dst`` and ``count`` are the messages' destinations and blocks
+    carried (0 for an invalidation), in (home, token) order.  That is
+    everything the assemble stage needs to recompute cursors and arrival
+    queues under any cost table.
     """
 
-    directive: int
-    programs: list[list[tuple]]
-    messages: np.ndarray
-    bytes_sent: np.ndarray
-    blocks_sent: np.ndarray
-    blocks_received: np.ndarray
+    programs: list[np.ndarray]
+    tokens: list[np.ndarray]
+    dst: np.ndarray
+    count: np.ndarray
 
 
 @dataclass
@@ -158,7 +172,8 @@ class WalkResult:
     n_nodes: int
     block_size: int
     steps: list[tuple[str, object]]   # ("presend", PresendWalk) | ("phase", PhaseWalk)
-    useless: np.ndarray               # (n,) presend_useless_blocks
+    #: per-node totals of the run's counters, keyed by NodeStats field
+    counters: dict[str, np.ndarray]
     degraded: int
     total_requests: int
 
@@ -192,7 +207,13 @@ class _Walker:
         self.block_size = layout.block_size
         self.dir: dict[int, list] = {}
         self.steps: list[tuple[str, object]] = []
-        self.useless = np.zeros(self.n, dtype=np.int64)
+        #: run totals per node, keyed by NodeStats field
+        self.counters = {name: np.zeros(self.n, dtype=np.int64) for name in (
+            "read_misses", "write_misses", "local_hits",
+            "presend_blocks_sent", "presend_blocks_received",
+            "presend_useless_blocks", "messages_sent", "bytes_sent")}
+        self.messages = self.counters["messages_sent"]
+        self.bytes_sent = self.counters["bytes_sent"]
         self.degraded = 0
         self.total_requests = 0
         self.current_directive: int | None = None
@@ -225,18 +246,20 @@ class _Walker:
         return st
 
     def run(self) -> WalkResult:
+        folds = iter(self.layout.fold())
         for kind, payload in self.recording.session(self.optimized):
             if kind == "begin_group":
                 self._begin_group(payload)
             elif kind == "end_group":
                 self._end_group()
             else:
-                self.steps.append(("phase", self._walk_phase(payload)))
+                self.steps.append(
+                    ("phase", self._walk_phase(payload, next(folds))))
         return WalkResult(
             n_nodes=self.n,
             block_size=self.block_size,
             steps=self.steps,
-            useless=self.useless,
+            counters=self.counters,
             degraded=self.degraded,
             total_requests=self.total_requests,
         )
@@ -265,7 +288,7 @@ class _Walker:
             return
         if not sched.entries:
             return
-        self.steps.append(("presend", self._walk_presend(directive, sched)))
+        self.steps.append(("presend", self._walk_presend(sched)))
 
     def _end_group(self) -> None:
         if self.predictive:
@@ -273,7 +296,7 @@ class _Walker:
             useless = 0
             for dst, block in self.presented:
                 if (dst, block) not in self.group_accessed:
-                    self.useless[dst] += 1
+                    self.counters["presend_useless_blocks"][dst] += 1
                     useless += 1
             self.presented.clear()
             self.suppress_learning = False
@@ -290,34 +313,38 @@ class _Walker:
             prev.note_waste()
         self.pending[(dst, block)] = sched
 
-    def _walk_presend(self, directive: int, sched: CommSchedule) -> PresendWalk:
+    def _walk_presend(self, sched: CommSchedule) -> PresendWalk:
         """Mirror of ``PredictiveProtocol.begin_group``'s per-home walk."""
         n, B = self.n, self.block_size
         home_of = self.layout.home
-        programs: list[list[tuple]] = []
-        messages = np.zeros(n, dtype=np.int64)
-        bytes_sent = np.zeros(n, dtype=np.int64)
-        blocks_sent = np.zeros(n, dtype=np.int64)
-        blocks_received = np.zeros(n, dtype=np.int64)
+        programs, tokens = [], []
+        dsts: list[int] = []
+        counts: list[int] = []
+        messages, bytes_sent = self.messages, self.bytes_sent
+        blocks_sent = self.counters["presend_blocks_sent"]
+        blocks_received = self.counters["presend_blocks_received"]
 
         for node in range(n):
-            prog: list[tuple] = []
+            prog: list[int] = []
+            sent: list[int] = []    # positions of prog's message tokens
             outgoing: dict[tuple[int, int], list[int]] = {}  # (dst, 1=RO/2=RW)
             for entry in sched.entries_for_home(home_of, node):
-                prog.append(("e",))
+                prog.append(_ENTRY)
                 kind = entry.kind
                 if kind is EntryKind.CONFLICT:
                     continue  # no anticipated action (§3.4)
                 st = self._state(entry.block)
+                recall = st[0] == _EXCL and (kind is EntryKind.READ
+                                             or st[2] != entry.writer)
+                if recall:  # synchronous write-back from the current owner
+                    prog.append(_RECALL)
+                    messages[node] += 1
+                    messages[st[2]] += 1
+                    bytes_sent[st[2]] += B
+                    st[0], st[2] = _IDLE, None
+                    st[1].clear()
                 if kind is EntryKind.READ:
-                    if st[0] == _EXCL:
-                        owner = st[2]
-                        prog.append(("recall",))
-                        messages[node] += 1
-                        messages[owner] += 1
-                        bytes_sent[owner] += B
-                        st[0], st[2] = _IDLE, None
-                        st[1].clear()
+                    if recall:
                         self._register_presend(node, entry.block, sched)
                     for reader in sorted(entry.readers):
                         if reader == node:
@@ -330,20 +357,15 @@ class _Walker:
                 else:  # WRITE
                     writer = entry.writer
                     if st[0] == _EXCL:
-                        if st[2] == writer:
-                            continue
-                        owner = st[2]
-                        prog.append(("recall",))
-                        messages[node] += 1
-                        messages[owner] += 1
-                        bytes_sent[owner] += B
-                        st[0], st[2] = _IDLE, None
-                        st[1].clear()
-                    elif st[0] == _SHARED:
+                        continue  # the writer already holds it
+                    if st[0] == _SHARED:
                         for sharer in sorted(st[1]):
                             if sharer == writer:
                                 continue
-                            prog.append(("inv", sharer))
+                            sent.append(len(prog))
+                            dsts.append(sharer)
+                            counts.append(0)
+                            prog.append(_INV)
                             messages[node] += 1
                         st[1].intersection_update({writer})
                     if writer == node:
@@ -358,7 +380,10 @@ class _Walker:
             # bulk sends, mirroring _send_bulk's (dst, tag) order
             for (dst, _tag), blocks in sorted(outgoing.items()):
                 for first, count in coalesce_blocks(blocks):
-                    prog.append(("send", dst, count))
+                    sent.append(len(prog))
+                    dsts.append(dst)
+                    counts.append(count)
+                    prog.append(_SEND)
                     messages[node] += 1
                     bytes_sent[node] += count * B
                     blocks_sent[node] += count
@@ -366,349 +391,139 @@ class _Walker:
                     for b in range(first, first + count):
                         self.presented.add((dst, b))
                         self._register_presend(dst, b, sched)
-            programs.append(prog)
-
-        return PresendWalk(
-            directive=directive,
-            programs=programs,
-            messages=messages,
-            bytes_sent=bytes_sent,
-            blocks_sent=blocks_sent,
-            blocks_received=blocks_received,
-        )
+            programs.append(np.array(prog, dtype=np.int8))
+            tokens.append(np.array(sent, dtype=np.int64))
+        return PresendWalk(programs, tokens, np.array(dsts, dtype=np.int64),
+                           np.array(counts, dtype=np.int64))
 
     # -- phases ---------------------------------------------------------------
 
-    def _walk_phase(self, ph) -> PhaseWalk:
-        n = self.n
-        compute = np.asarray(ph.compute, dtype=np.float64)
-        accesses = np.array([len(ph.accesses(node)[0]) for node in range(n)],
-                            dtype=np.int64)
-        read_misses = np.zeros(n, dtype=np.int64)
-        write_misses = np.zeros(n, dtype=np.int64)
-        coeff = np.zeros((n, 5), dtype=np.float64)
-        messages = np.zeros(n, dtype=np.int64)
-        bytes_sent = np.zeros(n, dtype=np.int64)
-        services = np.zeros((n, n), dtype=np.int64)
+    def _walk_phase(self, ph, fold: PhaseFold) -> PhaseWalk:
+        misses = np.zeros((2, self.n), dtype=np.int64)     # reads, writes
+        coeff = np.zeros((self.n, 5), dtype=np.float64)
+        services = np.zeros((self.n, self.n), dtype=np.int64)
+        sent_before = int(self.messages.sum())
 
-        events, touched, writes, pingpong = self._phase_events(ph)
         learn = (self.predictive and self.current_directive is not None
                  and not self.suppress_learning)
         sched = None  # fetched lazily: the sim only touches the store on a miss
-        B = self.block_size
+        permits = (_permits_r, _permits_w)
+        classify = (self._classify_read, self._classify_write)
 
-        for block, node, kind, _pos in events:
-            home = self.layout.home(block)
+        for block, node, kind, home in fold.events.tolist():
             st = self._state(block)
-            if kind == 0:  # read
-                if _permits_r(st, node, home):
-                    continue
-                read_misses[node] += 1
-                self.total_requests += 1
-                if learn:
-                    if sched is None:
-                        sched = self.store.fetch(self.current_directive)
-                    sched.record(block, node, "r")
-                self._classify_read(st, node, home, coeff, messages,
-                                    bytes_sent, services, B)
-            else:  # write
-                if _permits_w(st, node, home):
-                    continue
-                write_misses[node] += 1
-                self.total_requests += 1
-                if learn:
-                    if sched is None:
-                        sched = self.store.fetch(self.current_directive)
-                    sched.record(block, node, "w")
-                self._classify_write(st, node, home, coeff, messages,
-                                     bytes_sent, services, B)
+            if permits[kind](st, node, home):
+                continue
+            misses[kind, node] += 1
+            self.total_requests += 1
+            if learn:
+                if sched is None:
+                    sched = self.store.fetch(self.current_directive)
+                sched.record(block, node, "rw"[kind])
+            classify[kind](st, node, home, coeff, services)
 
         # completed accesses: usefulness judgment + group bookkeeping
         if self.optimized or self.protocol == "write-update":
-            for pair in touched:
+            for pair in map(tuple, fold.touched.tolist()):
                 self.group_accessed.add(pair)
                 if self.predictive:
                     owner = self.pending.pop(pair, None)
                     if owner is not None:
                         owner.note_useful()
 
-        pushes = None
-        if self.protocol == "write-update":
-            pushes = self._push_program(writes, messages, bytes_sent)
-
+        pushes = (self._push_program(fold)
+                  if self.protocol == "write-update" else None)
+        missed = misses.sum(axis=0)
+        self.counters["read_misses"] += misses[0]
+        self.counters["write_misses"] += misses[1]
+        self.counters["local_hits"] += fold.accesses - missed
         return PhaseWalk(
             name=ph.name,
             directive=self.current_directive,
-            compute=compute,
-            accesses=accesses,
-            read_misses=read_misses,
-            write_misses=write_misses,
+            compute=np.asarray(ph.compute, dtype=np.float64),
+            accesses=fold.accesses,
+            misses=missed,
             coeff=coeff,
-            messages=messages,
-            bytes_sent=bytes_sent,
+            messages=int(self.messages.sum()) - sent_before,
             services=services,
-            pingpong=pingpong,
+            pingpong=fold.pingpong,
             pushes=pushes,
         )
 
-    def _phase_events(self, ph):
-        """Fold access streams to per-(node, block) first-read/first-write
-        events, ordered by (block, first-op position, read-first, node).
-
-        A block's repeated accesses after the granting fault hit, and a
-        read *after* the node's first write hits (the write grant installs a
-        writable copy), so at most two events per (node, block) can miss:
-        the first read (if it precedes the write) and the first write.
-
-        The fold is exact unless the simulator's timing interleaves two
-        nodes *writing the same block* within one phase — then ownership
-        ping-pongs and later accesses re-miss.  That alternation count is
-        timing-dependent, so the walk only measures the *exposure* (how
-        many separate write bursts per (node, block) the op-position
-        interleaving suggests) and leaves the realized fraction to the
-        calibration's ``delta`` coefficient.
-        """
-        cols_node, cols_block, cols_kind, cols_pos = [], [], [], []
-        for node in range(self.n):
-            agg, flat, kind = ph.accesses(node)
-            if len(flat) == 0:
-                continue
-            cols_node.append(np.full(len(flat), node, dtype=np.int64))
-            cols_block.append(self.layout.blocks(agg, flat))
-            cols_kind.append(kind)
-            cols_pos.append(np.arange(len(flat), dtype=np.int64))
-        if not cols_node:
-            return [], set(), [], np.zeros(self.n, dtype=np.float64)
-        nodec = np.concatenate(cols_node)
-        blockc = np.concatenate(cols_block)
-        kindc = np.concatenate(cols_kind)
-        posc = np.concatenate(cols_pos)
-        pingpong = self._pingpong_exposure(nodec, blockc, kindc, posc)
-
-        # first occurrence of each (node, block, kind)
-        order = np.lexsort((posc, kindc, blockc, nodec))
-        nn, bb, kk, pp = nodec[order], blockc[order], kindc[order], posc[order]
-        first = np.ones(len(nn), dtype=bool)
-        if len(nn) > 1:
-            first[1:] = (nn[1:] != nn[:-1]) | (bb[1:] != bb[:-1]) | (kk[1:] != kk[:-1])
-        nn, bb, kk, pp = nn[first], bb[first], kk[first], pp[first]
-
-        # drop read events preceded by the same node's write to the block
-        events: list[tuple[int, int, int, int]] = []
-        touched: set[tuple[int, int]] = set()
-        writes: list[tuple[int, int]] = []
-        i = 0
-        m = len(nn)
-        while i < m:
-            node, block = int(nn[i]), int(bb[i])
-            touched.add((node, block))
-            if i + 1 < m and nn[i + 1] == nn[i] and bb[i + 1] == bb[i]:
-                # both a read and a write (kind sorts read first)
-                pos_r, pos_w = int(pp[i]), int(pp[i + 1])
-                if pos_r < pos_w:
-                    events.append((block, node, 0, pos_r))
-                events.append((block, node, 1, pos_w))
-                writes.append((node, block))
-                i += 2
-            else:
-                kind = int(kk[i])
-                events.append((block, node, kind, int(pp[i])))
-                if kind == 1:
-                    writes.append((node, block))
-                i += 1
-        # same-block events from different nodes ordered by op position
-        # (the intra-phase time proxy), reads before writes on ties
-        events.sort(key=lambda ev: (ev[0], ev[3], ev[2], ev[1]))
-        return events, touched, writes, pingpong
-
-    def _pingpong_exposure(self, nodec, blockc, kindc, posc) -> np.ndarray:
-        """Per-node ping-pong chain exposure (see docs/MODEL.md).
-
-        Three-stage fold.  First, each (node, block)'s accesses are
-        compressed into *bursts*: maximal groups whose consecutive op
-        positions are at most ``_BURST_GAP`` apart.  A tight burst is
-        shorter than a remote steal's round trip, so it behaves atomically
-        in the simulator even when another node's positions interleave with
-        it (SPLASH-style slot-per-processor sweeps look fully alternated by
-        position yet realize essentially no ping-pong).  Second, the bursts
-        of each block are run-compressed in start-position order; every
-        write-bearing run after a node's first one is a potential mid-phase
-        re-steal the first-access fold cannot represent.  Third, a block's
-        extra runs are summed into its *chain length*, and every node that
-        touches the block is charged the whole chain: steals serialize (the
-        block bounces through one home), so each participant stalls for the
-        full bounce chain, not just its own share — which is also what
-        spreads the cost onto the barrier (SYNCH) of non-participants.
-        Positions still over-interleave relative to real timing, so the
-        result enters the prediction only scaled by the fitted ``delta``.
-        """
-        exposure = np.zeros(self.n, dtype=np.float64)
-        # stage 1: own-stream bursts per (block, node)
-        order = np.lexsort((posc, nodec, blockc))
-        b1, n1, k1, p1 = (blockc[order], nodec[order], kindc[order],
-                          posc[order])
-        new_burst = np.ones(len(b1), dtype=bool)
-        new_burst[1:] = ((b1[1:] != b1[:-1]) | (n1[1:] != n1[:-1])
-                         | (p1[1:] - p1[:-1] > _BURST_GAP))
-        starts = np.flatnonzero(new_burst)
-        if not len(starts):
-            return exposure
-        bb, bn, bp = b1[starts], n1[starts], p1[starts]
-        bw = np.maximum.reduceat(k1, starts)
-        # stage 2: interleave bursts per block by start position
-        order = np.lexsort((bn, bp, bb))
-        b2, n2, k2 = bb[order], bn[order], bw[order]
-        boundary = np.ones(len(b2), dtype=bool)
-        boundary[1:] = (b2[1:] != b2[:-1]) | (n2[1:] != n2[:-1])
-        rs = np.flatnonzero(boundary)
-        run_write = np.maximum.reduceat(k2, rs) > 0
-        if not run_write.any():
-            return exposure
-        # extra write-bearing runs per (block, node) pair
-        key = (b2[rs][run_write] * self.n + n2[rs][run_write])
-        uniq, counts = np.unique(key, return_counts=True)
-        # stage 3: per-block chain length = total extra runs over all nodes
-        cb = uniq // self.n
-        bnd = np.ones(len(cb), dtype=bool)
-        bnd[1:] = cb[1:] != cb[:-1]
-        cstarts = np.flatnonzero(bnd)
-        chain_len = np.add.reduceat(counts - 1, cstarts)
-        chain_blk = cb[cstarts]
-        nz = chain_len > 0
-        chain_blk, chain_len = chain_blk[nz], chain_len[nz]
-        if not len(chain_blk):
-            return exposure
-        # every participant (any burst on the block) bears the full chain
-        pairs = np.unique(bb * self.n + bn)
-        pblk = pairs // self.n
-        pnode = (pairs % self.n).astype(np.intp)
-        idx = np.searchsorted(chain_blk, pblk)
-        idx_c = np.minimum(idx, len(chain_blk) - 1)
-        valid = chain_blk[idx_c] == pblk
-        np.add.at(exposure, pnode[valid],
-                  chain_len[idx_c[valid]].astype(np.float64))
-        return exposure
-
     # -- stache/predictive miss classification --------------------------------
 
-    def _classify_read(self, st, node, home, coeff, messages, bytes_sent,
-                       services, B) -> None:
-        c = coeff[node]
+    def _charge(self, node, home, coeff, services, vec, served, *,
+                owner=None, acks=()) -> None:
+        """One classified miss: its coefficient vector, the ``served``
+        handler runs it needs at home, and the protocol's messages — a
+        remote fault's request and data grant, the forward to a recalled
+        ``owner`` and its write-back, one invalidation and ACK per sharer
+        in ``acks``."""
+        messages, bytes_sent, B = self.messages, self.bytes_sent, self.block_size
+        coeff[node] += vec
+        services[node, home] += served
+        messages[home] += (owner is not None) + len(acks)
+        if node != home:
+            messages[node] += 1
+            messages[home] += 1
+            bytes_sent[home] += B
+        if owner is not None:
+            messages[owner] += 1
+            bytes_sent[owner] += B
+        for sharer in acks:
+            messages[sharer] += 1
+
+    def _classify_read(self, st, node, home, coeff, services) -> None:
         if st[0] == _UPD or self.protocol == "write-update":
             # write-update consumer registration: home stays writable
             # (UPDATE_SHARED) and the consumer is pushed to forever after
-            c += (1, 1, 1, 2, 1)
-            messages[node] += 1
-            messages[home] += 1
-            bytes_sent[home] += B
-            services[node, home] += 1
+            self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
             st[0] = _UPD
             st[1].add(node)
-            return
-        if node == home:
-            # home can only read-miss on an exclusive remote copy
-            if st[0] == _EXCL:
-                owner = st[2]
-                c += (1, 1, 1, 3, 2)  # LOC_RECALL
-                messages[home] += 1
-                messages[owner] += 1
-                bytes_sent[owner] += B
-                services[node, home] += 2
-                st[0], st[2] = _IDLE, None
-                st[1].clear()
-            else:  # defensive: immediate local grant
-                c += (1, 0, 0, 1, 1)  # LOC_IDLE
-                services[node, home] += 1
-            return
-        if st[0] == _EXCL:
-            owner = st[2]
-            c += (1, 2, 2, 4, 2)  # REM_RECALL
-            messages[node] += 1
-            messages[home] += 2
-            bytes_sent[home] += B
-            messages[owner] += 1
-            bytes_sent[owner] += B
-            services[node, home] += 2
-            st[0], st[2] = _SHARED, None
-            st[1] = {node}
-        else:  # IDLE / SHARED: home memory is current
-            c += (1, 1, 1, 2, 1)  # REM_CURRENT
-            messages[node] += 1
-            messages[home] += 1
-            bytes_sent[home] += B
-            services[node, home] += 1
+        elif st[0] == _EXCL:
+            # the only way home itself read-misses: LOC_RECALL; else REM_RECALL
+            vec = (1, 1, 1, 3, 2) if node == home else (1, 2, 2, 4, 2)
+            self._charge(node, home, coeff, services, vec, 2, owner=st[2])
+            st[0], st[2] = (_IDLE if node == home else _SHARED), None
+            st[1] = set() if node == home else {node}
+        elif node == home:  # defensive: immediate local grant (LOC_IDLE)
+            self._charge(node, home, coeff, services, (1, 0, 0, 1, 1), 1)
+        else:  # IDLE / SHARED: home memory is current (REM_CURRENT)
+            self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
             st[0] = _SHARED
             st[1].add(node)
 
-    def _classify_write(self, st, node, home, coeff, messages, bytes_sent,
-                        services, B) -> None:
+    def _classify_write(self, st, node, home, coeff, services) -> None:
         if st[0] == _UPD or self.protocol == "write-update":
             raise ProtocolError(
                 f"write-update protocol requires producer-owned data; node "
                 f"{node} wrote a block homed at {home}",
                 node=node,
             )
-        c = coeff[node]
-        if node == home:
-            if st[0] == _EXCL:
-                owner = st[2]
-                c += (1, 1, 1, 3, 2)  # LOC_RECALL (RECALL_INV path)
-                messages[home] += 1
-                messages[owner] += 1
-                bytes_sent[owner] += B
-                services[node, home] += 2
-            elif st[0] == _SHARED:
-                k = len(st[1])
-                c += (1, 2, 0, 2 + k, 1 + k)  # LOC_WRITE_SHARED(k)
-                messages[home] += k
-                for sharer in st[1]:
-                    messages[sharer] += 1  # ACK
-                services[node, home] += 1 + k
-            else:  # defensive: immediate local grant
-                c += (1, 0, 0, 1, 1)  # LOC_IDLE
-                services[node, home] += 1
-            st[0], st[2] = _IDLE, None
-            st[1].clear()
-            return
-        if st[0] == _EXCL:
-            owner = st[2]
-            c += (1, 2, 2, 4, 2)  # REM_RECALL (write flavor)
-            messages[node] += 1
-            messages[home] += 2
-            bytes_sent[home] += B
-            messages[owner] += 1
-            bytes_sent[owner] += B
-            services[node, home] += 2
-        elif st[0] == _SHARED and st[1] - {node}:
-            others = st[1] - {node}
-            k = len(others)
-            c += (1, 3, 1, 3 + k, 1 + k)  # REM_WRITE_SHARED(k)
-            messages[node] += 1
-            messages[home] += k + 1
-            bytes_sent[home] += B
-            for sharer in others:
-                messages[sharer] += 1  # ACK
-            services[node, home] += 1 + k
+        local = node == home
+        others = st[1] - {node} if st[0] == _SHARED else ()
+        k = len(others)
+        if st[0] == _EXCL:  # LOC_RECALL (RECALL_INV path) / REM_RECALL
+            vec = (1, 1, 1, 3, 2) if local else (1, 2, 2, 4, 2)
+            self._charge(node, home, coeff, services, vec, 2, owner=st[2])
+        elif st[0] == _SHARED and (local or others):
+            # LOC_WRITE_SHARED(k) / REM_WRITE_SHARED(k)
+            vec = (1, 2, 0, 2 + k, 1 + k) if local else (1, 3, 1, 3 + k, 1 + k)
+            self._charge(node, home, coeff, services, vec, 1 + k, acks=others)
         else:
-            # IDLE, or the writer is the sole sharer (in-place upgrade)
-            c += (1, 1, 1, 2, 1)  # REM_CURRENT
-            messages[node] += 1
-            messages[home] += 1
-            bytes_sent[home] += B
-            services[node, home] += 1
-        st[0], st[2] = _EXCL, node
-        st[1] = set()
+            # LOC_IDLE (defensive), or REM_CURRENT: IDLE, or the writer is
+            # the sole sharer (in-place upgrade)
+            vec = (1, 0, 0, 1, 1) if local else (1, 1, 1, 2, 1)
+            self._charge(node, home, coeff, services, vec, 1)
+        st[0], st[1], st[2] = (_IDLE, set(), None) if local else (
+            _EXCL, set(), node)
 
     # -- write-update push programs -------------------------------------------
 
-    def _push_program(self, writes, messages, bytes_sent):
+    def _push_program(self, fold: PhaseFold) -> PushWalk | None:
         """Mirror of ``WriteUpdateProtocol.adjust_barrier``'s push loop."""
         pushes: dict[int, dict[int, int]] = {}
-        seen: set[tuple[int, int]] = set()
-        for node, block in sorted(writes):
-            if (node, block) in seen:
-                continue
-            seen.add((node, block))
+        for node, block in fold.wrote.tolist():
             home = self.layout.home(block)
             if home != node:
                 raise ProtocolError(
@@ -720,206 +535,259 @@ class _Walker:
             for consumer in st[1]:
                 per = pushes.setdefault(node, {})
                 per[consumer] = per.get(consumer, 0) + 1  # coalesce_updates=False
-        program = []
-        for producer, per_consumer in sorted(pushes.items()):
-            runs = sorted(per_consumer.items())
-            n_runs = sum(r for _, r in runs)
-            messages[producer] += n_runs
-            bytes_sent[producer] += n_runs * self.block_size
-            program.append((producer, runs))
-        return program
+        if not pushes:
+            return None
+        producers = np.array(sorted(pushes))
+        runs = np.array([sum(pushes[p].values()) for p in sorted(pushes)])
+        self.messages[producers] += runs
+        self.bytes_sent[producers] += runs * self.block_size
+        return PushWalk(producers, runs, np.array(
+            [consumer for producer in sorted(pushes)
+             for consumer, n_runs in sorted(pushes[producer].items())
+             for _ in range(n_runs)]))
 
 
 # -- the assemble stage -------------------------------------------------------
 
 
-def _assemble(walk: WalkResult, config: MachineConfig, alpha: float,
-              gamma: float, delta: float) -> tuple[RunStats, list]:
-    """Evaluate a walk against one cost table; returns (stats, features)."""
-    n = walk.n_nodes
-    cfg = config
-    F, L = float(cfg.fault_cost), float(cfg.msg_latency)
-    h, d = float(cfg.handler_cost), float(cfg.directory_lookup_cost)
-    B = walk.block_size
-    basis = np.array([F, L, L + cfg.per_byte_cost * B, h, d])
-    #: one ping-pong re-steal costs a remote recall (REM_RECALL, write)
-    steal_cost = float(np.array([1, 2, 2, 4, 2]) @ basis)
-    hit_cost = float(cfg.cache_hit_cost)
-    bar = float(cfg.barrier_latency)
-
-    stats = RunStats(n)
-    marks = {c: 0.0 for c in TimeCategory}
-    clock = 0.0
-    features: list[tuple[float, float, float]] = []
-
-    def cycle_delta() -> dict[str, float]:
-        delta: dict[str, float] = {}
-        for c in TimeCategory:
-            total = sum(node.cycles[c] for node in stats.nodes)
-            if total != marks[c]:
-                delta[c.value] = total - marks[c]
-                marks[c] = total
-        return delta
-
-    for step_kind, step in walk.steps:
-        if step_kind == "presend":
-            clock = _assemble_presend(step, stats, cfg, clock)
-            continue
-
-        compute = step.compute + hit_cost * step.accesses
-        base_wait = step.coeff @ basis
-        n_miss = (step.read_misses + step.write_misses).astype(np.float64)
-
-        # M/D/1-style handler contention: demand each home's handler sees
-        # this phase vs. the phase's uncontended makespan
-        contention = np.zeros(n)
-        demand = step.services.sum(axis=0).astype(np.float64) * (h + d)
-        span = float(np.max(compute + base_wait)) if n else 0.0
-        if span > 0.0 and demand.any():
-            rho = np.minimum(demand / span, _RHO_MAX)
-            wait_per_service = (h + d) * rho / (2.0 * (1.0 - rho))
-            contention = step.services @ wait_per_service
-
-        steal = (step.pingpong * steal_cost if step.pingpong is not None
-                 else np.zeros(n))
-        wait = np.maximum(
-            base_wait + alpha * n_miss + gamma * contention + delta * steal,
-            0.0)
-        start = clock
-        arrivals = start + compute + wait
-
-        for i in range(n):
-            stats.nodes[i].add(TimeCategory.COMPUTE, float(compute[i]))
-            stats.nodes[i].add(TimeCategory.REMOTE_WAIT, float(wait[i]))
-
-        if step.pushes:
-            arrivals = _assemble_pushes(step.pushes, arrivals, stats, cfg)
-
-        release = float(np.max(arrivals)) + bar if n else clock + bar
-        for i in range(n):
-            stats.nodes[i].add(TimeCategory.SYNCH, release - float(arrivals[i]))
-        clock = release
-
-        for i in range(n):
-            ns = stats.nodes[i]
-            ns.read_misses += int(step.read_misses[i])
-            ns.write_misses += int(step.write_misses[i])
-            ns.local_hits += int(step.accesses[i] - step.read_misses[i]
-                                 - step.write_misses[i])
-            ns.messages_sent += int(step.messages[i])
-            ns.bytes_sent += int(step.bytes_sent[i])
-
-        stats.phases.append(PhaseBreakdown(
-            step.name,
-            step.directive,
-            start,
-            release,
-            misses=int(n_miss.sum()),
-            hits=int(step.accesses.sum() - n_miss.sum()),
-            messages=int(step.messages.sum()),
-            cycles=cycle_delta(),
-        ))
-        features.append((float(n_miss.sum()), float(contention.sum()),
-                         float(steal.sum())))
-
-    stats.wall_time = clock
-    stats.total_remote_requests = walk.total_requests
-    stats.schedules_degraded = walk.degraded
-    for i in range(n):
-        stats.nodes[i].presend_useless_blocks += int(walk.useless[i])
-    return stats, features
+def _column(configs, field: str) -> np.ndarray:
+    return np.array([getattr(cfg, field) for cfg in configs],
+                    dtype=np.float64)
 
 
-def _assemble_presend(step: PresendWalk, stats: RunStats,
-                      cfg: MachineConfig, start: float) -> float:
+class _CostGrid:
+    """P cost tables as ``(P,)`` columns (one per point of the grid)."""
+
+    def __init__(self, configs, block_size: int, residuals) -> None:
+        self.F = _column(configs, "fault_cost")
+        self.L = _column(configs, "msg_latency")
+        self.h = _column(configs, "handler_cost")
+        self.d = _column(configs, "directory_lookup_cost")
+        self.e = _column(configs, "presend_entry_cost")
+        self.pb = _column(configs, "per_byte_cost")
+        self.hit = _column(configs, "cache_hit_cost")
+        self.bar = _column(configs, "barrier_latency")
+        self.bulk = _column(configs, "bulk_msg_overhead") + self.L
+        self.block_size = block_size
+        #: flight of one data block: ``message_cost(block_size)``
+        self.data = self.L + self.pb * block_size
+        #: (P, 5) rows over (fault, control flight, data flight, handler,
+        #: dir lookup): a row is the basis vector of that point priced alone
+        self.basis = np.stack([self.F, self.L, self.data, self.h, self.d],
+                              axis=1)
+        self.steal = np.array([float(_STEAL @ row) for row in self.basis])
+        self.alpha, self.gamma, self.delta = residuals
+
+
+def _matvec(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every row ``v`` of ``columns``, one product per
+    point: a batched product may sum in another order, these may not."""
+    return np.stack([matrix @ v for v in np.ascontiguousarray(columns)],
+                    axis=1)
+
+
+def _drain(dst: np.ndarray, arrival, cost, busy, *, by_arrival: bool):
+    """Serve each destination's queue of ``(M, P)`` messages in place:
+    ``busy[dst] = max(arrival, busy[dst]) + cost``, message by message, all
+    points advancing together.  ``by_arrival`` serves in arrival order, ties
+    in message order — a stable sort, and messages are numbered in (source,
+    sequence) order."""
+    for d in np.unique(dst):
+        queue = np.flatnonzero(dst == d)
+        arrived, costs = arrival[queue], cost[queue]
+        if by_arrival:
+            order = np.argsort(arrived, axis=0, kind="stable")
+            arrived = np.take_along_axis(arrived, order, axis=0)
+            costs = np.take_along_axis(costs, order, axis=0)
+        served = busy[d]
+        for at, service in zip(arrived, costs):
+            served = np.maximum(at, served) + service
+        busy[d] = served
+    return busy
+
+
+def _chain(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """A cursor's ``(len(steps) + 1, P)`` positions: ``start``, then one
+    step added at a time (accumulate is the left-to-right running sum)."""
+    return np.add.accumulate(np.concatenate([start[None], steps]), axis=0)
+
+
+def _assemble_presend(step: PresendWalk, cost: _CostGrid, start: np.ndarray,
+                      cycles: np.ndarray) -> np.ndarray:
     """Replay pre-send token programs; mirrors ``Machine.begin_group``."""
-    n = len(step.programs)
-    h = float(cfg.handler_cost)
-    e = float(cfg.presend_entry_cost)
-    recall_cost = 2.0 * cfg.message_cost(cfg.block_size) + 2.0 * h
-    send_done = [start] * n
-    #: per destination: (arrival, src, seq, handler cost) of pre-send traffic
-    inbound: dict[int, list[tuple[float, int, int, float]]] = {}
-    seq = 0
-    for home, prog in enumerate(step.programs):
-        cursor = start
-        for token in prog:
-            op = token[0]
-            if op == "e":
-                cursor += e
-            elif op == "recall":
-                cursor += recall_cost
-            elif op == "inv":
-                dst = token[1]
-                arrival = cursor + cfg.message_cost(0)
-                inbound.setdefault(dst, []).append((arrival, home, seq, h))
-                seq += 1
-                cursor += e
-            else:  # ("send", dst, count)
-                dst, count = token[1], token[2]
-                payload = count * cfg.block_size
-                if count > 1:
-                    flight = cfg.bulk_message_cost(payload)
-                    install = h + e * count
-                else:
-                    flight = cfg.message_cost(payload)
-                    install = h
-                inbound.setdefault(dst, []).append(
-                    (cursor + flight, home, seq, install))
-                seq += 1
-                cursor += h  # injection occupancy
-        send_done[home] = cursor
-
-    install_busy = [start] * n
-    for dst, queue in inbound.items():
-        busy = start
-        for arrival, _src, _seq, cost in sorted(queue):
-            busy = max(arrival, busy) + cost
-        install_busy[dst] = busy
-
-    completions = [max(send_done[i], install_busy[i], start) for i in range(n)]
-    release = max(completions) + cfg.barrier_latency
-    for node in stats.nodes:
-        node.add(TimeCategory.PREDICTIVE, release - start)
-        node.presend_blocks_sent += int(step.blocks_sent[node.node])
-        node.presend_blocks_received += int(step.blocks_received[node.node])
-        node.messages_sent += int(step.messages[node.node])
-        node.bytes_sent += int(step.bytes_sent[node.node])
+    recall = 2.0 * cost.data + 2.0 * cost.h
+    # what each token code adds to its home's cursor (a send's is its
+    # injection occupancy)
+    advance = np.stack([cost.e, recall, cost.e, cost.h])
+    cursors = [_chain(start, advance[codes]) for codes in step.programs]
+    departure = np.concatenate(
+        [cursor[sent] for cursor, sent in zip(cursors, step.tokens)])
+    count = step.count[:, None]
+    bulk = count > 1
+    flight = np.where(bulk, cost.bulk, cost.L) + cost.pb * (
+        count * cost.block_size)
+    install = np.where(bulk, cost.h + cost.e * count, cost.h)
+    busy = _drain(step.dst, departure + flight, install,
+                  np.tile(start, (len(cursors), 1)), by_arrival=True)
+    send_done = np.stack([cursor[-1] for cursor in cursors])
+    release = np.maximum(send_done, busy).max(axis=0) + cost.bar
+    cycles[_PRESEND] += release - start
     return release
 
 
-def _assemble_pushes(program, arrivals: np.ndarray, stats: RunStats,
-                     cfg: MachineConfig) -> np.ndarray:
+def _assemble_pushes(push: PushWalk, cost: _CostGrid, arrivals: np.ndarray,
+                     cycles: np.ndarray) -> np.ndarray:
     """Replay a write-update push program; mirrors ``adjust_barrier``."""
-    h = float(cfg.handler_cost)
-    per_msg = cfg.message_cost(cfg.block_size)
-    install = h + float(cfg.presend_entry_cost)
-    adjusted = arrivals.astype(np.float64).copy()
-    install_done: dict[int, float] = {}
-    for producer, runs in program:
-        cursor = float(adjusted[producer])
-        for consumer, n_runs in runs:
-            done = install_done.get(consumer, 0.0)
-            for _ in range(n_runs):
-                send = cursor + h
-                done = max(done, send + per_msg) + install
-                cursor = send
-            install_done[consumer] = done
-        stats.nodes[producer].add(
-            TimeCategory.REMOTE_WAIT, cursor - float(adjusted[producer]))
-        adjusted[producer] = cursor
-    for consumer, done in install_done.items():
-        if done > adjusted[consumer]:
-            stats.nodes[consumer].add(
-                TimeCategory.REMOTE_WAIT, done - float(adjusted[consumer]))
-            adjusted[consumer] = done
-    return adjusted
+    P = arrivals.shape[1]
+    # producer cursors: one handler occupancy per send
+    cursors = [_chain(arrivals[producer], np.broadcast_to(cost.h, (runs, P)))
+               for producer, runs in zip(push.producers, push.runs)]
+    sends = np.concatenate([cursor[1:] for cursor in cursors])
+    done = _drain(push.dst, sends + cost.data,
+                  np.broadcast_to(cost.h + cost.e, sends.shape),
+                  np.zeros_like(arrivals), by_arrival=False)
+    adjusted = arrivals.copy()
+    adjusted[push.producers] = [cursor[-1] for cursor in cursors]
+    cycles[_WAIT] += adjusted - arrivals    # producers: their send train
+    late = np.maximum(done, adjusted)
+    cycles[_WAIT] += late - adjusted        # consumers: installs still due
+    return late
 
 
-# -- walk caching and the public entry point ----------------------------------
+def _assemble(walk: WalkResult, cost: _CostGrid):
+    """Price a walk against a grid of cost tables.
+
+    Returns ``(wall_time (P,), cycles (4, n, P), phase rows)``; a phase row
+    is ``(start (P,), release (P,), category totals so far (4, P),
+    contention (n, P), steal (n, P))``.
+    """
+    n, P = walk.n_nodes, len(cost.F)
+    hd = cost.h + cost.d
+    cycles = np.zeros((len(_CATEGORIES), n, P))
+    clock = np.zeros(P)
+    rows = []
+    for step_kind, step in walk.steps:
+        if step_kind == "presend":
+            clock = _assemble_presend(step, cost, clock, cycles)
+            continue
+
+        compute = step.compute[:, None] + cost.hit * step.accesses[:, None]
+        base_wait = _matvec(step.coeff, cost.basis)
+        n_miss = step.misses.astype(np.float64)
+
+        # M/D/1-style handler contention: demand each home's handler sees
+        # this phase vs. the phase's uncontended makespan
+        contention = np.zeros((n, P))
+        demand = step.services.sum(axis=0).astype(np.float64)[:, None] * hd
+        span = (compute + base_wait).max(axis=0)
+        contended = (span > 0.0) & demand.any(axis=0)
+        if contended.any():
+            rho = np.minimum(demand / np.where(contended, span, 1.0),
+                             _RHO_MAX)
+            wait_per_service = hd * rho / (2.0 * (1.0 - rho))
+            at = np.flatnonzero(contended)
+            contention[:, at] = _matvec(step.services,
+                                        wait_per_service.T[at])
+
+        steal = step.pingpong[:, None] * cost.steal
+        wait = np.maximum(
+            base_wait + cost.alpha * n_miss[:, None] + cost.gamma * contention
+            + cost.delta * steal, 0.0)
+        arrivals = clock + compute + wait
+        cycles[_COMPUTE] += compute
+        cycles[_WAIT] += wait
+        if step.pushes is not None:
+            arrivals = _assemble_pushes(step.pushes, cost, arrivals, cycles)
+        release = arrivals.max(axis=0) + cost.bar
+        cycles[_SYNCH] += release - arrivals
+        # accumulate, not sum: a node-by-node running total, as RunStats
+        # adds its node accumulators up
+        totals = np.add.accumulate(cycles, axis=1)[:, -1].copy()
+        rows.append((clock, release, totals, contention, steal))
+        clock = release
+    return clock, cycles, rows
 
 
-_WALK_CACHE: dict[tuple, WalkResult] = {}
+@dataclass
+class GridPrediction:
+    """One walk priced at P cost points: cycles are arrays over the points,
+    counters are the walk's.  The aggregate attributes mirror
+    :class:`RunStats` (so a sweep fills its columns from either)."""
+
+    protocol: str
+    optimized: bool
+    walk: WalkResult
+    walk_cached: bool
+    wall_time: np.ndarray        # (P,)
+    cycles: np.ndarray           # (category, node, P)
+    phase_rows: list[tuple]      # see _assemble
+
+    def totals(self) -> dict[TimeCategory, np.ndarray]:
+        """Mean cycles per category, ``(P,)`` each (``RunStats.totals``)."""
+        means = (np.add.accumulate(self.cycles, axis=1)[:, -1]
+                 / self.walk.n_nodes)
+        return dict(zip(_CATEGORIES, means))
+
+    def _count(self, *names: str) -> int:
+        return int(sum(self.walk.counters[name].sum() for name in names))
+
+    misses = property(lambda self: self._count("read_misses", "write_misses"))
+    local_hits = property(lambda self: self._count("local_hits"))
+    messages = property(lambda self: self._count("messages_sent"))
+    bytes_on_wire = property(lambda self: self._count("bytes_sent"))
+    presend_blocks_sent = property(
+        lambda self: self._count("presend_blocks_sent"))
+
+    def prediction(self, p: int) -> ModelPrediction:
+        """Materialise point ``p``: its full ``RunStats`` and features."""
+        walk = self.walk
+        stats = RunStats(walk.n_nodes)
+        node_cycles = self.cycles[:, :, p].T.tolist()
+        for ns, per_category in zip(stats.nodes, node_cycles):
+            ns.cycles.update(zip(_CATEGORIES, per_category))
+            for name, column in walk.counters.items():
+                setattr(ns, name, int(column[ns.node]))
+        marks = [0.0] * len(_CATEGORIES)
+        features = []
+        phases = (step for kind, step in walk.steps if kind == "phase")
+        for ph, (start, release, totals, contention, steal) in zip(
+                phases, self.phase_rows):
+            totals = totals[:, p].tolist()
+            misses = int(ph.misses.sum())
+            stats.phases.append(PhaseBreakdown(
+                ph.name,
+                ph.directive,
+                float(start[p]),
+                float(release[p]),
+                misses=misses,
+                hits=int(ph.accesses.sum()) - misses,
+                messages=ph.messages,
+                cycles={c.value: total - mark for c, total, mark
+                        in zip(_CATEGORIES, totals, marks) if total != mark},
+            ))
+            marks = totals
+            # a column copy sums pairwise, as the (n,) vector it stands for
+            features.append((float(misses),
+                             float(contention[:, p].copy().sum()),
+                             float(steal[:, p].copy().sum())))
+        stats.wall_time = float(self.wall_time[p])
+        stats.total_remote_requests = walk.total_requests
+        stats.schedules_degraded = walk.degraded
+        return ModelPrediction(stats, self.protocol, self.optimized,
+                               features, self.walk_cached)
+
+
+# -- walk caching and the public entry points ---------------------------------
+
+#: host-side counters (never part of a report), zeroed by clear_walk_cache()
+_STATS = {"points": 0, "groups": 0, "walks": 0, "walks_cached": 0,
+          "folds": 0}
+
+
+def model_info() -> dict:
+    """How many points were priced in how many grids, and how many walks
+    and folds that took (``walks_cached`` counts reuses)."""
+    return dict(_STATS)
 
 
 def _warm_fingerprint(warm) -> str | None:
@@ -931,49 +799,82 @@ def _warm_fingerprint(warm) -> str | None:
 
 def _get_walk(recording: ProgramRecording, config: MachineConfig,
               protocol: str, optimized: bool, warm) -> tuple[WalkResult, bool]:
-    key = (recording.key, config.block_size, protocol, optimized,
-           _warm_fingerprint(warm))
-    hit = _WALK_CACHE.get(key)
-    if hit is not None:
-        return hit, True
-    layout = LayoutModel(recording, config)
-    walk = _Walker(recording, layout, protocol, optimized, warm).run()
-    _WALK_CACHE[key] = walk
+    """Folds and walks hang off the recording: they are evicted with it, and
+    a key-less (run-only) recording shares them with nobody."""
+    key = (config.block_size, protocol, optimized, _warm_fingerprint(warm))
+    walk = recording.walks.get(key)
+    if walk is not None:
+        _STATS["walks_cached"] += 1
+        return walk, True
+    layout = recording.folds.get(config.block_size)
+    if layout is None:
+        layout = recording.folds[config.block_size] = LayoutModel(
+            recording, config)
+        _STATS["folds"] += 1
+    walk = recording.walks[key] = _Walker(
+        recording, layout, protocol, optimized, warm).run()
+    _STATS["walks"] += 1
     return walk, False
 
 
 def clear_walk_cache() -> None:
-    _WALK_CACHE.clear()
+    """Drop every cached recording's folds and walks; zero the counters."""
+    for recording in cached_recordings():
+        recording.folds.clear()
+        recording.walks.clear()
+    _STATS.update(dict.fromkeys(_STATS, 0))
+
+
+def predict_grid(app, build_kwargs: dict | None = None, *, protocol: str,
+                 optimized: bool, configs, variant: str = "cstar", warm=None,
+                 calibration=None) -> GridPrediction:
+    """Predict P configurations that differ only in their cost tables.
+
+    ``app`` is an application module with a ``build(**kwargs)`` entry point
+    (``repro.apps``); ``configs`` are :class:`MachineConfig` s sharing
+    ``n_nodes``, ``page_size`` and ``block_size`` (one recording, one walk);
+    ``warm`` is an iterable of corpus schedule records (see ``repro.corpus``)
+    to warm-start the predictive protocol's learned schedules;
+    ``calibration`` supplies per-protocol residual coefficients (default:
+    uncalibrated — alpha 0, contention scale 1) — one for the grid, or a
+    sequence with one per point.
+    """
+    if protocol not in PROTOCOLS:
+        raise ConfigError(
+            f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    configs = list(configs)
+    shapes = {(c.n_nodes, c.page_size, c.block_size) for c in configs}
+    if len(shapes) != 1:
+        raise ConfigError(
+            f"a model grid needs one (n_nodes, page_size, block_size) for "
+            f"all of its points, got {sorted(shapes)}")
+    config = configs[0]
+    recording = record_program(app, build_kwargs, variant,
+                               n_nodes=config.n_nodes,
+                               page_size=config.page_size)
+    walk, cached = _get_walk(recording, config, protocol, optimized, warm)
+    if not isinstance(calibration, (list, tuple)):
+        calibration = [calibration] * len(configs)
+    if len(calibration) != len(configs):
+        raise ConfigError(
+            f"{len(calibration)} calibrations for {len(configs)} grid points")
+    residuals = np.array([(0.0, 1.0, 0.0) if cal is None
+                          else cal.for_protocol(protocol)
+                          for cal in calibration]).T
+    wall_time, cycles, phase_rows = _assemble(
+        walk, _CostGrid(configs, config.block_size, residuals))
+    _STATS["points"] += len(configs)
+    _STATS["groups"] += 1
+    return GridPrediction(protocol, optimized, walk, cached, wall_time,
+                          cycles, phase_rows)
 
 
 def predict(app, build_kwargs: dict | None = None, *, protocol: str,
             optimized: bool, config: MachineConfig, variant: str = "cstar",
             warm=None, calibration=None) -> ModelPrediction:
-    """Predict one configuration's :class:`RunStats` analytically.
-
-    ``app`` is an application module with a ``build(**kwargs)`` entry point
-    (``repro.apps``); ``warm`` is an iterable of corpus schedule records
-    (see ``repro.corpus``) to warm-start the predictive protocol's learned
-    schedules; ``calibration`` supplies per-protocol residual coefficients
-    (default: uncalibrated — alpha 0, contention scale 1).
-    """
-    if protocol not in PROTOCOLS:
-        raise ConfigError(
-            f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    recording = record_program(
-        app, build_kwargs, variant,
-        n_nodes=config.n_nodes, page_size=config.page_size,
-    )
-    walk, cached = _get_walk(recording, config, protocol, optimized, warm)
-    if calibration is None:
-        alpha, gamma, delta = 0.0, 1.0, 0.0
-    else:
-        alpha, gamma, delta = calibration.for_protocol(protocol)
-    stats, features = _assemble(walk, config, alpha, gamma, delta)
-    return ModelPrediction(
-        stats=stats,
-        protocol=protocol,
-        optimized=optimized,
-        phase_features=features,
-        walk_cached=cached,
-    )
+    """Predict one configuration's :class:`RunStats` analytically: the
+    one-point :func:`predict_grid` (same arguments), materialised."""
+    return predict_grid(
+        app, build_kwargs, protocol=protocol, optimized=optimized,
+        configs=[config], variant=variant, warm=warm,
+        calibration=calibration).prediction(0)

@@ -114,8 +114,8 @@ def validation_specs(quick: bool = False) -> list:
 
 def demo_grid_spec() -> dict:
     """The sweep-demonstration grid: Water's Figure-7 baseline swept over
-    pure cost axes (one cached walk serves all 72 points on the model
-    side, which is where the >=100x wall-clock advantage comes from)."""
+    pure cost axes (one walk and one array-valued assemble serve all 72
+    points on the model side: hence the >=100x wall-clock advantage)."""
     from repro.apps import water
     from repro.bench.figures import WATER_CFG, WATER_KW
 
@@ -163,8 +163,8 @@ def _case_row(spec, calibration) -> dict:
     for cat in TimeCategory:
         errors[cat.value] = _rel_err(mtot[cat], stot[cat])
     presend = {
-        "sim_sent": int(sum(n.presend_blocks_sent for n in sim.nodes)),
-        "model_sent": int(sum(n.presend_blocks_sent for n in pred.nodes)),
+        "sim_sent": int(sim.presend_blocks_sent),
+        "model_sent": int(pred.presend_blocks_sent),
         "sim_useless": int(sum(n.presend_useless_blocks
                                for n in sim.nodes)),
         "model_useless": int(sum(n.presend_useless_blocks

@@ -191,6 +191,10 @@ class RunStats:
         return sum(n.bytes_sent for n in self.nodes)
 
     @property
+    def presend_blocks_sent(self) -> int:
+        return sum(n.presend_blocks_sent for n in self.nodes)
+
+    @property
     def transport_retries(self) -> int:
         return sum(n.transport_retries for n in self.nodes)
 
