@@ -8,6 +8,7 @@ instantiate them.
 from __future__ import annotations
 
 from repro.core.predictive import PredictiveProtocol
+from repro.fastpath.calqueue import FastEngine
 from repro.protocols.stache import StacheProtocol
 from repro.protocols.writeupdate import WriteUpdateProtocol
 from repro.tempest.machine import Machine
@@ -22,27 +23,19 @@ PROTOCOLS = {
 
 
 def make_machine(config: MachineConfig, protocol: str = "stache",
-                 engine=None, warm=None) -> Machine:
+                 policy=None, warm=None) -> Machine:
     """Create a simulated machine running the named coherence protocol.
 
     ``protocol`` is one of ``"stache"`` (the write-invalidate default),
     ``"predictive"`` (the paper's contribution), or ``"write-update"``
     (the hand-optimized SPMD baseline's custom protocol).
 
-    This is the one place the timing path is chosen, and it is chosen from
-    the engine, never from a switch.  With no ``engine`` (every production
-    caller under FIFO tie-breaking) the machine runs on the compiled path
-    (:mod:`repro.fastpath`): a calendar-queue
-    :class:`~repro.fastpath.calqueue.FastEngine`, packed tag tables and the
-    analyze/specialize/schedule pipeline.  A caller-supplied ``FastEngine``
-    gets the same.  Any other engine — the verification subsystem's
-    :class:`~repro.verify.interleave.ExplorerEngine`, whose policy-driven
-    tie-breaks the batched calendar dispatch cannot honour, or the plain
-    heap :class:`~repro.sim.engine.Engine` the differential tests use as
-    the oracle — gets the reference :class:`~repro.tempest.machine.
-    ReplayProcessor` and dict-backed tags.  The two are bit-identical under
-    FIFO order (``tests/fastpath``), and a mixed machine cannot be built
-    here.
+    Every machine is the same simulator (see
+    :class:`~repro.tempest.machine.Machine`).  ``policy`` optionally
+    installs a :class:`~repro.verify.interleave.TieBreakPolicy` on its
+    engine: same-timestamp events then dispatch in the order the policy
+    picks instead of FIFO — how ``repro verify`` explores and replays
+    interleavings.
 
     ``warm`` optionally supplies schedule records
     (``CommSchedule.to_record`` dicts, e.g. from the durable corpus) seeded
@@ -54,14 +47,7 @@ def make_machine(config: MachineConfig, protocol: str = "stache",
         raise ConfigError(
             f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
         )
-    # Imported lazily; repro.fastpath subclasses repro.tempest.machine types.
-    from repro.fastpath.calqueue import FastEngine
-
-    if engine is None:
-        engine = FastEngine()
-    machine = Machine(config, cls, engine=engine)
-    if isinstance(engine, FastEngine):
-        machine.use_fastpath()
+    machine = Machine(config, cls, engine=FastEngine(policy=policy))
     if warm and hasattr(machine.protocol, "warm_seed"):
         machine.protocol.warm_seed(warm)
     return machine

@@ -1,6 +1,6 @@
 """A slotted calendar queue engine with batched same-timestamp dispatch.
 
-The reference :class:`~repro.sim.engine.Engine` pays for every event three
+A binary-heap engine (``tests/oracle.py`` keeps one) pays for every event three
 times: an :class:`~repro.sim.engine.Event` allocation, a closure allocation
 for the callback, and ``heappush``/``heappop`` with dataclass ``__lt__``
 comparisons.  Profiling the Table-1 workloads (``repro profile``) shows
@@ -22,9 +22,19 @@ Two kinds of entry share a slot:
 * bare ``(proc, incarnation)`` tuples from :meth:`push_step` — processor
   continuations, dispatched by calling ``proc.step(horizon)`` directly so
   the hot replay loop allocates no Event and no closure.  ``incarnation``
-  mirrors the crash-restart guard the reference path closes over
-  (``ReplayProcessor._run_alive``): a stale or down incarnation is counted
-  as a dispatched event that does nothing, exactly like the reference.
+  is the crash-restart guard a closure would otherwise carry: a stale or
+  down incarnation is counted as a dispatched event that does nothing.
+
+Two drains, one queue
+---------------------
+
+Same-timestamp entries are semantically unordered, and a slot *is* that
+frontier: every live entry at the earliest time, in seq order.  With no
+:class:`~repro.verify.interleave.TieBreakPolicy` installed the slot is
+dispatched front to back as one batch (:meth:`FastEngine._drain`, FIFO);
+with one installed, each dispatch is ``policy.pick`` over the slot's live
+remainder (:meth:`FastEngine._drain_policy`) — see
+:mod:`repro.verify.interleave` for what a choice point is.
 
 Stale-peek pruning
 ------------------
@@ -33,32 +43,40 @@ Building this queue surfaced a cancel/:attr:`pending` interaction worth
 making explicit: a slot whose entries are *all* cancelled would keep
 ``peek_time`` reporting that slot's stale frontier time (and ``pending``
 counting garbage) unless peeking deletes the dead slot and pops its heap
-time.  :meth:`_peek_future` performs that pruning; the reference engine's
-equivalent contract (``Engine._prune_cancelled_front``) is documented and
-regression-tested against both engines in ``tests/fastpath``.
+time.  :meth:`_peek_future` performs that pruning; the contract is stated
+on :class:`~repro.sim.engine.Engine` and regression-tested against this
+queue and the heap oracle in ``tests/fastpath``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine, Event
 from repro.util.errors import SimulationError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.interleave import TieBreakPolicy
+
 
 class FastEngine(Engine):
-    """Drop-in :class:`Engine` with a calendar queue and step-entry batching.
+    """The production :class:`Engine`: a calendar queue with step entries.
 
     Behavioural contract (checked by the Hypothesis differential suite):
     for any sequence of ``schedule``/``cancel``/``run`` calls, dispatch
     order, ``now``, ``pending``, ``peek_time``, ``total_dispatched`` and
-    ``max_events`` errors are identical to the reference engine.
+    ``max_events`` errors are identical to the heap oracle's — under FIFO
+    order with no ``policy``, and choice for choice under any policy.
     """
 
-    def __init__(self, default_max_events: int | None = None) -> None:
+    def __init__(self, default_max_events: int | None = None,
+                 policy: "TieBreakPolicy | None" = None) -> None:
         super().__init__(default_max_events)
+        #: tie-break policy over same-timestamp entries; None is FIFO, on
+        #: the batched drain (which never consults a policy)
+        self.policy = policy
         #: time -> seq-ascending list of Event | (proc, incarnation)
         self._slots: dict[float, list] = {}
         #: heap of distinct slot times present in ``_slots``
@@ -144,7 +162,7 @@ class FastEngine(Engine):
             t = times[0]
             slot = slots.get(t)
             if slot is None:
-                # slot emptied through a non-run() path (e.g. _next_event)
+                # stale heap time: ``pending`` deleted the dead slot
                 heappop(times)
                 continue
             i, n = 0, len(slot)
@@ -210,31 +228,17 @@ class FastEngine(Engine):
                     n += 1
         return n
 
-    def _next_event(self) -> Event | None:
-        """API-compat hook; the batched :meth:`_drain` below never calls it."""
-        t = self._peek_future()
-        if t is None:
-            return None
-        slot = self._slots[t]
-        e = slot[0]
-        if type(e) is tuple:
-            raise SimulationError(
-                "FastEngine step entries are dispatched only by run()"
-            )
-        del slot[0]
-        if not slot:
-            del self._slots[t]
-        return e
-
     # -- execution -----------------------------------------------------------
 
     def _drain(self, until: float | None, max_events: int | None) -> int:
         """Dispatch events in (time, seq) order until the queue empties.
 
-        Identical semantics to :meth:`Engine._drain`, including the
-        ``until`` cutoff (the first later event stays queued), the
-        ``max_events`` guard raising *after* the offending dispatch, and
-        the idle-clock advance to ``until`` when the queue drains.
+        The :meth:`Engine.run` contract, on either drain: the ``until``
+        cutoff leaves the first later event queued, the ``max_events``
+        guard raises *after* the offending dispatch, and the idle clock
+        advances to ``until`` when the queue drains.  An installed
+        tie-break policy selects :meth:`_drain_policy`; the rest of this
+        method is the FIFO drain.
 
         The hot case is fused inline: a step entry followed by another
         live entry in the same slot has horizon == slot time, so (op
@@ -248,6 +252,8 @@ class FastEngine(Engine):
         ``finally`` — nothing reads it mid-run (checkpointing requires
         quiescence).
         """
+        if self.policy is not None:
+            return self._drain_policy(until, max_events)
         dispatched = 0
         limit = (1 << 62) if max_events is None else max_events
         slots, times = self._slots, self._times
@@ -477,6 +483,64 @@ class FastEngine(Engine):
                             # entries scheduled at t during the batch carry
                             # higher seqs, so remainder-first keeps order
                             slots[t] = rem + existing
+            if until is not None and self.now < until and exhausted:
+                self.now = until
+        finally:
+            self._dispatched += dispatched
+        return dispatched
+
+    def _drain_policy(self, until: float | None, max_events: int | None) -> int:
+        """The drain under a tie-break policy: one ``policy.pick`` per dispatch.
+
+        The earliest slot stays in the table while it drains, so its live
+        remainder — plus anything a callback schedules at the same
+        timestamp — is the frontier the next pick chooses among, in seq
+        order.  There is no fused single-op shortcut: a chosen step entry
+        goes through ``proc.step(horizon)``, and while losers remain the
+        horizon is the slot's own time, which pins the processor to one
+        op before it re-yields into the frontier.
+        """
+        policy = self.policy
+        slots = self._slots
+        peek_future = self._peek_future
+        limit = (1 << 62) if max_events is None else max_events
+        dispatched = 0
+        exhausted = False
+        try:
+            while True:
+                t = peek_future()
+                if t is None:
+                    exhausted = True
+                    break
+                if until is not None and t > until:
+                    break
+                slot = slots[t]
+                # cancelled entries never enter the frontier; compacting in
+                # place keeps the slot the list ``schedule`` appends to
+                slot[:] = [e for e in slot
+                           if type(e) is tuple or not e.cancelled]
+                e = slot.pop(policy.pick(slot))
+                self.now = t
+                if type(e) is tuple:
+                    proc, inc = e
+                    ctl = proc.machine.crash_controller if inc >= 0 else None
+                    # a stale incarnation's guard event still counts as
+                    # dispatched, exactly as on the FIFO drain
+                    if ctl is None or (proc._nid not in ctl.down
+                                       and ctl.incarnations[proc._nid] == inc):
+                        # losers (all live: just compacted) pin the horizon
+                        horizon = t if slot else peek_future()
+                        r = proc.step(inf if horizon is None else horizon)
+                        if r is not None:
+                            self.push_step(r, proc, inc)
+                else:
+                    e.fn()
+                dispatched += 1
+                if dispatched >= limit:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a livelocked model"
+                    )
             if until is not None and self.now < until and exhausted:
                 self.now = until
         finally:

@@ -1,36 +1,21 @@
-"""Packed-int/array state representations for the compiled timing path.
+"""Packed-int sharer sets for the directory.
 
-Two hot per-object structures get flat encodings:
+:class:`NodeSet` stores a sharer set as a single int bitmask.  Node ids are
+small (a machine has a handful of nodes), so membership, union and
+difference are one machine-word operation, and iteration is *always
+ascending* — which also makes every sharers walk deterministic instead
+of depending on CPython hash-set ordering.
 
-* :class:`NodeSet` — sharer sets as a single int bitmask.  Node ids are
-  small (a machine has a handful of nodes), so membership, union and
-  difference are one machine-word operation, and iteration is *always
-  ascending* — which also makes every sharers walk deterministic instead
-  of depending on CPython hash-set ordering.  Adopted by the directory on
-  both paths (protocol code is shared between reference and compiled).
-* :class:`PackedTagTable` — per-node block→tag map as a ``bytearray``
-  indexed by global block id (tag values are the :class:`AccessTag` ints
-  0/1/2).  The replay hot loop reads raw bytes; the full
-  :class:`~repro.tempest.tags.TagTable` API is preserved for protocol
-  code.  Adopted only on ``FastEngine`` machines so the reference path
-  keeps its dict-backed, independently-validated representation.
-
-Both are differentially property-tested against their reference
-counterparts in ``tests/fastpath/test_properties.py``.  This module is
-imported by protocol code (``NodeSet``), so it stays dependency-free.
+Property-tested against builtin ``set`` in
+``tests/fastpath/test_properties.py``.  This module is imported by
+protocol code, so it stays dependency-free.  (The other packed structure,
+the byte-array tag table, is :class:`repro.tempest.tags.TagTable`.)
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from typing import Iterable, Iterator
-
-from repro.tempest.tags import AccessTag
-from repro.util.errors import SimulationError
-
-# ---------------------------------------------------------------------------
-# NodeSet
-# ---------------------------------------------------------------------------
 
 
 class NodeSet(Set):
@@ -39,7 +24,9 @@ class NodeSet(Set):
     Subclassing :class:`collections.abc.Set` supplies the full operator
     algebra (including reflected forms, so ``plain_set - node_set`` works)
     on top of the three primitives below; results of binary operators are
-    rebuilt as :class:`NodeSet` via ``_from_iterable``.  Iteration is in
+    rebuilt as :class:`NodeSet` via ``_from_iterable``.  Against another
+    ``NodeSet`` (or a builtin set of ints, see :func:`_mask_of`) the
+    operators are one int operation on the masks instead.  Iteration is in
     ascending id order, making consumers deterministic by construction.
     """
 
@@ -78,6 +65,44 @@ class NodeSet(Set):
     # sets compare by value and are unhashable, mirroring builtin set
     __hash__ = None  # type: ignore[assignment]
 
+    # -- algebra: int ops on masks where exact, the Set mixin otherwise --------
+
+    @classmethod
+    def _from_mask(cls, mask: int) -> "NodeSet":
+        dup = cls.__new__(cls)
+        dup._mask = mask
+        return dup
+
+    def __sub__(self, other):
+        mask = _mask_of(other)
+        if mask is None:
+            return super().__sub__(other)
+        return self._from_mask(self._mask & ~mask)
+
+    def __and__(self, other):
+        mask = _mask_of(other)
+        if mask is None:
+            return super().__and__(other)
+        return self._from_mask(self._mask & mask)
+
+    def __or__(self, other):
+        # a builtin set may hold members no NodeSet can; the mixin rejects them
+        if isinstance(other, NodeSet):
+            return self._from_mask(self._mask | other._mask)
+        return super().__or__(other)
+
+    def __le__(self, other):
+        mask = _mask_of(other)
+        if mask is None:
+            return super().__le__(other)
+        return self._mask & ~mask == 0
+
+    def isdisjoint(self, other) -> bool:
+        mask = _mask_of(other)
+        if mask is None:
+            return super().isdisjoint(other)
+        return self._mask & mask == 0
+
     # -- mutation (the directory treats sharers as a mutable set) -------------
 
     def add(self, i: int) -> None:
@@ -105,100 +130,30 @@ class NodeSet(Set):
         self._mask &= other._mask
 
     def copy(self) -> "NodeSet":
-        dup = NodeSet()
-        dup._mask = self._mask
-        return dup
+        return self._from_mask(self._mask)
 
     def __repr__(self) -> str:
         return f"NodeSet({sorted(self)})"
 
 
-# ---------------------------------------------------------------------------
-# PackedTagTable
-# ---------------------------------------------------------------------------
+def _mask_of(other) -> int | None:
+    """``other``'s members as a bitmask, or None to defer to the Set mixin.
 
-#: byte value -> AccessTag, index-aligned with the enum's int values
-_TAG_OF = (AccessTag.INVALID, AccessTag.READ_ONLY, AccessTag.READ_WRITE)
-
-
-class PackedTagTable:
-    """Block→tag map as a byte-per-block array (compiled-path tag storage).
-
-    API-compatible with :class:`~repro.tempest.tags.TagTable`; missing or
-    out-of-range blocks are INVALID, so capacity is an optimization, not a
-    correctness requirement (:meth:`reserve` presizes; :meth:`set` grows).
-    ``clear`` zeroes *in place* — crash recovery resets tags between
-    processor steps and the storage object must keep its identity.
-
-    The replay hot loop bypasses this API and reads ``_data`` directly;
-    everything else (protocols, checkpointing, the monitor) goes through
-    the same methods the reference table offers.
+    Exact for a :class:`NodeSet` and for a builtin set of plain ints (what
+    the protocols and the monitor pass: ``sharers - {home}``); negative
+    ints can be members of no NodeSet, so they drop out of a difference,
+    intersection or subset test.  Anything else — other iterables, sets
+    holding bools or floats that *equal* a node id — keeps the mixin's
+    element-by-element semantics.
     """
-
-    __slots__ = ("node", "_data", "_count")
-
-    def __init__(self, node: int):
-        self.node = node
-        self._data = bytearray()
-        self._count = 0  # nonzero bytes, maintained incrementally
-
-    def reserve(self, n_blocks: int) -> None:
-        """Grow capacity to ``n_blocks`` so hot-loop reads never miss."""
-        if n_blocks > len(self._data):
-            self._data.extend(bytes(n_blocks - len(self._data)))
-
-    def get(self, block: int) -> AccessTag:
-        data = self._data
-        if 0 <= block < len(data):
-            return _TAG_OF[data[block]]
-        return AccessTag.INVALID
-
-    def set(self, block: int, tag: AccessTag) -> None:
-        v = int(tag)
-        data = self._data
-        if block >= len(data):
-            if v == 0:
-                return
-            # grow with slack so block-by-block installs don't realloc
-            self._data.extend(bytes(block + 64 - len(data)))
-            data = self._data
-        old = data[block]
-        if old != v:
-            self._count += (v != 0) - (old != 0)
-            data[block] = v
-
-    def permits(self, block: int, kind: str) -> bool:
-        data = self._data
-        t = data[block] if 0 <= block < len(data) else 0
-        if kind == "r":
-            return t != 0
-        if kind == "w":
-            return t == 2
-        raise SimulationError(f"unknown access kind {kind!r}")
-
-    def downgrade(self, block: int) -> None:
-        """READ_WRITE -> READ_ONLY (keep data, lose write permission)."""
-        data = self._data
-        if 0 <= block < len(data) and data[block] == 2:
-            data[block] = 1
-
-    def invalidate(self, block: int) -> None:
-        self.set(block, AccessTag.INVALID)
-
-    def blocks_with_tag(self, tag: AccessTag) -> list[int]:
-        v = int(tag)
-        return [b for b, byte in enumerate(self._data) if byte == v and byte]
-
-    def items(self) -> Iterator[tuple[int, AccessTag]]:
-        """Yield ``(block, tag)`` for non-INVALID blocks, ascending."""
-        for b, byte in enumerate(self._data):
-            if byte:
-                yield b, _TAG_OF[byte]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def clear(self) -> None:
-        data = self._data
-        data[:] = bytes(len(data))  # in place: storage identity survives
-        self._count = 0
+    if isinstance(other, NodeSet):
+        return other._mask
+    if isinstance(other, (set, frozenset)):
+        mask = 0
+        for i in other:
+            if type(i) is not int:
+                return None
+            if i >= 0:
+                mask |= 1 << i
+        return mask
+    return None

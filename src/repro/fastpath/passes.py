@@ -5,232 +5,24 @@ once, up front, into static dispatch state, so the per-event hot loop does
 no dict lookups, no closure allocation, and no virtual protocol calls.
 
 * :class:`AnalyzeTracePass` — one linear scan validating every op (shape,
-  kind, non-negative charges) and sizing the packed tag tables from the
-  allocated address space.  The reference path surfaces the same modelling
-  bugs lazily (mid-run, when the bad op executes); rejecting them before
-  the phase starts is strictly more conservative and keeps the hot loop
-  free of per-op validation.
+  kind, non-negative charges) and sizing the tag tables from the allocated
+  address space.  An op-at-a-time interpreter would surface the same
+  modelling bugs lazily (mid-run, when the bad op executes); rejecting
+  them before the phase starts is strictly more conservative and keeps
+  the hot loop free of per-op validation.
 * :class:`SpecializeProcessorsPass` — builds one
-  :class:`FastReplayProcessor` per node against presized
-  :class:`~repro.fastpath.packed.PackedTagTable` storage.
+  :class:`~repro.tempest.machine.ReplayProcessor` per node against
+  presized :class:`~repro.tempest.tags.TagTable` storage.
 * :class:`StaticSchedulePass` — launches the phase as one calendar slot:
-  N step entries in node order, exactly the (time, seq) layout the
-  reference path's N ``schedule`` calls would produce.
-
-:class:`FastReplayProcessor.step` is the compiled replica of
-:meth:`~repro.tempest.machine.ReplayProcessor._run`.  Equivalence is
-bit-exact by construction — the same sequence of float additions against
-the COMPUTE accumulator, the same yield points (one op minimum per
-dispatch, then re-yield at the conservative horizon), the same
-sequence-number allocation — and enforced by the differential suite in
-``tests/fastpath/``.
+  N step entries in node order with consecutive sequence numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.events import EventKind
-from repro.sim.stats import TimeCategory
 from repro.tempest.machine import Machine, PhaseTrace, ReplayProcessor
 from repro.util.errors import SimulationError
-
-_COMPUTE = TimeCategory.COMPUTE
-
-
-class FastReplayProcessor(ReplayProcessor):
-    """A :class:`ReplayProcessor` whose dispatch loop is specialized.
-
-    Differences from the reference ``_run`` are mechanical only:
-
-    * dispatched from the calendar queue's batch loop (no Event, no
-      closure, no incarnation lambda — the queue carries the incarnation
-      stamp), either through the engine's fused single-op fast path or
-      through :meth:`step` for catch-up dispatches;
-    * tag checks read the packed table's byte array directly;
-    * the COMPUTE accumulator and local-hit counter live in ``_acc`` /
-      ``_hits`` between dispatches and flush to ``stats`` at every
-      *observable* exit (miss, crash, barrier) — nothing reads them
-      between yields, and the float-addition order is exactly the
-      reference path's;
-    * ``machine.note_access`` is inlined (same effects, same hook calls).
-
-    ``resume`` after a miss and crash/restart handling reuse the
-    inherited cold paths, re-syncing the cached accumulators afterwards.
-    """
-
-    __slots__ = ("_acc", "_hits", "_data", "_n", "_nid", "_hit",
-                 "_accessed", "_pwrites", "_hooks")
-
-    def __init__(self, machine, node, ops, start: float) -> None:
-        super().__init__(machine, node, ops, start)
-        stats = node.stats
-        # cached hot state; _acc/_hits are canonical between flush points
-        self._acc = stats.cycles[_COMPUTE]
-        self._hits = stats.local_hits
-        self._data = node.tags._data  # bytearray identity is stable
-        self._n = len(ops)
-        self._nid = node.id
-        self._hit = machine.config.cache_hit_cost
-        self._accessed = machine.group_accessed
-        self._pwrites = machine.phase_writes
-        self._hooks = machine.access_hooks
-
-    def _schedule_run(self, t: float) -> None:
-        # Incarnation-guarded like the reference closure, but the stamp
-        # travels in the queue entry instead of a lambda cell.
-        ctl = self.machine.crash_controller
-        inc = -1 if ctl is None else ctl.incarnations[self.node.id]
-        self.machine.engine.push_step(t, self, inc)
-
-    # -- cold exits (shared by step() and the engine's fused path) -----------
-
-    def _flush(self) -> None:
-        stats = self.node.stats
-        stats.cycles[_COMPUTE] = self._acc
-        stats.local_hits = self._hits
-
-    def _done_exit(self) -> None:
-        self._flush()
-        self.done = True
-        self.machine._arrive_barrier(self, self.t)
-
-    def _crash_exit(self) -> None:
-        self._flush()
-        self.machine.crash_controller.crash_now(self)
-
-    def _miss_exit(self, op) -> None:
-        self._flush()
-        kind = op[0]
-        b = op[1]
-        t = self.t
-        stats = self.node.stats
-        self.waiting = True
-        self.miss_start = t
-        self.pending_op = op
-        if kind == "r":
-            stats.read_misses += 1
-        else:
-            stats.write_misses += 1
-        machine = self.machine
-        obs = machine.obs
-        if obs.enabled:
-            obs.emit(EventKind.MISS_BEGIN, t, node=self._nid, block=b,
-                     access=kind)
-        machine.protocol.fault(self, b, kind, t)
-
-    def resume(self, t: float) -> None:
-        # The inherited path charges REMOTE_WAIT + the completing hit's
-        # COMPUTE against stats directly (our miss exit flushed first);
-        # re-sync the cached accumulators before the next dispatch.
-        super().resume(t)
-        stats = self.node.stats
-        self._acc = stats.cycles[_COMPUTE]
-        self._hits = stats.local_hits
-
-    def step(self, horizon: float) -> float | None:
-        """Process ops inline up to the conservative ``horizon``.
-
-        Returns the yield time (the engine re-pushes the continuation,
-        allocating the same sequence number ``_schedule_run`` would) or
-        None when the dispatch ended in a miss, crash, or barrier
-        arrival.  ``horizon`` is the engine's next-live-event time
-        (``inf`` when the queue is empty) — the same value ``_run``
-        reads via ``peek_time()``.
-
-        The check order per op matches ``_run`` exactly: crash guard,
-        then horizon (skipped before the first op), then the op itself.
-        """
-        if self.done:
-            raise SimulationError(f"processor {self.node.id} ran after completion")
-        i = self.index
-        n = self._n
-        if i >= n:  # empty trace: arrive immediately, as _run's loop would
-            self._done_exit()
-            return None
-        ops = self.ops
-        t = self.t
-        acc = self._acc
-        hits = self._hits
-        data = self._data
-        limit = len(data)
-        hit = self._hit
-        ca = self.crash_at
-        if ca is None:
-            ca = n + 1
-        nid = self._nid
-        accessed = self._accessed
-        hooks = self._hooks
-        if i >= ca:
-            self._crash_exit()
-            return None
-        while True:
-            op = ops[i]
-            kind = op[0]
-            if kind == "r":
-                b = op[1]
-                if b < limit and data[b]:
-                    t += hit
-                    acc += hit
-                    hits += 1
-                    i += 1
-                    accessed.add((nid, b))
-                    if hooks:
-                        for h in hooks:
-                            h(nid, b, "r")
-                else:
-                    self.index = i
-                    self.t = t
-                    self._acc = acc
-                    self._hits = hits
-                    self._miss_exit(op)
-                    return None
-            elif kind == "c":
-                c = op[1]
-                t += c
-                acc += c
-                i += 1
-            elif kind == "w":
-                b = op[1]
-                if b < limit and data[b] == 2:
-                    t += hit
-                    acc += hit
-                    hits += 1
-                    i += 1
-                    accessed.add((nid, b))
-                    self._pwrites.add((nid, b))
-                    if hooks:
-                        for h in hooks:
-                            h(nid, b, "w")
-                else:
-                    self.index = i
-                    self.t = t
-                    self._acc = acc
-                    self._hits = hits
-                    self._miss_exit(op)
-                    return None
-            else:
-                raise SimulationError(f"unknown trace op {op!r}")
-            if i >= n:
-                self.index = i
-                self.t = t
-                self._acc = acc
-                self._hits = hits
-                self._done_exit()
-                return None
-            if i >= ca:
-                self.index = i
-                self.t = t
-                self._acc = acc
-                self._hits = hits
-                self._crash_exit()
-                return None
-            if t >= horizon:
-                self.index = i
-                self.t = t
-                self._acc = acc
-                self._hits = hits
-                return t
 
 
 @dataclass
@@ -241,7 +33,7 @@ class PhaseProgram:
     start: float
     op_count: int = 0
     tag_blocks: int = 0
-    procs: list[FastReplayProcessor] = field(default_factory=list)
+    procs: list[ReplayProcessor] = field(default_factory=list)
 
 
 class AnalyzeTracePass:
@@ -286,16 +78,10 @@ class SpecializeProcessorsPass:
 
     def run(self, prog: PhaseProgram, machine: Machine) -> None:
         for node in machine.nodes:
-            tags = node.tags
-            if getattr(tags, "_data", None) is None:
-                raise SimulationError(
-                    "fast path requires packed tag tables "
-                    "(machine was not switched via use_fastpath)"
-                )
-            tags.reserve(prog.tag_blocks)
+            node.tags.reserve(prog.tag_blocks)
         prog.procs = [
-            FastReplayProcessor(machine, machine.nodes[i], prog.trace.ops[i],
-                                prog.start)
+            ReplayProcessor(machine, machine.nodes[i], prog.trace.ops[i],
+                            prog.start)
             for i in range(machine.config.n_nodes)
         ]
 
@@ -304,8 +90,7 @@ class StaticSchedulePass:
     """Install the phase's start batch as one calendar slot.
 
     Entries go in node order with consecutive sequence numbers — the
-    identical (time, seq) frontier the reference path's per-processor
-    ``schedule`` calls build.
+    (time, seq) frontier N per-processor ``schedule`` calls would build.
     """
 
     def run(self, prog: PhaseProgram, machine: Machine) -> None:
@@ -321,9 +106,8 @@ class FastPathPipeline:
     """Drives the pass groups for one machine.
 
     ``compile`` runs analyze + specialize (the machine then arms any crash
-    plan on the returned processors, as the reference path does);
-    ``launch`` runs the schedule pass, after which the engine drains the
-    phase.
+    plan on the returned processors); ``launch`` runs the schedule pass,
+    after which the engine drains the phase.
     """
 
     def __init__(self, machine: Machine) -> None:

@@ -265,30 +265,45 @@ def _snapshot_crash(machine: "Machine") -> dict | None:
 # -- restore -------------------------------------------------------------------
 
 
-def restore_machine(snap: dict, engine=None) -> "Machine":
+def restore_machine(snap: dict, policy=None) -> "Machine":
     """Build a fresh machine in exactly the snapshotted state.
 
     Replaying the remainder of the session on the returned machine is
     bit-identical to the uninterrupted run: every counter, clock, RNG state,
-    and structure iteration order is reproduced.  ``engine`` optionally
-    supplies a pre-built event engine and, exactly as in
-    :func:`~repro.core.factory.make_machine`, selects the timing path:
-    none restores onto the calendar-queue path, an
-    :class:`~repro.verify.interleave.ExplorerEngine` onto the reference
-    path.  Checkpoints are representation-independent, so either path
-    resumes the other's snapshot.
+    and structure iteration order is reproduced.  ``policy`` is handed to
+    :func:`~repro.core.factory.make_machine` unchanged: a snapshot does not
+    record how ties were broken before it, so a run may resume under a
+    different tie-break policy than it started with.
     """
+    _check_version(snap)
+    from repro.core.factory import make_machine
+    from repro.util.config import MachineConfig
+
+    machine = make_machine(MachineConfig(**snap["config"]), snap["protocol"],
+                           policy=policy)
+    return restore_into(machine, snap)
+
+
+def _check_version(snap: dict) -> None:
     if snap.get("version") != CHECKPOINT_VERSION:
         raise SimulationError(
             f"unsupported checkpoint version {snap.get('version')!r} "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    from repro.core.factory import make_machine
-    from repro.tempest.tracefile import restore_regions
-    from repro.util.config import MachineConfig
 
-    config = MachineConfig(**snap["config"])
-    machine = make_machine(config, snap["protocol"], engine=engine)
+
+def restore_into(machine: "Machine", snap: dict) -> "Machine":
+    """Load ``snap`` into ``machine`` — freshly built, never run, with the
+    snapshot's config and protocol — and return it.
+
+    The state-loading half of :func:`restore_machine`, for a caller that
+    builds the machine itself: checkpoints are representation-independent,
+    so the differential suite restores production snapshots onto its
+    reference machine (and back) through this.
+    """
+    _check_version(snap)
+    from repro.tempest.tracefile import restore_regions
+
     restore_regions(machine, snap["regions"])
     if snap["plan"] is not None:
         from repro.faults.plan import FaultPlan
@@ -299,7 +314,7 @@ def restore_machine(snap: dict, engine=None) -> "Machine":
     machine.clock = m["clock"]
     machine.phase_index = m["phase_index"]
     machine.current_directive = m["current_directive"]
-    # in-place: the compiled path's processors cache these sets by identity
+    # in-place: the processors cache these sets by identity
     machine.group_accessed.clear()
     machine.group_accessed.update(tuple(p) for p in m["group_accessed"])
     machine.phase_writes.clear()

@@ -21,7 +21,6 @@ they are about to consult) — the classic conservative-time-window rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol, Sequence
 
@@ -36,6 +35,8 @@ from repro.util.errors import SimulationError
 
 #: Trace operations: ("r", block), ("w", block), ("c", cycles)
 TraceOp = tuple
+
+_COMPUTE = TimeCategory.COMPUTE
 
 
 @dataclass
@@ -79,7 +80,24 @@ class CoherenceProtocolAPI(TypingProtocol):
 
 
 class ReplayProcessor:
-    """Replays one node's per-phase op list against the protocol."""
+    """Replays one node's per-phase op list against the protocol.
+
+    Dispatched from the calendar queue (:mod:`repro.fastpath.calqueue`) as
+    a bare ``(proc, incarnation)`` step entry — no Event, no closure; the
+    queue carries the crash-restart incarnation stamp — either through the
+    FIFO drain's fused single-op path or through :meth:`step`.  Tag checks
+    read the tag table's byte array directly.  The COMPUTE accumulator and
+    local-hit counter live in ``_acc`` / ``_hits`` between dispatches and
+    flush to ``stats`` at every *observable* exit (miss, crash, barrier) —
+    nothing reads them between yields — and ``machine.note_access`` is
+    inlined (same effects, same hook calls).
+
+    Every float addition against the COMPUTE accumulator, every yield
+    point (one op minimum per dispatch, then re-yield at the conservative
+    horizon) and every sequence-number allocation is bit-identical to the
+    op-at-a-time reference interpreter in ``tests/oracle.py``, which the
+    differential suite in ``tests/fastpath/`` holds this class to.
+    """
 
     __slots__ = (
         "machine",
@@ -93,6 +111,8 @@ class ReplayProcessor:
         "done",
         "crash_at",
         "restart_delay",
+        "_acc", "_hits", "_data", "_n", "_nid", "_hit",
+        "_accessed", "_pwrites", "_hooks",
     )
 
     def __init__(self, machine: "Machine", node: Node, ops: list[TraceOp], start: float):
@@ -108,90 +128,172 @@ class ReplayProcessor:
         #: armed by the crash controller: crash-stop before executing this op
         self.crash_at: int | None = None
         self.restart_delay = 0.0
+        stats = node.stats
+        # cached hot state; _acc/_hits are canonical between flush points
+        self._acc = stats.cycles[_COMPUTE]
+        self._hits = stats.local_hits
+        self._data = node.tags._data  # bytearray identity is stable
+        self._n = len(ops)
+        self._nid = node.id
+        self._hit = machine.config.cache_hit_cost
+        self._accessed = machine.group_accessed
+        self._pwrites = machine.phase_writes
+        self._hooks = machine.access_hooks
 
     # -- execution -------------------------------------------------------------
 
-    def start(self) -> None:
-        self._schedule_run(self.t)
-
     def _schedule_run(self, t: float) -> None:
-        """Schedule the next dispatch, incarnation-guarded under crash plans.
+        """Queue the next dispatch, incarnation-stamped under crash plans.
 
-        The closure captures the node's incarnation *at schedule time*: a
+        The stamp is the node's incarnation *at schedule time*: a
         continuation scheduled before a crash must not fire into the node's
         next life, and one scheduled while down must not fire at all.
         """
         ctl = self.machine.crash_controller
-        if ctl is None:
-            self.machine.engine.schedule(t, self._run)
-        else:
-            inc = ctl.incarnations[self.node.id]
-            self.machine.engine.schedule(t, lambda: self._run_alive(inc))
+        inc = -1 if ctl is None else ctl.incarnations[self.node.id]
+        self.machine.engine.push_step(t, self, inc)
 
-    def _run_alive(self, inc: int) -> None:
-        ctl = self.machine.crash_controller
-        if ctl is not None and (self.node.id in ctl.down
-                                or ctl.incarnations[self.node.id] != inc):
-            return
-        self._run()
+    # -- cold exits (shared by step() and the engine's fused path) -----------
 
-    def _run(self) -> None:
-        """Process ops inline up to the conservative horizon, then yield."""
-        if self.done:
-            raise SimulationError(f"processor {self.node.id} ran after completion")
-        eng = self.machine.engine
-        cfg = self.machine.config
-        tags = self.node.tags
+    def _flush(self) -> None:
         stats = self.node.stats
-        horizon = eng.peek_time()
-        if horizon is None:
-            horizon = math.inf
-        ops = self.ops
-        n = len(ops)
-        progressed = False  # always make progress on >=1 op per dispatch,
-        # otherwise same-timestamp processors livelock re-yielding to each
-        # other; a tie with a pending event is semantically unordered anyway
-        while self.index < n:
-            if self.crash_at is not None and self.index >= self.crash_at:
-                self.machine.crash_controller.crash_now(self)
-                return
-            if progressed and self.t >= horizon:
-                self._schedule_run(self.t)
-                return
-            progressed = True
-            op = ops[self.index]
-            kind = op[0]
-            if kind == "c":
-                cycles = op[1]
-                self.t += cycles
-                stats.add(TimeCategory.COMPUTE, cycles)
-                self.index += 1
-            elif kind == "r" or kind == "w":
-                block = op[1]
-                if tags.permits(block, kind):
-                    self.t += cfg.cache_hit_cost
-                    stats.add(TimeCategory.COMPUTE, cfg.cache_hit_cost)
-                    stats.local_hits += 1
-                    self.index += 1
-                    self.machine.note_access(self.node.id, block, kind)
-                else:
-                    self.waiting = True
-                    self.miss_start = self.t
-                    self.pending_op = op
-                    if kind == "r":
-                        stats.read_misses += 1
-                    else:
-                        stats.write_misses += 1
-                    obs = self.machine.obs
-                    if obs.enabled:
-                        obs.emit(EventKind.MISS_BEGIN, self.t,
-                                 node=self.node.id, block=block, access=kind)
-                    self.machine.protocol.fault(self, block, kind, self.t)
-                    return
-            else:
-                raise SimulationError(f"unknown trace op {op!r}")
+        stats.cycles[_COMPUTE] = self._acc
+        stats.local_hits = self._hits
+
+    def _done_exit(self) -> None:
+        self._flush()
         self.done = True
         self.machine._arrive_barrier(self, self.t)
+
+    def _crash_exit(self) -> None:
+        self._flush()
+        self.machine.crash_controller.crash_now(self)
+
+    def _miss_exit(self, op) -> None:
+        self._flush()
+        kind = op[0]
+        b = op[1]
+        t = self.t
+        stats = self.node.stats
+        self.waiting = True
+        self.miss_start = t
+        self.pending_op = op
+        if kind == "r":
+            stats.read_misses += 1
+        else:
+            stats.write_misses += 1
+        machine = self.machine
+        obs = machine.obs
+        if obs.enabled:
+            obs.emit(EventKind.MISS_BEGIN, t, node=self._nid, block=b,
+                     access=kind)
+        machine.protocol.fault(self, b, kind, t)
+
+    def step(self, horizon: float) -> float | None:
+        """Process ops inline up to the conservative ``horizon``.
+
+        Returns the yield time (the engine re-pushes the continuation,
+        allocating the same sequence number ``_schedule_run`` would) or
+        None when the dispatch ended in a miss, crash, or barrier
+        arrival.  ``horizon`` is the engine's next-live-event time
+        (``inf`` when the queue is empty).
+
+        The check order per op: crash guard, then horizon (skipped before
+        the first op — always make progress on >= 1 op per dispatch,
+        otherwise same-timestamp processors livelock re-yielding to each
+        other; a tie with a pending event is semantically unordered
+        anyway), then the op itself.
+        """
+        if self.done:
+            raise SimulationError(f"processor {self.node.id} ran after completion")
+        i = self.index
+        n = self._n
+        if i >= n:  # empty trace: arrive immediately
+            self._done_exit()
+            return None
+        ops = self.ops
+        t = self.t
+        acc = self._acc
+        hits = self._hits
+        data = self._data
+        limit = len(data)
+        hit = self._hit
+        ca = self.crash_at
+        if ca is None:
+            ca = n + 1
+        nid = self._nid
+        accessed = self._accessed
+        hooks = self._hooks
+        if i >= ca:
+            self._crash_exit()
+            return None
+        while True:
+            op = ops[i]
+            kind = op[0]
+            if kind == "r":
+                b = op[1]
+                if b < limit and data[b]:
+                    t += hit
+                    acc += hit
+                    hits += 1
+                    i += 1
+                    accessed.add((nid, b))
+                    if hooks:
+                        for h in hooks:
+                            h(nid, b, "r")
+                else:
+                    self.index = i
+                    self.t = t
+                    self._acc = acc
+                    self._hits = hits
+                    self._miss_exit(op)
+                    return None
+            elif kind == "c":
+                c = op[1]
+                t += c
+                acc += c
+                i += 1
+            elif kind == "w":
+                b = op[1]
+                if b < limit and data[b] == 2:
+                    t += hit
+                    acc += hit
+                    hits += 1
+                    i += 1
+                    accessed.add((nid, b))
+                    self._pwrites.add((nid, b))
+                    if hooks:
+                        for h in hooks:
+                            h(nid, b, "w")
+                else:
+                    self.index = i
+                    self.t = t
+                    self._acc = acc
+                    self._hits = hits
+                    self._miss_exit(op)
+                    return None
+            else:
+                raise SimulationError(f"unknown trace op {op!r}")
+            if i >= n:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                self._done_exit()
+                return None
+            if i >= ca:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                self._crash_exit()
+                return None
+            if t >= horizon:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                return t
 
     def resume(self, t: float) -> None:
         """Called by the protocol when the faulting access has been granted.
@@ -210,7 +312,8 @@ class ReplayProcessor:
                 f"protocol resumed node {self.node.id} without granting "
                 f"{op[0]!r} on block {op[1]}"
             )
-        self.node.stats.add(TimeCategory.REMOTE_WAIT, t - self.miss_start)
+        stats = self.node.stats
+        stats.add(TimeCategory.REMOTE_WAIT, t - self.miss_start)
         obs = self.machine.obs
         if obs.enabled:
             obs.emit(EventKind.MISS_END, t, node=self.node.id, block=op[1],
@@ -221,8 +324,12 @@ class ReplayProcessor:
         # The access completes now: consume the op (it is not a second,
         # separately-counted hit) and continue.
         self.t = t + self.machine.config.cache_hit_cost
-        self.node.stats.add(TimeCategory.COMPUTE, self.machine.config.cache_hit_cost)
+        stats.add(TimeCategory.COMPUTE, self.machine.config.cache_hit_cost)
         self.index += 1
+        # the miss exit flushed, and the charges above went to stats
+        # directly: re-sync the cached accumulators before the next dispatch
+        self._acc = stats.cycles[_COMPUTE]
+        self._hits = stats.local_hits
         self._schedule_run(self.t)
 
 
@@ -230,13 +337,23 @@ class Machine:
     """A simulated N-node DSM machine running one coherence protocol.
 
     The protocol is supplied as a factory ``protocol_factory(machine)`` so
-    protocols can hold a back-reference without an import cycle.
+    protocols can hold a back-reference without an import cycle.  There is
+    one timing path: a calendar-queue
+    :class:`~repro.fastpath.calqueue.FastEngine` (built here unless one is
+    handed in, e.g. carrying a tie-break policy), byte-array tag tables,
+    and the analyze/specialize/schedule pipeline of
+    :mod:`repro.fastpath.passes` compiling each phase for
+    :class:`ReplayProcessor`.
     """
 
     def __init__(self, config: MachineConfig, protocol_factory,
                  engine: Engine | None = None) -> None:
+        # Imported lazily; repro.fastpath builds on this module's types.
+        from repro.fastpath.calqueue import FastEngine
+        from repro.fastpath.passes import FastPathPipeline
+
         self.config = config
-        self.engine = engine if engine is not None else Engine()
+        self.engine = engine if engine is not None else FastEngine()
         self.addr_space = AddressSpace(config)
         self.network = Network(self.engine, config)
         self.stats = RunStats(config.n_nodes)
@@ -278,10 +395,8 @@ class Machine:
         #: observability sink (repro.obs); the default null tracer makes
         #: every instrumented site a single ``if obs.enabled`` check
         self.obs: Tracer = NULL_TRACER
-        #: compiled-simulation pipeline (repro.fastpath); None on the
-        #: reference path (policy-driven or oracle engines) — see
-        #: :meth:`use_fastpath`
-        self._fastpath = None
+        #: the pass pipeline that compiles and launches each phase
+        self._fastpath = FastPathPipeline(self)
         self.protocol: CoherenceProtocolAPI = protocol_factory(self)
         self.network.attach(self._deliver)
 
@@ -372,34 +487,6 @@ class Machine:
             self.crash_controller = CrashController(self, injector, plan)
             self.watchdog = Watchdog(self, plan.detect_cycles)
             self.network.incarnation_of = self.crash_controller.incarnation
-
-    def use_fastpath(self) -> None:
-        """Switch this machine to the compiled path (repro.fastpath).
-
-        Replays then run through the calendar-queue engine's batched
-        dispatch, packed tag tables, and the analyze/specialize/schedule
-        pass pipeline — with observable behaviour bit-identical to the
-        reference :class:`ReplayProcessor` (enforced by the differential
-        suite in ``tests/fastpath``).  Requires the engine to be a
-        :class:`~repro.fastpath.calqueue.FastEngine`.  Called by
-        :func:`repro.core.factory.make_machine`, the one place that chooses
-        between the two, for every machine built on a ``FastEngine``.
-        """
-        # Imported lazily; repro.fastpath subclasses this module's types.
-        from repro.fastpath.calqueue import FastEngine
-        from repro.fastpath.packed import PackedTagTable
-        from repro.fastpath.passes import FastPathPipeline
-
-        if not isinstance(self.engine, FastEngine):
-            raise SimulationError(
-                "the compiled path requires the machine to run on a FastEngine"
-            )
-        for node in self.nodes:
-            packed = PackedTagTable(node.id)
-            for block, tag in node.tags.items():
-                packed.set(block, tag)
-            node.tags = packed
-        self._fastpath = FastPathPipeline(self)
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Route this machine's (and its network's and engine's) events to
@@ -496,23 +583,7 @@ class Machine:
         obs = self.obs
         if obs.enabled:
             obs.begin_phase(trace.name, self.current_directive, start)
-        if self._fastpath is not None:
-            prog = self._fastpath.compile(trace, start)
-            procs = prog.procs
-        else:
-            prog = None
-            procs = [
-                ReplayProcessor(self, self.nodes[i], trace.ops[i], start)
-                for i in range(self.config.n_nodes)
-            ]
-        self._procs = procs
-        if self.crash_controller is not None:
-            self.crash_controller.arm_phase(procs, phase_index)
-        if prog is not None:
-            self._fastpath.launch(prog)
-        else:
-            for p in procs:
-                p.start()
+        procs = self._procs = self._launch_phase(trace, start, phase_index)
         self.engine.run()
         if len(self._barrier_arrivals) != self.config.n_nodes:
             missing = [p.node.id for p in procs if not p.done]
@@ -556,6 +627,21 @@ class Machine:
         for hook in self.phase_hooks:
             hook(self, trace)
         return breakdown
+
+    def _launch_phase(self, trace: PhaseTrace, start: float,
+                      phase_index: int) -> list[ReplayProcessor]:
+        """Build the phase's processors, arm any crash plan on them, and
+        queue their first dispatch at ``start``.
+
+        The one seam the differential suite needs: its reference machine
+        (``tests/oracle.py``) overrides this to launch op-at-a-time
+        interpreters instead.
+        """
+        prog = self._fastpath.compile(trace, start)
+        if self.crash_controller is not None:
+            self.crash_controller.arm_phase(prog.procs, phase_index)
+        self._fastpath.launch(prog)
+        return prog.procs
 
     def _phase_cycle_delta(self) -> dict[str, float]:
         """Advance the per-category marks; return this phase's nonzero deltas.

@@ -10,6 +10,7 @@ hit/miss decisions, so protocols communicate exclusively by mutating tags.
 from __future__ import annotations
 
 import enum
+from typing import Iterator
 
 from repro.util.errors import SimulationError
 
@@ -27,62 +28,92 @@ class AccessTag(enum.IntEnum):
         raise SimulationError(f"unknown access kind {kind!r}")
 
 
-class TagTable:
-    """Per-node block -> tag map.  Missing entries are INVALID.
+#: byte value -> AccessTag, index-aligned with the enum's int values
+_TAG_OF = (AccessTag.INVALID, AccessTag.READ_ONLY, AccessTag.READ_WRITE)
 
-    ``home_default`` lists blocks this node is home for; they start
-    READ_WRITE (the home initially holds its data exclusively).
+
+class TagTable:
+    """Per-node block -> tag map as a byte-per-block array.
+
+    Indexed by global block id; tag values are the :class:`AccessTag` ints
+    0/1/2.  Missing or out-of-range blocks are INVALID, so capacity is an
+    optimization, not a correctness requirement (:meth:`reserve` presizes;
+    :meth:`set` grows).  ``clear`` zeroes *in place* — crash recovery
+    resets tags between processor steps and the storage object must keep
+    its identity.
+
+    The replay hot loop bypasses this API and reads ``_data`` directly;
+    everything else (protocols, checkpointing, the monitor) goes through
+    the methods.  Walks (:meth:`items`, :meth:`blocks_with_tag`) are in
+    ascending block order, so their consumers — crash recovery rebuilding
+    home state, the invariant monitor — are deterministic.  The dict-backed
+    table this is property-tested against lives in ``tests/oracle.py``.
     """
 
-    __slots__ = ("node", "_tags")
+    __slots__ = ("node", "_data", "_count")
 
     def __init__(self, node: int):
         self.node = node
-        self._tags: dict[int, AccessTag] = {}
+        self._data = bytearray()
+        self._count = 0  # nonzero bytes, maintained incrementally
+
+    def reserve(self, n_blocks: int) -> None:
+        """Grow capacity to ``n_blocks`` so hot-loop reads never miss."""
+        if n_blocks > len(self._data):
+            self._data.extend(bytes(n_blocks - len(self._data)))
 
     def get(self, block: int) -> AccessTag:
-        return self._tags.get(block, AccessTag.INVALID)
+        data = self._data
+        if 0 <= block < len(data):
+            return _TAG_OF[data[block]]
+        return AccessTag.INVALID
 
     def set(self, block: int, tag: AccessTag) -> None:
-        if tag is AccessTag.INVALID:
-            self._tags.pop(block, None)
-        else:
-            self._tags[block] = tag
+        v = int(tag)
+        data = self._data
+        if block >= len(data):
+            if v == 0:
+                return
+            # grow with slack so block-by-block installs don't realloc
+            self._data.extend(bytes(block + 64 - len(data)))
+            data = self._data
+        old = data[block]
+        if old != v:
+            self._count += (v != 0) - (old != 0)
+            data[block] = v
 
     def permits(self, block: int, kind: str) -> bool:
-        return self.get(block).permits(kind)
+        data = self._data
+        t = data[block] if 0 <= block < len(data) else 0
+        if kind == "r":
+            return t != 0
+        if kind == "w":
+            return t == 2
+        raise SimulationError(f"unknown access kind {kind!r}")
 
     def downgrade(self, block: int) -> None:
         """READ_WRITE -> READ_ONLY (keep data, lose write permission)."""
-        if self.get(block) is AccessTag.READ_WRITE:
-            self._tags[block] = AccessTag.READ_ONLY
+        data = self._data
+        if 0 <= block < len(data) and data[block] == 2:
+            data[block] = 1
 
     def invalidate(self, block: int) -> None:
-        self._tags.pop(block, None)
+        self.set(block, AccessTag.INVALID)
 
     def blocks_with_tag(self, tag: AccessTag) -> list[int]:
-        """Blocks holding ``tag``, in ascending block order.
+        v = int(tag)
+        return [b for b, byte in enumerate(self._data) if byte == v and byte]
 
-        Sorted (not insertion) order so consumers that *walk* the result —
-        crash recovery rebuilding home state, the invariant monitor — are
-        deterministic and representation-independent (the packed fast-path
-        table is naturally block-ordered).
-        """
-        return sorted(b for b, t in self._tags.items() if t is tag)
-
-    def items(self):
-        """Yield ``(block, tag)`` for non-INVALID blocks, ascending.
-
-        The public form of the underlying map: checkpointing and the fast
-        path's table swap use it instead of reaching into ``_tags``.
-        """
-        return iter(sorted(self._tags.items()))
-
-    def reserve(self, n_blocks: int) -> None:
-        """Capacity hint; the dict-backed table has nothing to presize."""
+    def items(self) -> Iterator[tuple[int, AccessTag]]:
+        """Yield ``(block, tag)`` for non-INVALID blocks, ascending."""
+        for b, byte in enumerate(self._data):
+            if byte:
+                yield b, _TAG_OF[byte]
 
     def __len__(self) -> int:
-        return len(self._tags)
+        return self._count
 
     def clear(self) -> None:
-        self._tags.clear()
+        data = self._data
+        data[:] = bytes(len(data))  # in place: storage identity survives
+        self._count = 0

@@ -27,7 +27,6 @@ from repro.verify.fuzz import (
 )
 from repro.verify.interleave import (
     DfsPolicy,
-    ExplorerEngine,
     FifoPolicy,
     ReplayPolicy,
     SeededRandomPolicy,
@@ -55,7 +54,6 @@ __all__ = [
     "ALL_PROTOCOLS",
     "CoherenceViolation",
     "DfsPolicy",
-    "ExplorerEngine",
     "FifoPolicy",
     "FuzzReport",
     "INVALIDATE_PROTOCOLS",

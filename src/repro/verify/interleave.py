@@ -1,13 +1,14 @@
 """Interleaving exploration: pluggable tie-break over same-timestamp events.
 
-The base :class:`~repro.sim.engine.Engine` breaks ties between events with
-equal timestamps in FIFO (schedule) order, which makes runs reproducible but
-exercises exactly one of the many *legal* message orders — two messages that
-arrive at the same instant are semantically unordered, so a correct protocol
-must tolerate every permutation.  :class:`ExplorerEngine` exposes that choice
-as a :class:`TieBreakPolicy`:
+The engine breaks ties between events with equal timestamps in FIFO
+(schedule) order, which makes runs reproducible but exercises exactly one
+of the many *legal* message orders — two messages that arrive at the same
+instant are semantically unordered, so a correct protocol must tolerate
+every permutation.  Installing a :class:`TieBreakPolicy` on the engine
+(``make_machine(..., policy=...)``,
+:class:`~repro.fastpath.calqueue.FastEngine`) exposes that choice:
 
-* :class:`FifoPolicy` — the base engine's order (always index 0);
+* :class:`FifoPolicy` — the engine's own order (always index 0);
 * :class:`SeededRandomPolicy` — a seeded pseudo-random pick at every choice
   point, so one seed names one complete interleaving;
 * :class:`ReplayPolicy` — follow a recorded choice list, then fall back to
@@ -19,15 +20,39 @@ as a :class:`TieBreakPolicy`:
 Every policy records its decisions in ``choices`` and the number of ready
 events it chose among in ``frontiers``; together with the workload seed this
 is a complete, replayable schedule.
+
+What a choice point is
+----------------------
+
+A *choice point* is a dispatch at which two or more live entries share
+the earliest timestamp in the queue.  The *frontier* is all of them —
+message deliveries, timers, handler effects **and processor
+continuations** alike, cancelled events excluded — in sequence-number
+(schedule) order, and a recorded choice is an index into that order.  A
+dispatch with a single live entry is not a choice point and records
+nothing.  An entry scheduled at the current timestamp by the dispatch
+just made joins the frontier of the next pick; a processor that loses a
+pick stays in the frontier, and one that wins executes exactly one op
+while any other entry remains at its timestamp (its conservative horizon
+is then that timestamp itself).
+
+Every bundled reproducer — ``examples/traces``, the ``ReplayPolicy``
+schedules in ``tests/verify``, shrunk counterexamples, the
+``choices``/``frontiers`` lists in ``repro verify --report-out``
+documents — was recorded against exactly this definition, so it is part
+of the determinism contract.  An optimisation that lets a processor run
+several local ops per dispatch (ROADMAP: hit-run batching) preserves it
+as long as a run stops at the conservative horizon: under a policy the
+horizon of a contended timestamp is that timestamp, so batching
+degenerates to one op per dispatch precisely where choices are recorded.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Callable, Iterator
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Event
 
 
 class TieBreakPolicy:
@@ -103,41 +128,6 @@ class ReplayPolicy(TieBreakPolicy):
 
 class DfsPolicy(ReplayPolicy):
     """ReplayPolicy that keeps recording after the prefix (for DFS search)."""
-
-
-class ExplorerEngine(Engine):
-    """An engine whose same-timestamp dispatch order is policy-controlled.
-
-    With :class:`FifoPolicy` it is behaviourally identical to the base
-    engine.  ``default_max_events`` (see :class:`Engine`) defaults to a
-    finite bound here, so a protocol bug that livelocks under an
-    adversarial order is reported as a
-    :class:`~repro.util.errors.SimulationError` instead of hanging the
-    fuzzer.
-    """
-
-    def __init__(self, policy: TieBreakPolicy | None = None,
-                 default_max_events: int | None = 2_000_000) -> None:
-        super().__init__(default_max_events)
-        self.policy = policy if policy is not None else FifoPolicy()
-
-    def _next_event(self) -> Event | None:
-        self._prune_cancelled_front()
-        if not self._queue:
-            return None
-        t = self._queue[0].time
-        frontier: list[Event] = []
-        while self._queue and self._queue[0].time == t:
-            ev = heapq.heappop(self._queue)
-            if not ev.cancelled:
-                frontier.append(ev)
-        # heap pops arrive in (time, seq) order, so the frontier is already
-        # sorted by seq — choice indices are therefore stable across replays
-        i = self.policy.pick(frontier)
-        chosen = frontier.pop(i)
-        for ev in frontier:
-            heapq.heappush(self._queue, ev)
-        return chosen
 
 
 def explore_dfs(

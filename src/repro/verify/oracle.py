@@ -7,8 +7,8 @@ trace, whatever protocol or legal message order serves it.  Pre-sending in
 particular (the paper's optimization) may only move data earlier, never
 alter what the processors read and write.
 
-:func:`run_workload` replays one session through a machine wrapped in an
-:class:`~repro.verify.interleave.ExplorerEngine`, with the
+:func:`run_workload` replays one session through a machine whose engine
+follows a :class:`~repro.verify.interleave.TieBreakPolicy`, with the
 :class:`~repro.verify.monitor.InvariantMonitor` attached; any protocol
 error, simulation deadlock, or invariant failure surfaces as a structured
 :class:`~repro.verify.monitor.CoherenceViolation` carrying the seed and
@@ -24,7 +24,7 @@ from repro.core.factory import make_machine
 from repro.sim.stats import RunStats
 from repro.tempest.tracefile import replay_session
 from repro.util.errors import ProtocolError, SimulationError, TransportTimeout
-from repro.verify.interleave import ExplorerEngine, FifoPolicy, TieBreakPolicy
+from repro.verify.interleave import FifoPolicy, TieBreakPolicy
 from repro.verify.monitor import CoherenceViolation, InvariantMonitor
 from repro.verify.workload import Workload, expected_observables
 
@@ -70,11 +70,11 @@ def run_workload(
     changes nothing.  ``tracer`` optionally attaches a
     :class:`repro.obs.events.Tracer` (``machine.attach_tracer``) so fault
     campaigns can export event timelines.  The engine follows the policy:
-    FIFO tie-breaking (``None`` or a plain :class:`FifoPolicy`) runs on
-    :func:`make_machine`'s default calendar-queue path, which dispatches in
-    exactly that order; any exploratory or replay policy needs its choice
-    points honoured, so it runs on an :class:`ExplorerEngine` (and with it
-    the reference processors).  ``warm`` optionally seeds corpus
+    FIFO tie-breaking (``None`` or a plain :class:`FifoPolicy`) installs
+    none — the engine's batched drain dispatches in exactly that order and
+    there are no choices to record; any exploratory or replay policy is
+    installed on the engine (:func:`make_machine`), which then consults it
+    at every choice point.  ``warm`` optionally seeds corpus
     schedule records into the protocol before the run (see
     :meth:`PredictiveProtocol.warm_seed`); ``harvest=True`` collects the
     learned schedules into ``Observables.harvest`` afterwards so the
@@ -86,8 +86,7 @@ def run_workload(
     fifo = policy is None or type(policy) is FifoPolicy
     policy = policy if policy is not None else FifoPolicy()
     machine = make_machine(workload.config, protocol,
-                           engine=None if fifo else ExplorerEngine(policy),
-                           warm=warm)
+                           policy=None if fifo else policy, warm=warm)
     machine.engine.default_max_events = max_events
     if fault_plan is not None:
         machine.install_fault_plan(fault_plan)

@@ -2,10 +2,10 @@
 to the reference.
 
 Every test replays the same workload through the reference machine
-(``tests.helpers.oracle_machine``, i.e. ``engine=Engine()``: heap engine,
-``ReplayProcessor``, dict tags) and the production machine
-(``make_machine(cfg, proto)``: calendar queue, compiled processors, packed
-tags) and requires *exact* equality of
+(``tests.helpers.oracle_machine``: the heap engine, op-at-a-time processor
+and dict tags of ``tests/oracle.py``) and the production machine
+(``make_machine(cfg, proto)``: calendar queue, compiled processors,
+byte-array tags) and requires *exact* equality of
 
 * the full checkpoint snapshot (:func:`snapshot_machine` — engine seq and
   dispatch counters, tag tables, directory state, fault/crash controller
@@ -129,8 +129,8 @@ def test_real_apps(app_name, kwargs, protocol, optimized):
 
 
 def test_oracle_fast_matches_reference():
-    """run_workload on the default calendar path observes exactly what it
-    observes on the explorer's reference path under a FIFO replay."""
+    """run_workload on the FIFO drain observes exactly what it observes
+    on the policy drain under a FIFO replay."""
     from repro.verify.interleave import ReplayPolicy
     from repro.verify.oracle import run_workload
 

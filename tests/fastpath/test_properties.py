@@ -8,14 +8,18 @@ match.  The calendar-queue engine gets the same treatment in
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cstar.dataflow import PackedBitVector
-from repro.fastpath.packed import NodeSet, PackedTagTable
+from repro.fastpath.packed import NodeSet
 from repro.tempest.tags import AccessTag, TagTable
 from repro.util.bitvec import BitVector
+
+from tests.oracle import DictTagTable
 
 WIDTH = st.integers(min_value=0, max_value=200)
 
@@ -142,19 +146,39 @@ def test_nodeset_matches_set(ops):
 def test_nodeset_operator_algebra(a, b):
     ra, rb = set(a), set(b)
     pa, pb = NodeSet(a), NodeSet(b)
-    assert sorted(pa | pb) == sorted(ra | rb)
-    assert sorted(pa & pb) == sorted(ra & rb)
-    assert sorted(pa - pb) == sorted(ra - rb)
-    # mixed forms with plain collections (the protocols do this)
-    assert sorted(pa - rb) == sorted(ra - rb)
-    assert sorted(ra - pb) == sorted(ra - rb)
+    # every operand mix — NodeSet with NodeSet (the native int-mask forms),
+    # with a plain set, and reflected (the protocols do all three) — has
+    # the builtin's value, is a NodeSet, and iterates ascending
+    for op in (operator.or_, operator.and_, operator.sub):
+        want = sorted(op(ra, rb))
+        for got in (op(pa, pb), op(pa, rb), op(ra, pb)):
+            assert type(got) is NodeSet
+            assert list(got) == want
+    for other in (pb, rb):
+        assert (pa <= other) == (ra <= rb)
+        assert pa.isdisjoint(other) == ra.isdisjoint(rb)
+    assert pa - pb is not pa and list(pa) == sorted(ra)  # operands untouched
     assert (pa == pb) == (ra == rb)
     assert pa.copy() == pa and pa.copy() is not pa
     assert all(x in pa for x in ra)
 
 
+def test_nodeset_algebra_keeps_set_semantics_off_the_mask_path():
+    """Operands the int-mask forms cannot represent exactly fall back to the
+    ``collections.abc.Set`` mixin, element by element, like builtin sets."""
+    ns = NodeSet([1, 2])
+    assert list(ns - {1.0}) == list(ns - {True}) == [2]   # equal, not int
+    assert list(ns - {-1, 1}) == list(ns - [1]) == [2]   # negatives, lists
+    assert list(ns & {True, 7}) == [1] and list(ns & (2, 9)) == [2]
+    assert ns <= {1.0, 2, 3} and not ns <= {1, -2}
+    assert ns.isdisjoint({-1, 3}) and not ns.isdisjoint([2])
+    assert list(ns | {5}) == [1, 2, 5]
+    with pytest.raises(ValueError):
+        ns | {-1}  # no NodeSet can hold it
+
+
 # --------------------------------------------------------------------------- #
-# PackedTagTable vs TagTable
+# TagTable (byte array) vs DictTagTable (the reference, tests/oracle.py)
 # --------------------------------------------------------------------------- #
 
 _BLOCK = st.integers(min_value=0, max_value=120)
@@ -175,7 +199,7 @@ _TAG = st.sampled_from(list(AccessTag))
     max_size=40,
 ))
 def test_tag_table_matches_reference(ops):
-    ref, packed = TagTable(node=0), PackedTagTable(node=0)
+    ref, packed = DictTagTable(node=0), TagTable(node=0)
     for op, a, b in ops:
         args = [x for x in (a, b) if x is not None]
         ref_out = getattr(ref, op)(*args)
@@ -190,7 +214,7 @@ def test_tag_table_matches_reference(ops):
 
 
 def test_tag_table_clear_preserves_storage_identity():
-    packed = PackedTagTable(node=1)
+    packed = TagTable(node=1)
     packed.set(7, AccessTag.READ_WRITE)
     data = packed._data
     packed.clear()

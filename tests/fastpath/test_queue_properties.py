@@ -3,10 +3,12 @@
 Hypothesis generates scripted event programs — nested schedules, same-time
 ties, cancellations (including of not-yet-dispatched same-slot events),
 ``until`` cutoffs, and ``max_events`` limits — and runs each program
-through the reference :class:`~repro.sim.engine.Engine` and the fast
+through the reference heap engine (``tests/oracle.py``) and the production
 :class:`~repro.fastpath.calqueue.FastEngine`.  The observed dispatch
 sequence ``(event id, now)``, final clock, dispatch counters, pending
-counts, and raised errors must all be identical.
+counts, and raised errors must all be identical — under FIFO order, and
+under a tie-break policy (heap explorer vs. the calendar's policy drain),
+where the policy's recorded ``choices`` and ``frontiers`` must agree too.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fastpath.calqueue import FastEngine
-from repro.sim.engine import Engine
 from repro.util.errors import SimulationError
+from repro.verify.interleave import ReplayPolicy, SeededRandomPolicy
+
+from tests.oracle import HeapEngine, HeapExplorerEngine
 
 #: a small time grid maximizes same-timestamp collisions (tie-break stress)
 TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5, 3.0])
@@ -73,8 +77,8 @@ class Script:
         return fn
 
 
-def _execute(engine_cls, program, until=None, max_events=None):
-    engine = engine_cls()
+def _execute(engine_cls, program, until=None, max_events=None, policy=None):
+    engine = engine_cls() if policy is None else engine_cls(policy=policy)
     script = Script(engine, program)
     script.start()
     error = None
@@ -82,40 +86,76 @@ def _execute(engine_cls, program, until=None, max_events=None):
         engine.run(until=until, max_events=max_events)
     except SimulationError as exc:
         error = str(exc)
-    return {
-        "log": script.log,
+    out = {
+        "log": list(script.log),
         "now": engine.now,
         "dispatched": engine.total_dispatched,
         "pending": engine.pending,
         "peek": engine.peek_time(),
         "error": error,
     }
+    if policy is not None:
+        # a cutoff leaves its undispatched remainder queued: draining it
+        # afterwards must continue the very same interleaving
+        engine.run()
+        out["drained"] = (script.log, engine.now, engine.total_dispatched,
+                          policy.choices, policy.frontiers)
+    return out
 
 
 @settings(max_examples=120, deadline=None)
 @given(program=programs())
 def test_dispatch_order_matches_reference(program):
-    assert _execute(FastEngine, program) == _execute(Engine, program)
+    assert _execute(FastEngine, program) == _execute(HeapEngine, program)
 
 
 @settings(max_examples=80, deadline=None)
 @given(program=programs(), until=st.sampled_from([0.0, 1.0, 2.0, 2.5, 10.0]))
 def test_until_cutoff_matches_reference(program, until):
     assert (_execute(FastEngine, program, until=until)
-            == _execute(Engine, program, until=until))
+            == _execute(HeapEngine, program, until=until))
 
 
 @settings(max_examples=80, deadline=None)
 @given(program=programs(), limit=st.integers(min_value=1, max_value=6))
 def test_max_events_cutoff_matches_reference(program, limit):
-    ref = _execute(Engine, program, max_events=limit)
+    ref = _execute(HeapEngine, program, max_events=limit)
     fast = _execute(FastEngine, program, max_events=limit)
     assert fast == ref
     if ref["error"] is not None:
         assert f"max_events={limit}" in ref["error"]
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, FastEngine])
+#: tie-break policies as (constructor, argument) so each engine gets its own
+#: instance; replay indices deliberately overshoot small frontiers (clamped)
+POLICIES = st.one_of(
+    st.tuples(st.just(SeededRandomPolicy), st.integers(0, 2**16)),
+    st.tuples(st.just(ReplayPolicy),
+              st.lists(st.integers(min_value=0, max_value=5), max_size=12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=programs(), policy=POLICIES,
+       until=st.sampled_from([None, None, 1.0, 2.0, 2.5]),
+       limit=st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
+def test_policy_drain_matches_heap_explorer(program, policy, until, limit):
+    """The programs' zero delays schedule at ``now`` mid-frontier and their
+    cancels hit events inside the frontier being drained; both must enter
+    (or leave) the next pick's frontier exactly as on the heap."""
+    cls, arg = policy
+    ref = _execute(HeapExplorerEngine, program, until, limit, policy=cls(arg))
+    fast = _execute(FastEngine, program, until, limit, policy=cls(arg))
+    assert fast == ref
+    if ref["error"] is not None:
+        # raised *after* the offending dispatch; ``pending``/``peek`` above
+        # and the drained log pin the remainder that stayed queued
+        assert fast["dispatched"] == limit == len(fast["log"])
+        assert (len(fast["drained"][0]) > limit) == (fast["pending"] > 0)
+
+
+@pytest.mark.parametrize("engine_cls", [
+    pytest.param(HeapEngine, id="Engine"), FastEngine])
 def test_schedule_into_past_raises(engine_cls):
     engine = engine_cls()
     engine.schedule(5.0, lambda: None)
@@ -125,7 +165,7 @@ def test_schedule_into_past_raises(engine_cls):
 
 
 def test_fastengine_counts_like_reference_on_empty_run():
-    for engine_cls in (Engine, FastEngine):
+    for engine_cls in (HeapEngine, FastEngine):
         engine = engine_cls()
         assert engine.run() == 0
         assert engine.run(until=7.0) == 0

@@ -1,33 +1,40 @@
-"""The timing path is chosen from the engine, in one place, never by a flag.
+"""The drain is chosen from the policy, in one place, never by a flag.
 
-``make_machine`` builds the compiled calendar-queue path unless it is
-handed an engine that needs the reference processors; ``run_workload``
-hands it one exactly when the tie-break policy is not plain FIFO.  A mixed
-machine (reference processors on a calendar queue, or compiled processors
-on a heap) cannot be built through the factory.
+There is one simulator.  ``make_machine`` (and a bare ``Machine``) always
+builds it; the only thing that varies is whether a tie-break policy is
+installed on its engine, and ``run_workload`` installs one exactly when
+the policy is not plain FIFO.  Under a policy the production machine must
+be the heap explorer's twin (``tests/oracle.py``): the same recorded
+``choices`` and ``frontiers``, bit-identical snapshots and statistics, the
+same dispatch count, the same exception.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.factory import PROTOCOLS, make_machine
-from repro.fastpath import FastEngine, FastReplayProcessor, PackedTagTable
-from repro.sim.engine import Engine
-from repro.tempest.machine import ReplayProcessor
+from repro.fastpath import FastEngine
+from repro.faults.plan import BUNDLED_PLANS, CRASH_PLANS
+from repro.protocols.stache import StacheProtocol
+from repro.recovery.checkpoint import snapshot_machine
+from repro.tempest.machine import Machine, ReplayProcessor
 from repro.tempest.tags import TagTable
+from repro.tempest.tracefile import replay_session
 from repro.util.config import MachineConfig
 from repro.verify.interleave import (
-    ExplorerEngine,
+    DfsPolicy,
     FifoPolicy,
     ReplayPolicy,
     SeededRandomPolicy,
 )
 from repro.verify.monitor import CoherenceViolation
 from repro.verify.oracle import run_workload
-from repro.verify.workload import generate_workload
+from repro.verify.workload import ALL_PROTOCOLS, generate_workload
 
-from tests.helpers import run_one_phase
+from tests.helpers import oracle_machine, run_one_phase
 from tests.verify.test_fuzz import DroppedAck
 
 CFG = MachineConfig(n_nodes=2, block_size=32, page_size=128)
@@ -46,31 +53,22 @@ def built(monkeypatch):
     return machines
 
 
-def _processor_types(machine) -> set[type]:
-    """The processor classes that replayed the machine's last phase."""
-    return {type(p) for p in machine._procs}
+def _assert_the_one_simulator(machine, policy=None):
+    assert type(machine.engine) is FastEngine
+    assert machine.engine.policy is policy
+    assert all(type(n.tags) is TagTable for n in machine.nodes)
+    assert {type(p) for p in machine._procs} == {ReplayProcessor}
 
 
-class TestMakeMachineSelectsByEngine:
-    @pytest.mark.parametrize("engine", [None, FastEngine()],
-                             ids=["no-engine", "fast-engine"])
-    def test_calendar_engine_gets_the_compiled_path(self, engine):
-        m = make_machine(CFG, "stache", engine=engine)
-        assert isinstance(m.engine, FastEngine)
-        assert all(type(n.tags) is PackedTagTable for n in m.nodes)
+class TestOneSimulator:
+    @pytest.mark.parametrize("build", [
+        lambda: make_machine(CFG, "stache"),
+        lambda: Machine(CFG, StacheProtocol),
+    ], ids=["make_machine", "bare-machine"])
+    def test_every_construction_lands_on_it(self, build):
+        m = build()
         run_one_phase(m, {0: [("c", 1.0)]})
-        assert _processor_types(m) == {FastReplayProcessor}
-
-    @pytest.mark.parametrize("engine_factory", [
-        Engine, lambda: ExplorerEngine(SeededRandomPolicy(1)),
-    ], ids=["heap", "explorer"])
-    def test_any_other_engine_gets_the_reference_path(self, engine_factory):
-        engine = engine_factory()
-        m = make_machine(CFG, "stache", engine=engine)
-        assert m.engine is engine
-        assert all(type(n.tags) is TagTable for n in m.nodes)
-        run_one_phase(m, {0: [("c", 1.0)]})
-        assert _processor_types(m) == {ReplayProcessor}
+        _assert_the_one_simulator(m)
 
 
 class TestRunWorkloadFollowsThePolicy:
@@ -79,21 +77,20 @@ class TestRunWorkloadFollowsThePolicy:
     def test_fifo_runs_on_the_calendar_path(self, built, policy):
         run_workload(generate_workload(0), "stache", policy, max_events=123_456)
         (machine,) = built
-        assert type(machine.engine) is FastEngine
         assert machine.engine.default_max_events == 123_456
-        assert _processor_types(machine) == {FastReplayProcessor}
+        _assert_the_one_simulator(machine)  # no policy installed: FIFO drain
 
     @pytest.mark.parametrize("policy_factory", [
         lambda: SeededRandomPolicy(7), lambda: ReplayPolicy([1, 0]),
     ], ids=["seeded-random", "replay"])
-    def test_any_other_policy_runs_on_the_explorer(self, built, policy_factory):
+    def test_any_other_policy_runs_on_the_exploring_drain(self, built,
+                                                          policy_factory):
         policy = policy_factory()
         run_workload(generate_workload(0), "stache", policy, max_events=123_456)
         (machine,) = built
-        assert type(machine.engine) is ExplorerEngine
-        assert machine.engine.policy is policy
         assert machine.engine.default_max_events == 123_456
-        assert _processor_types(machine) == {ReplayProcessor}
+        _assert_the_one_simulator(machine, policy)
+        assert policy.choices  # the engine consulted it
 
     def test_fifo_violation_carries_an_empty_replayable_schedule(
             self, monkeypatch):
@@ -113,3 +110,66 @@ class TestRunWorkloadFollowsThePolicy:
             run_workload(workload, "stache", ReplayPolicy(violation.schedule))
         for field in ("invariant", "detail", "phase", "seed"):
             assert getattr(replayed.value, field) == getattr(violation, field)
+
+
+# -- production vs the heap explorer, choice for choice -------------------------
+
+#: one policy of each kind per workload seed; replay indices deliberately
+#: overshoot most frontiers (they clamp), the DFS prefix keeps recording
+POLICIES = {
+    "seeded-random": lambda seed: SeededRandomPolicy(1000 + seed),
+    "replay": lambda seed: ReplayPolicy(
+        [random.Random(seed).randrange(6) for _ in range(40)]),
+    "dfs": lambda seed: DfsPolicy([1, 0, 2, 1]),
+}
+PLANS = {None: None, "chaos": BUNDLED_PLANS["chaos"],
+         "crash-storm": CRASH_PLANS["crash-storm"]}
+
+
+def _outcome(build, workload, protocol, plan, policy):
+    machine = build(workload.config, protocol, policy=policy)
+    machine.engine.default_max_events = 500_000
+    if plan is not None:
+        machine.install_fault_plan(plan)
+    stats = snap = error = None
+    try:
+        stats = replay_session(workload.session, machine).to_dict()
+        snap = snapshot_machine(machine)
+    except Exception as exc:  # the two machines must fail identically
+        error = (type(exc), str(exc))
+    return {"choices": policy.choices, "frontiers": policy.frontiers,
+            "stats": stats, "snapshot": snap, "error": error,
+            "dispatched": machine.engine.total_dispatched}
+
+
+def _assert_twins(workload, protocol, plan, make_policy):
+    ref = _outcome(oracle_machine, workload, protocol, plan, make_policy())
+    got = _outcome(make_machine, workload, protocol, plan, make_policy())
+    assert got == ref
+    return ref
+
+
+class TestPolicyDrainMatchesHeapExplorer:
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    @pytest.mark.parametrize("plan", PLANS, ids=str)
+    def test_fuzz_workloads_agree(self, plan, protocol):
+        choice_points = 0
+        for seed in range(16):
+            workload = generate_workload(seed)
+            if protocol not in workload.protocols:
+                continue
+            for make_policy in POLICIES.values():
+                ref = _assert_twins(workload, protocol, PLANS[plan],
+                                    lambda: make_policy(seed))
+                choice_points += len(ref["choices"])
+        assert choice_points > 100  # the comparison was not vacuous
+
+    @pytest.mark.parametrize("kind", POLICIES)
+    def test_a_broken_protocol_fails_identically(self, monkeypatch, kind):
+        monkeypatch.setitem(PROTOCOLS, "stache", DroppedAck)
+        errors = 0
+        for seed in range(4):
+            ref = _assert_twins(generate_workload(seed), "stache", None,
+                                lambda: POLICIES[kind](seed))
+            errors += ref["error"] is not None
+        assert errors  # the deadlock was reached, on both, with one message

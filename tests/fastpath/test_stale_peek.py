@@ -1,14 +1,15 @@
 """Regression: cancelled events must never leave a stale frontier.
 
-``Event.cancel`` only flags the event; it stays queued.  Before the fix in
-:meth:`Engine._prune_cancelled_front`, ``peek_time`` could report the time
-of a cancelled head event — a time no live event would ever dispatch at —
+``Event.cancel`` only flags the event; it stays queued.  Before the fix
+(``HeapEngine._prune_cancelled_front``, ``FastEngine._peek_future``),
+``peek_time`` could report the time of a cancelled head event — a time no live event would ever dispatch at —
 and the replay processors' conservative horizon rule would then yield at a
 phantom horizon, splitting one dispatch into two and changing the engine's
 sequence allocation.  ``pending`` similarly counted cancelled garbage, so
 the quiescence check at phase barriers could see a "non-empty" queue that
-would never drain.  Both engines carry the contract now; both are pinned
-here.
+would never drain.  The contract is stated on
+:class:`repro.sim.engine.Engine`; the production queue and the heap oracle
+are both pinned to it here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.fastpath.calqueue import FastEngine
-from repro.sim.engine import Engine
 
-ENGINES = [Engine, FastEngine]
+from tests.oracle import HeapEngine
+
+ENGINES = [pytest.param(HeapEngine, id="Engine"), FastEngine]
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from repro.core import make_machine
-from repro.sim.engine import Engine
+from repro.core.factory import PROTOCOLS
 from repro.tempest.machine import Machine, PhaseTrace
 from repro.tempest.tags import AccessTag
 from repro.util import MachineConfig
 
+from tests.oracle import OracleMachine
+
 
 def oracle_machine(config: MachineConfig, protocol: str = "stache",
-                   **kwargs) -> Machine:
-    """``make_machine`` on the reference timing path (heap engine,
-    ``ReplayProcessor``, dict tags) — the oracle the production calendar
-    path is differentially tested against."""
-    return make_machine(config, protocol, engine=Engine(), **kwargs)
+                   policy=None) -> Machine:
+    """``make_machine``'s twin on the reference simulator (heap engine,
+    op-at-a-time processor, dict tags; ``tests/oracle.py``) — the oracle
+    the production path is differentially tested against."""
+    return OracleMachine(config, PROTOCOLS[protocol], policy=policy)
 
 
 def small_machine(

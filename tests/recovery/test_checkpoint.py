@@ -13,19 +13,20 @@ import pytest
 
 from repro.core import make_machine
 from repro.faults import CRASH_PLANS, FaultPlan
-from repro.fastpath import FastEngine
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
+    restore_into,
     restore_machine,
     save_checkpoint,
     snapshot_machine,
 )
-from repro.sim.engine import Engine
 from repro.tempest.tracefile import replay_session
 from repro.util import SimulationError
-from repro.verify.interleave import ExplorerEngine
+from repro.verify.interleave import FifoPolicy
 from repro.verify.workload import generate_workload
+
+from tests.helpers import oracle_machine
 
 CHAOS = FaultPlan(name="chaos-lite", drop_rate=0.02, dup_rate=0.03,
                   delay_rate=0.05, delay_cycles=200.0, seed=11)
@@ -41,17 +42,22 @@ def _run_full(workload, protocol, plan=None):
     return snapshot_machine(machine)
 
 
+def _policy_machine(config, protocol):
+    """Production machine on the policy drain (FIFO picks: same order)."""
+    return make_machine(config, protocol, policy=FifoPolicy())
+
+
 def _run_interrupted(workload, protocol, plan=None, cut=None,
-                     engines=(None, None)):
+                     builders=(make_machine, None)):
     """Run to ``cut`` events, checkpoint, restore, replay the rest.
 
-    ``engines`` is the (before, after) pair of engines handed to
-    ``make_machine`` / ``restore_machine`` — i.e. which timing path takes
-    the snapshot and which one resumes it.
+    ``builders`` is the (before, after) pair of ``build(config, protocol)``
+    callables — i.e. which simulator takes the snapshot and which one
+    resumes it (``None``: whatever ``restore_machine`` builds).
     """
     events, regions = workload.session
     cut = cut if cut is not None else len(events) // 2
-    machine = make_machine(workload.config, protocol, engine=engines[0])
+    machine = builders[0](workload.config, protocol)
     if plan is not None:
         machine.install_fault_plan(plan)
     # a cut can land mid-recovery (e.g. a restart still pending); step
@@ -67,7 +73,10 @@ def _run_interrupted(workload, protocol, plan=None, cut=None,
             replay_session(([events[cut]], regions), machine,
                            regions=[], finish=False)
             cut += 1
-    resumed = restore_machine(snap, engine=engines[1])
+    if builders[1] is None:
+        resumed = restore_machine(snap)
+    else:
+        resumed = restore_into(builders[1](workload.config, protocol), snap)
     replay_session((events[cut:], regions), resumed,
                    regions=[], finish=False)
     return snap, snapshot_machine(resumed)
@@ -113,20 +122,31 @@ class TestInterruptedReplay:
             assert resumed == _run_full(w, proto, plan=plan)
 
     @pytest.mark.parametrize("before,after", [
-        (Engine, None), (None, ExplorerEngine), (ExplorerEngine, FastEngine),
+        (oracle_machine, None),
+        (make_machine, _policy_machine),
+        (_policy_machine, make_machine),
     ], ids=["heap-to-calendar", "calendar-to-explorer",
             "explorer-to-calendar"])
     @pytest.mark.parametrize("plan", [None, CHAOS, CRASH],
                              ids=["fault-free", "chaos-lite", "crash"])
     def test_resume_crosses_timing_paths(self, plan, before, after):
         """Checkpoints are representation-independent: a snapshot taken on
-        either path resumes bit-identically on the other."""
+        the reference simulator resumes bit-identically in production, and
+        one taken on either drain resumes bit-identically on the other."""
         w = generate_workload(0)
         for proto in w.protocols:
-            engines = (before and before(), after and after())
             _, resumed = _run_interrupted(w, proto, plan=plan,
-                                          engines=engines)
+                                          builders=(before, after))
             assert resumed == _run_full(w, proto, plan=plan)
+
+    def test_production_snapshot_resumes_on_the_oracle(self):
+        """``restore_into`` loads a snapshot onto a machine the caller
+        built — here the reference simulator, under a crash plan."""
+        w = generate_workload(0)
+        for proto in w.protocols:
+            _, resumed = _run_interrupted(
+                w, proto, plan=CRASH, builders=(make_machine, oracle_machine))
+            assert resumed == _run_full(w, proto, plan=CRASH)
 
     def test_resume_from_disk(self, tmp_path):
         w = generate_workload(0)

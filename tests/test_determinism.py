@@ -19,11 +19,7 @@ from repro.core import make_machine
 from repro.cstar import compile_source
 from repro.tempest.tracefile import record_regions, save_session
 from repro.util import MachineConfig
-from repro.verify import (
-    ExplorerEngine,
-    InvariantMonitor,
-    SeededRandomPolicy,
-)
+from repro.verify import InvariantMonitor, SeededRandomPolicy
 
 # a scaled-down version of the quickstart Jacobi stencil (same shape:
 # unstructured neighbor reads bracketed by compiler directives)
@@ -57,10 +53,10 @@ main() {
 CONFIG = MachineConfig(n_nodes=4, page_size=512)
 
 
-def run_quickstart(protocol: str = "predictive", engine=None):
+def run_quickstart(protocol: str = "predictive"):
     """One full pipeline run; returns (stats, recorded session, regions)."""
     program = compile_source(QUICKSTART_SOURCE)
-    machine = make_machine(CONFIG, protocol, engine=engine)
+    machine = make_machine(CONFIG, protocol)
     machine.recorder = session = []
     env = program.run(machine, optimized=True)
     stats = env.finish()
@@ -109,9 +105,8 @@ def test_different_tiebreak_orders_keep_invariants_clean():
     shift, but the invariant monitor must never fire."""
     for seed in (11, 97):
         policy = SeededRandomPolicy(seed)
-        engine = ExplorerEngine(policy)
         program = compile_source(QUICKSTART_SOURCE)
-        machine = make_machine(CONFIG, "predictive", engine=engine)
+        machine = make_machine(CONFIG, "predictive", policy=policy)
         monitor = InvariantMonitor(seed=seed, policy=policy).attach(machine)
         env = program.run(machine, optimized=True)
         env.finish()
@@ -124,9 +119,8 @@ def test_seeded_orders_are_reproducible():
     records = []
     for _ in range(2):
         policy = SeededRandomPolicy(1234)
-        engine = ExplorerEngine(policy)
         program = compile_source(QUICKSTART_SOURCE)
-        machine = make_machine(CONFIG, "stache", engine=engine)
+        machine = make_machine(CONFIG, "stache", policy=policy)
         env = program.run(machine, optimized=False)
         stats = env.finish()
         records.append((list(policy.choices), stats_fingerprint(stats)))

@@ -1,5 +1,8 @@
 """Tests for the ``repro verify`` CLI subcommand."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import main
@@ -74,3 +77,44 @@ class TestVerifyCommand:
         assert rc == 1
         assert "VIOLATION" in out
         assert "--replay" in out
+
+
+class TestReproducersPinnedByBytes:
+    """Every recorded schedule is an index sequence into choice points (see
+    ``repro.verify.interleave``); these digests were captured on the heap
+    explorer, at the commit before the calendar queue took over exploration
+    (``9da8bae``), and must never move."""
+
+    def test_fuzz_report_document(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--seeds", "60", "--dfs", "12", "--dfs-seeds",
+                   "2", "--no-traces", "--report-out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b05109e1f947eb6681bebfd7b7784859aeff046f6cba574d3a64fb60bfcd36f9")
+        dfs = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("dfs [")]
+        assert dfs == [
+            f"dfs [{protocol}] seed {seed}: 12 interleaving(s) explored — ok"
+            for protocol, seed in [("stache", 0), ("stache", 1),
+                                   ("write-update", 0),
+                                   ("predictive", 0), ("predictive", 1)]]
+
+    def test_dfs_schedules_and_their_statistics(self):
+        from repro.verify import (ALL_PROTOCOLS, explore_dfs,
+                                  generate_workload, run_workload)
+
+        digest = hashlib.sha256()
+        for protocol in ALL_PROTOCOLS:
+            for seed in range(2):
+                workload = generate_workload(seed)
+                if protocol not in workload.protocols:
+                    continue
+                for choices, obs in explore_dfs(
+                        lambda p: run_workload(workload, protocol, p),
+                        max_runs=12, max_depth=10):
+                    digest.update(json.dumps(
+                        [protocol, seed, choices, obs.stats.to_dict()],
+                        sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "52da784b88f80d738edf42abb59209015902392dcc5e20aec0dff14d7051f08a")
