@@ -121,10 +121,13 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
               corpus=None) -> list[VersionResult]:
     """Run a list of specs, optionally sharded across a farm worker pool.
 
-    Results come back in spec order regardless of scheduling, and each
-    version's simulation is seeded entirely by its spec, so the list is
-    identical to the sequential one (``RunStats`` round-trips losslessly
-    through :meth:`~repro.sim.stats.RunStats.to_dict`).  ``corpus``
+    Every spec runs as a ``bench-version`` job through
+    :func:`repro.farm.run_jobs` and is folded from its payload at every
+    ``jobs`` value.  Results come back in spec order regardless of
+    scheduling, and each version's simulation is seeded entirely by its
+    spec, so the list is identical to the sequential one (``RunStats``
+    round-trips losslessly through
+    :meth:`~repro.sim.stats.RunStats.to_dict`).  ``corpus``
     warm-starts every schedule-learning spec from the durable corpus and
     harvests what each run learned back into it; lookups and stores both
     happen here (coordinator-side), so farm workers stay stateless.
@@ -143,24 +146,18 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
             entry = corpus.lookup(keys[i], spec.config.n_nodes)
             if entry is not None:
                 params_list[i]["warm"] = entry["records"]
-    if jobs > 1 and len(specs) > 1:
-        from repro.farm import FarmJob, run_farm
+    from repro.farm import FarmJob, run_jobs
 
-        farm = run_farm(
-            [FarmJob(index=i, kind="bench-version", params=params)
-             for i, params in enumerate(params_list)],
-            n_workers=jobs, tracer=tracer, progress=progress,
-        )
-        results = [
-            VersionResult(spec=spec,
-                          stats=RunStats.from_dict(farm.results[i]["stats"]),
-                          harvest=list(farm.results[i].get("harvest") or []))
-            for i, spec in enumerate(specs)
-        ]
-    else:
-        results = [run_version(spec, warm=params.get("warm"),
-                               harvest=bool(params.get("harvest")))
-                   for spec, params in zip(specs, params_list)]
+    payloads = run_jobs(
+        [FarmJob(index=i, kind="bench-version", params=params)
+         for i, params in enumerate(params_list)],
+        jobs, tracer=tracer, progress=progress,
+    )
+    results = [
+        VersionResult(spec=spec, stats=RunStats.from_dict(payload["stats"]),
+                      harvest=list(payload.get("harvest") or []))
+        for spec, payload in zip(specs, payloads)
+    ]
     if corpus is not None:
         for spec, key, result in zip(specs, keys, results):
             if key is not None and result.harvest:

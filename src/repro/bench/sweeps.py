@@ -31,16 +31,11 @@ import numpy as np
 from repro.apps import adaptive, water
 from repro.core import make_machine
 from repro.sim.stats import TimeCategory
-from repro.util.config import MachineConfig
+from repro.util.config import SWEEP_AXES, MachineConfig
 from repro.util.errors import ConfigError
 from repro.util.tables import format_table
 
 SWEEP_SCHEMA = "repro.sweep/v1"
-
-#: recognized grid axes, in canonical (document and CLI) order; "protocol"
-#: selects the coherence protocol, the rest are MachineConfig fields
-SWEEP_AXES = ("protocol", "n_nodes", "block_size", "msg_latency",
-              "per_byte_cost", "fault_cost", "handler_cost")
 
 #: per-point metrics every backend must fill, in column order
 GRID_COLUMNS = ("wall_time", "compute", "remote_wait", "predictive",

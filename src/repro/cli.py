@@ -1,78 +1,29 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-
-``compile FILE.cstar``
-    Compile a C** source file and print the access summaries, the
-    reaching-unstructured-accesses results, and the placed directives.
-
-``run FILE.cstar [--protocol P] [--nodes N] [--block-size B] [--unoptimized]``
-    Compile and execute on a simulated machine; print the paper-style time
-    breakdown (optionally ``--trace-stats``).
-
-``figure {table1,fig5,fig6,fig7}``
-    Regenerate a table/figure of the paper.
-
-``ablation {coalescing,incremental,flush,blocks}``
-    Run one of the design-choice ablations.
-
-``model [APP] [--validate | --calibrate | --suite]``
-    The analytical performance model (``repro.model``): predict a run's
-    statistics in closed form — no event loop — from the compiler's access
-    summaries, the machine parameters, and the protocol.  ``--validate``
-    simulates the same configuration and prints both side by side;
-    ``--calibrate`` fits the per-protocol residual coefficients from short
-    reference sims; ``--suite`` cross-validates model vs. simulator over
-    the full Figure-5/6/7 matrix and gates the committed error budgets
-    (``--quick`` for the CI subset, ``--write``/``--check`` for the
-    ``benchmarks/MODEL_validation.json`` artifact).
-
-``sweep APP --axis name=v1,v2,... [--model] [--out FILE]``
-    Cartesian machine-parameter grids.  The default backend simulates
-    every point; ``--model`` predicts each point analytically —
-    milliseconds for grids that take the simulator minutes, since
-    cost-axis points reuse one cached walk.  Both backends emit identical
-    document shapes, so exported grids (atomic ``.json``/``.csv``) are
-    diffable point by point.
-
-``audit``
-    Statically audit the shipped protocols' transition tables.
-
-``verify [--seeds N] [--replay SEED] [--dfs N]``
-    Dynamically verify the shipped protocols: fuzz seeded workloads under
-    adversarial message interleavings with the coherence-invariant monitor
-    and the differential oracle attached; optionally model-check a few
-    workloads exhaustively (bounded DFS).  Violations print a minimized,
-    seed-replayable counterexample.
-
-``faults [--plans P,Q] [--crash] [--seeds N] [--variants N] [--list-plans]``
-    Run the fault-injection campaign: every bundled fault plan (message
-    drops, duplicates, delays, handler stalls, schedule staleness and
-    corruption) against generated workloads and the bundled traces, under
-    the invariant monitor and differential oracle.  ``--crash`` selects the
-    crash-stop plans instead (node failures with detection, coherence-state
-    recovery, and restart).  A failing stochastic run is replayed through a
-    scripted plan and shrunk to a minimal fault reproducer;
-    ``--dump-scripts DIR`` archives each reproducer as replayable JSON.
-    Also checks the deliberately unrecoverable plan fails fast with
-    structured context.
-
-``corpus doctor DIR [--compact] [--scrub]``
-    Inspect (and optionally compact/scrub) a durable schedule corpus.
-    Opening a corpus is itself the repair: torn tails are truncated and
-    damaged records quarantined, so the doctor reports what a run would
-    see.  ``run``, ``verify``, ``faults``, ``figure``, and ``reproduce``
-    all accept ``--corpus DIR`` to warm-start from (and, where learning is
-    fault-free, harvest into) the same store.
+``repro --help`` lists the verbs; ``repro <verb> --help`` documents one
+verb's options.  Options several verbs share — machine shape, farm
+execution, campaign workload, corpus, outputs — are declared once, in the
+``_add_*_options`` groups below, and each verb opts into the groups it
+needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from repro.util.errors import ReproError
+from repro.util.config import SWEEP_AXES, MachineConfig
+from repro.util.errors import ConfigError, ReproError
+
+#: every protocol a ``--protocol`` / ``--protocols`` flag accepts
+PROTOCOLS = ("stache", "predictive", "write-update")
+
+#: the benchmark apps ``model`` / ``sweep`` run (Figure-5/6/7 workloads)
+_MODEL_APPS = ("adaptive", "barnes", "water")
+
+#: the machine ``run`` / ``trace`` / ``profile`` simulate unless told otherwise
+_RUN_BASE = MachineConfig(n_nodes=8, block_size=32, page_size=512)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -110,12 +61,10 @@ def _simulate_file(args: argparse.Namespace, tracer=None, corpus=None):
     """
     from repro.core import make_machine
     from repro.cstar import compile_source
-    from repro.util.config import MachineConfig
 
     source = open(args.file).read()
     program = compile_source(source)
-    cfg = MachineConfig(n_nodes=args.nodes, block_size=args.block_size,
-                        page_size=max(args.page_size, args.block_size))
+    cfg = _machine_config(args, _RUN_BASE)
     warm = None
     key = None
     if corpus is not None:
@@ -142,6 +91,24 @@ def _simulate_file(args: argparse.Namespace, tracer=None, corpus=None):
                                    "n_nodes": cfg.n_nodes,
                                    "records": records})
     return stats, cfg
+
+
+def _machine_config(args: argparse.Namespace,
+                    base: MachineConfig) -> MachineConfig:
+    """``base`` with the machine-shape flags the command line set; a page
+    smaller than the block grows to the block."""
+    given = {"n_nodes": args.nodes, "block_size": args.block_size,
+             "page_size": args.page_size}
+    cfg = {name: v for name, v in given.items() if v is not None}
+    block = cfg.get("block_size", base.block_size)
+    cfg["page_size"] = max(cfg.get("page_size", base.page_size), block)
+    return base.with_(**cfg)
+
+
+def _shape_line(args: argparse.Namespace, cfg: MachineConfig) -> str:
+    """The ``protocol=… nodes=… block=… optimized=…`` run header."""
+    return (f"protocol={args.protocol} nodes={cfg.n_nodes} "
+            f"block={cfg.block_size}B optimized={not args.unoptimized}")
 
 
 def _run_meta(args: argparse.Namespace) -> dict:
@@ -202,46 +169,45 @@ def _open_corpus(args):
     return corpus
 
 
-def _farm_tracer(args):
-    """An EventTrace for farm lifecycle events when ``--farm-events`` asks."""
-    if getattr(args, "farm_events", None):
-        from repro.obs import EventTrace
-
-        return EventTrace()
-    return None
+def _write_report(args: argparse.Namespace, report) -> None:
+    """Write a campaign report as canonical JSON when ``--report-out`` asks."""
+    if args.report_out:
+        _write_json(args.report_out, report.to_dict())
+        print(f"report written to {args.report_out}")
 
 
-def _write_farm_events(args, tracer) -> None:
-    if tracer is None:
-        return
-    from repro.obs import write_jsonl
+@contextlib.contextmanager
+def _farm(args: argparse.Namespace):
+    """The farm keywords (``jobs``, ``tracer``, ``farm_transport``) a
+    campaign verb passes, built from the farm option group.
 
-    n = write_jsonl(args.farm_events, tracer.events)
-    print(f"farm events: {n} event(s) -> {args.farm_events}")
-
-
-def _build_farm_transport(args, tracer):
-    """The multi-host socket transport when ``--hosts N`` asks (else None).
-
-    Binds immediately and prints the listen address; worker agents attach
-    with ``repro farm-worker --connect HOST:PORT``.  ``--chaos-seed``
-    wraps the transport in seeded drop/dup/delay/disconnect injection —
-    reports must stay byte-identical regardless.
+    ``--farm-events`` records lifecycle events, written as JSON lines when
+    the block ends.  ``--hosts N`` binds the multi-host socket transport
+    immediately and prints the listen address; worker agents attach with
+    ``repro farm-worker --connect HOST:PORT``.  ``--chaos-seed`` wraps it
+    in seeded drop/dup/delay/disconnect injection — reports must stay
+    byte-identical regardless.
     """
-    if not getattr(args, "hosts", None):
-        return None
-    from repro.farm import ChaosTransport, SocketTransport
+    from repro.obs import EventTrace, write_jsonl
 
-    transport = SocketTransport(args.hosts, bind=args.bind, port=args.port,
-                                tracer=tracer)
-    print(f"farm: listening on {transport.host}:{transport.port}, waiting "
-          f"for {args.hosts} worker agent(s) "
-          f"(repro farm-worker --connect {transport.host}:{transport.port})")
-    if args.chaos_seed is not None:
-        transport = ChaosTransport(transport, seed=args.chaos_seed,
-                                   tracer=tracer)
-        print(f"farm: chaos injection armed (seed {args.chaos_seed})")
-    return transport
+    tracer = EventTrace() if args.farm_events else None
+    transport = None
+    if args.hosts:
+        from repro.farm import ChaosTransport, SocketTransport
+
+        transport = SocketTransport(args.hosts, bind=args.bind,
+                                    port=args.port, tracer=tracer)
+        address = f"{transport.host}:{transport.port}"
+        print(f"farm: listening on {address}, waiting for {args.hosts} "
+              f"worker agent(s) (repro farm-worker --connect {address})")
+        if args.chaos_seed is not None:
+            transport = ChaosTransport(transport, seed=args.chaos_seed,
+                                       tracer=tracer)
+            print(f"farm: chaos injection armed (seed {args.chaos_seed})")
+    yield dict(jobs=args.jobs, tracer=tracer, farm_transport=transport)
+    if tracer is not None:
+        n = write_jsonl(args.farm_events, tracer.events)
+        print(f"farm events: {n} event(s) -> {args.farm_events}")
 
 
 def _cmd_farm_worker(args: argparse.Namespace) -> int:
@@ -292,8 +258,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             _write_json(args.json, doc)
     if args.json != "-":
-        print(f"protocol={args.protocol} nodes={args.nodes} "
-              f"block={args.block_size}B optimized={not args.unoptimized}")
+        print(_shape_line(args, cfg))
         from repro.util.tables import format_table
 
         print(format_table(["metric", "value"], stats.summary_rows(),
@@ -318,9 +283,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     tracer = EventTrace()
     stats, cfg = _simulate_file(args, tracer)
-    print(f"protocol={args.protocol} nodes={args.nodes} "
-          f"block={args.block_size}B optimized={not args.unoptimized} "
-          f"wall={stats.wall_time:g} cycles")
+    print(f"{_shape_line(args, cfg)} wall={stats.wall_time:g} cycles")
     rows = [[kind, float(n)] for kind, n in sorted(tracer.counts().items())]
     print(format_table(["event kind", "count"], rows, floatfmt=".0f"))
     if args.jsonl:
@@ -337,9 +300,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tracer = EventTrace()
     stats, cfg = _simulate_file(args, tracer)
     report = profile_run(stats, tracer)
-    print(f"protocol={args.protocol} nodes={args.nodes} "
-          f"block={args.block_size}B optimized={not args.unoptimized} "
-          f"wall={stats.wall_time:g} cycles")
+    print(f"{_shape_line(args, cfg)} wall={stats.wall_time:g} cycles")
     print()
     print(report.render())
     print()
@@ -482,9 +443,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-_MODEL_APPS = ("adaptive", "barnes", "water")
-
-
 def _resolve_app(name: str):
     """A benchmark app by name, with its Figure-5/6/7 workload defaults."""
     from repro.apps import adaptive, barnes, water
@@ -496,18 +454,6 @@ def _resolve_app(name: str):
         "water": (water, figures.WATER_KW, figures.WATER_CFG),
     }[name]
     return module, dict(kwargs), cfg
-
-
-def _model_config(args, base_cfg):
-    """The figure baseline config with any explicit CLI overrides."""
-    cfg = base_cfg
-    if args.nodes is not None:
-        cfg = cfg.with_(n_nodes=args.nodes)
-    if args.block_size is not None:
-        cfg = cfg.with_(block_size=args.block_size)
-    if args.page_size is not None:
-        cfg = cfg.with_(page_size=args.page_size)
-    return cfg
 
 
 def _load_model_calibration(args):
@@ -585,13 +531,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     app, kwargs, base_cfg = _resolve_app(args.app)
-    cfg = _model_config(args, base_cfg)
+    cfg = _machine_config(args, base_cfg)
     optimized = not args.unoptimized
     pred = predict(app, kwargs, protocol=args.protocol, optimized=optimized,
                    config=cfg, variant=args.variant, calibration=cal)
-    print(f"model: {args.app} [{args.variant}] protocol={args.protocol} "
-          f"nodes={cfg.n_nodes} block={cfg.block_size}B "
-          f"optimized={optimized}")
+    print(f"model: {args.app} [{args.variant}] {_shape_line(args, cfg)}")
     print(f"calibration: {cal_src}")
     if args.validate:
         from repro.bench.harness import VersionSpec, run_version
@@ -625,10 +569,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _parse_axes(args) -> dict:
-    """``--axis name=v1,v2,...`` flags into a sweep axes dict."""
-    from repro.bench.sweeps import SWEEP_AXES
-    from repro.util.errors import ConfigError
+    """``--axis name=v1,v2,...`` flags into a sweep axes dict.
 
+    A value parses as the type of its :class:`MachineConfig` field's
+    default (``protocol`` values stay strings).
+    """
     axes: dict[str, list] = {}
     for spec in args.axis or []:
         name, _, values = spec.partition("=")
@@ -639,12 +584,15 @@ def _parse_axes(args) -> dict:
             raise ConfigError(
                 f"unknown sweep axis {name!r}; expected one of "
                 f"{', '.join(SWEEP_AXES)}")
-        if name == "protocol":
-            axes[name] = values.split(",")
-        elif name == "per_byte_cost":
-            axes[name] = [float(v) for v in values.split(",")]
-        else:
-            axes[name] = [int(v) for v in values.split(",")]
+        kind = str if name == "protocol" else type(getattr(_RUN_BASE, name))
+        axes[name] = []
+        for value in values.split(","):
+            try:
+                axes[name].append(kind(value))
+            except ValueError:
+                raise ConfigError(
+                    f"bad value {value!r} for sweep axis {name!r} "
+                    f"(expected {kind.__name__})") from None
     return axes
 
 
@@ -657,13 +605,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{', '.join(_MODEL_APPS)})", file=sys.stderr)
         return 2
     app, kwargs, base_cfg = _resolve_app(args.app)
-    cfg = _model_config(args, base_cfg)
+    cfg = _machine_config(args, base_cfg)
     axes = _parse_axes(args)
     if not axes:
-        print("error: no sweep axes; pass at least one "
-              "--axis name=v1,v2,... "
-              "(axes: protocol, n_nodes, block_size, msg_latency, "
-              "per_byte_cost, fault_cost, handler_cost)", file=sys.stderr)
+        print("error: no sweep axes; pass at least one --axis "
+              f"name=v1,v2,... (axes: {', '.join(SWEEP_AXES)})",
+              file=sys.stderr)
         return 2
     backend = "model" if args.model else "sim"
     calibration = None
@@ -728,13 +675,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         verify_trace_file,
     )
 
-    protocols = args.protocols.split(",") if args.protocols else list(ALL_PROTOCOLS)
-    unknown = set(protocols) - set(ALL_PROTOCOLS)
-    if unknown:
-        print(f"error: unknown protocol(s) {sorted(unknown)}; "
-              f"available: {list(ALL_PROTOCOLS)}", file=sys.stderr)
-        return 2
-
+    protocols = args.protocols or list(ALL_PROTOCOLS)
     traces_dir = pathlib.Path(args.traces)
     if args.regen_traces:
         from repro.tempest.tracefile import save_session
@@ -755,18 +696,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(report.summary())
         failed = not report.ok
     else:
-        tracer = _farm_tracer(args)
-        report = fuzz(seeds=args.seeds, protocols=protocols,
-                      shrink=not args.no_shrink, progress=print,
-                      jobs=args.jobs, tracer=tracer,
-                      farm_transport=_build_farm_transport(args, tracer),
-                      corpus=_open_corpus(args))
-        print(report.summary())
-        failed = not report.ok
-        if args.report_out:
-            _write_json(args.report_out, report.to_dict())
-            print(f"report written to {args.report_out}")
-        _write_farm_events(args, tracer)
+        with _farm(args) as farm:
+            report = fuzz(seeds=args.seeds, protocols=protocols,
+                          shrink=not args.no_shrink, progress=print,
+                          corpus=_open_corpus(args), **farm)
+            print(report.summary())
+            failed = not report.ok
+            _write_report(args, report)
 
     if args.dfs:
         print()
@@ -799,7 +735,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import BUNDLED_PLANS, CRASH_PLANS, run_campaign
-    from repro.verify import ALL_PROTOCOLS
 
     registry = {**BUNDLED_PLANS, **CRASH_PLANS}
     if args.list_plans:
@@ -819,35 +754,22 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         plans = {**(plans or {}),
                  **{name: registry[name] for name in args.plans.split(",")}}
 
-    protocols = None
-    if args.protocols:
-        protocols = args.protocols.split(",")
-        unknown = set(protocols) - set(ALL_PROTOCOLS)
-        if unknown:
-            print(f"error: unknown protocol(s) {sorted(unknown)}; "
-                  f"available: {list(ALL_PROTOCOLS)}", file=sys.stderr)
-            return 2
-
-    tracer = _farm_tracer(args)
-    report = run_campaign(
-        plans=plans,
-        seeds=args.seeds,
-        protocols=protocols,
-        variants=args.variants,
-        traces_dir=None if args.no_traces else args.traces,
-        shrink=not args.no_shrink,
-        progress=print,
-        dump_scripts=args.dump_scripts,
-        jobs=args.jobs,
-        tracer=tracer,
-        farm_transport=_build_farm_transport(args, tracer),
-        corpus=_open_corpus(args),
-    )
-    print(report.summary())
-    if args.report_out:
-        _write_json(args.report_out, report.to_dict())
-        print(f"report written to {args.report_out}")
-    _write_farm_events(args, tracer)
+    protocols = args.protocols or None
+    with _farm(args) as farm:
+        report = run_campaign(
+            plans=plans,
+            seeds=args.seeds,
+            protocols=protocols,
+            variants=args.variants,
+            traces_dir=None if args.no_traces else args.traces,
+            shrink=not args.no_shrink,
+            progress=print,
+            dump_scripts=args.dump_scripts,
+            corpus=_open_corpus(args),
+            **farm,
+        )
+        print(report.summary())
+        _write_report(args, report)
 
     if args.trace or args.metrics_out:
         # One representative traced run: the first selected plan against the
@@ -875,6 +797,129 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _protocol_list(text: str) -> list[str]:
+    """``--protocols`` value: a comma-separated subset of :data:`PROTOCOLS`."""
+    protocols = text.split(",") if text else []
+    unknown = set(protocols) - set(PROTOCOLS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown protocol(s) {sorted(unknown)}; "
+            f"available: {list(PROTOCOLS)}")
+    return protocols
+
+
+def _add_machine_options(p: argparse.ArgumentParser, *, protocol: str,
+                         base: MachineConfig | None) -> None:
+    """Machine shape: what to run, under which protocol, on which machine.
+
+    With a ``base`` config the subject is a C** ``file`` and the flags
+    default to ``base``'s fields; without one it is a benchmark ``app``
+    and the flags default to None, resolved against the app's figure
+    config by :func:`_machine_config`.
+    """
+    if base is not None:
+        p.add_argument("file")
+    else:
+        p.add_argument("app", nargs="?", choices=_MODEL_APPS,
+                       help="benchmark app (Figure-5/6/7 workload defaults)")
+    p.add_argument("--protocol", default=protocol, choices=PROTOCOLS)
+    for flag in ("--nodes", "--block-size", "--page-size"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--unoptimized", action="store_true",
+                   help="ignore compiler directives (the paper's baseline)")
+    if base is not None:
+        p.set_defaults(nodes=base.n_nodes, block_size=base.block_size,
+                       page_size=base.page_size)
+
+
+def _add_model_options(p: argparse.ArgumentParser) -> None:
+    """The app variant and the model calibration (``model`` / ``sweep``)."""
+    p.add_argument("--variant", default="cstar",
+                   help="app variant (default: cstar; e.g. spmd, splash)")
+    p.add_argument("--calibration", metavar="PATH",
+                   help="calibration document to predict with (default: "
+                        "<--dir>/MODEL_calibration.json when present)")
+    p.add_argument("--uncalibrated", action="store_true",
+                   help="predict with the identity calibration even if a "
+                        "committed one exists")
+    p.add_argument("--dir", default="benchmarks",
+                   help="artifact directory (default: benchmarks)")
+
+
+def _add_farm_options(p: argparse.ArgumentParser, *,
+                      hosts: bool = True) -> None:
+    """Farm execution: local worker processes, and with ``hosts`` the
+    multi-host socket transport and its lifecycle event log."""
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="shard the work across N farm worker processes "
+                        "(repro.farm; reports are byte-identical to --jobs 1)")
+    if not hosts:
+        return
+    p.add_argument("--hosts", type=int, default=0, metavar="N",
+                   help="farm the campaign over N remote worker agents "
+                        "connected via TCP (repro farm-worker); reports "
+                        "are byte-identical to --jobs 1")
+    p.add_argument("--bind", default="127.0.0.1",
+                   help="address the farm coordinator listens on with "
+                        "--hosts (default: 127.0.0.1)")
+    p.add_argument("--port", type=int, default=0,
+                   help="listen port for --hosts (default: 0 = "
+                        "OS-assigned, printed at startup)")
+    p.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
+                   help="with --hosts, inject seeded drop/dup/delay/"
+                        "disconnect chaos into the farm's own transport "
+                        "(the report must not change)")
+    p.add_argument("--farm-events", metavar="PATH",
+                   help="with --jobs > 1, write the farm's lifecycle events "
+                        "(farm.* dispatch/steal/retry) as JSON lines to PATH")
+
+
+def _add_campaign_options(p: argparse.ArgumentParser, *,
+                          seeds: int) -> None:
+    """Campaign workload: fuzz seeds, protocols, bundled traces, shrinking."""
+    p.add_argument("--seeds", type=int, default=seeds,
+                   help="number of generated fuzz workloads (one seed each)")
+    p.add_argument("--protocols", type=_protocol_list,
+                   help=f"comma-separated subset of {','.join(PROTOCOLS)}")
+    p.add_argument("--traces", default="examples/traces",
+                   help="directory of bundled session traces to replay "
+                        "under every protocol (skipped if missing)")
+    p.add_argument("--no-traces", action="store_true",
+                   help="skip the bundled traces")
+    p.add_argument("--no-shrink", action="store_true",
+                   help="skip minimizing failures into small reproducers")
+
+
+def _add_corpus_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", metavar="DIR",
+                   help="durable schedule corpus directory: warm-start "
+                        "schedule-learning protocols from previous runs' "
+                        "persisted schedules and (where the command "
+                        "learns fault-free) harvest new ones back; a "
+                        "damaged corpus self-heals on open and a missing "
+                        "one is created")
+
+
+def _add_output_options(p: argparse.ArgumentParser, *, report: bool = False,
+                        metrics: str | None = None,
+                        trace: str | None = None) -> None:
+    """Outputs: the campaign ``report``, and the ``metrics`` registry and
+    Chrome ``trace`` of the run each string names."""
+    if report:
+        p.add_argument("--report-out", metavar="PATH",
+                       help="write the campaign report as canonical JSON to "
+                            "PATH (byte-identical across --jobs values; CI "
+                            "diffs it)")
+    if metrics:
+        p.add_argument("--metrics-out", metavar="PATH",
+                       help=f"write the metrics registry of {metrics} "
+                            "(repro.metrics/v1 JSON) to PATH")
+    if trace:
+        p.add_argument("--trace", metavar="PATH",
+                       help=f"export a Chrome/Perfetto trace.json timeline "
+                            f"of {trace} to PATH")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -890,39 +935,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pretty-print the parsed program before the analysis")
     p.set_defaults(fn=_cmd_compile)
 
-    def add_machine_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file")
-        p.add_argument("--protocol", default="predictive",
-                       choices=["stache", "predictive", "write-update"])
-        p.add_argument("--nodes", type=int, default=8)
-        p.add_argument("--block-size", type=int, default=32)
-        p.add_argument("--page-size", type=int, default=512)
-        p.add_argument("--unoptimized", action="store_true",
-                       help="ignore compiler directives (the paper's baseline)")
-
-    def add_corpus_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--corpus", metavar="DIR",
-                       help="durable schedule corpus directory: warm-start "
-                            "schedule-learning protocols from previous runs' "
-                            "persisted schedules and (where the command "
-                            "learns fault-free) harvest new ones back; a "
-                            "damaged corpus self-heals on open and a missing "
-                            "one is created")
-
     p = sub.add_parser("run", help="compile and simulate a C** file")
-    add_machine_options(p)
-    add_corpus_option(p)
+    _add_machine_options(p, protocol="predictive", base=_RUN_BASE)
+    _add_corpus_option(p)
     p.add_argument("--trace-stats", action="store_true")
     p.add_argument("--json", nargs="?", const="-", metavar="PATH",
                    help="emit machine-readable run stats (repro.run-stats/v1) "
                         "to PATH, or to stdout instead of the table if PATH "
                         "is omitted or '-'")
-    p.add_argument("--metrics-out", metavar="PATH",
-                   help="write the run's metrics registry "
-                        "(repro.metrics/v1 JSON) to PATH")
-    p.add_argument("--trace", metavar="PATH",
-                   help="run with event tracing on and export a Chrome/"
-                        "Perfetto trace.json timeline to PATH")
+    _add_output_options(p, metrics="the run", trace="the run")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -930,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a C** file with event tracing on; export a validated "
              "Chrome/Perfetto trace.json timeline",
     )
-    add_machine_options(p)
+    _add_machine_options(p, protocol="predictive", base=_RUN_BASE)
     p.add_argument("-o", "--out", default="trace.json",
                    help="output path for the Chrome trace (default: "
                         "trace.json; open in Perfetto or chrome://tracing)")
@@ -943,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a C** file with event tracing on; print the per-phase "
              "profile and schedule-quality analytics",
     )
-    add_machine_options(p)
+    _add_machine_options(p, protocol="predictive", base=_RUN_BASE)
     p.add_argument("--json", metavar="PATH",
                    help="also write the profile (repro.profile/v1 JSON) "
                         "to PATH")
@@ -951,45 +972,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("name", choices=["table1", "fig5", "fig6", "fig7"])
-    add_corpus_option(p)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard the work across N farm worker processes "
-                        "(repro.farm; reports are byte-identical to --jobs 1)")
+    _add_corpus_option(p)
+    _add_farm_options(p, hosts=False)
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("ablation", help="run a design-choice ablation")
     p.add_argument("name", choices=["coalescing", "incremental", "flush", "blocks"])
     p.set_defaults(fn=_cmd_ablation)
 
-    def add_model_options(p: argparse.ArgumentParser,
-                          default_protocol: str) -> None:
-        p.add_argument("app", nargs="?", choices=_MODEL_APPS,
-                       help="benchmark app (Figure-5/6/7 workload defaults)")
-        p.add_argument("--variant", default="cstar",
-                       help="app variant (default: cstar; e.g. spmd, splash)")
-        p.add_argument("--protocol", default=default_protocol,
-                       choices=["stache", "predictive", "write-update"])
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--block-size", type=int, default=None)
-        p.add_argument("--page-size", type=int, default=None)
-        p.add_argument("--unoptimized", action="store_true",
-                       help="ignore compiler directives (the paper's "
-                            "baseline)")
-        p.add_argument("--calibration", metavar="PATH",
-                       help="calibration document to predict with (default: "
-                            "<--dir>/MODEL_calibration.json when present)")
-        p.add_argument("--uncalibrated", action="store_true",
-                       help="predict with the identity calibration even if a "
-                            "committed one exists")
-        p.add_argument("--dir", default="benchmarks",
-                       help="artifact directory (default: benchmarks)")
-
     p = sub.add_parser(
         "model",
         help="predict a run's statistics in closed form (no event loop); "
              "calibrate against, or cross-validate over, the simulator",
     )
-    add_model_options(p, "predictive")
+    _add_machine_options(p, protocol="predictive", base=None)
+    _add_model_options(p)
     p.add_argument("--validate", action="store_true",
                    help="also simulate the same configuration and print "
                         "model vs. simulated side by side")
@@ -1022,11 +1019,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a Cartesian machine-parameter grid over an app; "
              "--model makes it instant (closed-form, one cached walk)",
     )
-    add_model_options(p, "stache")
+    _add_machine_options(p, protocol="stache", base=None)
+    _add_model_options(p)
     p.add_argument("--axis", action="append", metavar="NAME=V1,V2,...",
-                   help="one grid axis (repeatable): protocol, n_nodes, "
-                        "block_size, msg_latency, per_byte_cost, "
-                        "fault_cost, handler_cost")
+                   help="one grid axis (repeatable): "
+                        f"{', '.join(SWEEP_AXES)}")
     p.add_argument("--model", action="store_true",
                    help="predict each point with repro.model instead of "
                         "simulating it (same document shape, milliseconds "
@@ -1046,47 +1043,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH",
                    help="also write per-figure run stats "
                         "(repro.reproduce/v1 JSON) to PATH")
-    p.add_argument("--metrics-out", metavar="PATH",
-                   help="write all figures' merged metrics registry "
-                        "(repro.metrics/v1 JSON) to PATH")
-    p.add_argument("--trace", metavar="PATH",
-                   help="also export a Chrome trace of the optimized water "
-                        "run (Figure 7's fastest bar) to PATH")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard the work across N farm worker processes "
-                        "(repro.farm; reports are byte-identical to --jobs 1)")
-    add_corpus_option(p)
+    _add_output_options(
+        p, metrics="all figures, merged",
+        trace="the optimized water run (Figure 7's fastest bar)")
+    _add_farm_options(p, hosts=False)
+    _add_corpus_option(p)
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("audit", help="audit protocol transition tables")
     p.set_defaults(fn=_cmd_audit)
-
-    def add_multihost_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--hosts", type=int, default=0, metavar="N",
-                       help="farm the campaign over N remote worker agents "
-                            "connected via TCP (repro farm-worker); reports "
-                            "are byte-identical to --jobs 1")
-        p.add_argument("--bind", default="127.0.0.1",
-                       help="address the farm coordinator listens on with "
-                            "--hosts (default: 127.0.0.1)")
-        p.add_argument("--port", type=int, default=0,
-                       help="listen port for --hosts (default: 0 = "
-                            "OS-assigned, printed at startup)")
-        p.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
-                       help="with --hosts, inject seeded drop/dup/delay/"
-                            "disconnect chaos into the farm's own transport "
-                            "(the report must not change)")
 
     p = sub.add_parser(
         "verify",
         help="fuzz the protocols under adversarial interleavings with the "
              "coherence-invariant monitor and differential oracle",
     )
-    p.add_argument("--seeds", type=int, default=50,
-                   help="number of fuzz seeds (each = one workload + one "
-                        "interleaving per protocol)")
-    p.add_argument("--protocols",
-                   help="comma-separated subset of stache,write-update,predictive")
+    _add_campaign_options(p, seeds=50)
     p.add_argument("--replay", type=int, metavar="SEED",
                    help="re-run exactly one seed (as printed in a violation)")
     p.add_argument("--dfs", type=int, metavar="N", default=0,
@@ -1096,26 +1068,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload seeds to model-check under --dfs")
     p.add_argument("--dfs-depth", type=int, default=10,
                    help="branching depth bound for --dfs")
-    p.add_argument("--traces", default="examples/traces",
-                   help="directory of bundled session traces to replay "
-                        "under every protocol (skipped if missing)")
-    p.add_argument("--no-traces", action="store_true",
-                   help="skip bundled-trace verification")
-    p.add_argument("--no-shrink", action="store_true",
-                   help="skip counterexample minimization")
     p.add_argument("--regen-traces", action="store_true",
                    help="regenerate the bundled traces under --traces and exit")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard the work across N farm worker processes "
-                        "(repro.farm; reports are byte-identical to --jobs 1)")
-    p.add_argument("--report-out", metavar="PATH",
-                   help="write the campaign report as canonical JSON to PATH "
-                        "(byte-identical across --jobs values; CI diffs it)")
-    p.add_argument("--farm-events", metavar="PATH",
-                   help="with --jobs > 1, write the farm's lifecycle events "
-                        "(farm.* dispatch/steal/retry) as JSON lines to PATH")
-    add_multihost_options(p)
-    add_corpus_option(p)
+    _add_farm_options(p)
+    _add_output_options(p, report=True)
+    _add_corpus_option(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser(
@@ -1127,19 +1084,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plans",
                    help="comma-separated subset of the bundled fault plans "
                         "(default: all; see --list-plans)")
-    p.add_argument("--seeds", type=int, default=2,
-                   help="number of generated fuzz workloads")
+    _add_campaign_options(p, seeds=2)
     p.add_argument("--variants", type=int, default=1,
                    help="reseedings of each plan per workload")
-    p.add_argument("--protocols",
-                   help="comma-separated subset of stache,write-update,predictive")
-    p.add_argument("--traces", default="examples/traces",
-                   help="directory of bundled session traces "
-                        "(skipped if missing)")
-    p.add_argument("--no-traces", action="store_true",
-                   help="skip the bundled traces")
-    p.add_argument("--no-shrink", action="store_true",
-                   help="skip minimal-reproducer shrinking on failure")
     p.add_argument("--crash", action="store_true",
                    help="run the crash-stop plans (node failures with "
                         "detection, recovery, and restart)")
@@ -1148,23 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "when possible) as JSON into DIR")
     p.add_argument("--list-plans", action="store_true",
                    help="list the bundled fault plans and exit")
-    p.add_argument("--metrics-out", metavar="PATH",
-                   help="write the metrics registry of one representative "
-                        "faulted run (repro.metrics/v1 JSON) to PATH")
-    p.add_argument("--trace", metavar="PATH",
-                   help="export a Chrome trace of one representative "
-                        "faulted run to PATH")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard the work across N farm worker processes "
-                        "(repro.farm; reports are byte-identical to --jobs 1)")
-    p.add_argument("--report-out", metavar="PATH",
-                   help="write the campaign report as canonical JSON to PATH "
-                        "(byte-identical across --jobs values; CI diffs it)")
-    p.add_argument("--farm-events", metavar="PATH",
-                   help="with --jobs > 1, write the farm's lifecycle events "
-                        "(farm.* dispatch/steal/retry) as JSON lines to PATH")
-    add_multihost_options(p)
-    add_corpus_option(p)
+    _add_output_options(p, report=True,
+                        metrics="one representative faulted run",
+                        trace="one representative faulted run")
+    _add_farm_options(p)
+    _add_corpus_option(p)
     p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(

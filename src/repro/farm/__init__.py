@@ -13,7 +13,12 @@ order-independent.  See docs/FARM.md.
 """
 
 from repro.farm.chaos import DEFAULT_CHAOS_PLAN, ChaosTransport
-from repro.farm.coordinator import FarmController, FarmResult, run_farm
+from repro.farm.coordinator import (
+    FarmController,
+    FarmResult,
+    run_farm,
+    run_jobs,
+)
 from repro.farm.jobs import FarmJob, derive_seed, partition_jobs
 from repro.farm.remote import HostLedger, SocketTransport, worker_agent
 from repro.farm.scheduler import Assignment, WorkStealingScheduler
@@ -39,5 +44,6 @@ __all__ = [
     "derive_seed",
     "partition_jobs",
     "run_farm",
+    "run_jobs",
     "worker_agent",
 ]

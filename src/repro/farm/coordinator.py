@@ -67,7 +67,7 @@ from repro.farm.transport import (
     InlineTransport,
     LocalProcessTransport,
 )
-from repro.farm.worker import worker_main
+from repro.farm.worker import execute_job, worker_main
 from repro.obs.events import EventKind
 
 
@@ -344,6 +344,33 @@ def run_farm(
         for wid in range(n_workers):
             emit(EventKind.FARM_WORKER_DOWN, node=wid)
     return result
+
+
+def run_jobs(
+    jobs: list[FarmJob],
+    n_workers: int = 1,
+    *,
+    transport=None,
+    tracer=None,
+    progress=None,
+    controller: FarmController | None = None,
+):
+    """Yield every job's payload in job-index order, farmed or inline.
+
+    The one farm-or-sequential decision: ``jobs`` go through
+    :func:`run_farm` when a ``transport`` is given, or when
+    ``n_workers > 1`` and there are at least two jobs.  Otherwise each job
+    runs in this process through :func:`execute_job`, lazily and with no
+    preemption control — no transport, no ``[farm]`` progress lines.
+    Callers fold the payloads with the same pure fold either way, which is
+    what makes farmed reports byte-identical to sequential ones.
+    """
+    jobs = sorted(jobs, key=lambda job: job.index)
+    if transport is None and (n_workers <= 1 or len(jobs) < 2):
+        return (execute_job(job) for job in jobs)
+    farm = run_farm(jobs, n_workers, tracer=tracer, progress=progress,
+                    transport=transport, controller=controller)
+    return (farm.results[job.index] for job in jobs)
 
 
 def _with_resume(job: FarmJob, envelope: dict | None) -> FarmJob:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.farm.jobs import derive_seed
+from repro.farm.coordinator import run_jobs
+from repro.farm.jobs import FarmJob, derive_seed
 from repro.farm.preempt import deserialize_observables, serialize_observables
 from repro.faults.plan import (
     BUNDLED_PLANS,
@@ -504,30 +505,16 @@ def run_campaign(
     probe = ({"workload": workloads[0][2]}
              if check_unrecoverable and workloads else None)
 
-    if farm_transport is not None or (
-            jobs > 1 and len(cells) + (1 if probe else 0) > 1):
-        from repro.farm.coordinator import run_farm
-        from repro.farm.jobs import FarmJob
-
-        farm_jobs = [
-            FarmJob(index=i, kind="fault-cell", params=spec, preemptible=True)
-            for i, spec in enumerate(cells)
-        ]
-        if probe is not None:
-            farm_jobs.append(FarmJob(index=len(cells), kind="fault-probe",
-                                     params=probe))
-        farm = run_farm(farm_jobs, n_workers=jobs, tracer=tracer,
-                        progress=progress, transport=farm_transport,
-                        controller=farm_controller)
-        results = [farm.results[i] for i in range(len(farm_jobs))]
-    else:
-        def _sequential():
-            for spec in cells:
-                yield run_fault_cell(spec)
-            if probe is not None:
-                yield run_fault_probe(probe)
-
-        results = _sequential()
+    farm_jobs = [
+        FarmJob(index=i, kind="fault-cell", params=spec, preemptible=True)
+        for i, spec in enumerate(cells)
+    ]
+    if probe is not None:
+        farm_jobs.append(FarmJob(index=len(cells), kind="fault-probe",
+                                 params=probe))
+    results = run_jobs(farm_jobs, jobs, transport=farm_transport,
+                       tracer=tracer, progress=progress,
+                       controller=farm_controller)
 
     last_w = -1
     for i, result in enumerate(results):

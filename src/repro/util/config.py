@@ -18,6 +18,13 @@ from typing import Callable
 from repro.util.errors import ConfigError
 
 
+#: recognized sweep grid axes, in canonical (document and CLI) order:
+#: "protocol" selects the coherence protocol, the rest are
+#: :class:`MachineConfig` fields
+SWEEP_AXES = ("protocol", "n_nodes", "block_size", "msg_latency",
+              "per_byte_cost", "fault_cost", "handler_cost")
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 

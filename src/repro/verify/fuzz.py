@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.farm.jobs import derive_seed
+from repro.farm.coordinator import run_jobs
+from repro.farm.jobs import FarmJob, derive_seed
 from repro.obs.metrics import MetricsRegistry, registry_from_run
 from repro.tempest.tracefile import load_session
 from repro.util.config import MachineConfig
@@ -293,19 +294,10 @@ def fuzz(
                 entry = corpus.lookup(key, workload.config.n_nodes)
                 if entry is not None:
                     spec["warm"][protocol] = entry["records"]
-    if farm_transport is not None or (jobs > 1 and len(specs) > 1):
-        from repro.farm.coordinator import run_farm
-        from repro.farm.jobs import FarmJob
-
-        farm = run_farm(
-            [FarmJob(index=i, kind="fuzz-seed", params=spec)
-             for i, spec in enumerate(specs)],
-            n_workers=jobs, tracer=tracer, progress=progress,
-            transport=farm_transport,
-        )
-        results = [farm.results[i] for i in range(len(specs))]
-    else:
-        results = (fuzz_seed_job(spec) for spec in specs)
+    results = run_jobs(
+        [FarmJob(index=i, kind="fuzz-seed", params=spec)
+         for i, spec in enumerate(specs)],
+        jobs, transport=farm_transport, tracer=tracer, progress=progress)
     for i, result in enumerate(results):
         _fold_seed_result(report, result, progress)
         if corpus is not None:

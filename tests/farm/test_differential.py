@@ -85,3 +85,83 @@ class TestBenchDifferential:
         assert [v.stats.to_dict() for v in par] \
             == [v.stats.to_dict() for v in seq]
         assert [v.spec.label for v in par] == ["opt", "unopt"]
+
+    def test_payload_fold_equals_direct_run(self):
+        # at every jobs value run_specs folds bench-version payloads; the
+        # fold must equal running the version directly, field for field
+        from repro.apps import water
+        from repro.bench.figures import WATER_CFG
+        from repro.bench.harness import VersionSpec, run_specs, run_version
+
+        spec = VersionSpec("opt", water, "predictive", True,
+                           WATER_CFG.with_(block_size=32),
+                           dict(n=24, iterations=2, work_scale=10.0))
+        [folded] = run_specs([spec])
+        assert folded.stats.to_dict() == run_version(spec).stats.to_dict()
+
+
+class TestRunJobs:
+    """``run_jobs`` is the one farm-or-inline decision under ``src/``."""
+
+    @staticmethod
+    def _jobs(n: int):
+        from repro.farm import FarmJob
+
+        return [FarmJob(index=i, kind="fuzz-seed",
+                        params={"seed": i, "protocols": ["stache"],
+                                "shrink": False})
+                for i in range(n)]
+
+    @staticmethod
+    def _forbid_farm(monkeypatch):
+        import repro.farm.coordinator as coordinator
+
+        def no_farm(*args, **kwargs):
+            raise AssertionError("run_farm called on the inline path")
+
+        monkeypatch.setattr(coordinator, "run_farm", no_farm)
+
+    @pytest.mark.parametrize("n_jobs, n_workers", [(3, 1), (1, 4)])
+    def test_inline_below_two_workers_or_two_jobs(self, monkeypatch, n_jobs,
+                                                  n_workers):
+        from repro.farm import run_jobs
+
+        self._forbid_farm(monkeypatch)
+        jobs = list(reversed(self._jobs(n_jobs)))
+        payloads = run_jobs(jobs, n_workers)
+        assert [p["seed"] for p in payloads] == list(range(n_jobs))
+
+    def test_inline_is_lazy(self, monkeypatch):
+        import repro.farm.coordinator as coordinator
+        from repro.farm import run_jobs
+
+        self._forbid_farm(monkeypatch)
+        ran = []
+        real = coordinator.execute_job
+        monkeypatch.setattr(coordinator, "execute_job",
+                            lambda job: ran.append(job.index) or real(job))
+        payloads = run_jobs(self._jobs(3), 1)
+        assert ran == []
+        next(payloads)
+        assert ran == [0]
+
+    def test_farmed_payloads_in_index_order(self):
+        from repro.farm import run_jobs
+
+        jobs = self._jobs(4)
+        inline = list(run_jobs(jobs, 1))
+        farmed = list(run_jobs(list(reversed(jobs)), 2))
+        assert farmed == inline
+
+    def test_a_transport_always_farms(self, monkeypatch):
+        import repro.farm.coordinator as coordinator
+        from repro.farm import InlineTransport, run_jobs
+
+        calls = []
+        real = coordinator.run_farm
+        monkeypatch.setattr(coordinator, "run_farm",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        payloads = list(run_jobs(self._jobs(1), 1,
+                                 transport=InlineTransport()))
+        assert calls == [1]
+        assert [p["seed"] for p in payloads] == [0]

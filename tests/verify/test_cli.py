@@ -24,8 +24,10 @@ class TestVerifyCommand:
         assert "protocols stache" in out
 
     def test_unknown_protocol_rejected(self, capsys):
-        rc = main(["verify", "--seeds", "1", "--protocols", "mesi"])
-        assert rc == 2
+        # rejected while parsing --protocols: a usage error, exit 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--seeds", "1", "--protocols", "mesi"])
+        assert exit_.value.code == 2
         assert "unknown protocol" in capsys.readouterr().err
 
     def test_replay_single_seed(self, capsys):
