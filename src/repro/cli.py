@@ -178,51 +178,19 @@ def _write_report(args: argparse.Namespace, report) -> None:
 
 @contextlib.contextmanager
 def _farm(args: argparse.Namespace):
-    """The farm keywords (``jobs``, ``tracer``, ``farm_transport``) a
-    campaign verb passes, built from the farm option group.
+    """The farm keywords (``jobs``, ``tracer``) a campaign verb passes,
+    built from the farm option group.
 
     ``--farm-events`` records lifecycle events, written as JSON lines when
-    the block ends.  ``--hosts N`` binds the multi-host socket transport
-    immediately and prints the listen address; worker agents attach with
-    ``repro farm-worker --connect HOST:PORT``.  ``--chaos-seed`` wraps it
-    in seeded drop/dup/delay/disconnect injection — reports must stay
-    byte-identical regardless.
+    the block ends.
     """
     from repro.obs import EventTrace, write_jsonl
 
     tracer = EventTrace() if args.farm_events else None
-    transport = None
-    if args.hosts:
-        from repro.farm import ChaosTransport, SocketTransport
-
-        transport = SocketTransport(args.hosts, bind=args.bind,
-                                    port=args.port, tracer=tracer)
-        address = f"{transport.host}:{transport.port}"
-        print(f"farm: listening on {address}, waiting for {args.hosts} "
-              f"worker agent(s) (repro farm-worker --connect {address})")
-        if args.chaos_seed is not None:
-            transport = ChaosTransport(transport, seed=args.chaos_seed,
-                                       tracer=tracer)
-            print(f"farm: chaos injection armed (seed {args.chaos_seed})")
-    yield dict(jobs=args.jobs, tracer=tracer, farm_transport=transport)
+    yield dict(jobs=args.jobs, tracer=tracer)
     if tracer is not None:
         n = write_jsonl(args.farm_events, tracer.events)
         print(f"farm events: {n} event(s) -> {args.farm_events}")
-
-
-def _cmd_farm_worker(args: argparse.Namespace) -> int:
-    from repro.farm import worker_agent
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: --connect wants HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
-        return 2
-    return worker_agent(host, int(port), heartbeat=args.heartbeat,
-                        watchdog=args.watchdog,
-                        connect_timeout=args.connect_timeout,
-                        max_attempts=args.connect_attempts,
-                        label=args.label, progress=print)
 
 
 def _export_trace(path: str, tracer, n_nodes: int) -> list[str]:
@@ -847,28 +815,14 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_farm_options(p: argparse.ArgumentParser, *,
-                      hosts: bool = True) -> None:
-    """Farm execution: local worker processes, and with ``hosts`` the
-    multi-host socket transport and its lifecycle event log."""
+                      events: bool = True) -> None:
+    """Farm execution: local worker processes, and with ``events`` the
+    farm's lifecycle event log."""
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="shard the work across N farm worker processes "
                         "(repro.farm; reports are byte-identical to --jobs 1)")
-    if not hosts:
+    if not events:
         return
-    p.add_argument("--hosts", type=int, default=0, metavar="N",
-                   help="farm the campaign over N remote worker agents "
-                        "connected via TCP (repro farm-worker); reports "
-                        "are byte-identical to --jobs 1")
-    p.add_argument("--bind", default="127.0.0.1",
-                   help="address the farm coordinator listens on with "
-                        "--hosts (default: 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0,
-                   help="listen port for --hosts (default: 0 = "
-                        "OS-assigned, printed at startup)")
-    p.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
-                   help="with --hosts, inject seeded drop/dup/delay/"
-                        "disconnect chaos into the farm's own transport "
-                        "(the report must not change)")
     p.add_argument("--farm-events", metavar="PATH",
                    help="with --jobs > 1, write the farm's lifecycle events "
                         "(farm.* dispatch/steal/retry) as JSON lines to PATH")
@@ -973,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("name", choices=["table1", "fig5", "fig6", "fig7"])
     _add_corpus_option(p)
-    _add_farm_options(p, hosts=False)
+    _add_farm_options(p, events=False)
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("ablation", help="run a design-choice ablation")
@@ -1046,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(
         p, metrics="all figures, merged",
         trace="the optimized water run (Figure 7's fastest bar)")
-    _add_farm_options(p, hosts=False)
+    _add_farm_options(p, events=False)
     _add_corpus_option(p)
     p.set_defaults(fn=_cmd_reproduce)
 
@@ -1101,31 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_farm_options(p)
     _add_corpus_option(p)
     p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser(
-        "farm-worker",
-        help="run a farm worker agent: connect to a coordinator started "
-             "with --hosts and execute campaign jobs on this machine",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="the coordinator's listen address (printed by the "
-                        "campaign command when --hosts is given)")
-    p.add_argument("--label", default=None,
-                   help="stable identity this agent presents to the "
-                        "coordinator (default: hostname-pid derived)")
-    p.add_argument("--heartbeat", type=float, default=0.5,
-                   help="heartbeat period in seconds (default: 0.5)")
-    p.add_argument("--watchdog", type=float, default=3.0,
-                   help="declare the link dead after this many seconds of "
-                        "silence (default: 3.0)")
-    p.add_argument("--connect-timeout", type=float, default=120.0,
-                   help="give up if no coordinator is reachable for this "
-                        "many seconds (default: 120)")
-    p.add_argument("--connect-attempts", type=int, default=None, metavar="N",
-                   help="also give up after N consecutive failed dial "
-                        "attempts (default: unbounded; the attempt counter "
-                        "resets every time the agent attaches)")
-    p.set_defaults(fn=_cmd_farm_worker)
 
     p = sub.add_parser(
         "corpus",

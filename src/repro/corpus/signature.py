@@ -10,8 +10,9 @@ protocol tolerates that by construction — but the point of content
 addressing is that it cannot happen silently: a changed program, protocol,
 or placement derives a different key and simply misses.
 
-Signatures are truncated SHA-256 of canonical JSON, the same discipline
-:mod:`repro.farm.frames` uses for wire checksums.
+Signatures are truncated SHA-256 of canonical JSON (:func:`canonical`,
+:func:`checksum`), the same discipline :mod:`repro.corpus.store` uses for
+its per-record segment checksums.
 """
 
 from __future__ import annotations
@@ -21,16 +22,23 @@ import json
 
 from repro.util.config import MachineConfig
 
-__all__ = ["program_signature", "placement_signature", "corpus_key",
-           "workload_key", "bench_key", "supports_warm"]
+__all__ = ["canonical", "checksum", "program_signature",
+           "placement_signature", "corpus_key", "workload_key", "bench_key",
+           "supports_warm"]
 
 #: hex digits kept from each sha256 (collision-safe at corpus scale and
 #: short enough that keys stay readable in doctor output)
 _SIG_LEN = 16
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:_SIG_LEN]
+def canonical(body: dict) -> bytes:
+    """The canonical JSON encoding signatures and checksums are taken over."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+
+
+def checksum(payload: bytes) -> str:
+    """Truncated SHA-256 hex digest of ``payload``."""
+    return hashlib.sha256(payload).hexdigest()[:_SIG_LEN]
 
 
 def program_signature(source: str | bytes) -> str:
@@ -38,19 +46,16 @@ def program_signature(source: str | bytes) -> str:
     stable identity string (``"fuzz/seed17"`` for generated workloads)."""
     if isinstance(source, str):
         source = source.encode("utf-8")
-    return _digest(source)
+    return checksum(source)
 
 
 def placement_signature(config: MachineConfig) -> str:
     """Signature of the machine geometry schedules were learned on."""
-    return _digest(json.dumps(
-        {
-            "n_nodes": config.n_nodes,
-            "block_size": config.block_size,
-            "page_size": config.page_size,
-        },
-        sort_keys=True, separators=(",", ":"),
-    ).encode())
+    return checksum(canonical({
+        "n_nodes": config.n_nodes,
+        "block_size": config.block_size,
+        "page_size": config.page_size,
+    }))
 
 
 def corpus_key(program_sig: str, protocol: str, placement_sig: str) -> str:

@@ -12,11 +12,12 @@ memory can:
 
 * **Append-only segments, checksummed per record.**  A segment file is a
   sequence of length-prefixed frames — ``[4-byte BE length][canonical JSON
-  {"body", "sum"}]`` — reusing the canonical-JSON framing discipline of
-  :mod:`repro.farm.frames` (``sum`` is a truncated SHA-256 of the body's
-  canonical encoding).  The first frame is a version-pinned header; a
-  wrong magic or version quarantines the whole segment unread (it may
-  belong to a future format — never destroyed, never trusted).
+  {"body", "sum"}]`` — where ``sum`` is a truncated SHA-256 of the body's
+  canonical encoding (:func:`repro.corpus.signature.checksum`, the digest
+  that also content-addresses corpus keys).  The first frame is a
+  version-pinned header; a wrong magic or version quarantines the whole
+  segment unread (it may belong to a future format — never destroyed,
+  never trusted).
 * **Torn-tail recovery.**  Appends can tear on crash/kill -9.  On open,
   frames are replayed in order; a frame whose *length field* is implausible
   or that extends past end-of-file marks the torn tail — the tail bytes are
@@ -56,7 +57,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.farm.frames import canonical, checksum
+from repro.corpus.signature import canonical, checksum
 from repro.obs.events import EventKind as Ev
 from repro.util.atomicio import atomic_write_bytes, atomic_write_json, fsync_dir
 

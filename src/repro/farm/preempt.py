@@ -15,12 +15,6 @@ envelope back as ``resume=`` on any worker restores the machine
 — bit-identically to the uninterrupted run, which is exactly the
 determinism guarantee the checkpoint tests already prove for the
 underlying snapshot format.
-
-The same envelopes double as crash insurance: a preemptible farm job
-streams one after each completed slice group, so the coordinator can
-resume a crashed worker's job from its last envelope instead of from
-scratch (either way the result is identical; the envelope just skips the
-replayed prefix).
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ def sliced_run(
     fault_plan=None,
     max_events: int | None = 2_000_000,
     should_preempt=None,
-    on_checkpoint=None,
     resume: dict | None = None,
     slice_events: int = DEFAULT_SLICE,
     warm=None,
@@ -72,8 +65,6 @@ def sliced_run(
     ``run_workload(workload, protocol, fault_plan=...)`` under FIFO
     tie-breaking produces — or ``("preempted", envelope)`` when
     ``should_preempt()`` fired and a quiescent checkpoint was reached.
-    ``on_checkpoint(envelope)`` (optional) observes every checkpointable
-    boundary, which is how farm workers stream crash-resume state.
     ``warm`` seeds corpus schedule records on a *fresh* start only — a
     resumed run's snapshot already restored the live schedules, which
     outrank the corpus.  Violations raise exactly as
@@ -119,11 +110,10 @@ def sliced_run(
             cursor = upto
             if cursor >= len(events):
                 break
-            # checkpoint opportunity: step to the next quiescent boundary
-            # (a slice can end mid-recovery, where snapshots are refused)
-            want_preempt = should_preempt is not None and should_preempt()
-            if not (want_preempt or on_checkpoint is not None):
+            if should_preempt is None or not should_preempt():
                 continue
+            # preempt: step to the next quiescent boundary (a slice can end
+            # mid-recovery, where snapshots are refused)
             env = None
             while True:
                 try:
@@ -137,9 +127,7 @@ def sliced_run(
                     cursor += 1
             if env is None:
                 break
-            if want_preempt:
-                return "preempted", env
-            on_checkpoint(env)
+            return "preempted", env
         obs.stats = machine.finish()
         monitor.check(machine, phase="end-of-run")
     except CoherenceViolation as violation:

@@ -2,24 +2,27 @@
 
 The scheduler decides *what* runs where (:mod:`repro.farm.scheduler`); a
 transport is the dumb pipe that moves :class:`~repro.farm.jobs.FarmJob`
-records out and result messages back.  The split is the multi-host seam:
-the coordinator drives any object with this interface, so a future
-backend that ships jobs to other machines (ssh, a job queue, an RPC mesh)
-slots in without touching scheduling, retry, or merge logic.
+records out and result messages back.  The coordinator drives any object
+with the same small seam — ``start``/``send``/``recv``/``alive``/
+``respawn``, the ``preempt``/``clear_preempt`` pair, and ``stop`` — so a
+backend that ships jobs elsewhere slots in without touching scheduling,
+retry, or merge logic (the retired socket wire did exactly that; see
+docs/FARM.md).
 
 Wire protocol (one tuple shape both ways keeps backends trivial):
 
 * coordinator -> worker: ``("job", FarmJob)`` or ``("stop",)``
 * worker -> coordinator: ``(kind, worker_id, job_index, payload)`` with
-  ``kind`` one of ``up`` / ``result`` / ``error`` / ``progress`` /
-  ``preempted`` / ``down``
+  ``kind`` one of ``up`` / ``result`` / ``error`` / ``preempted``
 
 Two backends ship:
 
 * :class:`LocalProcessTransport` — a multiprocessing worker pool (fork
-  where available, spawn otherwise): one job queue per worker, one shared
-  result queue, one preemption flag per worker, and crash detection +
-  respawn via process liveness.
+  where available, spawn otherwise): one duplex pipe and one lock-free
+  preemption byte per worker.  No lock, queue or feeder thread is shared
+  between worker processes, so a worker that dies at any instant — even
+  halfway through writing a result — breaks only its own channel, which
+  the coordinator then reads as a crash.
 * :class:`InlineTransport` — executes jobs synchronously in-process.
   Zero isolation, zero overhead: the deterministic reference backend the
   farm tests drive the coordinator through, and the degenerate case a
@@ -29,8 +32,8 @@ Two backends ship:
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Callable
 
 from repro.farm.jobs import FarmJob
@@ -50,8 +53,24 @@ def _mp_context():
     )
 
 
+def _child_main(worker_main: Callable, wid: int, conn, preempt_flag,
+                parent_ends: list) -> None:
+    """Worker process entry: close the inherited coordinator ends of every
+    pipe, so each one reads EOF in its worker once the coordinator's copy
+    closes, then serve jobs."""
+    for end in parent_ends:
+        end.close()
+    worker_main(wid, conn, preempt_flag)
+
+
 class LocalProcessTransport:
-    """A local worker pool over multiprocessing queues.
+    """A local worker pool with one private pipe per worker.
+
+    The coordinator holds the only other end of each pipe: a dead worker
+    shows up as EOF (or a broken pipe) on its own channel, never as a
+    blocked channel shared with the survivors.  Preemption requests are
+    one shared byte per worker (``RawValue``, no lock), so nothing a dying
+    worker can hold is ever waited on.
 
     ``stop_grace``/``kill_grace`` bound shutdown: a worker that ignores
     the stop message gets SIGTERM after ``stop_grace`` seconds, and one
@@ -67,42 +86,65 @@ class LocalProcessTransport:
         self.stop_grace = stop_grace
         self.kill_grace = kill_grace
         self._ctx = _mp_context()
-        self._result_q = self._ctx.Queue()
-        self._job_qs = [self._ctx.Queue() for _ in range(n_workers)]
-        self._preempt_flags = [self._ctx.Event() for _ in range(n_workers)]
+        self._preempt_flags = [self._ctx.RawValue("b", 0)
+                               for _ in range(n_workers)]
         self._procs: list = [None] * n_workers
+        #: the coordinator's end of each worker's pipe; None once broken
+        self._conns: list = [None] * n_workers
+        #: channels the last wait() reported readable, served in turn
+        self._ready: deque = deque()
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self, worker_main: Callable) -> None:
-        for wid in range(self.n_workers):
-            self._spawn(wid, worker_main)
         self._worker_main = worker_main
+        for wid in range(self.n_workers):
+            self._spawn(wid)
 
-    def _spawn(self, wid: int, worker_main: Callable) -> None:
+    def _spawn(self, wid: int) -> None:
+        conn, child_end = self._ctx.Pipe()
+        parent_ends = [c for c in self._conns if c is not None] + [conn]
         proc = self._ctx.Process(
-            target=worker_main,
-            args=(wid, self._job_qs[wid], self._result_q,
-                  self._preempt_flags[wid]),
+            target=_child_main,
+            args=(self._worker_main, wid, child_end,
+                  self._preempt_flags[wid], parent_ends),
             daemon=True,
             name=f"repro-farm-worker-{wid}",
         )
         proc.start()
+        # the worker now holds the only copy of its end: its death is EOF
+        child_end.close()
         self._procs[wid] = proc
+        self._conns[wid] = conn
+
+    def _close(self, wid: int) -> None:
+        conn = self._conns[wid]
+        if conn is not None:
+            self._conns[wid] = None
+            conn.close()
 
     def respawn(self, wid: int) -> None:
-        """Replace a dead worker with a fresh process (same id and deck)."""
+        """Replace a dead worker with a fresh process and a fresh pipe under
+        the same id (and deck)."""
+        self._close(wid)
         proc = self._procs[wid]
-        if proc is not None and proc.is_alive():  # pragma: no cover
-            raise FarmError(f"worker {wid} is still alive; refusing respawn")
-        self._preempt_flags[wid].clear()
-        self._spawn(wid, self._worker_main)
+        if proc is not None and proc.is_alive():
+            # its channel broke but the process lingers: put it down first
+            proc.kill()
+            proc.join(timeout=self.kill_grace)  # bounded by the timeout
+        self._preempt_flags[wid].value = 0
+        self._spawn(wid)
 
     def stop(self) -> None:
         for wid in range(self.n_workers):
-            proc = self._procs[wid]
-            if proc is not None and proc.is_alive():
-                self._job_qs[wid].put(("stop",))
+            if self._conns[wid] is not None:
+                self.send(wid, ("stop",))
+            # a stop message already sent stays readable after the close,
+            # and the close ends a worker still writing a result no one
+            # will read (its send raises once our end is gone)
+            self._close(wid)
+        # every join below has a timeout: stop() ends within stop_grace +
+        # 2 * kill_grace per worker whatever the workers do
         for proc in self._procs:
             if proc is not None:
                 proc.join(timeout=self.stop_grace)
@@ -118,56 +160,73 @@ class LocalProcessTransport:
     # -- messaging -------------------------------------------------------------
 
     def send(self, wid: int, message: tuple) -> None:
-        self._job_qs[wid].put(message)
+        """Send to one worker; a broken pipe marks it dead (the coordinator's
+        liveness sweep then requeues its job and respawns it)."""
+        conn = self._conns[wid]
+        if conn is None:
+            return
+        try:
+            # a worker is sent one job at a time (then a stop), so its pipe
+            # never fills; the send fails as soon as that worker dies
+            conn.send(message)
+        except OSError:
+            self._close(wid)
 
     def recv(self, timeout: float = 0.2) -> tuple | None:
-        """The next worker message, or None after ``timeout`` seconds."""
-        try:
-            return self._result_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+        """The next worker message, or None after ``timeout`` seconds or
+        when the only ready channels turned out to be dead workers'."""
+        if not self._ready:
+            live = [conn for conn in self._conns if conn is not None]
+            # bounded by the timeout; a dead worker's pipe is ready at once
+            self._ready.extend(wait(live, timeout))
+        while self._ready:
+            conn = self._ready.popleft()
+            if conn.closed:
+                continue  # broken or respawned since the wait
+            try:
+                # returns once a whole message is in, or raises as soon as
+                # the writer dies (EOF, possibly mid-message)
+                return conn.recv()
+            except (EOFError, OSError):
+                self._close(self._conns.index(conn))
+        return None
 
     # -- preemption and liveness -----------------------------------------------
 
     def preempt(self, wid: int) -> None:
-        self._preempt_flags[wid].set()
+        self._preempt_flags[wid].value = 1
 
     def clear_preempt(self, wid: int) -> None:
-        self._preempt_flags[wid].clear()
+        self._preempt_flags[wid].value = 0
 
     def alive(self, wid: int) -> bool:
         proc = self._procs[wid]
-        return proc is not None and proc.is_alive()
+        return (self._conns[wid] is not None and proc is not None
+                and proc.is_alive())
 
 
 class _InlineControl:
-    """Preemption/streaming context handed to inline job execution."""
+    """Preemption context handed to inline job execution."""
 
-    def __init__(self, transport: "InlineTransport", job: FarmJob):
+    def __init__(self, transport: "InlineTransport"):
         self._transport = transport
-        self._job = job
 
     def should_preempt(self) -> bool:
-        return self._transport._preempt.get(0, False)
-
-    def stream(self, envelope) -> None:
-        self._transport._inbox.append(
-            ("progress", 0, self._job.index, envelope))
+        return self._transport._preempt
 
 
 class InlineTransport:
     """Synchronous single-"worker" backend: jobs run on send().
 
     Presents exactly one worker (id 0).  Used by tests to drive the
-    coordinator deterministically without processes, and by the farm when
-    ``jobs=1`` still wants the farm's event stream.
+    coordinator deterministically without processes.
     """
 
     n_workers = 1
 
     def __init__(self):
         self._inbox: deque[tuple] = deque()
-        self._preempt = {0: False}
+        self._preempt = False
         self._started = False
 
     def start(self, worker_main: Callable) -> None:
@@ -180,15 +239,11 @@ class InlineTransport:
         self._started = False
 
     def send(self, wid: int, message: tuple) -> None:
-        if message[0] == "stop":
-            self._inbox.append(("down", 0, None, None))
-            return
         job: FarmJob = message[1]
         from repro.farm.worker import execute_job
 
-        control = _InlineControl(self, job)
         try:
-            payload = execute_job(job, control)
+            payload = execute_job(job, _InlineControl(self))
         except Exception as exc:  # mirror the process worker's catch-all
             import traceback
 
@@ -206,10 +261,10 @@ class InlineTransport:
         return self._inbox.popleft() if self._inbox else None
 
     def preempt(self, wid: int) -> None:
-        self._preempt[wid] = True
+        self._preempt = True
 
     def clear_preempt(self, wid: int) -> None:
-        self._preempt[wid] = False
+        self._preempt = False
 
     def alive(self, wid: int) -> bool:
         return self._started

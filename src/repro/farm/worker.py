@@ -1,9 +1,9 @@
 """Farm worker: the process entry point and the job dispatch table.
 
-A worker is a loop over its job queue: rebuild the heavy state each
+A worker is a loop over its own pipe: rebuild the heavy state each
 transport-safe :class:`~repro.farm.jobs.FarmJob` describes, execute it
-through the dispatch table in :func:`execute_job`, and put the JSON-safe
-result payload on the shared result queue.  Domain modules are imported
+through the dispatch table in :func:`execute_job`, and send the JSON-safe
+result payload back on the same pipe.  Domain modules are imported
 lazily inside the dispatch arms so importing this module (which the
 transports do) never drags in the whole simulator.
 
@@ -26,20 +26,13 @@ _before_job_hook = None
 
 
 class WorkerControl:
-    """Per-job preemption/streaming context inside a process worker."""
+    """Per-job preemption context inside a process worker."""
 
-    def __init__(self, wid: int, job: FarmJob, result_q, preempt_flag):
-        self._wid = wid
-        self._job = job
-        self._result_q = result_q
+    def __init__(self, preempt_flag):
         self._preempt_flag = preempt_flag
 
     def should_preempt(self) -> bool:
-        return self._preempt_flag.is_set()
-
-    def stream(self, envelope) -> None:
-        """Ship a checkpoint envelope upstream (crash-resume insurance)."""
-        self._result_q.put(("progress", self._wid, self._job.index, envelope))
+        return bool(self._preempt_flag.value)
 
 
 def execute_job(job: FarmJob, control=None):
@@ -70,30 +63,37 @@ def execute_job(job: FarmJob, control=None):
     raise FarmError(f"unknown farm job kind {job.kind!r}")
 
 
-def worker_main(wid: int, job_q, result_q, preempt_flag) -> None:
-    """Process entry point: drain the job queue until a stop message."""
-    result_q.put(("up", wid, None, None))
-    while True:
-        message = job_q.get()
-        if message[0] == "stop":
-            break
-        job: FarmJob = message[1]
-        control = WorkerControl(wid, job, result_q, preempt_flag)
-        try:
-            payload = execute_job(job, control)
-        except Exception as exc:
-            # a job-level exception is a bug, not a crash: report it (with
-            # the full traceback — a farmed failure must be debuggable
-            # without a sequential rerun) and stay alive so the
-            # coordinator can fail fast with the message
-            import traceback
+def worker_main(wid: int, conn, preempt_flag) -> None:
+    """Process entry point: serve jobs from ``conn`` until a stop message.
 
-            result_q.put(("error", wid, job.index,
-                          f"{type(exc).__name__}: {exc}\n"
-                          f"{traceback.format_exc().rstrip()}"))
-            continue
-        if isinstance(payload, tuple) and payload and payload[0] == "preempted":
-            result_q.put(("preempted", wid, job.index, payload[1]))
-        else:
-            result_q.put(("result", wid, job.index, payload))
-    result_q.put(("down", wid, None, None))
+    Neither blocking call outlives the coordinator: ``recv`` reads EOF and
+    ``send`` raises once the coordinator's end of the pipe is closed, and
+    the worker then just exits — there is nobody left to report to.
+    """
+    try:
+        conn.send(("up", wid, None, None))
+        while True:
+            message = conn.recv()
+            if message[0] == "stop":
+                return
+            job: FarmJob = message[1]
+            try:
+                payload = execute_job(job, WorkerControl(preempt_flag))
+            except Exception as exc:
+                # a job-level exception is a bug, not a crash: report it
+                # (with the full traceback — a farmed failure must be
+                # debuggable without a sequential rerun) and stay alive so
+                # the coordinator can fail fast with the message
+                import traceback
+
+                conn.send(("error", wid, job.index,
+                           f"{type(exc).__name__}: {exc}\n"
+                           f"{traceback.format_exc().rstrip()}"))
+                continue
+            if (isinstance(payload, tuple) and payload
+                    and payload[0] == "preempted"):
+                conn.send(("preempted", wid, job.index, payload[1]))
+            else:
+                conn.send(("result", wid, job.index, payload))
+    except (EOFError, OSError):
+        return

@@ -439,7 +439,6 @@ def run_campaign(
     dump_scripts: str | Path | None = None,
     jobs: int = 1,
     tracer=None,
-    farm_transport=None,
     farm_controller=None,
     corpus=None,
 ) -> FaultCampaignReport:
@@ -512,8 +511,7 @@ def run_campaign(
     if probe is not None:
         farm_jobs.append(FarmJob(index=len(cells), kind="fault-probe",
                                  params=probe))
-    results = run_jobs(farm_jobs, jobs, transport=farm_transport,
-                       tracer=tracer, progress=progress,
+    results = run_jobs(farm_jobs, jobs, tracer=tracer, progress=progress,
                        controller=farm_controller)
 
     last_w = -1

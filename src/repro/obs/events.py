@@ -117,15 +117,6 @@ class EventKind:
     FARM_RETRY = "farm.retry"
     FARM_PREEMPT = "farm.preempt"
 
-    # multi-host farm links (socket transport; ``node`` is the worker
-    # slot the remote agent occupies)
-    FARM_LINK_UP = "farm.link.up"
-    FARM_LINK_DOWN = "farm.link.down"
-    FARM_LINK_GHOST = "farm.link.ghost"
-    FARM_LEASE_EXPIRE = "farm.lease.expire"
-    FARM_CHAOS = "farm.link.chaos"
-    FARM_DEGRADE = "farm.degrade"
-
     @classmethod
     def all_kinds(cls) -> frozenset[str]:
         return frozenset(

@@ -252,15 +252,12 @@ def fuzz(
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     tracer=None,
-    farm_transport=None,
     corpus=None,
 ) -> FuzzReport:
     """Fuzz ``seeds`` workloads under adversarial interleavings.
 
     ``jobs > 1`` shards the seeds across a local worker farm
-    (:func:`repro.farm.coordinator.run_farm`); ``farm_transport``
-    overrides the farm backend (the multi-host socket transport).  The
-    folded report's :meth:`~FuzzReport.to_dict` is byte-identical to the
+    (:func:`repro.farm.coordinator.run_farm`).  The folded report's :meth:`~FuzzReport.to_dict` is byte-identical to the
     sequential one.  ``tracer`` (farm runs only) receives the farm's
     lifecycle events.  ``corpus`` (a :func:`repro.corpus.open_corpus`
     handle) warm-starts each seed's schedule-learning protocols from
@@ -297,7 +294,7 @@ def fuzz(
     results = run_jobs(
         [FarmJob(index=i, kind="fuzz-seed", params=spec)
          for i, spec in enumerate(specs)],
-        jobs, transport=farm_transport, tracer=tracer, progress=progress)
+        jobs, tracer=tracer, progress=progress)
     for i, result in enumerate(results):
         _fold_seed_result(report, result, progress)
         if corpus is not None:

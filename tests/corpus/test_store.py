@@ -2,13 +2,36 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
 
 from repro.corpus import NullCorpus, open_corpus, validate_entry
+from repro.corpus.signature import canonical, checksum, placement_signature
 from repro.corpus.store import _frame, _header_frame
+from repro.util.config import MachineConfig
 from tests.corpus.helpers import entry_for
+
+
+class TestCanonicalEncoding:
+    """Segment checksums and key signatures share one canonical digest."""
+
+    def test_canonical_is_key_order_independent(self):
+        assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
+        body = json.loads(canonical({"a": [1, 2], "b": None}))
+        assert checksum(canonical(body)) == checksum(
+            canonical({"b": None, "a": [1, 2]}))
+
+    def test_digests_are_pinned(self):
+        # segment and key bytes written by earlier builds must still match
+        assert checksum(canonical({"a": [1, 2], "b": None})) \
+            == "f25109c4111335e4"
+        assert placement_signature(MachineConfig(
+            n_nodes=8, block_size=32, page_size=512)) == "fc73bc4dc0a4589c"
+        assert _header_frame() == (
+            b'\x00\x00\x00F{"body":{"magic":"repro.corpus","version":1},'
+            b'"sum":"b409e65dfe0eb7b0"}')
 
 
 class TestRoundtrip:

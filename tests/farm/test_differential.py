@@ -152,16 +152,3 @@ class TestRunJobs:
         inline = list(run_jobs(jobs, 1))
         farmed = list(run_jobs(list(reversed(jobs)), 2))
         assert farmed == inline
-
-    def test_a_transport_always_farms(self, monkeypatch):
-        import repro.farm.coordinator as coordinator
-        from repro.farm import InlineTransport, run_jobs
-
-        calls = []
-        real = coordinator.run_farm
-        monkeypatch.setattr(coordinator, "run_farm",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        payloads = list(run_jobs(self._jobs(1), 1,
-                                 transport=InlineTransport()))
-        assert calls == [1]
-        assert [p["seed"] for p in payloads] == [0]

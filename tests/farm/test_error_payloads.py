@@ -2,17 +2,14 @@
 
 A farmed job failure must be debuggable from the coordinator's
 :class:`FarmError` alone — without re-running the campaign sequentially —
-so the worker catch-alls (process, inline, and remote agent) all attach
+so the worker catch-alls (process and inline) both attach
 ``traceback.format_exc()`` to the error message.
 """
-
-import threading
 
 import pytest
 
 from repro.farm import FarmError, FarmJob, InlineTransport, run_farm
 from repro.farm import worker as farm_worker
-from repro.farm.remote import SocketTransport, worker_agent
 from repro.farm.transport import LocalProcessTransport, _mp_context
 
 
@@ -49,16 +46,3 @@ def test_process_worker_error_payload_has_traceback(explode):
         run_farm(JOB * 1, transport=LocalProcessTransport(1))
     assert_debuggable(excinfo)
 
-
-def test_remote_agent_error_payload_has_traceback(explode):
-    transport = SocketTransport(1, port=0, watchdog=2.0, heartbeat=0.25)
-    agent = threading.Thread(
-        target=worker_agent, args=(transport.host, transport.port),
-        kwargs={"label": "err-agent", "heartbeat": 0.25, "watchdog": 2.0,
-                "connect_timeout": 5.0}, daemon=True)
-    agent.start()
-    with pytest.raises(FarmError) as excinfo:
-        run_farm(JOB, transport=transport)
-    assert_debuggable(excinfo)
-    agent.join(timeout=10)
-    assert not agent.is_alive()

@@ -2,18 +2,21 @@
 resume it anywhere, and get bit-identical observables.
 
 Covers both layers: :func:`repro.farm.preempt.sliced_run` directly (the
-worker-side mechanism) and a farmed campaign driven through a
-:class:`~repro.farm.FarmController` (the coordinator-side valve), using the
-synchronous inline transport so the preemption point is deterministic.
+worker-side mechanism) and farmed runs driven through a
+:class:`~repro.farm.FarmController` (the coordinator-side valve), on the
+synchronous inline transport (where the preemption point is deterministic)
+and on local worker processes.
 """
 
 import json
 
 import pytest
 
+from repro.corpus.signature import canonical
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import BUNDLED_PLANS
 from repro.farm import FarmController, FarmJob, InlineTransport, run_farm
+from repro.farm.transport import _mp_context
 from repro.farm.preempt import (
     deserialize_observables,
     serialize_observables,
@@ -64,11 +67,9 @@ def test_preempt_then_resume_is_bit_identical(chaos_reference):
 
 
 def test_envelope_survives_the_farm_wire_format(chaos_reference):
-    """Checkpoint migration depends on envelopes being JSON-portable:
-    the multi-host farm ships them through canonical frame encoding
-    (repro.farm.frames), and the resumed run must stay bit-identical."""
-    from repro.farm.frames import canonical
-
+    """Checkpoint migration depends on envelopes being JSON-portable: an
+    envelope through canonical JSON (the repo's one checksummed encoding)
+    must still resume bit-identically, so any transport may carry it."""
     workload, plan, ref = chaos_reference
     calls = [0]
 
@@ -79,7 +80,6 @@ def test_envelope_survives_the_farm_wire_format(chaos_reference):
     status, envelope = sliced_run(workload, "stache", fault_plan=plan,
                                   should_preempt=preempt_after_first_slice)
     assert status == "preempted"
-    # exactly what a progress frame does to the envelope on the wire
     wire = json.loads(canonical({"payload": envelope}))["payload"]
     status, obs = sliced_run(workload, "stache", fault_plan=plan,
                              resume=wire)
@@ -96,6 +96,8 @@ def test_observables_serialization_round_trips(chaos_reference):
     assert back.image == ref.image
 
 
+@pytest.mark.skipif(_mp_context().get_start_method() != "fork",
+                    reason="preempt flags are read by forked workers")
 def test_controller_preempts_farmed_campaign_with_identical_report():
     kwargs = dict(seeds=1, variants=1, protocols=("stache",),
                   traces_dir=None, shrink=False)
@@ -104,11 +106,11 @@ def test_controller_preempts_farmed_campaign_with_identical_report():
     controller = FarmController()
     tracer = EventTrace()
     # ask to preempt every cell job; each is requeued once with a resume
-    # envelope and finished by the same (only) inline worker
+    # envelope and finished by whichever local worker picks it up
     for index in range(64):
         controller.preempt(index)
-    par = run_campaign(jobs=2, farm_transport=InlineTransport(),
-                       farm_controller=controller, tracer=tracer, **kwargs)
+    par = run_campaign(jobs=2, farm_controller=controller, tracer=tracer,
+                       **kwargs)
 
     assert json.dumps(par.to_dict(), sort_keys=True) \
         == json.dumps(seq.to_dict(), sort_keys=True)

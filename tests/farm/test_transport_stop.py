@@ -18,18 +18,18 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def stubborn_main(wid, job_q, result_q, preempt_flag):
-    """Ignores the stop message (never reads its queue) and SIGTERM."""
+def stubborn_main(wid, conn, preempt_flag):
+    """Ignores the stop message (never reads its pipe) and SIGTERM."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    result_q.put(("up", wid, None, None))
+    conn.send(("up", wid, None, None))
     while True:
         time.sleep(60)
 
 
-def obedient_main(wid, job_q, result_q, preempt_flag):
-    result_q.put(("up", wid, None, None))
+def obedient_main(wid, conn, preempt_flag):
+    conn.send(("up", wid, None, None))
     while True:
-        if job_q.get()[0] == "stop":
+        if conn.recv()[0] == "stop":
             return
 
 

@@ -14,93 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cstar.dataflow import PackedBitVector
 from repro.fastpath.packed import NodeSet
 from repro.tempest.tags import AccessTag, TagTable
-from repro.util.bitvec import BitVector
 
 from tests.oracle import DictTagTable
-
-WIDTH = st.integers(min_value=0, max_value=200)
-
-# --------------------------------------------------------------------------- #
-# PackedBitVector vs BitVector
-# --------------------------------------------------------------------------- #
-
-
-def _bitvec_ops(width):
-    idx = st.integers(min_value=-2, max_value=width + 1)
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("set"), idx),
-            st.tuples(st.just("clear"), idx),
-            st.tuples(st.just("test"), idx),
-        ),
-        max_size=30,
-    )
-
-
-def _observe(v):
-    return (len(v), v.count(), list(v.indices()), list(v), bool(v))
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), width=WIDTH)
-def test_bitvector_single_bit_ops(data, width):
-    ref, packed = BitVector(width), PackedBitVector(width)
-    for op, i in data.draw(_bitvec_ops(width)):
-        ref_exc = packed_exc = None
-        try:
-            ref_out = getattr(ref, op)(i)
-        except IndexError as e:
-            ref_exc, ref_out = e, None
-        try:
-            packed_out = getattr(packed, op)(i)
-        except IndexError as e:
-            packed_exc, packed_out = e, None
-        assert (ref_exc is None) == (packed_exc is None)
-        assert ref_out == packed_out
-    assert _observe(ref) == _observe(packed)
-
-
-@settings(max_examples=60, deadline=None)
-@given(width=st.integers(min_value=0, max_value=150), data=st.data())
-def test_bitvector_algebra(width, data):
-    bits = st.integers(min_value=0, max_value=(1 << width) - 1 if width else 0)
-    a_bits, b_bits = data.draw(bits), data.draw(bits)
-    ra, rb = BitVector(width, a_bits), BitVector(width, b_bits)
-    pa, pb = PackedBitVector(width, a_bits), PackedBitVector(width, b_bits)
-    for op in ("__or__", "__and__", "__sub__"):
-        assert _observe(getattr(ra, op)(rb)) == _observe(getattr(pa, op)(pb))
-    assert ra.is_subset(rb) == pa.is_subset(pb)
-    assert (ra == rb) == (pa == pb)
-    # in-place forms mutate identically
-    ia, pia = ra.copy(), pa.copy()
-    ia |= rb
-    pia |= pb
-    assert _observe(ia) == _observe(pia)
-    ia, pia = ra.copy(), pa.copy()
-    ia -= rb
-    pia -= pb
-    assert _observe(ia) == _observe(pia)
-
-
-def test_bitvector_errors_match():
-    for cls in (BitVector, PackedBitVector):
-        with pytest.raises(ValueError):
-            cls(-1)
-        with pytest.raises(ValueError):
-            cls(3, 0b1000)  # bits exceed width
-        with pytest.raises(ValueError):
-            cls(4) | cls(5)  # width mismatch
-        with pytest.raises(IndexError):
-            cls(4).set(4)
-    full_r, full_p = BitVector.full(70), PackedBitVector.full(70)
-    assert _observe(full_r) == _observe(full_p)
-    idx_r = BitVector.from_indices(90, [0, 63, 64, 89])
-    idx_p = PackedBitVector.from_indices(90, [0, 63, 64, 89])
-    assert _observe(idx_r) == _observe(idx_p)
-
 
 # --------------------------------------------------------------------------- #
 # NodeSet vs set

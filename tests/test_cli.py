@@ -53,6 +53,22 @@ class TestOneTimingPath:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+class TestSocketWireRetired:
+    """The multi-host socket farm is gone: its flags and verb are refused."""
+
+    def test_hosts_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--hosts", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --hosts" in capsys.readouterr().err
+
+    def test_farm_worker_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["farm-worker"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'farm-worker'" in capsys.readouterr().err
+
+
 class TestCompile(object):
     def test_compile_example(self, capsys):
         assert main(["compile", str(JACOBI)]) == 0
@@ -337,8 +353,10 @@ class TestSweepAxisErrors:
 
 # Every verb's arguments as (option strings, dest, default, choices, nargs,
 # const, required, type name), sorted by dest.  Captured from the parser
-# before its shared options were gathered into groups; the one deliberate
-# change is ``--protocols``, which validates its comma list at parse time.
+# before its shared options were gathered into groups; the deliberate
+# changes since are ``--protocols``, which validates its comma list at parse
+# time, and the retired socket farm (``farm-worker``; ``--hosts``,
+# ``--bind``, ``--port`` and ``--chaos-seed`` on verify and faults).
 SURFACE = {
     'ablation': [
         ((), 'name', None, ('coalescing', 'incremental', 'flush', 'blocks'), None, None, True, None),
@@ -355,29 +373,17 @@ SURFACE = {
         ((), 'dir', None, None, None, None, True, None),
         (('--scrub',), 'scrub', False, None, 0, True, False, None),
     ],
-    'farm-worker': [
-        (('--connect',), 'connect', None, None, None, None, True, None),
-        (('--connect-attempts',), 'connect_attempts', None, None, None, None, False, 'int'),
-        (('--connect-timeout',), 'connect_timeout', 120.0, None, None, None, False, 'float'),
-        (('--heartbeat',), 'heartbeat', 0.5, None, None, None, False, 'float'),
-        (('--label',), 'label', None, None, None, None, False, None),
-        (('--watchdog',), 'watchdog', 3.0, None, None, None, False, 'float'),
-    ],
     'faults': [
-        (('--bind',), 'bind', '127.0.0.1', None, None, None, False, None),
-        (('--chaos-seed',), 'chaos_seed', None, None, None, None, False, 'int'),
         (('--corpus',), 'corpus', None, None, None, None, False, None),
         (('--crash',), 'crash', False, None, 0, True, False, None),
         (('--dump-scripts',), 'dump_scripts', None, None, None, None, False, None),
         (('--farm-events',), 'farm_events', None, None, None, None, False, None),
-        (('--hosts',), 'hosts', 0, None, None, None, False, 'int'),
         (('--jobs',), 'jobs', 1, None, None, None, False, 'int'),
         (('--list-plans',), 'list_plans', False, None, 0, True, False, None),
         (('--metrics-out',), 'metrics_out', None, None, None, None, False, None),
         (('--no-shrink',), 'no_shrink', False, None, 0, True, False, None),
         (('--no-traces',), 'no_traces', False, None, 0, True, False, None),
         (('--plans',), 'plans', None, None, None, None, False, None),
-        (('--port',), 'port', 0, None, None, None, False, 'int'),
         (('--protocols',), 'protocols', None, None, None, None, False, '_protocol_list'),
         (('--report-out',), 'report_out', None, None, None, None, False, None),
         (('--seeds',), 'seeds', 2, None, None, None, False, 'int'),
@@ -467,18 +473,14 @@ SURFACE = {
         (('--unoptimized',), 'unoptimized', False, None, 0, True, False, None),
     ],
     'verify': [
-        (('--bind',), 'bind', '127.0.0.1', None, None, None, False, None),
-        (('--chaos-seed',), 'chaos_seed', None, None, None, None, False, 'int'),
         (('--corpus',), 'corpus', None, None, None, None, False, None),
         (('--dfs',), 'dfs', 0, None, None, None, False, 'int'),
         (('--dfs-depth',), 'dfs_depth', 10, None, None, None, False, 'int'),
         (('--dfs-seeds',), 'dfs_seeds', 3, None, None, None, False, 'int'),
         (('--farm-events',), 'farm_events', None, None, None, None, False, None),
-        (('--hosts',), 'hosts', 0, None, None, None, False, 'int'),
         (('--jobs',), 'jobs', 1, None, None, None, False, 'int'),
         (('--no-shrink',), 'no_shrink', False, None, 0, True, False, None),
         (('--no-traces',), 'no_traces', False, None, 0, True, False, None),
-        (('--port',), 'port', 0, None, None, None, False, 'int'),
         (('--protocols',), 'protocols', None, None, None, None, False, '_protocol_list'),
         (('--regen-traces',), 'regen_traces', False, None, 0, True, False, None),
         (('--replay',), 'replay', None, None, None, None, False, 'int'),
