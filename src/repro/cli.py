@@ -469,6 +469,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     if args.suite:
         from repro.model import validate as mv
 
+        print(f"calibration: {cal_src}")
         doc = mv.validate(cal, quick=args.quick, timing=args.timing,
                           progress=print)
         print()

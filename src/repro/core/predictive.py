@@ -35,19 +35,20 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.schedule import (
-    CommSchedule,
-    EntryKind,
-    ScheduleStore,
-    coalesce_blocks,
+from repro.core.presend import (
+    DEFAULTS,
+    ENTRY,
+    INV,
+    RECALL,
+    ScheduleLifecycle,
+    plan_presend,
 )
+from repro.core.schedule import CommSchedule, EntryKind
 from repro.obs.events import EventKind as Ev
-from repro.protocols.directory import DirState
 from repro.protocols.messages import MessageKind as MK
 from repro.protocols.stache import StacheProtocol
 from repro.tempest.network import Message
 from repro.tempest.tags import AccessTag
-from repro.util.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tempest.machine import Machine
@@ -90,29 +91,24 @@ class PredictiveProtocol(StacheProtocol):
     """
 
     name = "predictive"
-    coalesce_presend = True
-    rebuild_every_group = False
-    anticipate_conflicts = False
-    max_schedules = 64
-    degrade_patience = 3
-    degrade_cooldown = 2
+    coalesce_presend = DEFAULTS.coalesce_presend
+    rebuild_every_group = DEFAULTS.rebuild_every_group
+    anticipate_conflicts = DEFAULTS.anticipate_conflicts
+    max_schedules = DEFAULTS.max_schedules
+    degrade_patience = DEFAULTS.degrade_patience
+    degrade_cooldown = DEFAULTS.degrade_cooldown
 
     def __init__(self, machine: "Machine") -> None:
         super().__init__(machine)
-        self.schedules = ScheduleStore(self.max_schedules)
-        #: (dst, block) pairs pre-sent in the current group (for usefulness stats)
-        self._presented: set[tuple[int, int]] = set()
+        #: schedules and their deferred judgment; the knobs are read from
+        #: this protocol at each use
+        self.life = ScheduleLifecycle(self)
         self.presend_messages = 0
         self.presend_blocks = 0
-        #: set while a group's schedule is frozen (injected staleness or a
-        #: degradation cooldown): home handlers skip incremental recording
-        self._suppress_learning = False
-        #: deferred judgment of pre-sent copies: (dst, block) -> the schedule
-        #: that transferred it, pending until the copy is either accessed
-        #: (useful) or pre-sent again unconsumed (confirmed waste)
-        self._pending_judgment: dict[tuple[int, int], CommSchedule] = {}
-        machine.access_hooks.append(self._judge_access)
+        self.schedules = self.life.store
         self.schedules.on_evict = self._note_evict
+        self.life.on_consume = self._note_consumed
+        machine.access_hooks.append(self.life.consume)
 
     def _note_evict(self, directive_id: int) -> None:
         obs = self.machine.obs
@@ -120,10 +116,14 @@ class PredictiveProtocol(StacheProtocol):
             obs.emit(Ev.SCHED_EVICT, self.machine.engine.now,
                      evicted_directive=directive_id)
 
-    # -- schedule access -----------------------------------------------------------
+    def _note_consumed(self, node: int, block: int,
+                       sched: CommSchedule) -> None:
+        obs = self.machine.obs
+        if obs.enabled:
+            obs.emit(Ev.PRESEND_CONSUMED, self.machine.engine.now,
+                     node=node, block=block, src_directive=sched.directive_id)
 
-    def schedule_for(self, directive_id: int) -> CommSchedule:
-        return self.schedules.fetch(directive_id)
+    # -- schedule access -----------------------------------------------------------
 
     def flush_schedule(self, directive_id: int) -> None:
         """FLUSH_SCHEDULE directive: rebuild from empty (§3.3)."""
@@ -135,28 +135,17 @@ class PredictiveProtocol(StacheProtocol):
                          flushed_directive=directive_id)
 
     def warm_seed(self, records) -> int:
-        """Install corpus records as starting schedules; returns how many took.
+        """Install corpus records as starting schedules; returns how many
+        took (see :meth:`ScheduleLifecycle.warm_seed`).
 
-        Seeded schedules enter through the same :meth:`ScheduleStore.insert`
-        path a checkpoint restore uses, so the first ``begin_group`` at a
-        seeded directive pre-sends immediately (iteration 1) instead of
-        spending it learning.  A warmed schedule is an *optimization input*,
-        never a trust boundary: a wrong one merely mispredicts, which the
-        deferred-judgment degradation machinery already absorbs.  Records
-        that fail to decode are skipped — corpus damage must never surface
-        as a simulation exception — and sites that already hold a schedule
-        are left alone (live learning outranks the corpus).
+        The first ``begin_group`` at a seeded directive pre-sends
+        immediately (iteration 1) instead of spending it learning.  A warmed
+        schedule is an *optimization input*, never a trust boundary: a wrong
+        one merely mispredicts, which deferred judgment already absorbs.
         """
         installed = 0
         obs = self.machine.obs
-        for record in records or ():
-            try:
-                sched = CommSchedule.from_record(record)
-            except Exception:
-                continue
-            if not sched.entries or sched.directive_id in self.schedules:
-                continue
-            self.schedules.insert(sched)
+        for sched in self.life.warm_seed(records):
             installed += 1
             if obs.enabled:
                 obs.emit(Ev.SCHED_WARM, self.machine.engine.now,
@@ -167,11 +156,9 @@ class PredictiveProtocol(StacheProtocol):
     # -- part 1: building schedules (augmented home handlers) -----------------------
 
     def _handle(self, msg: Message, t: float) -> None:
-        directive = self.machine.current_directive
-        if (directive is not None and msg.kind in MK.REQUESTS
-                and not self._suppress_learning):
-            kind = "r" if msg.kind == MK.GET_RO else "w"
-            self.schedule_for(directive).record(msg.block, msg.src, kind)
+        if msg.kind in MK.REQUESTS:
+            self.life.record(self.machine.current_directive, msg.block,
+                             msg.src, "r" if msg.kind == MK.GET_RO else "w")
         super()._handle(msg, t)
 
     # -- part 2: pre-send ------------------------------------------------------------
@@ -179,94 +166,51 @@ class PredictiveProtocol(StacheProtocol):
     def begin_group(self, directive_id: int, t: float) -> list[float]:
         """Walk schedules at every home node; pre-send data; return per-node
         send-side completion times (the machine adds the closing barrier)."""
-        sched = self.schedule_for(directive_id)
-        if self.rebuild_every_group:
-            sched.flush()
-        sched.begin_instance()
-        self._presented.clear()
-        self._suppress_learning = False
+        life = self.life
+        sched, degraded = life.begin(directive_id)
         obs = self.machine.obs
-        if sched.wasted_streak >= self.degrade_patience:
-            sched.degrade(self.degrade_cooldown)
+        if degraded:
             self.machine.stats.schedules_degraded += 1
             if obs.enabled:
                 obs.emit(Ev.SCHED_DEGRADE, t,
                          cooldown=self.degrade_cooldown)
-            self._pending_judgment = {
-                pair: owner for pair, owner in self._pending_judgment.items()
-                if owner is not sched
-            }
         injector = self.machine.fault_injector
         if injector is not None:
             action = injector.schedule_fault(directive_id)
             if action == "stale":
                 # The schedule stops tracking reality this instance: pre-send
                 # from it as-is, but record none of this instance's faults.
-                self._suppress_learning = True
+                life.suppress_learning = True
                 if obs.enabled:
                     obs.emit(Ev.SCHED_STALE, t)
             elif action == "corrupt":
                 self._corrupt_schedule(sched)
                 if obs.enabled:
                     obs.emit(Ev.SCHED_CORRUPT, t, entries=len(sched.entries))
-        if sched.cooldown > 0:
-            # Degraded: this phase group runs as plain Stache while the
-            # misprediction source (hopefully) passes.
-            sched.cooldown -= 1
-            self._suppress_learning = True
+        if not life.presend_due(sched):
+            # Degraded (this phase group runs as plain Stache while the
+            # misprediction source hopefully passes), or nothing learned yet:
+            # no pre-send phase, so no pre-send barrier either.
             return None
-        if not sched.entries:
-            # Nothing learned yet (first execution, or just flushed): no
-            # pre-send phase, so no pre-send barrier either.
-            return None
-        cfg = self.config
-        completions: list[float] = []
-        for node in self.machine.nodes:
-            cursor = t
-            entries = sched.entries_for_home(self.machine.home, node.id)
-            # (dst, tag) -> blocks to transfer in bulk
-            outgoing: dict[tuple[int, AccessTag], list[int]] = {}
-            for entry in entries:
-                cursor += cfg.presend_entry_cost
-                kind = entry.kind
-                if kind is EntryKind.CONFLICT:
-                    if not self.anticipate_conflicts:
-                        continue  # no anticipated action (§3.4)
-                    # extension: act as if the block were in its last stable
-                    # state before the conflict appeared
-                    kind = entry.pre_conflict_kind
-                    if kind is None or (kind is EntryKind.WRITE
-                                        and entry.writer is None):
-                        continue
-                if kind is EntryKind.READ:
-                    cursor = self._presend_read(node.id, entry, cursor,
-                                                outgoing, sched)
-                else:
-                    cursor = self._presend_write(node.id, entry, cursor, outgoing)
-            cursor = self._send_bulk(node.id, outgoing, cursor, sched)
-            completions.append(cursor)
-        return completions
+        return [
+            self._run_presend(node.id, plan_presend(
+                sched, node.id, life, self.directory, self._tags_permit,
+                self.machine.home), t)
+            for node in self.machine.nodes
+        ]
 
     def end_group(self, directive_id: int, t: float) -> None:
         """Account pre-sent blocks the receiver never touched (redundant
         transfers from untracked deletions or over-wide blocks), and fold
         the outcome into the schedule's degradation tracking."""
-        presented = len(self._presented)
-        useless = 0
-        for dst, block in self._presented:
-            if not self.machine.was_accessed(dst, block):
-                self.machine.node(dst).stats.presend_useless_blocks += 1
-                useless += 1
-        self._presented.clear()
-        self._suppress_learning = False
-        sched = self.schedules.get(directive_id)
-        if sched is not None:
-            sched.note_presend_outcome(presented, useless)
-            sched.fold_instance_judgment()
+        presented, useless = self.life.end(directive_id,
+                                           self.machine.group_accessed)
+        for dst in useless:
+            self.machine.node(dst).stats.presend_useless_blocks += 1
         obs = self.machine.obs
         if obs.enabled and presented:
             obs.emit(Ev.PRESEND_OUTCOME, t, presented=presented,
-                     useless=useless)
+                     useless=len(useless))
 
     def _corrupt_schedule(self, sched: CommSchedule) -> None:
         """Injected corruption: flip every entry's anticipated direction.
@@ -287,14 +231,7 @@ class PredictiveProtocol(StacheProtocol):
 
     def on_node_crashed(self, node: int, t: float) -> None:
         super().on_node_crashed(node, t)
-        # Copies pre-sent to the dead node died with its caches: they are
-        # neither wasted predictions nor useful ones, so they leave deferred
-        # judgment (and this group's usefulness sample) entirely.
-        self._pending_judgment = {
-            pair: owner for pair, owner in self._pending_judgment.items()
-            if pair[0] != node
-        }
-        self._presented = {p for p in self._presented if p[0] != node}
+        self.life.forget_node(node)
 
     def on_node_detected_down(self, node: int, t: float) -> None:
         super().on_node_detected_down(node, t)
@@ -304,159 +241,73 @@ class PredictiveProtocol(StacheProtocol):
         for sched in self.schedules.values():
             sched.purge_node(node, self.machine.home)
 
-    # -- pre-send actions per entry kind ------------------------------------------------
+    # -- executing a pre-send program ----------------------------------------------------
 
-    def _presend_read(self, home: int, entry, cursor: float, outgoing,
-                      sched: CommSchedule) -> float:
-        """READ entry: recall any writer, forward RO copies to readers."""
-        dentry = self.directory.entry(entry.block)
-        if dentry.state in DirState.BUSY:
-            raise ProtocolError(f"pre-send with busy directory entry {dentry}")
-        if dentry.state == DirState.EXCLUSIVE:
-            cursor = self._synchronous_recall(dentry, cursor)
-            # The recall is itself an anticipatory transfer — home regains a
-            # readable copy — so it enters deferred judgment like any other
-            # pre-sent block: a schedule whose only effect is bringing the
-            # block home before the home reads it is helping, not wasting.
-            self._register_presend(home, entry.block, sched, cursor)
-        home_tags = self.machine.node(home).tags
-        for reader in sorted(entry.readers):
-            if reader == home:
-                continue  # home reads its own memory
-            if self.machine.node(reader).tags.permits(entry.block, "r"):
-                continue  # already holds a usable copy
-            outgoing.setdefault((reader, AccessTag.READ_ONLY), []).append(entry.block)
-            dentry.sharers.add(reader)
-            dentry.state = DirState.SHARED
-            home_tags.downgrade(entry.block)
-        return cursor
+    def _tags_permit(self, dentry, node: int, kind: str) -> bool:
+        """The planner's permission oracle: the holder's own tags, which
+        under a crash plan may lag the directory."""
+        return self.machine.node(node).tags.permits(dentry.block, kind)
 
-    def _presend_write(self, home: int, entry, cursor: float, outgoing) -> float:
-        """WRITE entry: invalidate readers/writer, forward the writable copy."""
-        dentry = self.directory.entry(entry.block)
-        if dentry.state in DirState.BUSY:
-            raise ProtocolError(f"pre-send with busy directory entry {dentry}")
-        writer = entry.writer
-        home_tags = self.machine.node(home).tags
-        if dentry.state == DirState.EXCLUSIVE:
-            if dentry.owner == writer:
-                return cursor  # predicted writer already owns the block
-            cursor = self._synchronous_recall(dentry, cursor)
-        elif dentry.state == DirState.SHARED:
-            for sharer in sorted(dentry.sharers):
-                if sharer == writer:
-                    continue
-                self.send(
-                    Message(MK.PRESEND_INV, src=home, dst=sharer, block=entry.block),
-                    cursor,
-                )
-                cursor += self.config.presend_entry_cost
-            dentry.sharers.intersection_update({writer})
-        if writer == home:
-            if dentry.sharers:
-                # writer held an RO copy; with others gone it upgrades in place
-                dentry.sharers.clear()
-            dentry.state = DirState.IDLE
-            dentry.owner = None
-            home_tags.set(entry.block, AccessTag.READ_WRITE)
-        else:
-            if self.machine.node(writer).tags.permits(entry.block, "w"):
-                return cursor
-            outgoing.setdefault((writer, AccessTag.READ_WRITE), []).append(entry.block)
-            dentry.sharers.clear()
-            dentry.owner = writer
-            dentry.state = DirState.EXCLUSIVE
-            home_tags.invalidate(entry.block)
-        return cursor
-
-    def _synchronous_recall(self, dentry, cursor: float) -> float:
-        """Recall a writable copy during pre-send (synchronous accounting).
-
-        Charges a full request/response round trip plus handler occupancy at
-        the owner, invalidates the owner's tag, and returns home memory to
-        the IDLE state.
-        """
-        owner = dentry.owner
+    def _run_presend(self, home: int, program: list[tuple],
+                     cursor: float) -> float:
+        """Price ``home``'s pre-send program from ``cursor`` and carry it
+        out (a recall synchronously: see the modelling note above); returns
+        the home's send-side completion time."""
         cfg = self.config
-        cursor += (
-            2 * cfg.message_cost(cfg.block_size)
-            + 2 * cfg.handler_cost
-        )
-        self.machine.node(owner).tags.invalidate(dentry.block)
-        home_node = self.machine.node(dentry.home)
-        home_node.tags.set(dentry.block, AccessTag.READ_WRITE)
-        home_node.stats.messages_sent += 1
-        self.machine.node(owner).stats.messages_sent += 1
-        self.machine.node(owner).stats.bytes_sent += cfg.block_size
-        dentry.owner = None
-        dentry.state = DirState.IDLE
-        return cursor
-
-    def _register_presend(self, dst: int, block: int,
-                          sched: CommSchedule, t: float) -> None:
-        """Enter a transferred copy into deferred judgment.
-
-        Re-transferring a pair that is still pending means the earlier copy
-        was invalidated without ever being accessed — the one observation
-        that *confirms* a pre-send was wasted (an unconsumed copy that is
-        never invalidated costs nothing further and is left unjudged).
-        """
-        prev = self._pending_judgment.get((dst, block))
-        if prev is not None:
-            prev.note_waste()
-            obs = self.machine.obs
-            if obs.enabled:
-                obs.emit(Ev.PRESEND_WASTE, t, node=dst, block=block,
-                         src_directive=prev.directive_id)
-        self._pending_judgment[(dst, block)] = sched
-
-    def _judge_access(self, node: int, block: int, kind: str) -> None:
-        """machine.access_hooks observer: any access consumes a pending copy."""
-        sched = self._pending_judgment.pop((node, block), None)
-        if sched is not None:
-            sched.note_useful()
-            obs = self.machine.obs
-            if obs.enabled:
-                obs.emit(Ev.PRESEND_CONSUMED, self.machine.engine.now,
-                         node=node, block=block,
-                         src_directive=sched.directive_id)
-
-    def _send_bulk(self, home: int, outgoing, cursor: float,
-                   sched: CommSchedule) -> float:
-        """Coalesce per-destination blocks into runs; one bulk message each."""
-        stats = self.machine.node(home).stats
-        for (dst, tag), blocks in sorted(
-            outgoing.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            kind = MK.PRESEND_RO if tag is AccessTag.READ_ONLY else MK.PRESEND_RW
-            if self.coalesce_presend:
-                runs = coalesce_blocks(blocks)
+        machine = self.machine
+        obs = machine.obs
+        home_node = machine.node(home)
+        home_tags = home_node.tags
+        for token in program:
+            code = token[0]
+            if code == ENTRY:
+                cursor += cfg.presend_entry_cost
+                if token[2]:
+                    home_tags.set(token[1], AccessTag.READ_WRITE)
+            elif code == RECALL:
+                _, block, owner, wasted = token
+                cursor += 2 * cfg.message_cost(cfg.block_size) + 2 * cfg.handler_cost
+                owner_node = machine.node(owner)
+                owner_node.tags.invalidate(block)
+                home_tags.set(block, AccessTag.READ_WRITE)
+                home_node.stats.messages_sent += 1
+                owner_node.stats.messages_sent += 1
+                owner_node.stats.bytes_sent += cfg.block_size
+                if wasted is not None and obs.enabled:
+                    obs.emit(Ev.PRESEND_WASTE, cursor, node=home, block=block,
+                             src_directive=wasted.directive_id)
+            elif code == INV:
+                self.send(Message(MK.PRESEND_INV, src=home, dst=token[1],
+                                  block=token[2]), cursor)
+                cursor += cfg.presend_entry_cost
             else:
-                runs = [(b, 1) for b in sorted(set(blocks))]
-            for first, count in runs:
+                _, dst, grant, first, count, wastes = token
                 run = list(range(first, first + count))
+                read_only = grant is AccessTag.READ_ONLY
                 msg = Message(
-                    kind,
-                    src=home,
-                    dst=dst,
-                    block=first,
-                    payload_bytes=count * self.config.block_size,
-                    info={"blocks": run},
-                    bulk=count > 1,
+                    MK.PRESEND_RO if read_only else MK.PRESEND_RW,
+                    src=home, dst=dst, block=first,
+                    payload_bytes=count * cfg.block_size,
+                    info={"blocks": run}, bulk=count > 1,
                 )
                 self.send(msg, cursor)
-                obs = self.machine.obs
                 if obs.enabled:
                     obs.emit(Ev.PRESEND_MSG, cursor, node=home, dst=dst,
                              block=first, blocks=count, bulk=msg.bulk,
-                             grant="rw" if kind == MK.PRESEND_RW else "ro")
-                cursor += self.config.handler_cost  # injection occupancy
+                             grant="ro" if read_only else "rw")
+                cursor += cfg.handler_cost  # injection occupancy
                 self.presend_messages += 1
                 self.presend_blocks += count
-                stats.presend_blocks_sent += count
-                self._presented.update((dst, b) for b in run)
-                for b in run:
-                    self._register_presend(dst, b, sched, cursor)
+                home_node.stats.presend_blocks_sent += count
+                if obs.enabled:
+                    for block, prev in wastes:
+                        obs.emit(Ev.PRESEND_WASTE, cursor, node=dst,
+                                 block=block, src_directive=prev.directive_id)
+                # home keeps a read-only copy next to readers, none once a
+                # remote writer holds the block
+                for block in run:
+                    (home_tags.downgrade if read_only
+                     else home_tags.invalidate)(block)
         return cursor
 
     # -- receiving pre-sent data ----------------------------------------------------------

@@ -8,14 +8,15 @@ protocol): reduce each phase's access streams to at most two events per
 (node, block) — the first read and the first write.
 
 **Walk** (cost-independent, kept on the recording per ``(block_size,
-protocol, optimized, warm-start)``): evolve an analytical directory through
-the fold's events.  Every miss is classified into one of six coefficient
-vectors over the cost basis ``(fault, control-flight, data-flight, handler,
+protocol, optimized, warm-start)``): evolve a directory of
+:class:`~repro.protocols.directory.DirEntry` records through the fold's
+events.  Every miss is classified into one of six coefficient vectors over
+the cost basis ``(fault, control-flight, data-flight, handler,
 dir-lookup)``; pre-send phases, schedule learning, deferred judgment and
-degradation run against the *real*
-:class:`~repro.core.schedule.CommSchedule` / ``ScheduleStore`` classes, so
-fault-free pre-send counts are exact by construction.  The walk also counts
-every message and byte the protocol would send.
+degradation are the predictive protocol's own
+:mod:`repro.core.presend` planner and schedule lifecycle, run at the
+default knobs.  The walk also counts every message and byte the protocol
+would send.
 
 **Assemble** (per *grid* of cost tables): price the walk against P
 :class:`~repro.util.config.MachineConfig` s at once — cursors, arrivals,
@@ -52,11 +53,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.schedule import (
-    CommSchedule,
-    EntryKind,
-    ScheduleStore,
-    coalesce_blocks,
+from repro.core.factory import PROTOCOLS as _PROTOCOL_CLASSES
+from repro.core.presend import (
+    DEFAULTS,
+    ENTRY as _ENTRY,
+    INV as _INV,
+    RECALL as _RECALL,
+    SEND as _SEND,
+    ScheduleLifecycle,
+    plan_presend,
 )
 from repro.cstar.recording import (
     ProgramRecording,
@@ -64,21 +69,13 @@ from repro.cstar.recording import (
     record_program,
 )
 from repro.model.layout import LayoutModel, PhaseFold
+from repro.protocols.directory import DirEntry, Directory, DirState
+from repro.protocols.writeupdate import UPDATE_SHARED, push_set
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, ProtocolError
 
-PROTOCOLS = ("stache", "predictive", "write-update")
-
-# analytical directory states (the walk never needs the transient BUSY
-# states: queued requests are simply processed in sequence)
-_IDLE, _SHARED, _EXCL, _UPD = 0, 1, 2, 3
-
-#: default knobs mirrored from PredictiveProtocol (the model predicts the
-#: default configuration; ablation knobs are a simulator-only affair)
-_DEGRADE_PATIENCE = 3
-_DEGRADE_COOLDOWN = 2
-_MAX_SCHEDULES = 64
+PROTOCOLS = tuple(_PROTOCOL_CLASSES)
 
 #: M/D/1 utilization clamp — keeps the contention estimate finite when a
 #: phase's handler demand approaches its makespan
@@ -90,29 +87,8 @@ _CATEGORIES = (TimeCategory.COMPUTE, TimeCategory.REMOTE_WAIT,
                TimeCategory.PREDICTIVE, TimeCategory.SYNCH)
 _COMPUTE, _WAIT, _PRESEND, _SYNCH = range(4)
 
-#: pre-send token codes (``PresendWalk.programs``)
-_ENTRY, _RECALL, _INV, _SEND = range(4)
-
 #: REM_RECALL (write flavor): what one ping-pong re-steal costs
 _STEAL = np.array([1, 2, 2, 4, 2])
-
-
-def _permits_r(st: list, node: int, home: int) -> bool:
-    s = st[0]
-    if s == _IDLE:
-        return node == home
-    if s == _EXCL:
-        return node == st[2]
-    return node == home or node in st[1]  # SHARED / UPDATE_SHARED
-
-
-def _permits_w(st: list, node: int, home: int) -> bool:
-    s = st[0]
-    if s == _IDLE or s == _UPD:
-        return node == home
-    if s == _EXCL:
-        return node == st[2]
-    return False  # SHARED
 
 
 @dataclass
@@ -149,14 +125,14 @@ class PushWalk:
 class PresendWalk:
     """One pre-send phase as per-home token programs.
 
-    ``programs[home]`` is home's token codes — ``_ENTRY`` schedule-entry
-    walk, ``_RECALL`` synchronous writer recall, ``_INV`` pre-send
-    invalidation, ``_SEND`` a (possibly bulk) data transfer — and
-    ``tokens[home]`` the positions of its ``_INV`` / ``_SEND`` tokens, each a
-    message; ``dst`` and ``count`` are the messages' destinations and blocks
-    carried (0 for an invalidation), in (home, token) order.  That is
-    everything the assemble stage needs to recompute cursors and arrival
-    queues under any cost table.
+    ``programs[home]`` is the codes of home's :func:`~repro.core.presend.
+    plan_presend` program — ``ENTRY`` schedule-entry walk, ``RECALL``
+    synchronous writer recall, ``INV`` pre-send invalidation, ``SEND`` a
+    (possibly bulk) data transfer — and ``tokens[home]`` the positions of
+    its ``INV`` / ``SEND`` tokens, each a message; ``dst`` and ``count`` are
+    the messages' destinations and blocks carried (0 for an invalidation),
+    in (home, token) order.  That is everything the assemble stage needs to
+    recompute cursors and arrival queues under any cost table.
     """
 
     programs: list[np.ndarray]
@@ -205,7 +181,9 @@ class _Walker:
         self.optimized = optimized
         self.n = recording.n_nodes
         self.block_size = layout.block_size
-        self.dir: dict[int, list] = {}
+        # the walk never needs the transient BUSY states: queued requests
+        # are simply processed in sequence
+        self.dir = Directory(layout.home)
         self.steps: list[tuple[str, object]] = []
         #: run totals per node, keyed by NodeStats field
         self.counters = {name: np.zeros(self.n, dtype=np.int64) for name in (
@@ -217,33 +195,13 @@ class _Walker:
         self.degraded = 0
         self.total_requests = 0
         self.current_directive: int | None = None
-        # predictive mirror state (uses the real schedule classes)
-        self.predictive = protocol == "predictive" and optimized
-        self.store = ScheduleStore(_MAX_SCHEDULES) if self.predictive else None
-        self.suppress_learning = False
-        self.pending: dict[tuple[int, int], CommSchedule] = {}
-        self.presented: set[tuple[int, int]] = set()
         self.group_accessed: set[tuple[int, int]] = set()
-        if self.predictive and warm:
-            self._warm_seed(warm)
-
-    def _warm_seed(self, records) -> None:
-        # mirrors PredictiveProtocol.warm_seed
-        for record in records or ():
-            try:
-                sched = CommSchedule.from_record(record)
-            except Exception:
-                continue
-            if not sched.entries or sched.directive_id in self.store:
-                continue
-            self.store.insert(sched)
-
-    def _state(self, block: int) -> list:
-        st = self.dir.get(block)
-        if st is None:
-            st = [_IDLE, set(), None]
-            self.dir[block] = st
-        return st
+        # the predictive protocol's own schedule lifecycle, at its default
+        # knobs (ablations are a simulator-only affair)
+        self.life = None
+        if protocol == "predictive" and optimized:
+            self.life = ScheduleLifecycle(DEFAULTS)
+            list(self.life.warm_seed(warm))
 
     def run(self) -> WalkResult:
         folds = iter(self.layout.fold())
@@ -269,128 +227,51 @@ class _Walker:
     def _begin_group(self, directive: int) -> None:
         self.current_directive = directive
         self.group_accessed.clear()
-        if not self.predictive:
+        if self.life is None:
             return
-        sched = self.store.fetch(directive)
-        sched.begin_instance()
-        self.presented.clear()
-        self.suppress_learning = False
-        if sched.wasted_streak >= _DEGRADE_PATIENCE:
-            sched.degrade(_DEGRADE_COOLDOWN)
-            self.degraded += 1
-            self.pending = {
-                pair: owner for pair, owner in self.pending.items()
-                if owner is not sched
-            }
-        if sched.cooldown > 0:
-            sched.cooldown -= 1
-            self.suppress_learning = True
-            return
-        if not sched.entries:
-            return
-        self.steps.append(("presend", self._walk_presend(sched)))
+        sched, degraded = self.life.begin(directive)
+        self.degraded += degraded
+        if self.life.presend_due(sched):
+            self.steps.append(("presend", self._presend(sched)))
 
     def _end_group(self) -> None:
-        if self.predictive:
-            presented = len(self.presented)
-            useless = 0
-            for dst, block in self.presented:
-                if (dst, block) not in self.group_accessed:
-                    self.counters["presend_useless_blocks"][dst] += 1
-                    useless += 1
-            self.presented.clear()
-            self.suppress_learning = False
-            sched = self.store.get(self.current_directive)
-            if sched is not None:
-                sched.note_presend_outcome(presented, useless)
-                sched.fold_instance_judgment()
+        if self.life is not None:
+            _, useless = self.life.end(self.current_directive,
+                                       self.group_accessed)
+            for dst in useless:
+                self.counters["presend_useless_blocks"][dst] += 1
         self.current_directive = None
 
-    def _register_presend(self, dst: int, block: int,
-                          sched: CommSchedule) -> None:
-        prev = self.pending.get((dst, block))
-        if prev is not None:
-            prev.note_waste()
-        self.pending[(dst, block)] = sched
-
-    def _walk_presend(self, sched: CommSchedule) -> PresendWalk:
-        """Mirror of ``PredictiveProtocol.begin_group``'s per-home walk."""
-        n, B = self.n, self.block_size
-        home_of = self.layout.home
+    def _presend(self, sched) -> PresendWalk:
+        """Run the protocol's pre-send planner at every home; count its
+        messages and keep its token programs for the assemble stage."""
+        B = self.block_size
         programs, tokens = [], []
         dsts: list[int] = []
         counts: list[int] = []
         messages, bytes_sent = self.messages, self.bytes_sent
         blocks_sent = self.counters["presend_blocks_sent"]
         blocks_received = self.counters["presend_blocks_received"]
-
-        for node in range(n):
+        for home in range(self.n):
             prog: list[int] = []
             sent: list[int] = []    # positions of prog's message tokens
-            outgoing: dict[tuple[int, int], list[int]] = {}  # (dst, 1=RO/2=RW)
-            for entry in sched.entries_for_home(home_of, node):
-                prog.append(_ENTRY)
-                kind = entry.kind
-                if kind is EntryKind.CONFLICT:
-                    continue  # no anticipated action (§3.4)
-                st = self._state(entry.block)
-                recall = st[0] == _EXCL and (kind is EntryKind.READ
-                                             or st[2] != entry.writer)
-                if recall:  # synchronous write-back from the current owner
-                    prog.append(_RECALL)
-                    messages[node] += 1
-                    messages[st[2]] += 1
-                    bytes_sent[st[2]] += B
-                    st[0], st[2] = _IDLE, None
-                    st[1].clear()
-                if kind is EntryKind.READ:
-                    if recall:
-                        self._register_presend(node, entry.block, sched)
-                    for reader in sorted(entry.readers):
-                        if reader == node:
-                            continue
-                        if _permits_r(st, reader, node):
-                            continue
-                        outgoing.setdefault((reader, 1), []).append(entry.block)
-                        st[1].add(reader)
-                        st[0] = _SHARED
-                else:  # WRITE
-                    writer = entry.writer
-                    if st[0] == _EXCL:
-                        continue  # the writer already holds it
-                    if st[0] == _SHARED:
-                        for sharer in sorted(st[1]):
-                            if sharer == writer:
-                                continue
-                            sent.append(len(prog))
-                            dsts.append(sharer)
-                            counts.append(0)
-                            prog.append(_INV)
-                            messages[node] += 1
-                        st[1].intersection_update({writer})
-                    if writer == node:
-                        st[1].clear()
-                        st[0], st[2] = _IDLE, None
-                    else:
-                        if _permits_w(st, writer, node):
-                            continue
-                        outgoing.setdefault((writer, 2), []).append(entry.block)
-                        st[1].clear()
-                        st[0], st[2] = _EXCL, writer
-            # bulk sends, mirroring _send_bulk's (dst, tag) order
-            for (dst, _tag), blocks in sorted(outgoing.items()):
-                for first, count in coalesce_blocks(blocks):
+            for token in plan_presend(sched, home, self.life, self.dir,
+                                      DirEntry.permits, self.layout.home):
+                code = token[0]
+                if code == _RECALL:  # synchronous owner write-back
+                    messages[home] += 1
+                    messages[token[2]] += 1
+                    bytes_sent[token[2]] += B
+                elif code != _ENTRY:  # a message: invalidation or transfer
+                    dst, count = token[1], token[4] if code == _SEND else 0
                     sent.append(len(prog))
                     dsts.append(dst)
                     counts.append(count)
-                    prog.append(_SEND)
-                    messages[node] += 1
-                    bytes_sent[node] += count * B
-                    blocks_sent[node] += count
+                    messages[home] += 1
+                    bytes_sent[home] += count * B
+                    blocks_sent[home] += count
                     blocks_received[dst] += count
-                    for b in range(first, first + count):
-                        self.presented.add((dst, b))
-                        self._register_presend(dst, b, sched)
+                prog.append(code)
             programs.append(np.array(prog, dtype=np.int8))
             tokens.append(np.array(sent, dtype=np.int64))
         return PresendWalk(programs, tokens, np.array(dsts, dtype=np.int64),
@@ -404,34 +285,26 @@ class _Walker:
         services = np.zeros((self.n, self.n), dtype=np.int64)
         sent_before = int(self.messages.sum())
 
-        learn = (self.predictive and self.current_directive is not None
-                 and not self.suppress_learning)
-        sched = None  # fetched lazily: the sim only touches the store on a miss
-        permits = (_permits_r, _permits_w)
+        entry_of = self.dir.entry
         classify = (self._classify_read, self._classify_write)
-
         for block, node, kind, home in fold.events.tolist():
-            st = self._state(block)
-            if permits[kind](st, node, home):
+            st = entry_of(block)
+            if st.permits(node, "rw"[kind]):
                 continue
             misses[kind, node] += 1
             self.total_requests += 1
-            if learn:
-                if sched is None:
-                    sched = self.store.fetch(self.current_directive)
-                sched.record(block, node, "rw"[kind])
+            if self.life is not None:
+                self.life.record(self.current_directive, block, node,
+                                 "rw"[kind])
             classify[kind](st, node, home, coeff, services)
 
         # completed accesses: usefulness judgment + group bookkeeping
-        if self.optimized or self.protocol == "write-update":
+        if self.life is not None:
             for pair in map(tuple, fold.touched.tolist()):
                 self.group_accessed.add(pair)
-                if self.predictive:
-                    owner = self.pending.pop(pair, None)
-                    if owner is not None:
-                        owner.note_useful()
+                self.life.consume(*pair)
 
-        pushes = (self._push_program(fold)
+        pushes = (self._push_walk(fold)
                   if self.protocol == "write-update" else None)
         missed = misses.sum(axis=0)
         self.counters["read_misses"] += misses[0]
@@ -473,40 +346,47 @@ class _Walker:
         for sharer in acks:
             messages[sharer] += 1
 
-    def _classify_read(self, st, node, home, coeff, services) -> None:
-        if st[0] == _UPD or self.protocol == "write-update":
+    def _classify_read(self, st: DirEntry, node, home, coeff,
+                       services) -> None:
+        if st.state == UPDATE_SHARED or self.protocol == "write-update":
             # write-update consumer registration: home stays writable
             # (UPDATE_SHARED) and the consumer is pushed to forever after
             self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
-            st[0] = _UPD
-            st[1].add(node)
-        elif st[0] == _EXCL:
+            st.state = UPDATE_SHARED
+            st.sharers.add(node)
+        elif st.state == DirState.EXCLUSIVE:
             # the only way home itself read-misses: LOC_RECALL; else REM_RECALL
             vec = (1, 1, 1, 3, 2) if node == home else (1, 2, 2, 4, 2)
-            self._charge(node, home, coeff, services, vec, 2, owner=st[2])
-            st[0], st[2] = (_IDLE if node == home else _SHARED), None
-            st[1] = set() if node == home else {node}
+            self._charge(node, home, coeff, services, vec, 2, owner=st.owner)
+            st.owner = None
+            if node == home:
+                st.state = DirState.IDLE
+            else:
+                st.state = DirState.SHARED
+                st.sharers.add(node)
         elif node == home:  # defensive: immediate local grant (LOC_IDLE)
             self._charge(node, home, coeff, services, (1, 0, 0, 1, 1), 1)
         else:  # IDLE / SHARED: home memory is current (REM_CURRENT)
             self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
-            st[0] = _SHARED
-            st[1].add(node)
+            st.state = DirState.SHARED
+            st.sharers.add(node)
 
-    def _classify_write(self, st, node, home, coeff, services) -> None:
-        if st[0] == _UPD or self.protocol == "write-update":
+    def _classify_write(self, st: DirEntry, node, home, coeff,
+                        services) -> None:
+        if st.state == UPDATE_SHARED or self.protocol == "write-update":
             raise ProtocolError(
                 f"write-update protocol requires producer-owned data; node "
                 f"{node} wrote a block homed at {home}",
                 node=node,
             )
         local = node == home
-        others = st[1] - {node} if st[0] == _SHARED else ()
+        others = st.sharers - {node} if st.state == DirState.SHARED else ()
         k = len(others)
-        if st[0] == _EXCL:  # LOC_RECALL (RECALL_INV path) / REM_RECALL
+        if st.state == DirState.EXCLUSIVE:
+            # LOC_RECALL (RECALL_INV path) / REM_RECALL
             vec = (1, 1, 1, 3, 2) if local else (1, 2, 2, 4, 2)
-            self._charge(node, home, coeff, services, vec, 2, owner=st[2])
-        elif st[0] == _SHARED and (local or others):
+            self._charge(node, home, coeff, services, vec, 2, owner=st.owner)
+        elif st.state == DirState.SHARED and (local or others):
             # LOC_WRITE_SHARED(k) / REM_WRITE_SHARED(k)
             vec = (1, 2, 0, 2 + k, 1 + k) if local else (1, 3, 1, 3 + k, 1 + k)
             self._charge(node, home, coeff, services, vec, 1 + k, acks=others)
@@ -515,36 +395,27 @@ class _Walker:
             # the sole sharer (in-place upgrade)
             vec = (1, 0, 0, 1, 1) if local else (1, 1, 1, 2, 1)
             self._charge(node, home, coeff, services, vec, 1)
-        st[0], st[1], st[2] = (_IDLE, set(), None) if local else (
-            _EXCL, set(), node)
+        st.sharers.clear()
+        st.state, st.owner = ((DirState.IDLE, None) if local
+                              else (DirState.EXCLUSIVE, node))
 
     # -- write-update push programs -------------------------------------------
 
-    def _push_program(self, fold: PhaseFold) -> PushWalk | None:
-        """Mirror of ``WriteUpdateProtocol.adjust_barrier``'s push loop."""
-        pushes: dict[int, dict[int, int]] = {}
-        for node, block in fold.wrote.tolist():
-            home = self.layout.home(block)
-            if home != node:
-                raise ProtocolError(
-                    f"node {node} wrote block {block} homed at {home} "
-                    f"under write-update",
-                    node=node, block=block,
-                )
-            st = self._state(block)
-            for consumer in st[1]:
-                per = pushes.setdefault(node, {})
-                per[consumer] = per.get(consumer, 0) + 1  # coalesce_updates=False
+    def _push_walk(self, fold: PhaseFold) -> PushWalk | None:
+        """``adjust_barrier``'s push set as a program: one single-block
+        update per pushed block (``coalesce_updates`` is off)."""
+        pushes = push_set(fold.wrote.tolist(), self.dir)
         if not pushes:
             return None
-        producers = np.array(sorted(pushes))
-        runs = np.array([sum(pushes[p].values()) for p in sorted(pushes)])
+        producers = sorted(pushes)
+        per = [sorted(pushes[p].items()) for p in producers]
+        runs = np.array([sum(len(blocks) for _, blocks in consumers)
+                         for consumers in per])
         self.messages[producers] += runs
         self.bytes_sent[producers] += runs * self.block_size
-        return PushWalk(producers, runs, np.array(
-            [consumer for producer in sorted(pushes)
-             for consumer, n_runs in sorted(pushes[producer].items())
-             for _ in range(n_runs)]))
+        return PushWalk(np.array(producers), runs, np.array(
+            [consumer for consumers in per
+             for consumer, blocks in consumers for _ in blocks]))
 
 
 # -- the assemble stage -------------------------------------------------------

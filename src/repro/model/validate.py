@@ -9,9 +9,9 @@ against ratio-style error budgets:
   :data:`WALL_BUDGET` on every case;
 * ``compute`` cycles exact — the model replays the same value pass;
 * pre-send block counts **exact** on fault-free predictive runs whose
-  miss stream the walk reproduces exactly — there the model mirrors the
-  learned-schedule machinery one-for-one, so any count drift means a
-  modeling bug, not an approximation.  Where mid-phase ping-pong makes
+  miss stream the walk reproduces exactly — there the walk runs the
+  protocol's own planner and schedule lifecycle (:mod:`repro.core.presend`),
+  so any count drift means a modeling bug, not an approximation.  Where mid-phase ping-pong makes
   the simulator's *online learning itself* timing-dependent (the walk's
   miss count already differs), the counts fall under
   :data:`PRESEND_BUDGET` instead.

@@ -74,6 +74,17 @@ class DirEntry:
     acks_needed: int = 0
     pending: Deque[PendingRequest] = field(default_factory=deque)
 
+    def permits(self, node: int, kind: str) -> bool:
+        """Whether ``node`` holds a copy allowing ``kind`` ("r"/"w") in this
+        stable state (any other than IDLE, SHARED and EXCLUSIVE is taken for
+        write-update's UPDATE_SHARED: the home keeps its writable copy)."""
+        state = self.state
+        if state == DirState.EXCLUSIVE:
+            return node == self.owner
+        if node == self.home:
+            return kind == "r" or state != DirState.SHARED
+        return kind == "r" and state != DirState.IDLE and node in self.sharers
+
     def check_invariants(self) -> None:
         """Sanity rules that hold in every stable state (tested heavily)."""
         if self.state == DirState.IDLE:

@@ -106,19 +106,7 @@ class WriteUpdateProtocol(BaseProtocol):
         time.
         """
         cfg = self.config
-        # producer -> consumer -> blocks written this phase with registrations
-        pushes: dict[int, dict[int, list[int]]] = {}
-        for node, block in sorted(self.machine.phase_writes):
-            entry = self.directory.entry(block)
-            if entry.home != node:
-                raise ProtocolError(
-                    f"node {node} wrote block {block} homed at {entry.home} "
-                    f"under write-update",
-                    node=node, block=block,
-                )
-            for consumer in entry.sharers:
-                pushes.setdefault(node, {}).setdefault(consumer, []).append(block)
-
+        pushes = push_set(self.machine.phase_writes, self.directory)
         adjusted = dict(arrivals)
         install_done: dict[int, float] = {}
         for producer, per_consumer in sorted(pushes.items()):
@@ -156,3 +144,21 @@ class WriteUpdateProtocol(BaseProtocol):
                 )
                 adjusted[consumer] = done
         return adjusted
+
+
+def push_set(writes, directory) -> dict[int, dict[int, list[int]]]:
+    """producer -> consumer -> blocks: every registered consumer of a block
+    written this phase (``writes``: (node, block) pairs) receives it.  Only
+    a block's home may write it."""
+    pushes: dict[int, dict[int, list[int]]] = {}
+    for node, block in sorted(writes):
+        entry = directory.entry(block)
+        if entry.home != node:
+            raise ProtocolError(
+                f"node {node} wrote block {block} homed at {entry.home} "
+                f"under write-update",
+                node=node, block=block,
+            )
+        for consumer in entry.sharers:
+            pushes.setdefault(node, {}).setdefault(consumer, []).append(block)
+    return pushes

@@ -162,9 +162,10 @@ def _snapshot_directory(machine: "Machine") -> list[dict]:
 
 def _snapshot_predictive(machine: "Machine") -> dict | None:
     protocol = machine.protocol
-    store = getattr(protocol, "schedules", None)
-    if store is None:
+    life = getattr(protocol, "life", None)
+    if life is None:
         return None
+    store = life.store
     return {
         # least- to most-recently-used, so insert() rebuilds the LRU order
         "schedules": [_snapshot_schedule(s) for s in store.values()],
@@ -177,10 +178,10 @@ def _snapshot_predictive(machine: "Machine") -> dict | None:
         "pending_judgment": [
             [dst, block, sched.directive_id,
              store.get(sched.directive_id) is sched]
-            for (dst, block), sched in protocol._pending_judgment.items()
+            for (dst, block), sched in life.pending.items()
         ],
-        "presented": sorted(map(list, protocol._presented)),
-        "suppress_learning": protocol._suppress_learning,
+        "presented": sorted(map(list, life.presented)),
+        "suppress_learning": life.suppress_learning,
         "presend_messages": protocol.presend_messages,
         "presend_blocks": protocol.presend_blocks,
     }
@@ -409,7 +410,8 @@ def _restore_predictive(machine: "Machine", rec: dict) -> None:
     from repro.core.schedule import CommSchedule, EntryKind, ScheduleEntry
 
     protocol = machine.protocol
-    store = protocol.schedules
+    life = protocol.life
+    store = life.store
     store.evictions = 0
     for sdict in rec["schedules"]:
         sched = CommSchedule(sdict["directive_id"])
@@ -442,7 +444,7 @@ def _restore_predictive(machine: "Machine", rec: dict) -> None:
     # evicted schedule's mutations are unobservable (it is never fetched or
     # judged again, only note_waste/note_useful on it, which feed nothing).
     dangling: dict[int, object] = {}
-    protocol._pending_judgment = {}
+    life.pending = {}
     for dst, block, directive_id, live in rec["pending_judgment"]:
         if live:
             owner = store[directive_id]
@@ -450,9 +452,9 @@ def _restore_predictive(machine: "Machine", rec: dict) -> None:
             owner = dangling.get(directive_id)
             if owner is None:
                 owner = dangling[directive_id] = CommSchedule(directive_id)
-        protocol._pending_judgment[(dst, block)] = owner
-    protocol._presented = {tuple(p) for p in rec["presented"]}
-    protocol._suppress_learning = rec["suppress_learning"]
+        life.pending[(dst, block)] = owner
+    life.presented = {tuple(p) for p in rec["presented"]}
+    life.suppress_learning = rec["suppress_learning"]
     protocol.presend_messages = rec["presend_messages"]
     protocol.presend_blocks = rec["presend_blocks"]
 

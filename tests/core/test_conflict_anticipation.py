@@ -24,7 +24,7 @@ class TestPreConflictTracking:
         m.begin_group(1)
         run_one_phase(m, {1: [("r", b)], 2: [("w", b)]})
         m.end_group()
-        entry = m.protocol.schedule_for(1).entries[b]
+        entry = m.protocol.schedules.fetch(1).entries[b]
         assert entry.kind is EntryKind.CONFLICT
         assert entry.pre_conflict_kind in (EntryKind.READ, EntryKind.WRITE)
 

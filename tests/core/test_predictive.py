@@ -21,7 +21,7 @@ class TestScheduleBuilding:
     def test_faults_recorded_into_directive_schedule(self):
         m, b = small_machine("predictive", n_nodes=3)
         run_group(m, 7, {1: [("r", b)], 2: [("r", b + 1)]})
-        sched = m.protocol.schedule_for(7)
+        sched = m.protocol.schedules.fetch(7)
         assert sched.entries[b].readers == {1}
         assert sched.entries[b + 1].readers == {2}
 
@@ -33,12 +33,12 @@ class TestScheduleBuilding:
     def test_hits_not_recorded(self):
         m, b = small_machine("predictive", n_nodes=2)
         run_group(m, 1, {0: [("r", b), ("w", b)]})  # home accesses: local hits
-        assert len(m.protocol.schedule_for(1)) == 0
+        assert len(m.protocol.schedules.fetch(1)) == 0
 
     def test_write_fault_recorded_as_writer(self):
         m, b = small_machine("predictive", n_nodes=2)
         run_group(m, 1, {1: [("w", b)]})
-        e = m.protocol.schedule_for(1).entries[b]
+        e = m.protocol.schedules.fetch(1).entries[b]
         assert e.kind is EntryKind.WRITE
         assert e.writer == 1
 
@@ -107,7 +107,7 @@ class TestPreSend:
         m, b = small_machine("predictive", n_nodes=3)
         # same block read by 1 and written by 2 in one phase: conflict
         run_group(m, 1, {1: [("r", b)], 2: [("w", b)]})
-        sched = m.protocol.schedule_for(1)
+        sched = m.protocol.schedules.fetch(1)
         assert sched.entries[b].kind is EntryKind.CONFLICT
         before = m.protocol.presend_blocks
         run_group(m, 1, {1: [("r", b)], 2: [("w", b)]})
@@ -121,7 +121,7 @@ class TestIncremental:
         m, b = small_machine("predictive", n_nodes=3)
         run_group(m, 1, {1: [("r", b)]})
         run_group(m, 1, {1: [("r", b)], 2: [("r", b)]})  # node 2 is new: faults
-        assert m.protocol.schedule_for(1).entries[b].readers == {1, 2}
+        assert m.protocol.schedules.fetch(1).entries[b].readers == {1, 2}
         misses = m.stats.misses
         run_group(m, 1, {1: [("r", b)], 2: [("r", b)]})
         assert m.stats.misses == misses  # both pre-sent now
@@ -138,10 +138,10 @@ class TestIncremental:
         m, b = small_machine("predictive", n_nodes=2)
         run_group(m, 1, {1: [("r", b)]})
         m.protocol.flush_schedule(1)
-        assert len(m.protocol.schedule_for(1)) == 0
+        assert len(m.protocol.schedules.fetch(1)) == 0
         run_group(m, 1, {1: [("r", b)]})
         # after flush the (still cached) copy hits; schedule stays empty
-        assert len(m.protocol.schedule_for(1)) == 0
+        assert len(m.protocol.schedules.fetch(1)) == 0
 
 
 class TestCoalescedBulk:

@@ -71,9 +71,9 @@ class TestFlushDirective:
     def test_flush_clears_schedule(self):
         m, b = small_machine("predictive", n_nodes=2)
         producer_consumer_iterations(m, b, iters=2)
-        assert len(m.protocol.schedule_for(1)) > 0
+        assert len(m.protocol.schedules.fetch(1)) > 0
         m.protocol.flush_schedule(1)
-        assert len(m.protocol.schedule_for(1)) == 0
+        assert len(m.protocol.schedules.fetch(1)) == 0
 
     def test_flush_unknown_directive_is_noop(self):
         m, b = small_machine("predictive", n_nodes=2)
@@ -84,4 +84,4 @@ class TestFlushDirective:
         producer_consumer_iterations(m, b, iters=2)
         m.protocol.flush_schedule(1)
         producer_consumer_iterations(m, b, iters=2)
-        assert len(m.protocol.schedule_for(1)) > 0
+        assert len(m.protocol.schedules.fetch(1)) > 0

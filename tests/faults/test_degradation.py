@@ -67,7 +67,7 @@ class TestInjectedScheduleFaults:
 
     def test_corrupt_flips_entry_directions(self):
         m, first = small_machine("predictive", n_nodes=3)
-        sched = m.protocol.schedule_for(1)
+        sched = m.protocol.schedules.fetch(1)
         sched.begin_instance()
         sched.record(first, 1, "r")
         sched.begin_instance()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps import barnes, water
+from repro.apps import adaptive, barnes, water
+from repro.bench.ablations import predictive_knobs
 from repro.bench.harness import VersionSpec, run_version
 from repro.model import predict
 from repro.model.predictor import clear_walk_cache
@@ -27,8 +28,83 @@ def sim_stats(protocol="stache", optimized=False, variant="cstar", cfg=CFG,
     return run_version(spec).stats
 
 
+def grid_cfg(n_nodes, block_size):
+    return MachineConfig(n_nodes=n_nodes, page_size=max(512, 4 * block_size),
+                         block_size=block_size, per_byte_cost=1.15)
+
+
+#: the per-node counters the walk reproduces exactly on the pinned grid
+NODE_COUNTERS = ("read_misses", "write_misses", "local_hits",
+                 "messages_sent", "bytes_sent", "presend_blocks_sent",
+                 "presend_blocks_received", "presend_useless_blocks")
+
+WATER_GRID = dict(n=24, iterations=3, work_scale=8.0)
+ADAPTIVE_GRID = dict(size=8, iterations=4)
+BARNES_GRID = dict(n=24, iterations=3, theta=0.6, dt=0.15, vel_scale=1.0,
+                   work_scale=5.0)
+
+#: (app, build kwargs, variant, protocol, n_nodes, block_size): every
+#: configuration measured exact, node for node; past it (coarser blocks,
+#: more nodes) timing-dependent ping-pong and home races split misses
+#: differently in the simulator and the walk
+EXACT_GRID = (
+    [(water, WATER_GRID, "cstar", protocol, n, b)
+     for protocol in ("stache", "predictive")
+     for n, sizes in ((2, (16, 32, 64, 128)), (4, (16, 32, 64)))
+     for b in sizes]
+    + [(water, WATER_GRID, "cstar", "predictive", 8, b) for b in (16, 32)]
+    + [(adaptive, ADAPTIVE_GRID, "cstar", protocol, n, b)
+       for protocol in ("stache", "predictive")
+       for n in (2, 4) for b in (16, 32)]
+    + [(adaptive, ADAPTIVE_GRID, "cstar", "stache", n, 64) for n in (4, 8)]
+    + [(barnes, BARNES_GRID, "spmd", "write-update", n, b)
+       for n in (2, 4, 8) for b in (16, 32, 64, 128)]
+)
+
+
+def _grid_id(case):
+    app, _, _, protocol, n, b = case
+    return f"{app.__name__.rsplit('.', 1)[-1]}-{protocol}-N{n}-B{b}"
+
+
+def assert_nodes_equal(pred, sim):
+    for name in NODE_COUNTERS:
+        assert ([getattr(node, name) for node in pred.nodes]
+                == [getattr(node, name) for node in sim.nodes]), name
+
+
 class TestExactCounters:
     """On fine-grain workloads the walk reproduces the sim's counters."""
+
+    @pytest.mark.parametrize("case", EXACT_GRID, ids=map(_grid_id, EXACT_GRID))
+    def test_grid_node_counters_exact(self, case):
+        app, kw, variant, protocol, n, b = case
+        optimized = protocol == "predictive"
+        cfg = grid_cfg(n, b)
+        sim = sim_stats(protocol, optimized, variant, cfg, app, kw)
+        pred = predict(app, dict(kw), protocol=protocol, optimized=optimized,
+                       config=cfg, variant=variant).stats
+        assert_nodes_equal(pred, sim)
+
+    @pytest.mark.parametrize("cooldown", [0, 1, 2])
+    @pytest.mark.parametrize("app,kw,block_size", [
+        (water, dict(WATER_GRID, iterations=4), 32),
+        (adaptive, ADAPTIVE_GRID, 16),
+    ], ids=["water", "adaptive"])
+    def test_warm_start_node_counters_exact(self, app, kw, block_size,
+                                            cooldown):
+        """Harvested schedules seeded back in, with and without a carried
+        cooldown: the warm-seed and cooldown paths agree too."""
+        cfg = grid_cfg(4, block_size)
+        spec = VersionSpec("v", app, "predictive", True, cfg, dict(kw))
+        records = [dict(record, cooldown=cooldown)
+                   for record in run_version(spec, harvest=True).harvest]
+        assert records
+        sim = run_version(spec, warm=records).stats
+        pred = predict(app, dict(kw), protocol="predictive", optimized=True,
+                       config=cfg, warm=records).stats
+        assert_nodes_equal(pred, sim)
+        assert pred.schedules_degraded == sim.schedules_degraded
 
     @pytest.mark.parametrize("app,kw,cfg,variant,protocol,optimized", [
         (water, TINY, CFG, "cstar", "stache", False),
@@ -124,6 +200,18 @@ class TestWalkCache:
         warm = predict(water, dict(TINY), protocol="predictive",
                        optimized=True, config=CFG).stats
         assert cold.to_dict() == warm.to_dict()
+
+    def test_walk_prices_the_default_knobs(self):
+        """Walks are cached without the knobs in their key, so a walk taken
+        while an ablation patches the protocol class still prices the
+        defaults."""
+        kw = dict(protocol="predictive", optimized=True, config=CFG)
+        clear_walk_cache()
+        base = predict(water, dict(TINY), **kw).stats
+        clear_walk_cache()
+        with predictive_knobs(coalesce=False, rebuild=True):
+            patched = predict(water, dict(TINY), **kw).stats
+        assert patched.to_dict() == base.to_dict()
 
     def test_cost_change_actually_changes_cycles(self):
         base = predict(water, dict(TINY), protocol="stache",

@@ -7,10 +7,12 @@ bit-identical to the uninterrupted run — under every protocol, with or
 without injected faults.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.apps import water
 from repro.core import make_machine
 from repro.faults import CRASH_PLANS, FaultPlan
 from repro.recovery.checkpoint import (
@@ -22,7 +24,7 @@ from repro.recovery.checkpoint import (
     snapshot_machine,
 )
 from repro.tempest.tracefile import replay_session
-from repro.util import SimulationError
+from repro.util import MachineConfig, SimulationError
 from repro.verify.interleave import FifoPolicy
 from repro.verify.workload import generate_workload
 
@@ -197,3 +199,46 @@ class TestGuards:
         # the machine is still live: snapshot, then close out normally
         snapshot_machine(machine)
         machine.finish()
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestPinnedBytes:
+    """Checkpoint bytes of a predictive water run, pinned by SHA-256.
+
+    Stopped after the second group (nothing pre-sent yet), after the
+    fourth (one pre-send judged and closed), and right after the third
+    group's pre-send (copies pending deferred judgment): the schedule
+    lifecycle's state must serialise exactly as it always has.
+    """
+
+    @pytest.mark.parametrize("method,count,digest", [
+        ("end_group", 2,
+         "02ffaf04560773e61497ba75b8a07d8d4d855199938ce84ae37485db46275aae"),
+        ("end_group", 4,
+         "30c29db565c93209505c8536aa5be2f52054e356a73701edec5dc14487457c1a"),
+        ("begin_group", 3,
+         "857ac72799d0f2d33982e307d4d2e07a95ffd49c6efdcd76a749af09baff73a1"),
+    ])
+    def test_snapshot_digest(self, method, count, digest):
+        machine = make_machine(MachineConfig(n_nodes=4, page_size=512),
+                               "predictive")
+        real, calls = getattr(machine, method), []
+
+        def stop_after(*args):
+            real(*args)
+            calls.append(args)
+            if len(calls) == count:
+                raise _Stop
+
+        setattr(machine, method, stop_after)
+        with pytest.raises(_Stop):
+            water.build(n=24, iterations=3, work_scale=8.0).run(
+                machine, optimized=True)
+        snap = json.dumps(snapshot_machine(machine), sort_keys=True)
+        assert hashlib.sha256(snap.encode()).hexdigest() == digest
+        if method == "begin_group":
+            assert machine.protocol.life.pending
+            assert machine.protocol.life.presented

@@ -289,6 +289,38 @@ class TestModelCommand:
                      "--calibration", "/nonexistent.json"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_suite_names_its_calibration(self, tmp_path, monkeypatch,
+                                         capsys):
+        """Without a calibration in --dir the suite validates against the
+        identity calibration, and says so, as the predict path does."""
+        from repro.model import default_calibration, save_calibration
+        from repro.model import validate as mv
+
+        monkeypatch.setattr(mv, "validate",
+                            lambda cal, **kw: {"passed": True})
+        monkeypatch.setattr(mv, "render_validation", lambda doc: "")
+        assert main(["model", "--suite", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        assert ("calibration: identity (no committed calibration)"
+                in capsys.readouterr().out)
+        path = tmp_path / "MODEL_calibration.json"
+        save_calibration(path, default_calibration())
+        assert main(["model", "--suite", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        assert f"calibration: {path}" in capsys.readouterr().out
+
+
+class TestProtocolList:
+    def test_cli_literal_matches_the_factory(self):
+        """The CLI keeps a literal (parsing stays light); it must name the
+        same protocols, in the same order, as the factory and the model."""
+        from repro import cli
+        from repro.core import factory
+        from repro.model import predictor
+
+        assert cli.PROTOCOLS == tuple(factory.PROTOCOLS)
+        assert predictor.PROTOCOLS == tuple(factory.PROTOCOLS)
+
 
 class TestSweepCommand:
     def test_model_backed_grid(self, tmp_path, capsys):
