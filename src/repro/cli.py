@@ -231,9 +231,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print(format_table(["metric", "value"], stats.summary_rows(),
                            floatfmt=".6g"))
-        if args.trace_stats:
-            print()
-            print(f"(phase count: {len(stats.phases)})")
     if args.metrics_out:
         from repro.obs import registry_from_run
 
@@ -893,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="compile and simulate a C** file")
     _add_machine_options(p, protocol="predictive", base=_RUN_BASE)
     _add_corpus_option(p)
-    p.add_argument("--trace-stats", action="store_true")
     p.add_argument("--json", nargs="?", const="-", metavar="PATH",
                    help="emit machine-readable run stats (repro.run-stats/v1) "
                         "to PATH, or to stdout instead of the table if PATH "

@@ -16,7 +16,6 @@ them with directives.  At runtime:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -24,9 +23,6 @@ class DirectiveKind(enum.Enum):
     BEGIN_PHASE = "begin_phase"
     END_PHASE = "end_phase"
     FLUSH_SCHEDULE = "flush_schedule"
-
-
-_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -40,10 +36,6 @@ class Directive:
 
     id: int
     label: str = ""
-
-    @staticmethod
-    def fresh(label: str = "") -> "Directive":
-        return Directive(id=next(_ids), label=label)
 
     def __repr__(self) -> str:
         lbl = f" {self.label!r}" if self.label else ""

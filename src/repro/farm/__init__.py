@@ -10,12 +10,7 @@ order, and the metrics merge algebra is order-independent.  See
 docs/FARM.md.
 """
 
-from repro.farm.coordinator import (
-    FarmController,
-    FarmResult,
-    run_farm,
-    run_jobs,
-)
+from repro.farm.coordinator import FarmResult, run_farm, run_jobs
 from repro.farm.jobs import FarmJob, derive_seed, partition_jobs
 from repro.farm.scheduler import Assignment, WorkStealingScheduler
 from repro.farm.transport import (
@@ -26,7 +21,6 @@ from repro.farm.transport import (
 
 __all__ = [
     "Assignment",
-    "FarmController",
     "FarmError",
     "FarmJob",
     "FarmResult",

@@ -1,23 +1,15 @@
-"""The farm coordinator: dispatch, crash retry, preemption, and collection.
+"""The farm coordinator: dispatch, crash retry, and collection.
 
 :func:`run_farm` drives a :class:`~repro.farm.scheduler.WorkStealingScheduler`
 over a transport (:mod:`repro.farm.transport`): it keeps every worker busy,
-collects per-job payloads as they stream in, and handles two failure
-modes —
-
-* **worker crash** — a dead worker's channel reads EOF at once, and a
-  wall-clock liveness sweep *independent of message arrival* catches the
-  rest, so a dead worker's job is reclaimed even while other workers keep
-  the message stream busy.  The lost job is requeued at the front of its
-  owner deck (retries are on the critical path) with an ``attempt``
-  counter in its params, and the worker is respawned under the same id;
-  after ``max_retries`` crash-retries of the same job the farm raises
-  :class:`~repro.farm.transport.FarmError`.
-* **preemption** — requested through a :class:`FarmController`.  A
-  preemptible job checkpoints at its next quiescent boundary
-  (:mod:`repro.farm.preempt`) and comes back as a resume envelope; the
-  coordinator requeues the job with the envelope attached, and whichever
-  worker picks it up finishes the run bit-identically.
+collects per-job payloads as they stream in, and handles worker
+crashes: a dead worker's channel reads EOF at once, and a wall-clock
+liveness sweep *independent of message arrival* catches the rest, so a
+dead worker's job is reclaimed even while other workers keep the message
+stream busy.  The lost job is requeued unchanged at the front of its
+owner deck (retries are on the critical path) and the worker is respawned
+under the same id; after ``max_retries`` crash-retries of the same job
+the farm raises :class:`~repro.farm.transport.FarmError`.
 
 Every wait is bounded: ``recv`` waits at most ``poll_interval`` for a
 message to begin, a message being read ends — whole, or with an error —
@@ -26,8 +18,8 @@ worker's death can block the coordinator or another worker.
 
 Determinism contract: the coordinator never interprets payloads — callers
 fold ``FarmResult.results`` in job-index order with the same pure fold the
-sequential path uses, so scheduling, stealing, retries and preemptions
-are all invisible in the aggregated report.
+sequential path uses, so scheduling, stealing and retries are all
+invisible in the aggregated report.
 
 Farm lifecycle events (``farm.*`` in :class:`repro.obs.events.EventKind`)
 are emitted on the caller's tracer with host-relative timestamps and the
@@ -51,21 +43,6 @@ from repro.farm.worker import execute_job, worker_main
 from repro.obs.events import EventKind
 
 
-class FarmController:
-    """Caller-side preemption valve.
-
-    ``controller.preempt(job_index)`` asks the farm to checkpoint-preempt
-    that job the next time it is (or already is) running; the request is
-    consumed by the first preemption or completion of the job.
-    """
-
-    def __init__(self) -> None:
-        self.requests: set[int] = set()
-
-    def preempt(self, job_index: int) -> None:
-        self.requests.add(job_index)
-
-
 @dataclass
 class FarmResult:
     """What one farm run produced, plus its scheduling footprint."""
@@ -74,7 +51,6 @@ class FarmResult:
     workers: int = 0
     steals: int = 0
     retries: int = 0
-    preemptions: int = 0
     worker_crashes: int = 0
 
 
@@ -86,7 +62,6 @@ def run_farm(
     progress=None,
     max_retries: int = 2,
     transport=None,
-    controller: FarmController | None = None,
     poll_interval: float = 0.2,
     liveness_interval: float = 0.5,
 ) -> FarmResult:
@@ -119,7 +94,6 @@ def run_farm(
 
     idle: set[int] = set(range(n_workers))
     attempts: dict[int, int] = {}
-    pending_preempt: dict[int, int] = {}  # worker -> job it should preempt
 
     def dispatch() -> None:
         for wid in sorted(idle):
@@ -128,13 +102,6 @@ def run_farm(
                 continue
             idle.discard(wid)
             job = assignment.job
-            wants_preempt = (controller is not None and job.preemptible
-                             and job.index in controller.requests)
-            if wants_preempt:
-                # arm the flag before the job starts so even a synchronous
-                # (inline) worker observes it at its first checkpoint
-                pending_preempt[wid] = job.index
-                transport.preempt(wid)
             # ends as soon as the worker dies (a broken pipe marks it dead)
             transport.send(wid, ("job", job))
             emit(EventKind.FARM_DISPATCH, node=wid, job=job.index,
@@ -144,36 +111,19 @@ def run_farm(
                 emit(EventKind.FARM_STEAL, node=wid, job=job.index,
                      victim=assignment.stolen_from)
 
-    def clear_preempt_state(wid: int, job_index: int) -> None:
-        if controller is not None:
-            controller.requests.discard(job_index)
-        if pending_preempt.get(wid) == job_index:
-            pending_preempt.pop(wid)
-            transport.clear_preempt(wid)
-
-    def requeue(job: FarmJob, wid: int, resume: dict | None = None) -> None:
-        """Put ``job`` back in its deck: resuming from a preemption's
-        envelope, or — with no envelope — from scratch as a crash retry
-        counted against ``max_retries``."""
-        params = dict(job.params)
-        params.pop("resume", None)
-        if resume is None:
-            attempts[job.index] = attempts.get(job.index, 0) + 1
-            if attempts[job.index] > max_retries:
-                raise FarmError(
-                    f"{job.describe()} lost to {attempts[job.index]} worker "
-                    f"crash(es); retry budget is {max_retries}"
-                )
-            params["attempt"] = attempts[job.index]
-            result.retries += 1
-            emit(EventKind.FARM_RETRY, node=wid, job=job.index,
-                 attempt=attempts[job.index])
-        else:
-            params["resume"] = resume
-        fresh = FarmJob(index=job.index, kind=job.kind, params=params,
-                        preemptible=job.preemptible)
-        scheduler.replace(fresh)
-        scheduler.requeue(fresh)
+    def retry(job: FarmJob, wid: int) -> None:
+        """Requeue a crashed worker's job, counted against
+        ``max_retries``."""
+        attempts[job.index] = attempts.get(job.index, 0) + 1
+        if attempts[job.index] > max_retries:
+            raise FarmError(
+                f"{job.describe()} lost to {attempts[job.index]} worker "
+                f"crash(es); retry budget is {max_retries}"
+            )
+        result.retries += 1
+        emit(EventKind.FARM_RETRY, node=wid, job=job.index,
+             attempt=attempts[job.index])
+        scheduler.requeue(job)
 
     def check_liveness() -> None:
         for wid in range(n_workers):
@@ -182,8 +132,7 @@ def run_farm(
             result.worker_crashes += 1
             emit(EventKind.FARM_WORKER_DOWN, node=wid, crashed=True)
             for job in scheduler.running_on(wid):
-                requeue(job, wid)
-            pending_preempt.pop(wid, None)
+                retry(job, wid)
             transport.respawn(wid)
             emit(EventKind.FARM_WORKER_UP, node=wid, respawned=True)
             idle.add(wid)
@@ -209,20 +158,10 @@ def run_farm(
             if kind == "result":
                 scheduler.complete(job_index)
                 result.results[job_index] = payload
-                clear_preempt_state(wid, job_index)
                 emit(EventKind.FARM_DONE, node=wid, job=job_index)
                 if progress and len(result.results) % report_every == 0:
                     progress(f"[farm] {len(result.results)}/{total} job(s) "
                              f"done on {n_workers} worker(s)")
-                idle.add(wid)
-                dispatch()
-            elif kind == "preempted":
-                result.preemptions += 1
-                clear_preempt_state(wid, job_index)
-                emit(EventKind.FARM_PREEMPT, node=wid, job=job_index)
-                job = scheduler.job(job_index)
-                scheduler.complete(job_index)  # off the worker; requeue next
-                requeue(job, wid, resume=payload)
                 idle.add(wid)
                 dispatch()
             elif kind == "error":
@@ -244,22 +183,19 @@ def run_jobs(
     *,
     tracer=None,
     progress=None,
-    controller: FarmController | None = None,
 ):
     """Yield every job's payload in job-index order, farmed or inline.
 
     The one farm-or-sequential decision: ``jobs`` go through
     :func:`run_farm` when ``n_workers > 1`` and there are at least two
     jobs.  Otherwise each job runs in this process through
-    :func:`execute_job`, lazily and with no preemption control — no
-    transport, no ``[farm]`` progress lines.  Callers fold the payloads
-    with the same pure fold either way, which is what makes farmed reports
-    byte-identical to sequential ones.
+    :func:`execute_job`, lazily — no transport, no ``[farm]`` progress
+    lines.  Callers fold the payloads with the same pure fold either way,
+    which is what makes farmed reports byte-identical to sequential ones.
     """
     jobs = sorted(jobs, key=lambda job: job.index)
     if n_workers <= 1 or len(jobs) < 2:
         return (execute_job(job) for job in jobs)
-    farm = run_farm(jobs, n_workers, tracer=tracer, progress=progress,
-                    controller=controller)
+    farm = run_farm(jobs, n_workers, tracer=tracer, progress=progress)
     return (farm.results[job.index] for job in jobs)
 

@@ -66,15 +66,12 @@ class FarmJob:
     ``index`` is the job's position in the campaign's canonical sequential
     order — results are folded by ascending index, which is what makes the
     farmed aggregate equal the sequential one.  ``params`` must stay
-    transport-safe (primitives only).  ``preemptible`` marks jobs the
-    coordinator may checkpoint-preempt to rebalance long tails (see
-    :mod:`repro.farm.preempt`).
+    transport-safe (primitives only).
     """
 
     index: int
     kind: str
     params: dict = field(default_factory=dict)
-    preemptible: bool = False
 
     def describe(self) -> str:
         return f"job#{self.index} {self.kind}"

@@ -66,10 +66,6 @@ class WorkStealingScheduler:
         return [self._jobs[i] for i, w in sorted(self.in_flight.items())
                 if w == worker]
 
-    def job(self, index: int) -> FarmJob:
-        """The current record for job ``index`` (see :meth:`replace`)."""
-        return self._jobs[index]
-
     # -- scheduling ------------------------------------------------------------
 
     def acquire(self, worker: int) -> Assignment | None:
@@ -95,14 +91,10 @@ class WorkStealingScheduler:
         self.in_flight.pop(job_index, None)
 
     def requeue(self, job: FarmJob) -> None:
-        """Put a job back at the front of its owner deck (crash/preempt).
+        """Put a crashed worker's job back at the front of its owner deck.
 
         The front, so a retried job is re-dispatched before fresh work —
         retries are on the campaign's critical path.
         """
         self.in_flight.pop(job.index, None)
         self._decks[job.index % self.n_workers].appendleft(job)
-
-    def replace(self, job: FarmJob) -> None:
-        """Swap the stored job record (e.g. attach resume state on retry)."""
-        self._jobs[job.index] = job

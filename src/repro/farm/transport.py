@@ -4,8 +4,7 @@ The scheduler decides *what* runs where (:mod:`repro.farm.scheduler`); a
 transport is the dumb pipe that moves :class:`~repro.farm.jobs.FarmJob`
 records out and result messages back.  The coordinator drives any object
 with the same small seam — ``start``/``send``/``recv``/``alive``/
-``respawn``, the ``preempt``/``clear_preempt`` pair, and ``stop`` — so a
-backend that ships jobs elsewhere slots in without touching scheduling,
+``respawn``/``stop`` — so a backend that ships jobs elsewhere slots in without touching scheduling,
 retry, or merge logic (the retired socket wire did exactly that; see
 docs/FARM.md).
 
@@ -13,14 +12,13 @@ Wire protocol (one tuple shape both ways keeps backends trivial):
 
 * coordinator -> worker: ``("job", FarmJob)`` or ``("stop",)``
 * worker -> coordinator: ``(kind, worker_id, job_index, payload)`` with
-  ``kind`` one of ``up`` / ``result`` / ``error`` / ``preempted``
+  ``kind`` one of ``up`` / ``result`` / ``error``
 
 Two backends ship:
 
 * :class:`LocalProcessTransport` — a multiprocessing worker pool (fork
-  where available, spawn otherwise): one duplex pipe and one lock-free
-  preemption byte per worker.  No lock, queue or feeder thread is shared
-  between worker processes, so a worker that dies at any instant — even
+  where available, spawn otherwise): one duplex pipe per worker.  No
+  lock, queue or feeder thread is shared between worker processes, so a worker that dies at any instant — even
   halfway through writing a result — breaks only its own channel, which
   the coordinator then reads as a crash.
 * :class:`InlineTransport` — executes jobs synchronously in-process.
@@ -36,7 +34,6 @@ from collections import deque
 from multiprocessing.connection import wait
 from typing import Callable
 
-from repro.farm.jobs import FarmJob
 from repro.util.errors import SimulationError
 
 
@@ -53,14 +50,14 @@ def _mp_context():
     )
 
 
-def _child_main(worker_main: Callable, wid: int, conn, preempt_flag,
+def _child_main(worker_main: Callable, wid: int, conn,
                 parent_ends: list) -> None:
     """Worker process entry: close the inherited coordinator ends of every
     pipe, so each one reads EOF in its worker once the coordinator's copy
     closes, then serve jobs."""
     for end in parent_ends:
         end.close()
-    worker_main(wid, conn, preempt_flag)
+    worker_main(wid, conn)
 
 
 class LocalProcessTransport:
@@ -68,9 +65,8 @@ class LocalProcessTransport:
 
     The coordinator holds the only other end of each pipe: a dead worker
     shows up as EOF (or a broken pipe) on its own channel, never as a
-    blocked channel shared with the survivors.  Preemption requests are
-    one shared byte per worker (``RawValue``, no lock), so nothing a dying
-    worker can hold is ever waited on.
+    blocked channel shared with the survivors, and nothing a dying worker
+    can hold is ever waited on.
 
     ``stop_grace``/``kill_grace`` bound shutdown: a worker that ignores
     the stop message gets SIGTERM after ``stop_grace`` seconds, and one
@@ -86,8 +82,6 @@ class LocalProcessTransport:
         self.stop_grace = stop_grace
         self.kill_grace = kill_grace
         self._ctx = _mp_context()
-        self._preempt_flags = [self._ctx.RawValue("b", 0)
-                               for _ in range(n_workers)]
         self._procs: list = [None] * n_workers
         #: the coordinator's end of each worker's pipe; None once broken
         self._conns: list = [None] * n_workers
@@ -106,10 +100,9 @@ class LocalProcessTransport:
         parent_ends = [c for c in self._conns if c is not None] + [conn]
         proc = self._ctx.Process(
             target=_child_main,
-            args=(self._worker_main, wid, child_end,
-                  self._preempt_flags[wid], parent_ends),
+            args=(self._worker_main, wid, child_end, parent_ends),
             daemon=True,
-            name=f"repro-farm-worker-{wid}",
+            name=f"repro-farm-{wid}",
         )
         proc.start()
         # the worker now holds the only copy of its end: its death is EOF
@@ -132,7 +125,6 @@ class LocalProcessTransport:
             # its channel broke but the process lingers: put it down first
             proc.kill()
             proc.join(timeout=self.kill_grace)  # bounded by the timeout
-        self._preempt_flags[wid].value = 0
         self._spawn(wid)
 
     def stop(self) -> None:
@@ -191,28 +183,12 @@ class LocalProcessTransport:
                 self._close(self._conns.index(conn))
         return None
 
-    # -- preemption and liveness -----------------------------------------------
-
-    def preempt(self, wid: int) -> None:
-        self._preempt_flags[wid].value = 1
-
-    def clear_preempt(self, wid: int) -> None:
-        self._preempt_flags[wid].value = 0
+    # -- liveness --------------------------------------------------------------
 
     def alive(self, wid: int) -> bool:
         proc = self._procs[wid]
         return (self._conns[wid] is not None and proc is not None
                 and proc.is_alive())
-
-
-class _InlineControl:
-    """Preemption context handed to inline job execution."""
-
-    def __init__(self, transport: "InlineTransport"):
-        self._transport = transport
-
-    def should_preempt(self) -> bool:
-        return self._transport._preempt
 
 
 class InlineTransport:
@@ -226,7 +202,6 @@ class InlineTransport:
 
     def __init__(self):
         self._inbox: deque[tuple] = deque()
-        self._preempt = False
         self._started = False
 
     def start(self, worker_main: Callable) -> None:
@@ -239,32 +214,12 @@ class InlineTransport:
         self._started = False
 
     def send(self, wid: int, message: tuple) -> None:
-        job: FarmJob = message[1]
-        from repro.farm.worker import execute_job
+        from repro.farm.worker import job_reply
 
-        try:
-            payload = execute_job(job, _InlineControl(self))
-        except Exception as exc:  # mirror the process worker's catch-all
-            import traceback
-
-            self._inbox.append(
-                ("error", 0, job.index,
-                 f"{type(exc).__name__}: {exc}\n"
-                 f"{traceback.format_exc().rstrip()}"))
-            return
-        if isinstance(payload, tuple) and payload[0] == "preempted":
-            self._inbox.append(("preempted", 0, job.index, payload[1]))
-        else:
-            self._inbox.append(("result", 0, job.index, payload))
+        self._inbox.append(job_reply(0, message[1]))
 
     def recv(self, timeout: float = 0.2) -> tuple | None:
         return self._inbox.popleft() if self._inbox else None
-
-    def preempt(self, wid: int) -> None:
-        self._preempt = True
-
-    def clear_preempt(self, wid: int) -> None:
-        self._preempt = False
 
     def alive(self, wid: int) -> bool:
         return self._started

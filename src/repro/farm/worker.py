@@ -25,22 +25,8 @@ from repro.farm.transport import FarmError
 _before_job_hook = None
 
 
-class WorkerControl:
-    """Per-job preemption context inside a process worker."""
-
-    def __init__(self, preempt_flag):
-        self._preempt_flag = preempt_flag
-
-    def should_preempt(self) -> bool:
-        return bool(self._preempt_flag.value)
-
-
-def execute_job(job: FarmJob, control=None):
-    """Run one job by kind; returns its JSON-safe result payload.
-
-    Preemptible jobs may instead return ``("preempted", envelope)`` when
-    ``control`` reports a preemption request at a checkpointable boundary.
-    """
+def execute_job(job: FarmJob):
+    """Run one job by kind; returns its JSON-safe result payload."""
     if _before_job_hook is not None:
         _before_job_hook(job)
     if job.kind == "fuzz-seed":
@@ -50,8 +36,7 @@ def execute_job(job: FarmJob, control=None):
     if job.kind == "fault-cell":
         from repro.faults.campaign import run_fault_cell
 
-        return run_fault_cell(job.params,
-                              control=control if job.preemptible else None)
+        return run_fault_cell(job.params)
     if job.kind == "fault-probe":
         from repro.faults.campaign import run_fault_probe
 
@@ -63,7 +48,25 @@ def execute_job(job: FarmJob, control=None):
     raise FarmError(f"unknown farm job kind {job.kind!r}")
 
 
-def worker_main(wid: int, conn, preempt_flag) -> None:
+def job_reply(wid: int, job: FarmJob) -> tuple:
+    """Execute ``job`` and build the worker's reply message.
+
+    A job-level exception is a bug, not a crash: it is reported as an
+    ``error`` reply carrying the full traceback (a farmed failure must be
+    debuggable without a sequential rerun), and the worker stays alive so
+    the coordinator can fail fast with the message.
+    """
+    try:
+        return ("result", wid, job.index, execute_job(job))
+    except Exception as exc:
+        import traceback
+
+        return ("error", wid, job.index,
+                f"{type(exc).__name__}: {exc}\n"
+                f"{traceback.format_exc().rstrip()}")
+
+
+def worker_main(wid: int, conn) -> None:
     """Process entry point: serve jobs from ``conn`` until a stop message.
 
     Neither blocking call outlives the coordinator: ``recv`` reads EOF and
@@ -76,24 +79,6 @@ def worker_main(wid: int, conn, preempt_flag) -> None:
             message = conn.recv()
             if message[0] == "stop":
                 return
-            job: FarmJob = message[1]
-            try:
-                payload = execute_job(job, WorkerControl(preempt_flag))
-            except Exception as exc:
-                # a job-level exception is a bug, not a crash: report it
-                # (with the full traceback — a farmed failure must be
-                # debuggable without a sequential rerun) and stay alive so
-                # the coordinator can fail fast with the message
-                import traceback
-
-                conn.send(("error", wid, job.index,
-                           f"{type(exc).__name__}: {exc}\n"
-                           f"{traceback.format_exc().rstrip()}"))
-                continue
-            if (isinstance(payload, tuple) and payload
-                    and payload[0] == "preempted"):
-                conn.send(("preempted", wid, job.index, payload[1]))
-            else:
-                conn.send(("result", wid, job.index, payload))
+            conn.send(job_reply(wid, message[1]))
     except (EOFError, OSError):
         return

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 from repro.farm.coordinator import run_jobs
 from repro.farm.jobs import FarmJob, derive_seed
-from repro.farm.preempt import deserialize_observables, serialize_observables
 from repro.faults.plan import (
     BUNDLED_PLANS,
     CRASH_PLANS,
@@ -38,7 +37,13 @@ from repro.tempest.tracefile import load_session
 from repro.util.config import MachineConfig
 from repro.util.errors import TransportTimeout
 from repro.verify.monitor import CoherenceViolation
-from repro.verify.oracle import Observables, differential_check, run_workload
+from repro.verify.oracle import (
+    Observables,
+    deserialize_observables,
+    differential_check,
+    run_workload,
+    serialize_observables,
+)
 from repro.verify.workload import ALL_PROTOCOLS, Workload, generate_workload
 
 #: default location of the bundled sessions, relative to the repo root
@@ -286,20 +291,13 @@ def _build_failure(workload: Workload, w_name: str, plan_name: str,
     return fail
 
 
-def run_fault_cell(spec: dict, control=None):
+def run_fault_cell(spec: dict) -> dict:
     """Run one campaign cell — (workload x plan x variant) across protocols.
 
-    A pure function of the transport-safe ``spec``; both the sequential
-    path and farm workers execute cells through here, so a farmed
-    campaign's folded report is byte-identical to the sequential one.
-    Returns a JSON-safe result dict (``runs``/``failures``/``metrics``).
-
-    ``control`` (farm workers only) enables checkpoint preemption: the run
-    executes through :func:`repro.farm.preempt.sliced_run`, and a
-    preemption returns ``("preempted", envelope)`` where the envelope holds
-    the completed per-protocol results plus the in-flight run's machine
-    checkpoint; retrying the cell with ``spec["resume"] = envelope``
-    finishes it with identical output.
+    A pure function of the transport-safe ``spec``; the sequential loop
+    and farm workers make this same call, so a farmed campaign's folded
+    report is byte-identical to the sequential one.  Returns a JSON-safe
+    result dict (``runs``/``failures``/``metrics``).
     """
     workload = _resolve_workload(spec["workload"])
     w_name = spec["workload"]["name"]
@@ -307,50 +305,25 @@ def run_fault_cell(spec: dict, control=None):
     plan_name, variant = spec["plan_name"], spec["variant"]
     shrink = spec["shrink"]
     warm_by_protocol = spec.get("warm") or {}
-    resume = spec.get("resume") or {}
-    done: list[dict] = list(resume.get("done", []))
-    current = resume.get("current")
+    done: list[dict] = []
 
-    for p_index, protocol in enumerate(spec["protocols"]):
-        if p_index < len(done):
-            continue  # finished before a preemption/crash; result carried over
+    for protocol in spec["protocols"]:
         plan = base_plan.with_(seed=derive_seed(
             base_plan.seed, w_name, plan_name, variant, protocol
         ))
         warm = warm_by_protocol.get(protocol)
-        resume_env = (current if current is not None
-                      and current.get("p_index") == p_index else None)
-        obs = failure = None
         try:
-            if control is not None:
-                from repro.farm.preempt import sliced_run
-
-                status, payload = sliced_run(
-                    workload, protocol, fault_plan=plan,
-                    should_preempt=control.should_preempt, resume=resume_env,
-                    warm=warm,
-                )
-                if status == "preempted":
-                    return "preempted", {
-                        "done": done,
-                        "current": {"p_index": p_index, **payload},
-                    }
-                obs = payload
-            else:
-                obs = run_workload(workload, protocol, fault_plan=plan,
-                                   warm=warm)
+            obs = run_workload(workload, protocol, fault_plan=plan, warm=warm)
         except CoherenceViolation as violation:
             failure = _build_failure(workload, w_name, plan_name, protocol,
                                      plan, violation, shrink, warm=warm)
-        if failure is not None:
             done.append({"failure": failure.to_dict()})
-        else:
-            registry = registry_from_run(obs.stats, plan=plan_name,
-                                         protocol=protocol)
-            done.append({"failure": None,
-                         "obs": serialize_observables(obs),
-                         "metrics": registry.to_dict()})
-        current = None
+            continue
+        registry = registry_from_run(obs.stats, plan=plan_name,
+                                     protocol=protocol)
+        done.append({"failure": None,
+                     "obs": serialize_observables(obs),
+                     "metrics": registry.to_dict()})
     return _finish_cell(workload, w_name, plan_name, done)
 
 
@@ -379,7 +352,7 @@ def _finish_cell(workload: Workload, w_name: str, plan_name: str,
     return result
 
 
-def run_fault_probe(spec: dict, control=None) -> dict:
+def run_fault_probe(spec: dict) -> dict:
     """The unrecoverable fail-fast probe as a farmable job."""
     workload = _resolve_workload(spec["workload"])
     return {"unrecoverable_ok": _check_unrecoverable(workload, "stache")}
@@ -439,7 +412,6 @@ def run_campaign(
     dump_scripts: str | Path | None = None,
     jobs: int = 1,
     tracer=None,
-    farm_controller=None,
     corpus=None,
 ) -> FaultCampaignReport:
     """Run every (plan x workload x protocol) combination under the monitor.
@@ -505,14 +477,13 @@ def run_campaign(
              if check_unrecoverable and workloads else None)
 
     farm_jobs = [
-        FarmJob(index=i, kind="fault-cell", params=spec, preemptible=True)
+        FarmJob(index=i, kind="fault-cell", params=spec)
         for i, spec in enumerate(cells)
     ]
     if probe is not None:
         farm_jobs.append(FarmJob(index=len(cells), kind="fault-probe",
                                  params=probe))
-    results = run_jobs(farm_jobs, jobs, tracer=tracer, progress=progress,
-                       controller=farm_controller)
+    results = run_jobs(farm_jobs, jobs, tracer=tracer, progress=progress)
 
     last_w = -1
     for i, result in enumerate(results):

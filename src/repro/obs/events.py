@@ -115,7 +115,6 @@ class EventKind:
     FARM_STEAL = "farm.steal"
     FARM_DONE = "farm.done"
     FARM_RETRY = "farm.retry"
-    FARM_PREEMPT = "farm.preempt"
 
     @classmethod
     def all_kinds(cls) -> frozenset[str]:

@@ -20,7 +20,6 @@ from repro.tempest.tags import AccessTag, TagTable
 from repro.tempest.network import Network, Message
 from repro.tempest.node import Node
 from repro.tempest.machine import Machine, PhaseTrace
-from repro.tempest.tracestats import TraceStats
 from repro.tempest.tracefile import (
     save_session,
     load_session,
@@ -29,7 +28,6 @@ from repro.tempest.tracefile import (
 )
 
 __all__ = [
-    "TraceStats",
     "save_session",
     "load_session",
     "replay_session",

@@ -40,9 +40,6 @@ class Node:
         self.handler_busy_until = done
         return done
 
-    def reset_timing(self) -> None:
-        self.handler_busy_until = 0.0
-
     def reset_for_restart(self) -> None:
         """Cold-start after a crash: caches empty, handler idle.
 

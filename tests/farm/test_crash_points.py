@@ -8,7 +8,7 @@ wall-clock bound:
   read of the coordinator's channel), so a job is sent to a dead worker;
 * **mid-job** — the worker dies while executing job N;
 * **mid-write** — the worker dies after writing the first half of a
-  preemption's checkpoint envelope to its result channel.  A channel
+  fault cell's result message to its result channel.  A channel
   shared between workers is left holding a torn message (and, for a
   ``multiprocessing.Queue``, a write lock nobody will release).
 
@@ -35,7 +35,7 @@ import pytest
 
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import BUNDLED_PLANS
-from repro.farm import FarmController, FarmError
+from repro.farm import FarmError
 from repro.farm import worker as farm_worker
 from repro.farm.transport import _mp_context
 from repro.obs.events import EventKind, EventTrace
@@ -122,12 +122,8 @@ def _run_case(case: str, marker: str, out: str) -> None:
             _kill_mid_job(marker, index=rng.randrange(FUZZ["seeds"]))
             report = fuzz(jobs=2, tracer=tracer, **FUZZ)
         else:
-            _kill_mid_write(marker, kind="preempted")
-            controller = FarmController()
-            for index in range(2):
-                controller.preempt(index)
-            report = run_campaign(jobs=2, tracer=tracer,
-                                  farm_controller=controller, **CAMPAIGN)
+            _kill_mid_write(marker, kind="result")
+            report = run_campaign(jobs=2, tracer=tracer, **CAMPAIGN)
         outcome = {"report": report.to_dict(), "counts": tracer.counts()}
     except FarmError as exc:
         outcome = {"farm_error": str(exc)}

@@ -4,9 +4,9 @@ and the retried campaign's aggregate is identical to an undisturbed one.
 Workers fork from the test process, so monkeypatching
 ``repro.farm.worker._before_job_hook`` here installs the hook in every
 worker.  The hook ``os._exit``s mid-job — a hard crash the coordinator can
-only see as process death — on the job's *first* attempt only (retries
-carry an ``attempt`` marker in their params), proving one crash costs one
-retry, not the campaign.
+only see as process death — on the job's *first* attempt only (a marker
+file, created atomically by the dying worker, tells a retry apart from
+it), proving one crash costs one retry, not the campaign.
 """
 
 import json
@@ -26,19 +26,25 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def crash_first_attempt_of(index):
+def crash_first_attempt_of(index, marker):
     def hook(job):
-        if job.index == index and "attempt" not in job.params:
-            os._exit(13)  # simulate a dying worker, not a job exception
+        if job.index != index:
+            return
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return  # the retry
+        os._exit(13)  # simulate a dying worker, not a job exception
 
     return hook
 
 
-def test_crashed_job_is_retried_and_aggregate_unchanged(monkeypatch):
+def test_crashed_job_is_retried_and_aggregate_unchanged(monkeypatch,
+                                                        tmp_path):
     seq = fuzz(seeds=4)
 
     monkeypatch.setattr(farm_worker, "_before_job_hook",
-                        crash_first_attempt_of(2))
+                        crash_first_attempt_of(2, str(tmp_path / "crashed")))
     tracer = EventTrace()
     par = fuzz(seeds=4, jobs=2, tracer=tracer)
 

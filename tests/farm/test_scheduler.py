@@ -28,14 +28,15 @@ def test_owner_drains_its_own_deck_front_first():
 
 
 def test_idle_worker_steals_back_of_richest_deck():
-    sched = WorkStealingScheduler(make_jobs(6), n_workers=3)
+    jobs = make_jobs(6)
+    sched = WorkStealingScheduler(jobs, n_workers=3)
     # drain worker 0's deck (jobs 0, 3)
     for _ in range(2):
         sched.complete(sched.acquire(0).job.index)
     # worker 1 and 2 both hold 2 jobs; tie breaks to the lowest id (1),
     # and the thief takes the BACK of the victim's deck (job 4)
     a = sched.acquire(0)
-    assert a == Assignment(worker=0, job=sched.job(4), stolen_from=1)
+    assert a == Assignment(worker=0, job=jobs[4], stolen_from=1)
 
 
 def test_acquire_returns_none_when_everything_is_in_flight():
@@ -54,13 +55,6 @@ def test_requeue_puts_job_at_front_of_owner_deck():
     assert sched.in_flight == {}
     again = sched.acquire(0)
     assert again.job.index == 0  # retried before fresh work
-
-
-def test_replace_swaps_the_job_record():
-    sched = WorkStealingScheduler(make_jobs(2), n_workers=1)
-    fresh = FarmJob(index=1, kind="test", params={"resume": {"at": 3}})
-    sched.replace(fresh)
-    assert sched.job(1).params == {"resume": {"at": 3}}
 
 
 def test_running_on_reports_in_flight_jobs_per_worker():

@@ -18,7 +18,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def stubborn_main(wid, conn, preempt_flag):
+def stubborn_main(wid, conn):
     """Ignores the stop message (never reads its pipe) and SIGTERM."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     conn.send(("up", wid, None, None))
@@ -26,7 +26,7 @@ def stubborn_main(wid, conn, preempt_flag):
         time.sleep(60)
 
 
-def obedient_main(wid, conn, preempt_flag):
+def obedient_main(wid, conn):
     conn.send(("up", wid, None, None))
     while True:
         if conn.recv()[0] == "stop":

@@ -475,7 +475,6 @@ SURFACE = {
         (('--page-size',), 'page_size', 512, None, None, None, False, 'int'),
         (('--protocol',), 'protocol', 'predictive', ('stache', 'predictive', 'write-update'), None, None, False, None),
         (('--trace',), 'trace', None, None, None, None, False, None),
-        (('--trace-stats',), 'trace_stats', False, None, 0, True, False, None),
         (('--unoptimized',), 'unoptimized', False, None, 0, True, False, None),
     ],
     'sweep': [
