@@ -1060,17 +1060,17 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="corpus_command", required=True)
     d = csub.add_parser(
         "doctor",
-        help="inspect a corpus: replay its segments (recovering torn tails "
-             "and quarantining damaged records, exactly as a run would), "
-             "report entries and quarantine contents, and exit 0 = healthy, "
-             "1 = damage found/recovered, 2 = unusable",
+        help="inspect a corpus: open it (quarantining damaged rows and "
+             "setting an unreadable file aside, exactly as a run would), "
+             "check its integrity, report entries and quarantine contents, "
+             "and exit 0 = healthy, 1 = damage found, 2 = unusable",
     )
     d.add_argument("dir", help="corpus directory")
     d.add_argument("--compact", action="store_true",
-                   help="rewrite live entries into one fresh segment and "
-                        "drop superseded segment files")
+                   help="rebuild the key index and VACUUM the corpus "
+                        "file")
     d.add_argument("--scrub", action="store_true",
-                   help="delete quarantined records after inspection")
+                   help="delete quarantined rows after inspection")
     d.set_defaults(fn=_cmd_corpus_doctor)
 
     return parser

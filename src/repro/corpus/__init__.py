@@ -14,7 +14,6 @@ from repro.corpus.signature import (
     workload_key,
 )
 from repro.corpus.store import (
-    CORPUS_MAGIC,
     CORPUS_VERSION,
     NullCorpus,
     ScheduleCorpus,
@@ -23,7 +22,6 @@ from repro.corpus.store import (
 )
 
 __all__ = [
-    "CORPUS_MAGIC",
     "CORPUS_VERSION",
     "NullCorpus",
     "ScheduleCorpus",

@@ -1,100 +1,87 @@
 """``repro corpus doctor``: inspect, compact, and scrub a corpus directory.
 
-The doctor is the operational face of the corpus: it opens the directory
-with the same recovery path every run uses (so merely inspecting a corpus
-repairs torn tails and quarantines poison — doctoring *is* opening), then
-reports what survived, what was sidelined and why, and how much disk the
-segments hold.  ``compact`` rewrites the live entries into one fresh
-segment; ``scrub`` empties the quarantine sidecar once it has been looked
-at.
+Doctoring *is* opening: the doctor opens the corpus exactly as a run does
+(quarantining damaged rows, setting an unreadable file aside), runs
+``PRAGMA integrity_check``, and reports what survived and what was
+sidelined and why.  ``compact`` rebuilds the key index (the repair for an
+integrity failure) and runs ``VACUUM``; ``scrub`` empties the quarantine.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.corpus.store import NullCorpus, open_corpus
+from repro.corpus.store import _ERRORS, NullCorpus, open_corpus
 
 __all__ = ["doctor"]
 
 
-def _quarantine_summary(root: Path, limit: int = 20) -> list[str]:
-    lines: list[str] = []
-    qdir = root / ".quarantine"
-    files = sorted(qdir.glob("q-*.json")) if qdir.is_dir() else []
-    for path in files[:limit]:
-        try:
-            doc = json.loads(path.read_text())
-            detail = doc.get("detail") or ""
-            if len(detail) > 60:
-                detail = detail[:57] + "..."
-            lines.append(
-                f"  {path.name}: {doc.get('reason', '?')} in "
-                f"{doc.get('segment', '?')} @ {doc.get('offset', '?')}"
-                + (f" -- {detail}" if detail else ""))
-        except (OSError, ValueError):
-            lines.append(f"  {path.name}: (unreadable quarantine record)")
-    if len(files) > limit:
-        lines.append(f"  ... and {len(files) - limit} more")
-    return lines
+def _text(value, limit: int = 60) -> str:
+    value = (value.decode("utf-8", "replace") if isinstance(value, bytes)
+             else str(value or ""))
+    return value if len(value) <= limit else value[:limit - 3] + "..."
 
 
-def doctor(root: str | Path, *, compact: bool = False, scrub: bool = False,
-           max_entries: int = 256, max_bytes: int = 16 * 1024 * 1024,
-           tracer=None) -> tuple[str, int]:
+def doctor(root: str | Path, *, compact: bool = False,
+           scrub: bool = False) -> tuple[str, int]:
     """Run the doctor; returns (report text, exit status).
 
-    Status 0: corpus healthy (nothing quarantined, no failures).
-    Status 1: corpus usable but damage was found/recovered — quarantined
-    records or recovered torn tails (opening already repaired the files).
-    Status 2: the directory could not be opened as a corpus at all.
+    Status 0: healthy.  Status 1: usable, but damage was found — rows
+    quarantined now or still on file, a file set aside, or an integrity
+    check other than ``ok``.  Status 2: not openable as a corpus at all.
     """
-    corpus = open_corpus(root, max_entries=max_entries, max_bytes=max_bytes,
-                         tracer=tracer)
+    corpus = open_corpus(root)
     if isinstance(corpus, NullCorpus):
         return f"corpus: UNUSABLE -- {corpus.reason}", 2
 
-    lines = [f"corpus: {corpus.root}"]
-    actions: list[str] = []
+    try:
+        integrity = "; ".join(_text(row[0]) for row in corpus.db.execute(
+            "PRAGMA integrity_check"))
+        quarantine = corpus.db.execute(
+            "SELECT id, reason, key, detail FROM quarantine ORDER BY id "
+            "LIMIT 20").fetchall()
+    except _ERRORS as exc:
+        integrity, quarantine = f"failed: {type(exc).__name__}: {exc}", []
+    set_aside = sorted(p.name for p in corpus.quarantine_dir.glob(
+        f"{corpus.path.name}.*"))
+    stats = corpus.stats()
+    lines = [f"corpus: {corpus.path}",
+             f"  entries: {stats['entries']}  disk: {stats['disk_bytes']} "
+             f"bytes  integrity: {integrity}",
+             f"  this open: quarantined {stats['quarantined']} row(s), set "
+             f"aside {stats['moved_aside']} unreadable file(s), "
+             f"{stats['failures']} failure(s)" + (
+                 f" (last: {stats['last_error']})" if stats["failures"]
+                 else "")]
+    for key, entry in corpus.entries():
+        records = entry["records"]
+        sites = sum(len(r["entries"]) for r in records)
+        lines.append(f"  {key}  [{entry['protocol']}, "
+                     f"{entry['n_nodes']} node(s), {len(records)} "
+                     f"schedule(s), {sites} block entr"
+                     f"{'y' if sites == 1 else 'ies'}]")
+    lines.append(f"  quarantine ({stats['quarantine_rows']} row(s)):"
+                 if quarantine else "  quarantine: empty")
+    lines.extend(f"    #{qid}: {_text(reason)} {_text(key)!r}"
+                 + (f" -- {_text(detail)}" if detail else "")
+                 for qid, reason, key, detail in quarantine)
+    if set_aside:
+        lines.append(f"  set aside in {corpus.quarantine_dir} (never "
+                     f"deleted; remove by hand): {', '.join(set_aside)}")
     if compact:
         kept = corpus.compact()
-        actions.append(f"compacted: {kept} live entr"
-                       f"{'y' if kept == 1 else 'ies'} rewritten")
+        lines.append(f"  compacted: {kept} entr"
+                     f"{'y' if kept == 1 else 'ies'} kept")
     if scrub:
         removed = corpus.scrub()
-        actions.append(f"scrubbed: {removed} quarantine file"
-                       f"{'' if removed == 1 else 's'} removed")
+        lines.append(f"  scrubbed: {removed} quarantined row"
+                     f"{'' if removed == 1 else 's'} removed")
+    corpus.close()
 
-    stats = corpus.stats()
-    lines.append(
-        f"  entries: {stats['entries']}  segments: {stats['segments']}  "
-        f"disk: {stats['disk_bytes']} bytes")
-    lines.append(
-        f"  this open: quarantined {stats['quarantined']}, recovered "
-        f"{stats['recovered_tails']} torn tail(s), skipped "
-        f"{stats['skipped_segments']} foreign segment(s)")
-    if stats["failures"]:
-        lines.append(f"  failures: {stats['failures']} "
-                     f"(last: {stats['last_error']})")
-    for key, entry in corpus.entries():
-        records = entry.get("records", [])
-        sites = sum(len(r.get("entries", [])) for r in records)
-        lines.append(f"  {key}  [{entry.get('protocol', '?')}, "
-                     f"{entry.get('n_nodes', '?')} node(s), "
-                     f"{len(records)} schedule(s), {sites} block entr"
-                     f"{'y' if sites == 1 else 'ies'}]")
-
-    qlines = _quarantine_summary(corpus.root)
-    if qlines:
-        lines.append(f"  quarantine ({stats['quarantine_files']} file(s)):")
-        lines.extend(qlines)
-    else:
-        lines.append("  quarantine: empty")
-    lines.extend(f"  {a}" for a in actions)
-
-    damaged = (stats["quarantined"] or stats["recovered_tails"]
-               or stats["failures"] or stats["quarantine_files"])
-    lines.append("  verdict: " + ("DAMAGE FOUND (recovered; see quarantine)"
-                                  if damaged else "healthy"))
+    damaged = (stats["quarantined"] or stats["moved_aside"]
+               or stats["failures"] or quarantine or set_aside
+               or integrity != "ok")
+    lines.append("  verdict: " + ("DAMAGE FOUND (see integrity and "
+                                  "quarantine above)" if damaged
+                                  else "healthy"))
     return "\n".join(lines), (1 if damaged else 0)

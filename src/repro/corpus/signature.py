@@ -11,8 +11,8 @@ addressing is that it cannot happen silently: a changed program, protocol,
 or placement derives a different key and simply misses.
 
 Signatures are truncated SHA-256 of canonical JSON (:func:`canonical`,
-:func:`checksum`), the same discipline :mod:`repro.corpus.store` uses for
-its per-record segment checksums.
+:func:`checksum`), the same digest :mod:`repro.corpus.store` keeps with
+every row.
 """
 
 from __future__ import annotations

@@ -75,16 +75,6 @@ class EventKind:
     SCHED_CORRUPT = "schedule.corrupt"
     SCHED_WARM = "schedule.warm"
 
-    # schedule corpus (host-side durable store; ``ts`` is 0.0 — corpus
-    # operations happen outside any simulated clock)
-    CORPUS_HIT = "corpus.hit"
-    CORPUS_MISS = "corpus.miss"
-    CORPUS_STORE = "corpus.store"
-    CORPUS_QUARANTINE = "corpus.quarantine"
-    CORPUS_EVICT = "corpus.evict"
-    CORPUS_RECOVER = "corpus.recover"
-    CORPUS_FALLBACK = "corpus.fallback"
-
     # resilient transport
     RETRY = "transport.retry"
     TIMEOUT = "transport.timeout"

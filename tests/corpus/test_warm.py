@@ -17,10 +17,11 @@ import random
 from repro.core import make_machine
 from repro.core.schedule import CommSchedule
 from repro.corpus import open_corpus, supports_warm, workload_key
+from repro.corpus.signature import canonical
 from repro.verify import ALL_PROTOCOLS
 from repro.verify.oracle import run_workload
 from repro.verify.workload import generate_workload
-from tests.corpus.helpers import entry_for
+from tests.corpus.helpers import CORPUS_FILE
 
 
 def harvest_records(workload, protocol: str = "predictive") -> list[dict]:
@@ -100,22 +101,31 @@ class TestMangledCorpus:
         records = harvest_records(workload)
         root = tmp_path / "c"
         key = workload_key(workload, "predictive")
+        entry = {"protocol": "predictive",
+                 "n_nodes": workload.config.n_nodes, "records": records}
         corpus = open_corpus(root)
-        corpus.store(key, {"protocol": "predictive",
-                           "n_nodes": workload.config.n_nodes,
-                           "records": records})
+        assert corpus.store(key, entry)
+        corpus.close()
 
+        # stomp bytes across the whole file, half of them inside the
+        # stored row, so the damage is certain to reach the schedule
+        path = root / CORPUS_FILE
+        data = bytearray(path.read_bytes())
+        body_at = data.index(canonical(entry))
         rng = random.Random(17)
-        for segment in root.glob("seg-*.log"):
-            data = bytearray(segment.read_bytes())
-            for _ in range(32):
-                data[rng.randrange(len(data))] = rng.randrange(256)
-            segment.write_bytes(bytes(data))
+        for i in range(32):
+            at = (body_at + rng.randrange(len(canonical(entry))) if i % 2
+                  else rng.randrange(len(data)))
+            data[at] = (data[at] + rng.randrange(1, 256)) % 256
+        path.write_bytes(bytes(data))
 
         mangled = open_corpus(root)
         assert mangled.ok  # damaged, not unusable
-        entry = mangled.lookup(key, workload.config.n_nodes)
-        warm = entry["records"] if entry is not None else None
+        stats = mangled.stats()
+        assert stats["quarantined"] + stats["moved_aside"] >= 1
+        got = mangled.lookup(key, workload.config.n_nodes)
+        assert got is None  # the stomped row is never served
+        warm = got["records"] if got is not None else None
         cold = run_workload(workload, "predictive")
         after = run_workload(workload, "predictive", warm=warm)
         assert observables_key(after) == observables_key(cold)
