@@ -19,7 +19,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.apps import adaptive, water
 from repro.core import make_machine
@@ -79,12 +78,6 @@ def ablation_coalescing(n: int = 96, iterations: int = 4) -> str:
     )
     speed = results[False].wall_time / results[True].wall_time
     return out + f"\ncoalescing speeds the run by {speed:.2f}x"
-
-
-def check_coalescing() -> tuple[float, str]:
-    report = ablation_coalescing()
-    speed = float(report.rsplit(" ", 1)[-1].rstrip("x"))
-    return speed, report
 
 
 # --------------------------------------------------------------------------- #

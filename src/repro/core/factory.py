@@ -8,9 +8,9 @@ instantiate them.
 from __future__ import annotations
 
 from repro.core.predictive import PredictiveProtocol
-from repro.fastpath.calqueue import FastEngine
 from repro.protocols.stache import StacheProtocol
 from repro.protocols.writeupdate import WriteUpdateProtocol
+from repro.sim.engine import CalendarEngine
 from repro.tempest.machine import Machine
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError
@@ -47,7 +47,7 @@ def make_machine(config: MachineConfig, protocol: str = "stache",
         raise ConfigError(
             f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
         )
-    machine = Machine(config, cls, engine=FastEngine(policy=policy))
+    machine = Machine(config, cls, engine=CalendarEngine(policy=policy))
     if warm and hasattr(machine.protocol, "warm_seed"):
         machine.protocol.warm_seed(warm)
     return machine

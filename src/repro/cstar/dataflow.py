@@ -16,7 +16,9 @@ aggregate (the paper's three rules):
 3. **Unstructured reads generate** and kill nothing (multiple readers).
 
 Join is set union (any-path); the fixpoint iterates in reverse postorder
-over the CFG using :class:`~repro.util.bitvec.BitVector`.
+over the CFG.  A bit vector is a plain ``int`` mask (bit ``i`` is aggregate
+``i``), so union, intersection and difference are single int operations
+regardless of width.
 """
 
 from __future__ import annotations
@@ -25,18 +27,17 @@ from dataclasses import dataclass
 
 from repro.cstar.cfg import BasicBlock, build_cfg
 from repro.cstar.flow import FlowCall, FlowNode, collect_aggregates
-from repro.util.bitvec import BitVector
 
 
 @dataclass
 class TransferFunction:
-    """gen/kill bit vectors of one basic block (composed over its calls)."""
+    """gen/kill masks of one basic block (composed over its calls)."""
 
-    gen: BitVector
-    kill: BitVector
+    gen: int
+    kill: int
 
-    def apply(self, in_):
-        return (in_ - self.kill) | self.gen
+    def apply(self, in_: int) -> int:
+        return (in_ & ~self.kill) | self.gen
 
 
 class ReachingUnstructured:
@@ -58,45 +59,41 @@ class ReachingUnstructured:
     # -- transfer functions -----------------------------------------------------
 
     def _call_transfer(self, call: FlowCall) -> TransferFunction:
-        width = len(self.aggregates)
-        gen = BitVector(width)
-        kill = BitVector(width)
+        gen = kill = 0
         s = call.summary
         for agg in s.owner_writes():
-            kill.set(self.index[agg])  # rule 1
+            kill |= 1 << self.index[agg]  # rule 1
         for agg in s.unstructured_writes():
-            kill.set(self.index[agg])  # rule 2 (kill ...)
-            gen.set(self.index[agg])   # ... then gen
+            kill |= 1 << self.index[agg]  # rule 2 (kill ...)
+            gen |= 1 << self.index[agg]   # ... then gen
         for agg in s.unstructured_reads():
-            gen.set(self.index[agg])   # rule 3
+            gen |= 1 << self.index[agg]   # rule 3
         return TransferFunction(gen=gen, kill=kill)
 
     def _block_transfer(self, bb: BasicBlock) -> TransferFunction:
         """Compose call transfer functions left to right."""
-        width = len(self.aggregates)
-        tf = TransferFunction(gen=BitVector(width), kill=BitVector(width))
+        tf = TransferFunction(gen=0, kill=0)
         for call in bb.calls:
             ct = self._call_transfer(call)
             # (x - K1 | G1) - K2 | G2  ==  x - (K1|K2) | ((G1 - K2) | G2)
             tf.kill |= ct.kill
-            tf.gen = (tf.gen - ct.kill) | ct.gen
+            tf.gen = (tf.gen & ~ct.kill) | ct.gen
         return tf
 
     # -- fixpoint -----------------------------------------------------------------
 
     def _solve(self) -> None:
-        width = len(self.aggregates)
         tfs = {bb.id: self._block_transfer(bb) for bb in self.cfg.blocks}
         for bb in self.cfg.blocks:
-            self.block_in[bb.id] = BitVector(width)
-            self.block_out[bb.id] = BitVector(width)
+            self.block_in[bb.id] = 0
+            self.block_out[bb.id] = 0
         order = self.cfg.reverse_postorder()
         changed = True
         while changed:
             changed = False
             self.iterations += 1
             for bb in order:
-                in_ = BitVector(width)
+                in_ = 0
                 for p in bb.preds:
                     in_ |= self.block_out[p.id]
                 out = tfs[bb.id].apply(in_)
@@ -118,10 +115,10 @@ class ReachingUnstructured:
         idx = self.index.get(aggregate)
         if idx is None:
             return False
-        return self.call_in[call.site_id].test(idx)
+        return (self.call_in[call.site_id] >> idx) & 1 == 1
 
     def reaching_set(self, call: FlowCall) -> set[str]:
-        return {
-            self.aggregates[i] for i in self.call_in[call.site_id].indices()
-        }
+        mask = self.call_in[call.site_id]
+        return {name for i, name in enumerate(self.aggregates)
+                if (mask >> i) & 1}
 

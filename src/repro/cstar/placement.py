@@ -92,10 +92,6 @@ def _is_home_only(node: FlowNode) -> bool:
     return all(c.summary.is_home_only() for c in iter_calls(node))
 
 
-def _has_calls(node: FlowNode) -> bool:
-    return any(True for _ in iter_calls(node))
-
-
 def place_directives(root: FlowNode, label_prefix: str = "") -> PlacementResult:
     """Analyze ``root`` and return the directive-annotated program."""
     analysis = ReachingUnstructured(root)

@@ -24,7 +24,7 @@ every event to (phase, iteration) without re-deriving run structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 
 class EventKind:
@@ -279,7 +279,3 @@ class CountingTracer(Tracer):
 
     def end_phase(self, ts: float, **attrs: Any) -> None:
         self.emitted += 1
-
-
-def events_to_dicts(events: Iterable[TraceEvent]) -> list[dict[str, Any]]:
-    return [ev.to_dict() for ev in events]

@@ -18,12 +18,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.obs.events import EventKind
-from repro.fastpath.packed import NodeSet
 from repro.protocols.directory import (
     DISCARDED,
     Directory,
     DirEntry,
     DirState,
+    NodeSet,
     PendingRequest,
 )
 from repro.protocols.messages import MessageKind as MK

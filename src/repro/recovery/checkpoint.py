@@ -385,8 +385,7 @@ _init_tag_table()
 def _restore_directory(machine: "Machine", records: list[dict]) -> None:
     from collections import deque
 
-    from repro.fastpath.packed import NodeSet
-    from repro.protocols.directory import DirEntry, PendingRequest
+    from repro.protocols.directory import DirEntry, NodeSet, PendingRequest
 
     directory = getattr(machine.protocol, "directory", None)
     if directory is None:

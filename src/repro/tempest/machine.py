@@ -17,21 +17,29 @@ the last arrival, and each node's wait is accounted as synchronization time.
 Processors may run *ahead* of the event clock while executing only local
 work, but never past the next scheduled event (which could invalidate a tag
 they are about to consult) — the classic conservative-time-window rule.
+
+Traces can come from files, so every op is validated before its phase
+starts (:meth:`Machine._launch_phase`); the replay loops themselves trust
+the ops they are handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol as TypingProtocol, Sequence
+from dataclasses import dataclass
+from math import inf
+from typing import TYPE_CHECKING
 
 from repro.obs.events import EventKind, NULL_TRACER, Tracer
-from repro.sim.engine import Engine
+from repro.sim.engine import CalendarEngine, Engine
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
 from repro.tempest.addrspace import AddressSpace
 from repro.tempest.network import Message, Network
 from repro.tempest.node import Node
 from repro.util.config import MachineConfig
 from repro.util.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.protocols.base import BaseProtocol
 
 #: Trace operations: ("r", block), ("w", block), ("c", cycles)
 TraceOp = tuple
@@ -53,39 +61,14 @@ class PhaseTrace:
         return sum(len(o) for o in self.ops)
 
 
-class CoherenceProtocolAPI(TypingProtocol):
-    """What the machine requires of a protocol (see repro.protocols.base)."""
-
-    name: str
-
-    def fault(self, proc: "ReplayProcessor", block: int, kind: str, t: float) -> None: ...
-
-    def on_message(self, msg: Message, t: float) -> None: ...
-
-    def begin_group(self, directive_id: int, t: float) -> list[float] | None:
-        """Start a compiler-directed phase group at time ``t``.
-
-        May schedule pre-send traffic on the engine; returns per-node
-        *send-side* completion times, or None if this protocol has no
-        pre-send phase.
-        """
-        ...
-
-    def end_group(self, directive_id: int, t: float) -> None: ...
-
-    def adjust_barrier(self, arrivals: dict[int, float]) -> dict[int, float]:
-        """Hook run at each phase barrier; may delay arrivals (e.g. a
-        write-update protocol pushing this phase's writes to consumers)."""
-        ...
-
-
 class ReplayProcessor:
     """Replays one node's per-phase op list against the protocol.
 
-    Dispatched from the calendar queue (:mod:`repro.fastpath.calqueue`) as
-    a bare ``(proc, incarnation)`` step entry — no Event, no closure; the
-    queue carries the crash-restart incarnation stamp — either through the
-    FIFO drain's fused single-op path or through :meth:`step`.  Tag checks
+    Dispatched from the calendar queue
+    (:class:`~repro.sim.engine.CalendarEngine`) as a bare
+    ``(proc, incarnation)`` step entry — no Event, no closure; the queue
+    carries the crash-restart incarnation stamp — either through the FIFO
+    drain's fused single-op path or through :meth:`step`.  Tag checks
     read the tag table's byte array directly.  The COMPUTE accumulator and
     local-hit counter live in ``_acc`` / ``_hits`` between dispatches and
     flush to ``stats`` at every *observable* exit (miss, crash, barrier) —
@@ -96,7 +79,7 @@ class ReplayProcessor:
     point (one op minimum per dispatch, then re-yield at the conservative
     horizon) and every sequence-number allocation is bit-identical to the
     op-at-a-time reference interpreter in ``tests/oracle.py``, which the
-    differential suite in ``tests/fastpath/`` holds this class to.
+    differential suite in ``tests/sim/`` holds this class to.
     """
 
     __slots__ = (
@@ -338,22 +321,16 @@ class Machine:
 
     The protocol is supplied as a factory ``protocol_factory(machine)`` so
     protocols can hold a back-reference without an import cycle.  There is
-    one timing path: a calendar-queue
-    :class:`~repro.fastpath.calqueue.FastEngine` (built here unless one is
-    handed in, e.g. carrying a tie-break policy), byte-array tag tables,
-    and the analyze/specialize/schedule pipeline of
-    :mod:`repro.fastpath.passes` compiling each phase for
-    :class:`ReplayProcessor`.
+    one timing path: a :class:`~repro.sim.engine.CalendarEngine` (built
+    here unless one is handed in, e.g. carrying a tie-break policy),
+    byte-array tag tables, and one :class:`ReplayProcessor` per node,
+    launched by :meth:`_launch_phase`.
     """
 
     def __init__(self, config: MachineConfig, protocol_factory,
                  engine: Engine | None = None) -> None:
-        # Imported lazily; repro.fastpath builds on this module's types.
-        from repro.fastpath.calqueue import FastEngine
-        from repro.fastpath.passes import FastPathPipeline
-
         self.config = config
-        self.engine = engine if engine is not None else FastEngine()
+        self.engine = engine if engine is not None else CalendarEngine()
         self.addr_space = AddressSpace(config)
         self.network = Network(self.engine, config)
         self.stats = RunStats(config.n_nodes)
@@ -395,9 +372,7 @@ class Machine:
         #: observability sink (repro.obs); the default null tracer makes
         #: every instrumented site a single ``if obs.enabled`` check
         self.obs: Tracer = NULL_TRACER
-        #: the pass pipeline that compiles and launches each phase
-        self._fastpath = FastPathPipeline(self)
-        self.protocol: CoherenceProtocolAPI = protocol_factory(self)
+        self.protocol: BaseProtocol = protocol_factory(self)
         self.network.attach(self._deliver)
 
     # -- plumbing ---------------------------------------------------------------
@@ -411,10 +386,6 @@ class Machine:
     def is_down(self, node: int) -> bool:
         ctl = self.crash_controller
         return ctl is not None and node in ctl.down
-
-    def incarnation(self, node: int) -> int:
-        ctl = self.crash_controller
-        return 0 if ctl is None else ctl.incarnations[node]
 
     def schedule_node_event(self, node: int, time: float, fn) -> None:
         """Schedule a node-local effect, skipped if the node dies first.
@@ -630,18 +601,71 @@ class Machine:
 
     def _launch_phase(self, trace: PhaseTrace, start: float,
                       phase_index: int) -> list[ReplayProcessor]:
-        """Build the phase's processors, arm any crash plan on them, and
-        queue their first dispatch at ``start``.
+        """Validate the phase's ops, build its processors, arm any crash
+        plan on them, and queue their first dispatch at ``start``.
+
+        Every op is checked here, before the phase starts, so the hot loops
+        (:meth:`ReplayProcessor.step` and the engine's fused dispatch)
+        carry no per-op validation: a compute charge is a number in
+        ``[0, inf)`` and a block is a non-negative ``int``.  The fused
+        dispatch's "exactly one op before re-yield" rule rests on those
+        non-negative, non-NaN time charges.  The first dispatch of every
+        processor lands in one calendar slot, in node order.
 
         The one seam the differential suite needs: its reference machine
         (``tests/oracle.py``) overrides this to launch op-at-a-time
         interpreters instead.
         """
-        prog = self._fastpath.compile(trace, start)
-        if self.crash_controller is not None:
-            self.crash_controller.arm_phase(prog.procs, phase_index)
-        self._fastpath.launch(prog)
-        return prog.procs
+        for nid, node_ops in enumerate(trace.ops):
+            op = None
+            try:
+                for op in node_ops:
+                    kind, v = op
+                    if kind == "c":
+                        if not 0 <= v < inf:
+                            raise SimulationError(
+                                f"phase {trace.name!r}, node {nid}: compute "
+                                f"charge not in [0, inf) in trace op {op!r}"
+                            )
+                    elif kind == "r" or kind == "w":
+                        if type(v) is not int or v < 0:
+                            raise SimulationError(
+                                f"phase {trace.name!r}, node {nid}: block "
+                                f"not an int >= 0 in trace op {op!r}"
+                            )
+                    else:
+                        raise SimulationError(
+                            f"phase {trace.name!r}, node {nid}: unknown "
+                            f"trace op {op!r}"
+                        )
+            except (TypeError, ValueError) as exc:
+                raise SimulationError(
+                    f"phase {trace.name!r}, node {nid}: malformed trace op "
+                    f"{op!r} ({exc})"
+                ) from exc
+        config = self.config
+        if config.cache_hit_cost < 0:
+            raise SimulationError(
+                f"the replay requires cache_hit_cost >= 0, "
+                f"got {config.cache_hit_cost}"
+            )
+        # Presize tag storage to cover every allocated block before any
+        # processor caches the byte array, so hot-loop reads never fall off
+        # its end (growth stays possible: this is not a correctness rule).
+        end = max((r.end for r in self.addr_space.regions), default=0)
+        bs = config.block_size
+        for node in self.nodes:
+            node.tags.reserve((end + bs - 1) // bs)
+        procs = [ReplayProcessor(self, node, trace.ops[node.id], start)
+                 for node in self.nodes]
+        ctl = self.crash_controller
+        if ctl is None:
+            entries = [(p, -1) for p in procs]
+        else:
+            ctl.arm_phase(procs, phase_index)
+            entries = [(p, ctl.incarnations[p._nid]) for p in procs]
+        self.engine.push_steps(start, entries)
+        return procs
 
     def _phase_cycle_delta(self) -> dict[str, float]:
         """Advance the per-category marks; return this phase's nonzero deltas.

@@ -1,4 +1,4 @@
-"""Shared utilities: configuration, bit vectors, errors, and table rendering.
+"""Shared utilities: configuration, errors, and table rendering.
 
 These helpers are deliberately dependency-light; every other subpackage of
 :mod:`repro` may import from here, but :mod:`repro.util` imports nothing from
@@ -15,7 +15,6 @@ from repro.util.errors import (
     TransportTimeout,
     CompileError,
 )
-from repro.util.bitvec import BitVector
 from repro.util.tables import format_table, format_bar_chart
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "StructuredError",
     "TransportTimeout",
     "CompileError",
-    "BitVector",
     "format_table",
     "format_bar_chart",
 ]

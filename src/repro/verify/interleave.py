@@ -6,7 +6,7 @@ of the many *legal* message orders — two messages that arrive at the same
 instant are semantically unordered, so a correct protocol must tolerate
 every permutation.  Installing a :class:`TieBreakPolicy` on the engine
 (``make_machine(..., policy=...)``,
-:class:`~repro.fastpath.calqueue.FastEngine`) exposes that choice:
+:class:`~repro.sim.engine.CalendarEngine`) exposes that choice:
 
 * :class:`FifoPolicy` — the engine's own order (always index 0);
 * :class:`SeededRandomPolicy` — a seeded pseudo-random pick at every choice

@@ -59,7 +59,7 @@ def run_stats(prog, protocol="stache", optimized=True, cfg=CFG,
 
 
 # one id: oracle == production on real application runs is asserted by
-# tests/fastpath/test_differential.py and by the Table-1 rows below, so
+# tests/sim/test_differential.py and by the Table-1 rows below, so
 # the 12 bars are reproduced on the production simulator only
 @pytest.mark.parametrize("path", ["fastpath"])
 def test_committed_validation_rows_reproduced(path):

@@ -8,7 +8,7 @@ stats APIs, a dict of tags — so that it shares as little as possible with
 what it checks:
 
 * :class:`HeapEngine` / :class:`HeapExplorerEngine` — against
-  :class:`repro.fastpath.calqueue.FastEngine` without / with a policy;
+  :class:`repro.sim.engine.CalendarEngine` without / with a policy;
 * :class:`ReferenceProcessor` — against
   :class:`repro.tempest.machine.ReplayProcessor`;
 * :class:`DictTagTable` — against :class:`repro.tempest.tags.TagTable`;

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fastpath import FastEngine
+from repro.sim.engine import CalendarEngine
 from repro.util import SimulationError
 
 
 class TestOrdering:
     def test_events_fire_in_time_order(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         eng.schedule(5.0, lambda: seen.append(5))
         eng.schedule(1.0, lambda: seen.append(1))
@@ -19,7 +19,7 @@ class TestOrdering:
         assert seen == [1, 3, 5]
 
     def test_ties_fire_fifo(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         for i in range(10):
             eng.schedule(7.0, lambda i=i: seen.append(i))
@@ -27,7 +27,7 @@ class TestOrdering:
         assert seen == list(range(10))
 
     def test_now_tracks_dispatch_time(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         times = []
         eng.schedule(2.0, lambda: times.append(eng.now))
         eng.schedule(9.0, lambda: times.append(eng.now))
@@ -35,7 +35,7 @@ class TestOrdering:
         assert times == [2.0, 9.0]
 
     def test_callbacks_can_schedule(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         def first():
             seen.append("first")
@@ -47,7 +47,7 @@ class TestOrdering:
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=50))
     def test_dispatch_order_is_sorted(self, times):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         for t in times:
             eng.schedule(t, lambda t=t: seen.append(t))
@@ -57,19 +57,19 @@ class TestOrdering:
 
 class TestGuards:
     def test_cannot_schedule_past(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         eng.schedule(10.0, lambda: None)
         eng.run()
         with pytest.raises(SimulationError):
             eng.schedule(5.0, lambda: None)
 
     def test_negative_delay_rejected(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         with pytest.raises(SimulationError):
             eng.schedule_after(-1.0, lambda: None)
 
     def test_max_events_guard(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         def loop():
             eng.schedule_after(1.0, loop)
         eng.schedule(0.0, loop)
@@ -77,7 +77,7 @@ class TestGuards:
             eng.run(max_events=100)
 
     def test_run_not_reentrant(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         def reenter():
             eng.run()
         eng.schedule(0.0, reenter)
@@ -87,7 +87,7 @@ class TestGuards:
 
 class TestControls:
     def test_run_until_leaves_later_events(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         eng.schedule(1.0, lambda: seen.append(1))
         eng.schedule(10.0, lambda: seen.append(10))
@@ -98,7 +98,7 @@ class TestControls:
         assert seen == [1, 10]
 
     def test_cancelled_event_skipped(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         ev = eng.schedule(1.0, lambda: seen.append("cancelled"))
         eng.schedule(2.0, lambda: seen.append("kept"))
@@ -107,7 +107,7 @@ class TestControls:
         assert seen == ["kept"]
 
     def test_peek_time(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         assert eng.peek_time() is None
         ev = eng.schedule(4.0, lambda: None)
         eng.schedule(6.0, lambda: None)
@@ -116,7 +116,7 @@ class TestControls:
         assert eng.peek_time() == 6.0
 
     def test_dispatch_counts(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         for t in range(5):
             eng.schedule(float(t), lambda: None)
         n = eng.run()
@@ -126,7 +126,7 @@ class TestControls:
 
 class TestEdgeCases:
     def test_cancel_everything_before_run(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         events = [eng.schedule(float(t), lambda: None) for t in range(5)]
         for ev in events:
             ev.cancel()
@@ -135,7 +135,7 @@ class TestEdgeCases:
         assert eng.now == 0.0  # nothing dispatched, clock never moved
 
     def test_pending_prunes_cancelled_events(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         events = [eng.schedule(float(t), lambda: None) for t in range(6)]
         for ev in events[::2]:
             ev.cancel()
@@ -146,7 +146,7 @@ class TestEdgeCases:
                    for slot in eng._slots.values() for ev in slot)
 
     def test_max_events_cutoff_mid_timestep(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         for i in range(10):
             eng.schedule(1.0, lambda i=i: seen.append(i))
@@ -160,7 +160,7 @@ class TestEdgeCases:
         assert seen == list(range(10))
 
     def test_peek_time_after_drain(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         eng.schedule(3.0, lambda: None)
         eng.run()
         assert eng.peek_time() is None
@@ -170,7 +170,7 @@ class TestEdgeCases:
         assert eng.peek_time() == 4.0
 
     def test_cancel_during_dispatch(self):
-        eng = FastEngine()
+        eng = CalendarEngine()
         seen = []
         later = eng.schedule(2.0, lambda: seen.append("later"))
         eng.schedule(1.0, lambda: later.cancel())

@@ -93,10 +93,21 @@ class TestGuards:
         with pytest.raises(SimulationError):
             m.run_phase(PhaseTrace("bad", [[]]))
 
-    def test_unknown_op_rejected(self):
+    @pytest.mark.parametrize("op", [
+        pytest.param(("x", 0), id="unknown-kind"),
+        pytest.param(("c", float("nan")), id="nan-charge"),
+        pytest.param(("c", float("inf")), id="infinite-charge"),
+        pytest.param(("c", "x"), id="non-numeric-charge"),
+        pytest.param(("r", 1.5), id="float-block"),
+        pytest.param(("w", True), id="bool-block"),
+        pytest.param(("r",), id="missing-operand"),
+    ])
+    def test_unknown_op_rejected(self, op):
+        # trace files come from outside the program: every malformed op is
+        # rejected before the phase starts, naming the phase, node and op
         m, b = small_machine()
-        with pytest.raises(SimulationError):
-            run_one_phase(m, {0: [("x", b)]})
+        with pytest.raises(SimulationError, match=r"phase 'phase', node 0"):
+            run_one_phase(m, {0: [("r", b), op]})
 
     def test_access_order_preserved_per_node(self):
         # write then read of the same home block must both hit

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.fastpath import FastEngine
+from repro.sim.engine import CalendarEngine
 from repro.tempest import Message, Network
 from repro.util import MachineConfig, SimulationError
 
 
 @pytest.fixture
 def net():
-    eng = FastEngine()
+    eng = CalendarEngine()
     cfg = MachineConfig(n_nodes=4, msg_latency=100, per_byte_cost=0.5, bulk_msg_overhead=40)
     n = Network(eng, cfg)
     delivered = []
@@ -68,7 +68,7 @@ class TestDelivery:
             n.send(Message("GET_RO", 0, 9), at=0.0)
 
     def test_unattached_network_rejects(self):
-        n = Network(FastEngine(), MachineConfig())
+        n = Network(CalendarEngine(), MachineConfig())
         with pytest.raises(SimulationError):
             n.send(Message("GET_RO", 0, 1), at=0.0)
 
@@ -103,7 +103,7 @@ class TestSendEdgeCases:
 
     def test_msg_ids_are_per_instance(self):
         cfg = MachineConfig(n_nodes=2)
-        eng = FastEngine()
+        eng = CalendarEngine()
         a, b = Network(eng, cfg), Network(eng, cfg)
         a.attach(lambda m, t: None)
         b.attach(lambda m, t: None)

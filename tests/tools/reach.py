@@ -13,15 +13,24 @@ their forked workers inherit the hook and report what they entered when
 they stop (fork start method only).  Output: one
 ``path:line qualname (n lines)`` line per unreached function, then totals.
 
+``--check ALLOW`` makes the report a ratchet: it runs every command and
+exits 1 when a function of at least :data:`MIN_LINES` lines is unreached
+and not on the allow list, or when a list entry names no such function
+(it was deleted, shrank, or is now reached: take it off).  Each list line
+is ``path qualname class``, keyed by name rather than line number, with
+``class`` one of :data:`CLASSES`; ``#`` starts a comment.
+
 Run from anywhere (the commands run from the repository root, and write
 only to a temporary directory)::
 
     PYTHONPATH=src python tests/tools/reach.py            # every command
     PYTHONPATH=src python tests/tools/reach.py audit run  # a named subset
+    PYTHONPATH=src python tests/tools/reach.py --check tests/tools/reach_allow.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -91,6 +100,15 @@ COMMANDS: dict[str, list[str]] = {
                     "benchmarks/MODEL_calibration.json"],
     "model-calibrate": ["model", "--calibrate", "--dir", "{tmp}/cal"],
 }
+
+
+#: the reasons an unreached function may stay: an error or fail-soft path
+#: (its test makes it fire), a test oracle (only a test calls it), or
+#: public API no command line exercises
+CLASSES = ("fail-soft", "test-oracle", "public-api")
+
+#: functions shorter than this are not held to the allow list
+MIN_LINES = 10
 
 
 def inventory(src: Path = SRC) -> dict[tuple[str, int], tuple[str, int]]:
@@ -179,13 +197,51 @@ def unreached(found: dict, keys: set) -> list[tuple]:
             if (path, line) not in keys]
 
 
+def load_allow(path: Path) -> dict[tuple[str, str], str]:
+    """``(path, qualname) -> class`` from an allow-list file."""
+    allow: dict[tuple[str, str], str] = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 3 or fields[2] not in CLASSES:
+            raise ValueError(f"{path}:{n}: expected 'path qualname class' "
+                             f"with class one of {', '.join(CLASSES)}")
+        allow[(fields[0], fields[1])] = fields[2]
+    return allow
+
+
+def check(missing: list[tuple], allow: dict) -> list[str]:
+    """The ratchet's complaints about ``missing`` (as :func:`unreached`
+    returns it) against ``allow`` (as :func:`load_allow` returns it)."""
+    big = {(os.path.relpath(path, ROOT), qualname)
+           for path, _, qualname, lines in missing if lines >= MIN_LINES}
+    return ([f"unreached, not on the allow list: {p} {q}"
+             for p, q in sorted(big - allow.keys())]
+            + [f"allow-list entry names no unreached function of "
+               f">= {MIN_LINES} lines: {p} {q}"
+               for p, q in sorted(allow.keys() - big)])
+
+
 def main(argv: list[str]) -> int:
-    names = argv or list(COMMANDS)
+    parser = argparse.ArgumentParser(
+        prog="reach.py", description=__doc__.split("\n", 1)[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"command lines to run (default: all of "
+                             f"{', '.join(COMMANDS)})")
+    parser.add_argument("--check", type=Path, metavar="ALLOW",
+                        help="run every command; exit 1 on an unreached "
+                             f"function of >= {MIN_LINES} lines not on ALLOW")
+    args = parser.parse_args(argv)
+    if args.check is not None and args.names:
+        parser.error("--check runs every command; name none")
+    names = args.names or list(COMMANDS)
     unknown = [n for n in names if n not in COMMANDS]
     if unknown:
         print(f"unknown command name(s): {', '.join(unknown)}; "
               f"known: {', '.join(COMMANDS)}", file=sys.stderr)
         return 2
+    allow = load_allow(args.check) if args.check is not None else None
     found = inventory()
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         missing = unreached(found, reach(names, tmp))
@@ -196,7 +252,14 @@ def main(argv: list[str]) -> int:
     print(f"{len(missing)} of {len(found)} src/ functions never entered "
           f"({sum(m[3] for m in missing)} of {total_lines} function lines) "
           f"by {len(names)} command line(s)")
-    return 0
+    if allow is None:
+        return 0
+    problems = check(missing, allow)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"allow list {args.check}: {len(allow)} entries, "
+          f"{len(problems)} problem(s)", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,23 @@ class TestVerifyCommand:
         assert written == ["adaptive_growth.trace", "multireader_fanin.trace",
                            "producer_consumer.trace"]
         assert "wrote" in out
+
+    def test_trace_with_nan_charge_fails(self, tmp_path, capsys):
+        # json reads NaN; a NaN wall clock must not pass as "ok"
+        src = Path(__file__).parents[2] / "examples/traces/producer_consumer.trace"
+        lines = src.read_text().splitlines()
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec.get("event") == "phase":
+                rec["ops"][0].insert(0, ["c", float("nan")])
+                lines[i] = json.dumps(rec)
+                break
+        (tmp_path / "nan.trace").write_text("\n".join(lines) + "\n")
+        rc = main(["verify", "--seeds", "0", "--traces", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "trace nan.trace" in out and "VIOLATION" in out
+        assert "compute charge not in [0, inf)" in out
 
     def test_missing_traces_dir_is_skipped(self, capsys):
         rc = main(["verify", "--seeds", "1", "--traces", "does/not/exist"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fastpath import FastEngine
+from repro.sim.engine import CalendarEngine
 from repro.verify import (
     DfsPolicy,
     FifoPolicy,
@@ -62,8 +62,8 @@ class TestExplorerEngine:
     def test_fifo_policy_matches_base_engine(self):
         """With FifoPolicy the policy drain is behaviourally the FIFO drain."""
         order_base, order_exp = [], []
-        for engine, order in [(FastEngine(), order_base),
-                              (FastEngine(policy=FifoPolicy()), order_exp)]:
+        for engine, order in [(CalendarEngine(), order_base),
+                              (CalendarEngine(policy=FifoPolicy()), order_exp)]:
             for label in ("a", "b", "c"):
                 engine.schedule(10.0, lambda l=label: order.append(l))
             engine.schedule(5.0, lambda: order.append("first"))
@@ -72,7 +72,7 @@ class TestExplorerEngine:
 
     def test_policy_reorders_same_time_events(self):
         order = []
-        engine = FastEngine(policy=ReplayPolicy([2, 1]))
+        engine = CalendarEngine(policy=ReplayPolicy([2, 1]))
         for label in ("a", "b", "c"):
             engine.schedule(10.0, lambda l=label: order.append(l))
         engine.run()
@@ -80,7 +80,7 @@ class TestExplorerEngine:
 
     def test_never_reorders_across_timestamps(self):
         order = []
-        engine = FastEngine(policy=SeededRandomPolicy(7))
+        engine = CalendarEngine(policy=SeededRandomPolicy(7))
         for i, t in enumerate((3.0, 1.0, 2.0)):
             engine.schedule(t, lambda i=i: order.append(i))
         engine.run()
@@ -88,7 +88,7 @@ class TestExplorerEngine:
 
     def test_cancelled_events_never_enter_the_frontier(self):
         order = []
-        engine = FastEngine(policy=SeededRandomPolicy(3))
+        engine = CalendarEngine(policy=SeededRandomPolicy(3))
         engine.schedule(10.0, lambda: order.append("keep"))
         dead = engine.schedule(10.0, lambda: order.append("dead"))
         dead.cancel()
@@ -98,7 +98,7 @@ class TestExplorerEngine:
     def test_default_max_events_bounds_run(self):
         from repro.util import SimulationError
 
-        engine = FastEngine(default_max_events=10, policy=FifoPolicy())
+        engine = CalendarEngine(default_max_events=10, policy=FifoPolicy())
 
         def reschedule():
             engine.schedule(engine.now + 1.0, reschedule)
