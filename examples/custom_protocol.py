@@ -53,8 +53,7 @@ class ReadBroadcastProtocol(StacheProtocol):
                 continue
             if self.machine.node(node).tags.permits(entry.block, "r"):
                 continue
-            entry.sharers.add(node)
-            entry.state = DirState.SHARED
+            entry.grant_read(node, self.shared_state)
             self.send(
                 Message(MK.DATA_RO, src=entry.home, dst=node,
                         block=entry.block,

@@ -171,7 +171,8 @@ def plan_presend(sched: CommSchedule, home: int, life: ScheduleLifecycle,
                  ) -> list[tuple]:
     """``home``'s pre-send program for ``sched`` (see the token codes).
 
-    Applies the stable directory changes to ``directory`` and enters every
+    Runs the directory step (:meth:`~repro.protocols.directory.DirEntry.
+    demand`, ``reclaim``, the grants) on ``directory`` and enters every
     transferred copy into ``life``'s deferred judgment.  ``permits(dentry,
     node, kind)`` says whether ``node`` already holds a copy allowing
     ``kind`` ("r"/"w"): the simulator asks its tags, the model the
@@ -198,21 +199,19 @@ def plan_presend(sched: CommSchedule, home: int, life: ScheduleLifecycle,
         if dentry.state in DirState.BUSY:
             raise ProtocolError(f"pre-send with busy directory entry {dentry}")
         writer = entry.writer
-        recalled = None
-        if dentry.state == DirState.EXCLUSIVE:
-            if kind is EntryKind.WRITE and dentry.owner == writer:
+        reading = kind is EntryKind.READ
+        recalled, others = dentry.demand(writer, "r" if reading else "w")
+        if recalled is not None:
+            if not reading and recalled == writer:
                 continue  # predicted writer already owns the block
-            recalled = dentry.owner
-            dentry.owner = None
-            dentry.state = DirState.IDLE
+            dentry.reclaim()
             # A READ entry's recall is itself an anticipatory transfer —
             # home regains a readable copy — so it enters deferred judgment:
             # a schedule whose only effect is bringing the block home before
             # the home reads it is helping, not wasting.
-            wasted = (life.register(home, block, sched)
-                      if kind is EntryKind.READ else None)
+            wasted = life.register(home, block, sched) if reading else None
             program.append((RECALL, block, recalled, wasted))
-        if kind is EntryKind.READ:
+        if reading:
             for reader in sorted(entry.readers):
                 if reader == home:
                     continue  # home reads its own memory
@@ -222,26 +221,19 @@ def plan_presend(sched: CommSchedule, home: int, life: ScheduleLifecycle,
                     continue  # already holds a usable copy
                 outgoing.setdefault((reader, AccessTag.READ_ONLY),
                                     []).append(block)
-                dentry.sharers.add(reader)
-                dentry.state = DirState.SHARED
+                dentry.grant_read(reader, DirState.SHARED)
             continue
-        if dentry.state == DirState.SHARED:
-            for sharer in sorted(dentry.sharers):
-                if sharer != writer:
-                    program.append((INV, sharer, block))
-            dentry.sharers.intersection_update({writer})
+        for sharer in others:
+            program.append((INV, sharer, block))
+            dentry.sharers.discard(sharer)
         if writer == home:
             # writer held an RO copy; with others gone it upgrades in place
-            dentry.sharers.clear()
-            dentry.state = DirState.IDLE
-            dentry.owner = None
+            dentry.grant_write(home)
             program[at] = (ENTRY, block, True)
         elif not permits(dentry, writer, "w"):
             outgoing.setdefault((writer, AccessTag.READ_WRITE),
                                 []).append(block)
-            dentry.sharers.clear()
-            dentry.owner = writer
-            dentry.state = DirState.EXCLUSIVE
+            dentry.grant_write(writer)
     for (dst, grant), blocks in sorted(outgoing.items()):
         runs = (coalesce_blocks(blocks) if knobs.coalesce_presend
                 else [(b, 1) for b in sorted(set(blocks))])

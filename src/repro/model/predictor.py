@@ -10,10 +10,11 @@ protocol): reduce each phase's access streams to at most two events per
 **Walk** (cost-independent, kept on the recording per ``(block_size,
 protocol, optimized, warm-start)``): evolve a directory of
 :class:`~repro.protocols.directory.DirEntry` records through the fold's
-events.  Every miss is classified into one of six coefficient vectors over
-the cost basis ``(fault, control-flight, data-flight, handler,
-dir-lookup)``; pre-send phases, schedule learning, deferred judgment and
-degradation are the predictive protocol's own
+events by the protocols' own directory step (``demand``, ``reclaim``, the
+grants).  Every miss is classified by what ``demand`` names into one of six
+coefficient vectors over the cost basis ``(fault, control-flight,
+data-flight, handler, dir-lookup)``; pre-send phases, schedule learning,
+deferred judgment and degradation are the predictive protocol's own
 :mod:`repro.core.presend` planner and schedule lifecycle, run at the
 default knobs.  The walk also counts every message and byte the protocol
 would send.
@@ -30,20 +31,22 @@ assembled exactly the way the machine charges them (compute + wait ->
 barrier arrival; barrier release = max arrival + latency; the remainder is
 SYNCH), so each node's category cycles sum to wall time.
 
-Miss classes (derived from :mod:`repro.protocols.stache` +
-:mod:`repro.protocols.base`; ``k`` = remote sharers invalidated, and ACK /
-WB_DATA handlers pay ``handler_cost + directory_lookup_cost``):
+Miss classes: :meth:`DirEntry.demand
+<repro.protocols.directory.DirEntry.demand>` names what home takes back
+before it grants (an owner to recall, ``k`` sharers to invalidate, or
+neither), and the faulting node is home (local) or not (remote).  ACK /
+WB_DATA handlers pay ``handler_cost + directory_lookup_cost``:
 
-========================  ==========================================  ===================
-class                     fault path                                  (F, L, DATA, H, D)
-========================  ==========================================  ===================
-``LOC_IDLE``              local fault, home grants immediately        (1, 0, 0, 1, 1)
-``LOC_RECALL``            local fault recalls a remote writer         (1, 1, 1, 3, 2)
-``LOC_WRITE_SHARED(k)``   local write invalidates k remote readers    (1, 2, 0, 2+k, 1+k)
-``REM_CURRENT``           remote fault, home memory is current        (1, 1, 1, 2, 1)
-``REM_RECALL``            remote fault recalls the current writer     (1, 2, 2, 4, 2)
-``REM_WRITE_SHARED(k)``   remote write invalidates k other readers    (1, 3, 1, 3+k, 1+k)
-========================  ==========================================  ===================
+========================  ==================  ======  ===================
+class                     ``demand``          fault   (F, L, DATA, H, D)
+========================  ==================  ======  ===================
+``LOC_IDLE``              neither             local   (1, 0, 0, 1, 1)
+``LOC_RECALL``            recall the owner    local   (1, 1, 1, 3, 2)
+``LOC_WRITE_SHARED(k)``   invalidate k        local   (1, 2, 0, 2+k, 1+k)
+``REM_CURRENT``           neither             remote  (1, 1, 1, 2, 1)
+``REM_RECALL``            recall the owner    remote  (1, 2, 2, 4, 2)
+``REM_WRITE_SHARED(k)``   invalidate k        remote  (1, 3, 1, 3+k, 1+k)
+========================  ==================  ======  ===================
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from repro.cstar.recording import (
     record_program,
 )
 from repro.model.layout import LayoutModel, PhaseFold
-from repro.protocols.directory import DirEntry, Directory, DirState
-from repro.protocols.writeupdate import UPDATE_SHARED, push_set
+from repro.protocols.directory import DirEntry, Directory
+from repro.protocols.writeupdate import push_set
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, ProtocolError
@@ -87,8 +90,21 @@ _CATEGORIES = (TimeCategory.COMPUTE, TimeCategory.REMOTE_WAIT,
                TimeCategory.PREDICTIVE, TimeCategory.SYNCH)
 _COMPUTE, _WAIT, _PRESEND, _SYNCH = range(4)
 
+#: a miss's coefficient vector over (F, L, DATA, H, D) and its handler runs
+#: at home, keyed by what ``DirEntry.demand`` names and whether the faulting
+#: node is home; k invalidations add k x ``_PER_ACK`` and k runs
+_MISS_CLASSES = {
+    ("recall", True): (np.array([1., 1., 1., 3., 2.]), 2),      # LOC_RECALL
+    ("recall", False): (np.array([1., 2., 2., 4., 2.]), 2),     # REM_RECALL
+    ("invalidate", True): (np.array([1., 2., 0., 2., 1.]), 1),  # LOC_WRITE_SHARED
+    ("invalidate", False): (np.array([1., 3., 1., 3., 1.]), 1),  # REM_WRITE_SHARED
+    ("neither", True): (np.array([1., 0., 0., 1., 1.]), 1),     # LOC_IDLE
+    ("neither", False): (np.array([1., 1., 1., 2., 1.]), 1),    # REM_CURRENT
+}
+_PER_ACK = np.array([0., 0., 0., 1., 1.])
+
 #: REM_RECALL (write flavor): what one ping-pong re-steal costs
-_STEAL = np.array([1, 2, 2, 4, 2])
+_STEAL = _MISS_CLASSES["recall", False][0]
 
 
 @dataclass
@@ -181,6 +197,7 @@ class _Walker:
         self.optimized = optimized
         self.n = recording.n_nodes
         self.block_size = layout.block_size
+        self.shared_state = _PROTOCOL_CLASSES[protocol].shared_state
         # the walk never needs the transient BUSY states: queued requests
         # are simply processed in sequence
         self.dir = Directory(layout.home)
@@ -286,17 +303,16 @@ class _Walker:
         sent_before = int(self.messages.sum())
 
         entry_of = self.dir.entry
-        classify = (self._classify_read, self._classify_write)
         for block, node, kind, home in fold.events.tolist():
             st = entry_of(block)
-            if st.permits(node, "rw"[kind]):
+            access = "rw"[kind]
+            if st.permits(node, access):
                 continue
             misses[kind, node] += 1
             self.total_requests += 1
             if self.life is not None:
-                self.life.record(self.current_directive, block, node,
-                                 "rw"[kind])
-            classify[kind](st, node, home, coeff, services)
+                self.life.record(self.current_directive, block, node, access)
+            self._classify(st, node, access, home, coeff, services)
 
         # completed accesses: usefulness judgment + group bookkeeping
         if self.life is not None:
@@ -346,58 +362,31 @@ class _Walker:
         for sharer in acks:
             messages[sharer] += 1
 
-    def _classify_read(self, st: DirEntry, node, home, coeff,
-                       services) -> None:
-        if st.state == UPDATE_SHARED or self.protocol == "write-update":
-            # write-update consumer registration: home stays writable
-            # (UPDATE_SHARED) and the consumer is pushed to forever after
-            self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
-            st.state = UPDATE_SHARED
-            st.sharers.add(node)
-        elif st.state == DirState.EXCLUSIVE:
-            # the only way home itself read-misses: LOC_RECALL; else REM_RECALL
-            vec = (1, 1, 1, 3, 2) if node == home else (1, 2, 2, 4, 2)
-            self._charge(node, home, coeff, services, vec, 2, owner=st.owner)
-            st.owner = None
-            if node == home:
-                st.state = DirState.IDLE
-            else:
-                st.state = DirState.SHARED
-                st.sharers.add(node)
-        elif node == home:  # defensive: immediate local grant (LOC_IDLE)
-            self._charge(node, home, coeff, services, (1, 0, 0, 1, 1), 1)
-        else:  # IDLE / SHARED: home memory is current (REM_CURRENT)
-            self._charge(node, home, coeff, services, (1, 1, 1, 2, 1), 1)
-            st.state = DirState.SHARED
-            st.sharers.add(node)
-
-    def _classify_write(self, st: DirEntry, node, home, coeff,
-                        services) -> None:
-        if st.state == UPDATE_SHARED or self.protocol == "write-update":
+    def _classify(self, st: DirEntry, node, kind, home, coeff,
+                  services) -> None:
+        """One miss through the directory step: price what ``demand``
+        names, then reclaim and grant as the home's handlers do."""
+        if kind == "w" and self.protocol == "write-update":
             raise ProtocolError(
                 f"write-update protocol requires producer-owned data; node "
                 f"{node} wrote a block homed at {home}",
                 node=node,
             )
-        local = node == home
-        others = st.sharers - {node} if st.state == DirState.SHARED else ()
-        k = len(others)
-        if st.state == DirState.EXCLUSIVE:
-            # LOC_RECALL (RECALL_INV path) / REM_RECALL
-            vec = (1, 1, 1, 3, 2) if local else (1, 2, 2, 4, 2)
-            self._charge(node, home, coeff, services, vec, 2, owner=st.owner)
-        elif st.state == DirState.SHARED and (local or others):
-            # LOC_WRITE_SHARED(k) / REM_WRITE_SHARED(k)
-            vec = (1, 2, 0, 2 + k, 1 + k) if local else (1, 3, 1, 3 + k, 1 + k)
-            self._charge(node, home, coeff, services, vec, 1 + k, acks=others)
+        owner, acks = st.demand(node, kind)
+        k = len(acks)
+        vec, served = _MISS_CLASSES[
+            "recall" if owner is not None else "invalidate" if k else "neither",
+            node == home]
+        if k:
+            vec, served = vec + k * _PER_ACK, served + k
+        self._charge(node, home, coeff, services, vec, served,
+                     owner=owner, acks=acks)
+        if owner is not None:
+            st.reclaim()
+        if kind == "r":
+            st.grant_read(node, self.shared_state)
         else:
-            # LOC_IDLE (defensive), or REM_CURRENT: IDLE, or the writer is
-            # the sole sharer (in-place upgrade)
-            vec = (1, 0, 0, 1, 1) if local else (1, 1, 1, 2, 1)
-            self._charge(node, home, coeff, services, vec, 1)
-        st.sharers.clear()
-        st.state, st.owner = ((DirState.IDLE, None) if local
-                              else (DirState.EXCLUSIVE, node))
+            st.grant_write(node)
 
     # -- write-update push programs -------------------------------------------
 

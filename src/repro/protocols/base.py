@@ -23,7 +23,6 @@ from repro.protocols.directory import (
     Directory,
     DirEntry,
     DirState,
-    NodeSet,
     PendingRequest,
 )
 from repro.protocols.messages import MessageKind as MK
@@ -41,13 +40,12 @@ class BaseProtocol(ProtocolStateMachine):
 
     name = "base"
 
-    # crash-recovery shape of this protocol's directory states: which states
-    # mean "remote read-only copies exist", and what state/home-tag pair a
-    # restarted home rebuilds when survivors hold such copies.  The
-    # write-update protocol overrides all three (its shared state keeps the
-    # home writable).
-    crash_shared_states: tuple = (DirState.SHARED,)
-    crash_rebuild_shared_state: str = DirState.SHARED
+    #: the directory state meaning "remote read-only copies exist" (read
+    #: grants, crash repair and rebuild, and the model walk use it), and the
+    #: home tag a restarted home rebuilds beside such copies.  The
+    #: write-update protocol overrides both: its shared state keeps the home
+    #: writable.
+    shared_state: str = DirState.SHARED
     crash_rebuild_home_tag = AccessTag.READ_ONLY
 
     def __init__(self, machine: "Machine") -> None:
@@ -92,6 +90,12 @@ class BaseProtocol(ProtocolStateMachine):
 
     def send(self, msg: Message, at: float) -> float:
         return self.machine.send(msg, at)
+
+    def send_data(self, kind: str, src: int, dst: int, block: int,
+                  at: float) -> None:
+        """Send one block's data: a grant or a writeback."""
+        self.send(Message(kind, src=src, dst=dst, block=block,
+                          payload_bytes=self.config.block_size), at)
 
     def handler_cost_for(self, msg: Message) -> float:
         cost = self.config.handler_cost
@@ -177,16 +181,7 @@ class BaseProtocol(ProtocolStateMachine):
         obs = self.machine.obs
         if obs.enabled:
             obs.emit(EventKind.RECALL, t, node=msg.dst, block=msg.block)
-        self.send(
-            Message(
-                MK.WB_DATA,
-                src=msg.dst,
-                dst=msg.src,
-                block=msg.block,
-                payload_bytes=self.config.block_size,
-            ),
-            t,
-        )
+        self.send_data(MK.WB_DATA, msg.dst, msg.src, msg.block, t)
 
     def cache_install(self, msg: Message, t: float) -> None:
         tags = self.machine.node(msg.dst).tags
@@ -206,16 +201,7 @@ class BaseProtocol(ProtocolStateMachine):
             # DATA_RO upgrade race); surrender whatever we hold.
             tags = self.machine.node(msg.dst).tags
             tags.invalidate(msg.block)
-            self.send(
-                Message(
-                    MK.WB_DATA,
-                    src=msg.dst,
-                    dst=msg.src,
-                    block=msg.block,
-                    payload_bytes=self.config.block_size,
-                ),
-                t,
-            )
+            self.send_data(MK.WB_DATA, msg.dst, msg.src, msg.block, t)
         else:  # pragma: no cover - defensive
             raise ProtocolError(
                 f"cannot defer {msg}",
@@ -258,50 +244,25 @@ class BaseProtocol(ProtocolStateMachine):
             self.complete_fault(requester, entry.block, t)
         else:
             home_tags.downgrade(entry.block)
-            entry.sharers.add(requester)
-            entry.state = DirState.SHARED
-            self.send(
-                Message(
-                    MK.DATA_RO,
-                    src=entry.home,
-                    dst=requester,
-                    block=entry.block,
-                    payload_bytes=self.config.block_size,
-                ),
-                t,
-            )
+            entry.grant_read(requester, self.shared_state)
+            self.send_data(MK.DATA_RO, entry.home, requester, entry.block, t)
 
     def grant_rw(self, entry: DirEntry, requester: int, t: float) -> None:
         """Give ``requester`` the writable copy (all other copies are gone)."""
         home_tags = self.machine.node(entry.home).tags
-        if requester == DISCARDED or self.machine.is_down(requester):
-            # All other copies are already invalidated; with the requester
-            # gone too, home memory is the sole — hence current — copy.
-            entry.sharers.clear()
-            entry.owner = None
-            entry.state = DirState.IDLE
+        # All other copies are already invalidated; with the requester gone
+        # too (crash recovery discarded the request, or it died in flight),
+        # home memory is the sole — hence current — copy.
+        gone = requester == DISCARDED or self.machine.is_down(requester)
+        holder = entry.home if gone else requester
+        entry.grant_write(holder)
+        if holder == entry.home:
             home_tags.set(entry.block, AccessTag.READ_WRITE)
-            return
-        entry.sharers.clear()
-        if requester == entry.home:
-            entry.owner = None
-            entry.state = DirState.IDLE
-            home_tags.set(entry.block, AccessTag.READ_WRITE)
-            self.complete_fault(requester, entry.block, t)
+            if not gone:
+                self.complete_fault(requester, entry.block, t)
         else:
-            entry.owner = requester
-            entry.state = DirState.EXCLUSIVE
             home_tags.invalidate(entry.block)
-            self.send(
-                Message(
-                    MK.DATA_RW,
-                    src=entry.home,
-                    dst=requester,
-                    block=entry.block,
-                    payload_bytes=self.config.block_size,
-                ),
-                t,
-            )
+            self.send_data(MK.DATA_RW, entry.home, requester, entry.block, t)
 
     # -- pending-queue management ------------------------------------------------------------
 
@@ -385,25 +346,23 @@ class BaseProtocol(ProtocolStateMachine):
         elif entry.state not in DirState.BUSY:
             home_tags = self.machine.node(entry.home).tags
             if entry.owner == dead:
-                entry.owner = None
-                entry.state = DirState.IDLE
+                entry.reclaim()
                 home_tags.set(entry.block, AccessTag.READ_WRITE)
             if dead in entry.sharers:
                 entry.sharers.discard(dead)
-                if (entry.state in self.crash_shared_states
-                        and not entry.sharers):
-                    entry.state = DirState.IDLE
+                if entry.state == self.shared_state and not entry.sharers:
+                    entry.reclaim()
                     home_tags.set(entry.block, AccessTag.READ_WRITE)
         self._drain_pending(entry, t)
 
     def rebuild_home_state(self, node: int, t: float) -> int:
         """A restarted home re-derives its directory from survivors' tags.
 
-        For every block homed at ``node``: a surviving writable copy makes
-        its holder the exclusive owner; surviving read-only copies rebuild
-        the protocol's shared state (``crash_rebuild_shared_state``); with no
-        surviving copy, home memory is the sole copy and the home tag returns
-        to READ_WRITE.  Returns how many entries were rebuilt.
+        For every block homed at ``node``: a surviving writable copy is
+        granted back to its holder; surviving read-only copies are granted
+        back in the protocol's ``shared_state``; with no surviving copy,
+        home memory is the sole copy and the home tag returns to
+        READ_WRITE.  Returns how many entries were rebuilt.
         """
         machine = self.machine
         home_tags = machine.node(node).tags
@@ -424,27 +383,22 @@ class BaseProtocol(ProtocolStateMachine):
                 if machine.home(block) != node:
                     continue
                 owner = rw_holder.get(block)
-                if owner is not None:
-                    entry = self.directory.entry(block)
-                    entry.state = DirState.EXCLUSIVE
-                    entry.owner = owner
-                    entry.sharers.clear()
-                    entry.in_service = None
-                    entry.acks_needed = 0
-                    entry.pending.clear()
-                    rebuilt += 1
-                elif block in ro_holders:
-                    entry = self.directory.entry(block)
-                    entry.state = self.crash_rebuild_shared_state
-                    entry.owner = None
-                    entry.sharers = NodeSet(ro_holders[block])
-                    entry.in_service = None
-                    entry.acks_needed = 0
-                    entry.pending.clear()
-                    home_tags.set(block, self.crash_rebuild_home_tag)
-                    rebuilt += 1
-                else:
+                readers = ro_holders.get(block)
+                if owner is None and not readers:
                     home_tags.set(block, AccessTag.READ_WRITE)
+                    continue
+                entry = self.directory.entry(block)
+                entry.in_service = None
+                entry.acks_needed = 0
+                entry.pending.clear()
+                if owner is not None:
+                    entry.grant_write(owner)
+                else:
+                    entry.grant_write(node)  # home memory, then each reader
+                    for reader in readers:
+                        entry.grant_read(reader, self.shared_state)
+                    home_tags.set(block, self.crash_rebuild_home_tag)
+                rebuilt += 1
         return rebuilt
 
     def reissue_faults_for_home(self, node: int, t: float) -> int:

@@ -28,9 +28,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator
-
-from repro.util.errors import ProtocolError
+from typing import Collection, Deque, Iterable, Iterator
 
 #: placeholder requester installed by crash recovery when the node being
 #: serviced by a busy entry died: the completing transition still runs (so
@@ -238,28 +236,46 @@ class DirEntry:
             return kind == "r" or state != DirState.SHARED
         return kind == "r" and state != DirState.IDLE and node in self.sharers
 
-    def check_invariants(self) -> None:
-        """Sanity rules that hold in every stable state (tested heavily)."""
-        if self.state == DirState.IDLE:
-            if self.sharers or self.owner is not None:
-                raise ProtocolError(f"IDLE entry with copies: {self}")
-        elif self.state == DirState.SHARED:
-            if not self.sharers:
-                raise ProtocolError(f"SHARED entry without sharers: {self}")
-            if self.owner is not None:
-                raise ProtocolError(f"SHARED entry with owner: {self}")
-            if self.home in self.sharers:
-                raise ProtocolError(f"home listed as its own sharer: {self}")
-        elif self.state == DirState.EXCLUSIVE:
-            if self.owner is None or self.sharers:
-                raise ProtocolError(f"EXCLUSIVE entry malformed: {self}")
-            if self.owner == self.home:
-                raise ProtocolError(f"home as remote owner: {self}")
-        elif self.state in DirState.BUSY:
-            if self.in_service is None:
-                raise ProtocolError(f"busy entry with no request in service: {self}")
+    # -- the stable directory step ------------------------------------------
+    #
+    # A miss in a stable state is served in three steps: home takes back
+    # what ``demand`` names (recalls the owner, invalidates the sharers),
+    # ``reclaim`` makes home memory current, and a grant installs the new
+    # copy.  The protocols' handlers, crash repair, the pre-send planner and
+    # the model walk all run these; only the handlers add transient states.
+
+    def demand(self, node: int, kind: str) -> tuple[int | None, Collection[int]]:
+        """What home must take back before granting ``node`` a ``kind``
+        ("r"/"w") copy: the owner to recall (or None), and the sharers to
+        invalidate (ascending)."""
+        state = self.state
+        if state == DirState.EXCLUSIVE:
+            return self.owner, ()
+        if kind == "w" and state == DirState.SHARED:
+            return None, self.sharers - {node}
+        return None, ()
+
+    def reclaim(self) -> None:
+        """Home memory is current again: no remote owner, IDLE."""
+        self.owner = None
+        self.state = DirState.IDLE
+
+    def grant_read(self, node: int, shared_state: str) -> None:
+        """``node`` holds a read-only copy; ``shared_state`` is the
+        protocol's state for remote read-only copies (home's own read
+        needs no entry)."""
+        if node != self.home:
+            self.sharers.add(node)
+            self.state = shared_state
+
+    def grant_write(self, node: int) -> None:
+        """``node`` holds the only copy, writable (home's: IDLE)."""
+        self.sharers.clear()
+        if node == self.home:
+            self.reclaim()
         else:
-            raise ProtocolError(f"unknown directory state: {self}")
+            self.owner = node
+            self.state = DirState.EXCLUSIVE
 
     def __repr__(self) -> str:
         own = f" owner={self.owner}" if self.owner is not None else ""
@@ -300,10 +316,6 @@ class Directory:
         for b in doomed:
             del self._entries[b]
         return len(doomed)
-
-    def check_all(self) -> None:
-        for e in self._entries.values():
-            e.check_invariants()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -42,13 +42,7 @@ class StacheProtocol(BaseProtocol):
         Stache invalidates the producer's copy (paper §3.2 steps 2-3) rather
         than downgrading it.
         """
-        if entry.owner == msg.src:
-            raise ProtocolError(f"owner {msg.src} read-faulted on its own block")
-        entry.state = DirState.BUSY_RECALL_RO
-        entry.in_service = msg.src
-        self.send(
-            Message(MK.RECALL_RO, src=entry.home, dst=entry.owner, block=entry.block), t
-        )
+        self._recall(entry, msg, "r", t)
 
     # -- write requests --------------------------------------------------------
 
@@ -59,7 +53,7 @@ class StacheProtocol(BaseProtocol):
     @transition(DirState.SHARED, MK.GET_RW)
     def write_invalidates_readers(self, entry: DirEntry, msg: Message, t: float) -> None:
         """Invalidate all read-only copies, then grant the writable copy."""
-        others = entry.sharers - {msg.src}
+        _, others = entry.demand(msg.src, "w")
         if not others:
             # The requester is the only sharer: upgrade immediately.
             self.grant_rw(entry, msg.src, t)
@@ -67,7 +61,7 @@ class StacheProtocol(BaseProtocol):
         entry.state = DirState.BUSY_INV
         entry.in_service = msg.src
         entry.acks_needed = len(others)
-        for sharer in sorted(others):
+        for sharer in others:
             self.send(
                 Message(MK.INV, src=entry.home, dst=sharer, block=entry.block), t
             )
@@ -77,38 +71,43 @@ class StacheProtocol(BaseProtocol):
 
     @transition(DirState.EXCLUSIVE, MK.GET_RW)
     def write_recalls_writer(self, entry: DirEntry, msg: Message, t: float) -> None:
-        if entry.owner == msg.src:
-            raise ProtocolError(f"owner {msg.src} write-faulted on its own block")
-        entry.state = DirState.BUSY_RECALL_RW
+        self._recall(entry, msg, "w", t)
+
+    def _recall(self, entry: DirEntry, msg: Message, kind: str, t: float) -> None:
+        """Recall the owner ``demand`` names; its writeback completes the
+        ``kind`` ("r"/"w") request."""
+        owner, _ = entry.demand(msg.src, kind)
+        if owner == msg.src:
+            access = "read" if kind == "r" else "write"
+            raise ProtocolError(f"owner {msg.src} {access}-faulted on its own block")
+        if kind == "r":
+            entry.state, recall = DirState.BUSY_RECALL_RO, MK.RECALL_RO
+        else:
+            entry.state, recall = DirState.BUSY_RECALL_RW, MK.RECALL_INV
         entry.in_service = msg.src
-        self.send(
-            Message(MK.RECALL_INV, src=entry.home, dst=entry.owner, block=entry.block), t
-        )
+        self.send(Message(recall, src=entry.home, dst=owner, block=entry.block), t)
 
     # -- responses ----------------------------------------------------------------
 
     @transition(DirState.BUSY_RECALL_RO, MK.WB_DATA)
     def writeback_then_read(self, entry: DirEntry, msg: Message, t: float) -> None:
         """The recalled data arrived; home memory is current again."""
-        if msg.src != entry.owner:
-            raise ProtocolError(f"writeback from non-owner {msg.src}: {entry}")
-        requester = entry.in_service
-        entry.owner = None
-        entry.in_service = None
-        entry.state = DirState.IDLE
+        requester = self._writeback(entry, msg)
         # Home memory holds the data again; home may read it.
         self.machine.node(entry.home).tags.set(entry.block, AccessTag.READ_WRITE)
         self.grant_ro(entry, requester, t)
 
     @transition(DirState.BUSY_RECALL_RW, MK.WB_DATA)
     def writeback_then_write(self, entry: DirEntry, msg: Message, t: float) -> None:
+        self.grant_rw(entry, self._writeback(entry, msg), t)
+
+    def _writeback(self, entry: DirEntry, msg: Message) -> int:
+        """Reclaim the recalled copy; returns the requester in service."""
         if msg.src != entry.owner:
             raise ProtocolError(f"writeback from non-owner {msg.src}: {entry}")
-        requester = entry.in_service
-        entry.owner = None
-        entry.in_service = None
-        entry.state = DirState.IDLE
-        self.grant_rw(entry, requester, t)
+        requester, entry.in_service = entry.in_service, None
+        entry.reclaim()
+        return requester
 
     @transition(DirState.BUSY_INV, MK.ACK)
     def collect_ack(self, entry: DirEntry, msg: Message, t: float) -> None:
@@ -117,9 +116,7 @@ class StacheProtocol(BaseProtocol):
         if entry.acks_needed < 0:
             raise ProtocolError(f"unexpected ACK from {msg.src}: {entry}")
         if entry.acks_needed == 0:
-            requester = entry.in_service
-            entry.in_service = None
-            entry.state = DirState.IDLE
+            requester, entry.in_service = entry.in_service, None
             self.grant_rw(entry, requester, t)
 
     # -- requests arriving while busy queue up ---------------------------------------

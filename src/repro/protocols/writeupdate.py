@@ -49,11 +49,10 @@ class WriteUpdateProtocol(BaseProtocol):
     name = "write-update"
     coalesce_updates = False
 
-    # crash-recovery shape: consumers' copies are read-only registrations
-    # while the home keeps the writable copy, so a restarted home rebuilds
-    # UPDATE_SHARED (not SHARED) and keeps its READ_WRITE tag.
-    crash_shared_states = (UPDATE_SHARED,)
-    crash_rebuild_shared_state = UPDATE_SHARED
+    # consumers' copies are read-only registrations while the home keeps
+    # the writable copy: UPDATE_SHARED (not SHARED), and a restarted home
+    # keeps its READ_WRITE tag
+    shared_state = UPDATE_SHARED
     crash_rebuild_home_tag = AccessTag.READ_WRITE
 
     def __init__(self, machine: "Machine") -> None:
@@ -72,19 +71,9 @@ class WriteUpdateProtocol(BaseProtocol):
                 f"home {msg.src} read-faulted on its own block",
                 node=msg.src, block=entry.block, time=t, message_repr=repr(msg),
             )
-        entry.sharers.add(msg.src)
-        entry.state = UPDATE_SHARED
+        entry.grant_read(msg.src, self.shared_state)
         # Home keeps its READ_WRITE tag: updates do not invalidate.
-        self.send(
-            Message(
-                MK.DATA_RO,
-                src=entry.home,
-                dst=msg.src,
-                block=entry.block,
-                payload_bytes=self.config.block_size,
-            ),
-            t,
-        )
+        self.send_data(MK.DATA_RO, entry.home, msg.src, entry.block, t)
 
     @transition("IDLE", MK.GET_RW)
     @transition(UPDATE_SHARED, MK.GET_RW)

@@ -76,7 +76,12 @@ def save_session(events: Iterable[Event], path, regions: list[dict] | None = Non
 
 
 def load_session(path) -> tuple[list[Event], list[dict]]:
-    """Read a session file; returns (events, regions)."""
+    """Read a session file; returns (events, regions).
+
+    A session without a phase event, or a region whose ``homes`` is not a
+    non-empty list of node ids, is rejected here with a
+    :class:`SimulationError` naming the file (and the region).
+    """
     path = Path(path)
     events: list[Event] = []
     regions: list[dict] = []
@@ -87,6 +92,13 @@ def load_session(path) -> tuple[list[Event], list[dict]]:
                 f"unsupported trace format {header.get('version')!r}"
             )
         regions = header.get("regions", [])
+        for spec in regions:
+            homes = spec.get("homes")
+            if not (isinstance(homes, list) and homes and all(
+                    type(h) is int and h >= 0 for h in homes)):
+                raise SimulationError(
+                    f"{path}: region {spec.get('name')!r} needs a non-empty "
+                    f"list of node ids as homes, got {homes!r}")
         for line in fh:
             rec = json.loads(line)
             if rec["event"] == "phase":
@@ -98,6 +110,8 @@ def load_session(path) -> tuple[list[Event], list[dict]]:
                 events.append(("end_group",))
             else:
                 raise SimulationError(f"unknown record {rec!r}")
+    if not any(ev[0] == "phase" for ev in events):
+        raise SimulationError(f"{path}: session holds no phase event")
     return events, regions
 
 

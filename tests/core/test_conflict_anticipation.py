@@ -7,6 +7,7 @@ from repro.bench.ablations import predictive_knobs
 from repro.core import EntryKind
 
 from tests.helpers import run_one_phase, small_machine
+from tests.oracle import check_directory
 
 
 def conflicted_workload(m, b, iters=3):
@@ -68,7 +69,7 @@ class TestAnticipation:
             assert writers <= 1
             if writers:
                 assert readers == 0
-            m.protocol.directory.check_all()
+            check_directory(m.protocol.directory)
             m.finish().check_conservation()
 
     def test_anticipation_can_help_read_mostly_conflicts(self):

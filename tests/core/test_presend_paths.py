@@ -7,6 +7,7 @@ from repro.protocols.directory import DirState
 from repro.tempest.tags import AccessTag
 
 from tests.helpers import run_one_phase, small_machine
+from tests.oracle import check_directory, check_entry
 
 
 class TestPresendRecall:
@@ -25,7 +26,7 @@ class TestPresendRecall:
             m.end_group()
         # steady state: group-2 presend recalls from node 1 and sends to 2
         entry = m.protocol.directory.entry(b)
-        entry.check_invariants()
+        check_entry(entry)
         # after the final read phase the block is shared by node 2
         assert m.nodes[2].tags.get(b) is AccessTag.READ_ONLY
         # and the recall left node 1 without its copy before node 2 read it
@@ -116,4 +117,4 @@ class TestConservationWithPresend:
             run_one_phase(m, {0: [("w", blk) for blk in blocks]})
             m.end_group()
         m.finish().check_conservation()
-        m.protocol.directory.check_all()
+        check_directory(m.protocol.directory)

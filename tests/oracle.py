@@ -13,7 +13,9 @@ what it checks:
   :class:`repro.tempest.machine.ReplayProcessor`;
 * :class:`DictTagTable` — against :class:`repro.tempest.tags.TagTable`;
 * :class:`OracleMachine` — a :class:`~repro.tempest.machine.Machine` built
-  from the three (``tests.helpers.oracle_machine`` is its factory).
+  from the three (``tests.helpers.oracle_machine`` is its factory);
+* :func:`check_entry` / :func:`check_directory` — the invariants every
+  :class:`~repro.protocols.directory.DirEntry` obeys.
 
 Production code never imports this module.
 """
@@ -25,12 +27,13 @@ import math
 from typing import Callable
 
 from repro.obs.events import EventKind
+from repro.protocols.directory import Directory, DirEntry, DirState
 from repro.sim.engine import Engine, Event
 from repro.sim.stats import TimeCategory
 from repro.tempest.machine import Machine, TraceOp
 from repro.tempest.node import Node
 from repro.tempest.tags import AccessTag
-from repro.util.errors import SimulationError
+from repro.util.errors import ProtocolError, SimulationError
 
 # -- the heap engine -------------------------------------------------------------
 
@@ -381,3 +384,36 @@ class OracleMachine(Machine):
         for p in procs:
             p.start()
         return procs
+
+
+# -- directory invariants --------------------------------------------------------
+
+
+def check_entry(entry: DirEntry) -> None:
+    """Sanity rules every directory entry obeys in every state."""
+    if entry.state == DirState.IDLE:
+        if entry.sharers or entry.owner is not None:
+            raise ProtocolError(f"IDLE entry with copies: {entry}")
+    elif entry.state == DirState.SHARED:
+        if not entry.sharers:
+            raise ProtocolError(f"SHARED entry without sharers: {entry}")
+        if entry.owner is not None:
+            raise ProtocolError(f"SHARED entry with owner: {entry}")
+        if entry.home in entry.sharers:
+            raise ProtocolError(f"home listed as its own sharer: {entry}")
+    elif entry.state == DirState.EXCLUSIVE:
+        if entry.owner is None or entry.sharers:
+            raise ProtocolError(f"EXCLUSIVE entry malformed: {entry}")
+        if entry.owner == entry.home:
+            raise ProtocolError(f"home as remote owner: {entry}")
+    elif entry.state in DirState.BUSY:
+        if entry.in_service is None:
+            raise ProtocolError(f"busy entry with no request in service: {entry}")
+    else:
+        raise ProtocolError(f"unknown directory state: {entry}")
+
+
+def check_directory(directory: Directory) -> None:
+    """:func:`check_entry` over every entry ``directory`` knows."""
+    for entry in directory.known():
+        check_entry(entry)

@@ -9,58 +9,60 @@ from repro.protocols.writeupdate import UPDATE_SHARED
 from repro.tempest.tags import AccessTag, TagTable
 from repro.util import ProtocolError
 
+from tests.oracle import check_directory, check_entry
+
 
 class TestDirEntry:
     def test_starts_idle(self):
         e = DirEntry(block=1, home=0)
         assert e.state == DirState.IDLE
-        e.check_invariants()
+        check_entry(e)
 
     def test_idle_with_copies_is_invalid(self):
         e = DirEntry(block=1, home=0, sharers={2})
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
     def test_shared_requires_sharers(self):
         e = DirEntry(block=1, home=0, state=DirState.SHARED)
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
         e.sharers.add(1)
-        e.check_invariants()
+        check_entry(e)
 
     def test_shared_cannot_have_owner(self):
         e = DirEntry(block=1, home=0, state=DirState.SHARED, sharers={1}, owner=2)
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
     def test_home_not_its_own_sharer(self):
         e = DirEntry(block=1, home=0, state=DirState.SHARED, sharers={0})
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
     def test_exclusive_requires_remote_owner(self):
         e = DirEntry(block=1, home=0, state=DirState.EXCLUSIVE, owner=1)
-        e.check_invariants()
+        check_entry(e)
         e.owner = None
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
     def test_exclusive_owner_not_home(self):
         e = DirEntry(block=1, home=0, state=DirState.EXCLUSIVE, owner=0)
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
     def test_busy_requires_in_service(self):
         e = DirEntry(block=1, home=0, state=DirState.BUSY_INV)
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
         e.in_service = 3
-        e.check_invariants()
+        check_entry(e)
 
     def test_unknown_state_rejected(self):
         e = DirEntry(block=1, home=0, state="BOGUS")
         with pytest.raises(ProtocolError):
-            e.check_invariants()
+            check_entry(e)
 
 
 class TestDirectory:
@@ -77,7 +79,7 @@ class TestDirectory:
         d.entry(1)
         d.entry(2).state = DirState.SHARED  # malformed: no sharers
         with pytest.raises(ProtocolError):
-            d.check_all()
+            check_directory(d)
 
     def test_known_lists_entries(self):
         d = Directory(home_of=lambda b: 0)
@@ -104,7 +106,7 @@ def stable_entries(draw):
         entry.sharers.update(draw(st.sets(st.sampled_from(remote),
                                           min_size=1)))
     if state != UPDATE_SHARED:
-        entry.check_invariants()
+        check_entry(entry)
     return n, entry
 
 

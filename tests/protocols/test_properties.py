@@ -25,6 +25,8 @@ from repro.tempest.machine import PhaseTrace
 from repro.tempest.tags import AccessTag
 from repro.util import MachineConfig
 
+from tests.oracle import check_entry
+
 N_NODES = 4
 N_BLOCKS = 6
 
@@ -72,7 +74,7 @@ def check_invariants(m, first):
         if writers:
             assert readers == 0, f"block {block}: writer plus readers"
         entry = m.protocol.directory.entry(block)
-        entry.check_invariants()
+        check_entry(entry)
         if entry.state == DirState.EXCLUSIVE:
             assert tags[entry.owner] is AccessTag.READ_WRITE
         elif entry.state == DirState.SHARED:

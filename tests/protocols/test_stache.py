@@ -11,6 +11,7 @@ from repro.tempest.tags import AccessTag
 from repro.util import ProtocolError
 
 from tests.helpers import run_one_phase, small_machine
+from tests.oracle import check_directory, check_entry
 
 
 def dir_entry(m, block):
@@ -105,7 +106,7 @@ class TestContention:
         m, b = small_machine(n_nodes=4)
         run_one_phase(m, {1: [("r", b)], 2: [("w", b)], 3: [("r", b)]})
         e = dir_entry(m, b)
-        e.check_invariants()
+        check_entry(e)
         assert e.state in (DirState.SHARED, DirState.EXCLUSIVE)
         m.finish().check_conservation()
 
@@ -115,7 +116,7 @@ class TestContention:
             run_one_phase(m, {writer: [("w", b)]})
         e = dir_entry(m, b)
         assert e.state == DirState.EXCLUSIVE and e.owner == 2
-        m.protocol.directory.check_all()
+        check_directory(m.protocol.directory)
 
     def test_hot_home_serializes_handlers(self):
         """Many simultaneous requesters to one home: total time grows with
@@ -155,7 +156,7 @@ class TestProtocolInvariants:
                 if ops:
                     busy[node] = ops
             run_one_phase(m, busy)
-        m.protocol.directory.check_all()
+        check_directory(m.protocol.directory)
         m.finish().check_conservation()
 
     def test_single_writer_invariant(self):

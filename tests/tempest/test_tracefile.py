@@ -167,3 +167,37 @@ class TestReplay:
         assert m.nodes[0].tags.permits(first, "w")
         blocks_per_page = 512 // 32
         assert m.nodes[1].tags.permits(first + blocks_per_page, "w")
+
+
+class TestMalformedFiles:
+    """A malformed session file is a SimulationError naming the file or the
+    region, never a bare Python exception from deep inside a replay."""
+
+    def write(self, tmp_path, regions, events=GOLDEN_EVENTS):
+        path = tmp_path / "bad.trace"
+        save_session(events, path, regions=regions)
+        return path
+
+    def test_session_without_phase_event(self, tmp_path):
+        from repro.verify import verify_trace_file
+
+        path = self.write(tmp_path, GOLDEN_REGIONS,
+                          events=[("begin_group", 1), ("end_group",)])
+        with pytest.raises(SimulationError, match="no phase event") as err:
+            verify_trace_file(path)
+        assert str(path) in str(err.value)
+
+    def test_region_with_empty_homes(self, tmp_path):
+        path = self.write(tmp_path, [{"name": "data", "size": 256, "homes": []}])
+        with pytest.raises(SimulationError, match="region 'data'") as err:
+            replay_session(load_session(path), make_machine(
+                MachineConfig(n_nodes=2, block_size=32, page_size=128)))
+        assert str(path) in str(err.value)
+
+    def test_region_with_non_int_home(self, tmp_path):
+        path = self.write(tmp_path,
+                          [{"name": "data", "size": 256, "homes": [0, "1"]}])
+        with pytest.raises(SimulationError, match="region 'data'") as err:
+            replay_session(load_session(path), make_machine(
+                MachineConfig(n_nodes=2, block_size=32, page_size=128)))
+        assert str(path) in str(err.value)
