@@ -32,7 +32,7 @@ def make_machine(config: MachineConfig, protocol: str = "stache",
 
     Every machine is the same simulator (see
     :class:`~repro.tempest.machine.Machine`).  ``policy`` optionally
-    installs a :class:`~repro.verify.interleave.TieBreakPolicy` on its
+    installs a :class:`~repro.sim.engine.TieBreakPolicy` on its
     engine: same-timestamp events then dispatch in the order the policy
     picks instead of FIFO — how ``repro verify`` explores and replays
     interleavings.

@@ -33,23 +33,25 @@ Two kinds of entry share a slot:
 
 * :class:`Event` instances from :meth:`~CalendarEngine.schedule` — the
   generic (cancellable) path, used by protocols, transports and timers;
-* bare ``(proc, incarnation)`` tuples from
-  :meth:`~CalendarEngine.push_step` — processor continuations, dispatched
-  by calling ``proc.step(horizon)`` directly so the hot replay loop
-  allocates no Event and no closure.  ``incarnation`` is the crash-restart
-  guard a closure would otherwise carry: a stale or down incarnation is
-  counted as a dispatched event that does nothing.
+* bare ``(obj, token)`` tuples from :meth:`~CalendarEngine.push_step` —
+  step entries, dispatched by calling ``obj.step(horizon, token)`` so the
+  hot replay loop allocates no Event and no closure.  ``horizon`` is the
+  time of the next live entry (``inf`` on an empty queue); a returned time
+  re-queues the same tuple with one new seq, ``None`` drops it.  The
+  token is opaque here: the processor reads it as its crash-restart
+  incarnation, and a dispatch that does nothing still counts.
 
 Two drains, one queue
 ---------------------
 
 Same-timestamp entries are semantically unordered, and a slot *is* that
 frontier: every live entry at the earliest time, in seq order.  With no
-:class:`~repro.verify.interleave.TieBreakPolicy` installed the slot is
-dispatched front to back as one batch (:meth:`CalendarEngine._drain`,
-FIFO); with one installed, each dispatch is ``policy.pick`` over the
-slot's live remainder (:meth:`CalendarEngine._drain_policy`) — see
-:mod:`repro.verify.interleave` for what a choice point is.
+:class:`TieBreakPolicy` installed the slot is dispatched front to back as
+one batch (:meth:`CalendarEngine._drain`, FIFO); with one installed, each
+dispatch is ``policy.pick`` over the slot's live remainder
+(:meth:`CalendarEngine._drain_policy`) — see :mod:`repro.verify.interleave`
+for what a choice point and the concrete policies are.  Both drains
+dispatch a step entry the same way.
 
 Stale-peek pruning
 ------------------
@@ -68,12 +70,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.verify.interleave import TieBreakPolicy
 
 
 @dataclass(order=True)
@@ -88,6 +87,35 @@ class Event:
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+class TieBreakPolicy:
+    """Decides which of several same-timestamp events dispatches first.
+
+    The interface :class:`CalendarEngine` consults; the concrete policies
+    live in :mod:`repro.verify.interleave`.
+    """
+
+    def __init__(self) -> None:
+        #: index chosen at each choice point (frontier size 1 is skipped)
+        self.choices: list[int] = []
+        #: frontier size at each recorded choice point
+        self.frontiers: list[int] = []
+
+    def choose(self, frontier: list[Event]) -> int:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def pick(self, frontier: list[Event]) -> int:
+        """Record-keeping wrapper around :meth:`choose`."""
+        if len(frontier) == 1:
+            return 0
+        i = self.choose(frontier)
+        self.choices.append(i)
+        self.frontiers.append(len(frontier))
+        return i
+
+    def describe(self) -> str:
+        return type(self).__name__
 
 
 class Engine(ABC):
@@ -192,12 +220,12 @@ class CalendarEngine(Engine):
     """
 
     def __init__(self, default_max_events: int | None = None,
-                 policy: "TieBreakPolicy | None" = None) -> None:
+                 policy: TieBreakPolicy | None = None) -> None:
         super().__init__(default_max_events)
         #: tie-break policy over same-timestamp entries; None is FIFO, on
         #: the batched drain (which never consults a policy)
         self.policy = policy
-        #: time -> seq-ascending list of Event | (proc, incarnation)
+        #: time -> seq-ascending list of Event | (obj, token)
         self._slots: dict[float, list] = {}
         #: heap of distinct slot times present in ``_slots``
         self._times: list[float] = []
@@ -225,13 +253,11 @@ class CalendarEngine(Engine):
             slot.append(ev)
         return ev
 
-    def push_step(self, time: float, proc, incarnation: int = -1) -> None:
-        """Schedule a processor continuation without Event/closure overhead.
+    def push_step(self, time: float, obj, token: int = -1) -> None:
+        """Schedule a step entry without Event/closure overhead.
 
-        ``proc.step(horizon)`` runs when the entry dispatches, unless
-        ``incarnation >= 0`` and the proc's node is down or has been
-        restarted since (the dispatch still counts, like the reference
-        path's ``_run_alive`` guard event).  Step entries are never
+        ``obj.step(horizon, token)`` runs when the entry dispatches and
+        counts as one dispatch whatever it does.  Step entries are never
         cancelled — nothing in the model cancels a processor continuation.
         """
         if time < self.now:
@@ -241,12 +267,12 @@ class CalendarEngine(Engine):
         self._seq += 1
         slot = self._slots.get(time)
         if slot is None:
-            self._slots[time] = [(proc, incarnation)]
+            self._slots[time] = [(obj, token)]
             heappush(self._times, time)
         else:
-            slot.append((proc, incarnation))
+            slot.append((obj, token))
 
-    def push_steps(self, time: float, procs_with_inc: list) -> None:
+    def push_steps(self, time: float, entries: list) -> None:
         """Batch form of :meth:`push_step`: one slot, N entries, N seqs.
 
         How :meth:`~repro.tempest.machine.Machine._launch_phase` starts a
@@ -257,15 +283,15 @@ class CalendarEngine(Engine):
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        if not procs_with_inc:
+        if not entries:
             return
-        self._seq += len(procs_with_inc)
+        self._seq += len(entries)
         slot = self._slots.get(time)
         if slot is None:
-            self._slots[time] = list(procs_with_inc)
+            self._slots[time] = list(entries)
             heappush(self._times, time)
         else:
-            slot.extend(procs_with_inc)
+            slot.extend(entries)
 
     # -- queue inspection ----------------------------------------------------
 
@@ -360,17 +386,12 @@ class CalendarEngine(Engine):
         tie-break policy selects :meth:`_drain_policy`; the rest of this
         method is the FIFO drain.
 
-        The hot case is fused inline: a step entry followed by another
-        live entry in the same slot has horizon == slot time, so (op
-        charges being non-negative — ``Machine._launch_phase`` checks) the
-        processor provably executes *exactly one* op before re-yielding.
-        That single op is interpreted here without calling ``step``, and
-        the continuation tuple is re-pushed unchanged (the incarnation
-        cannot change during a hit/compute op).  The slot's last live
-        step entry takes the general ``proc.step(horizon)`` catch-up
-        path.  ``_dispatched`` accumulates in a local and flushes in the
-        ``finally`` — nothing reads it mid-run (checkpointing requires
-        quiescence).
+        A step entry followed by another live entry in its slot gets the
+        slot time as its horizon (with non-negative op charges a processor
+        then runs exactly one op); the slot's last live step entry gets
+        the next live slot time, or ``inf``.  ``_dispatched`` accumulates
+        in a local and flushes in the ``finally`` — nothing reads it
+        mid-run (checkpointing requires quiescence).
         """
         if self.policy is not None:
             return self._drain_policy(until, max_events)
@@ -424,170 +445,40 @@ class CalendarEngine(Engine):
                         i += 1
                         self._cur_idx = i
                         if type(e) is tuple:
-                            proc = e[0]
-                            inc = e[1]
-                            if inc >= 0:
-                                ctl = proc.machine.crash_controller
-                                nid = proc._nid
-                                if nid in ctl.down or ctl.incarnations[nid] != inc:
-                                    # stale incarnation: the guard event
-                                    # still counts as dispatched, exactly
-                                    # like _run_alive returning early
-                                    dispatched += 1
-                                    if dispatched >= limit:
-                                        raise SimulationError(
-                                            f"exceeded max_events={max_events}; "
-                                            "likely a livelocked model"
-                                        )
-                                    continue
-                            if proc.done:
-                                raise SimulationError(
-                                    f"processor {proc._nid} ran after completion"
-                                )
-                            if i < n:
-                                e2 = lst[i]
-                                live = type(e2) is tuple or not e2.cancelled
-                                if not live:
-                                    j = i + 1
-                                    while j < n:
-                                        e2 = lst[j]
-                                        if type(e2) is tuple or not e2.cancelled:
-                                            live = True
-                                            break
-                                        j += 1
-                            else:
-                                live = False
-                            if live:
-                                # fused single-op dispatch (horizon == t)
-                                ip = proc.index
-                                ca = proc.crash_at
-                                n_p = proc._n
-                                if ip >= n_p:
-                                    proc._done_exit()  # empty trace
-                                elif ca is not None and ip >= ca:
-                                    proc._crash_exit()
-                                else:
-                                    op = proc.ops[ip]
-                                    kind = op[0]
-                                    if kind == "r":
-                                        b = op[1]
-                                        data = proc._data
-                                        if b < len(data) and data[b]:
-                                            hc = proc._hit
-                                            t2 = proc.t + hc
-                                            proc.t = t2
-                                            proc._acc += hc
-                                            proc._hits += 1
-                                            ip += 1
-                                            proc.index = ip
-                                            nid = proc._nid
-                                            proc._accessed.add((nid, b))
-                                            hooks = proc._hooks
-                                            if hooks:
-                                                for h in hooks:
-                                                    h(nid, b, "r")
-                                            if ip >= n_p:
-                                                proc._done_exit()
-                                            elif ca is not None and ip >= ca:
-                                                # crash fires before the
-                                                # yield, as _run checks
-                                                proc._crash_exit()
-                                            else:
-                                                self._seq += 1
-                                                slot2 = slots_get(t2)
-                                                if slot2 is None:
-                                                    slots[t2] = [e]
-                                                    heappush(times, t2)
-                                                else:
-                                                    slot2.append(e)
-                                        else:
-                                            proc._miss_exit(op)
-                                    elif kind == "c":
-                                        c = op[1]
-                                        t2 = proc.t + c
-                                        proc.t = t2
-                                        proc._acc += c
-                                        ip += 1
-                                        proc.index = ip
-                                        if ip >= n_p:
-                                            proc._done_exit()
-                                        elif ca is not None and ip >= ca:
-                                            proc._crash_exit()
-                                        else:
-                                            self._seq += 1
-                                            slot2 = slots_get(t2)
-                                            if slot2 is None:
-                                                slots[t2] = [e]
-                                                heappush(times, t2)
-                                            else:
-                                                slot2.append(e)
-                                    elif kind == "w":
-                                        b = op[1]
-                                        data = proc._data
-                                        if b < len(data) and data[b] == 2:
-                                            hc = proc._hit
-                                            t2 = proc.t + hc
-                                            proc.t = t2
-                                            proc._acc += hc
-                                            proc._hits += 1
-                                            ip += 1
-                                            proc.index = ip
-                                            nid = proc._nid
-                                            proc._accessed.add((nid, b))
-                                            proc._pwrites.add((nid, b))
-                                            hooks = proc._hooks
-                                            if hooks:
-                                                for h in hooks:
-                                                    h(nid, b, "w")
-                                            if ip >= n_p:
-                                                proc._done_exit()
-                                            elif ca is not None and ip >= ca:
-                                                # crash fires before the
-                                                # yield, as _run checks
-                                                proc._crash_exit()
-                                            else:
-                                                self._seq += 1
-                                                slot2 = slots_get(t2)
-                                                if slot2 is None:
-                                                    slots[t2] = [e]
-                                                    heappush(times, t2)
-                                                else:
-                                                    slot2.append(e)
-                                        else:
-                                            proc._miss_exit(op)
-                                    else:
-                                        raise SimulationError(
-                                            f"unknown trace op {op!r}"
-                                        )
+                            # the horizon is the slot time while another
+                            # live entry follows in it, else the next live
+                            # slot time (inf on an empty queue)
+                            j = i
+                            while j < n:
+                                e2 = lst[j]
+                                if type(e2) is tuple or not e2.cancelled:
+                                    horizon = t
+                                    break
+                                j += 1
                             else:
                                 horizon = peek_future()
-                                r = proc.step(
-                                    horizon if horizon is not None else inf
-                                )
-                                if r is not None:
-                                    # re-yield: same tuple, next seq — the
-                                    # allocation _schedule_run would make
-                                    self._seq += 1
-                                    slot2 = slots.get(r)
-                                    if slot2 is None:
-                                        slots[r] = [e]
-                                        heappush(times, r)
-                                    else:
-                                        slot2.append(e)
-                            dispatched += 1
-                            if dispatched >= limit:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events}; "
-                                    "likely a livelocked model"
-                                )
-                        elif not e.cancelled:
+                                if horizon is None:
+                                    horizon = inf
+                            r = e[0].step(horizon, e[1])
+                            if r is not None:
+                                # re-yield: same tuple, one new seq
+                                self._seq += 1
+                                slot2 = slots_get(r)
+                                if slot2 is None:
+                                    slots[r] = [e]
+                                    heappush(times, r)
+                                else:
+                                    slot2.append(e)
+                        elif e.cancelled:
+                            continue
+                        else:
                             e.fn()
-                            dispatched += 1
-                            if dispatched >= limit:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events}; "
-                                    "likely a livelocked model"
-                                )
+                        dispatched += 1
+                        if dispatched >= limit:
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; "
+                                "likely a livelocked model"
+                            )
                 finally:
                     self._cur_list = None
                     rem = lst[i:]
@@ -615,10 +506,9 @@ class CalendarEngine(Engine):
         The earliest slot stays in the table while it drains, so its live
         remainder — plus anything a callback schedules at the same
         timestamp — is the frontier the next pick chooses among, in seq
-        order.  There is no fused single-op shortcut: a chosen step entry
-        goes through ``proc.step(horizon)``, and while losers remain the
-        horizon is the slot's own time, which pins the processor to one
-        op before it re-yields into the frontier.
+        order.  A chosen step entry is dispatched as on the FIFO drain:
+        while losers remain the horizon is the slot's own time, which pins
+        a processor to one op before it re-yields into the frontier.
         """
         policy = self.policy
         slots = self._slots
@@ -642,17 +532,18 @@ class CalendarEngine(Engine):
                 e = slot.pop(policy.pick(slot))
                 self.now = t
                 if type(e) is tuple:
-                    proc, inc = e
-                    ctl = proc.machine.crash_controller if inc >= 0 else None
-                    # a stale incarnation's guard event still counts as
-                    # dispatched, exactly as on the FIFO drain
-                    if ctl is None or (proc._nid not in ctl.down
-                                       and ctl.incarnations[proc._nid] == inc):
-                        # losers (all live: just compacted) pin the horizon
-                        horizon = t if slot else peek_future()
-                        r = proc.step(inf if horizon is None else horizon)
-                        if r is not None:
-                            self.push_step(r, proc, inc)
+                    # losers (all live: just compacted) pin the horizon
+                    horizon = t if slot else peek_future()
+                    r = e[0].step(inf if horizon is None else horizon, e[1])
+                    if r is not None:
+                        # re-yield: same tuple, one new seq
+                        self._seq += 1
+                        later = slots.get(r)
+                        if later is None:
+                            slots[r] = [e]
+                            heappush(self._times, r)
+                        else:
+                            later.append(e)
                 else:
                     e.fn()
                 dispatched += 1

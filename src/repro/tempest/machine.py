@@ -19,8 +19,8 @@ work, but never past the next scheduled event (which could invalidate a tag
 they are about to consult) — the classic conservative-time-window rule.
 
 Traces can come from files, so every op is validated before its phase
-starts (:meth:`Machine._launch_phase`); the replay loops themselves trust
-the ops they are handed.
+starts (:meth:`Machine._check_ops`); the op interpreter
+(:meth:`ReplayProcessor.step`) trusts the ops it is handed.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ class ReplayProcessor:
     Dispatched from the calendar queue
     (:class:`~repro.sim.engine.CalendarEngine`) as a bare
     ``(proc, incarnation)`` step entry — no Event, no closure; the queue
-    carries the crash-restart incarnation stamp — either through the FIFO
-    drain's fused single-op path or through :meth:`step`.  Tag checks
-    read the tag table's byte array directly.  The COMPUTE accumulator and
-    local-hit counter live in ``_acc`` / ``_hits`` between dispatches and
-    flush to ``stats`` at every *observable* exit (miss, crash, barrier) —
-    nothing reads them between yields — and ``machine.note_access`` is
-    inlined (same effects, same hook calls).
+    carries the crash-restart incarnation stamp as an opaque token — by
+    calling :meth:`step`, the one op interpreter.  Tag checks read the tag
+    table's byte array directly.  The COMPUTE accumulator and local-hit
+    counter live in ``_acc`` / ``_hits`` between dispatches and flush to
+    ``stats`` at every *observable* exit (miss, crash, barrier) — nothing
+    reads them between yields — and ``machine.note_access`` is inlined
+    (same effects, same hook calls).
 
     Every float addition against the COMPUTE accumulator, every yield
     point (one op minimum per dispatch, then re-yield at the conservative
@@ -136,7 +136,7 @@ class ReplayProcessor:
         inc = -1 if ctl is None else ctl.incarnations[self.node.id]
         self.machine.engine.push_step(t, self, inc)
 
-    # -- cold exits (shared by step() and the engine's fused path) -----------
+    # -- cold exits of step() --------------------------------------------------
 
     def _flush(self) -> None:
         stats = self.node.stats
@@ -172,49 +172,59 @@ class ReplayProcessor:
                      access=kind)
         machine.protocol.fault(self, b, kind, t)
 
-    def step(self, horizon: float) -> float | None:
+    def step(self, horizon: float, inc: int) -> float | None:
         """Process ops inline up to the conservative ``horizon``.
 
-        Returns the yield time (the engine re-pushes the continuation,
+        Returns the yield time (the engine re-queues the continuation,
         allocating the same sequence number ``_schedule_run`` would) or
         None when the dispatch ended in a miss, crash, or barrier
         arrival.  ``horizon`` is the engine's next-live-event time
-        (``inf`` when the queue is empty).
+        (``inf`` when the queue is empty).  ``inc`` is the incarnation
+        stamp the entry was queued with (``-1`` without a crash plan): a
+        stale or down incarnation makes this dispatch a no-op.
 
         The check order per op: crash guard, then horizon (skipped before
         the first op — always make progress on >= 1 op per dispatch,
         otherwise same-timestamp processors livelock re-yielding to each
         other; a tie with a pending event is semantically unordered
-        anyway), then the op itself.
+        anyway), then the op itself.  The prologue loads only what a
+        compute op needs, so a one-op dispatch stays cheap; the hit-path
+        state is loaded on the first access.
         """
+        if inc >= 0:
+            ctl = self.machine.crash_controller
+            if self._nid in ctl.down or ctl.incarnations[self._nid] != inc:
+                return None
         if self.done:
-            raise SimulationError(f"processor {self.node.id} ran after completion")
+            raise SimulationError(f"processor {self._nid} ran after completion")
         i = self.index
         n = self._n
         if i >= n:  # empty trace: arrive immediately
             self._done_exit()
             return None
-        ops = self.ops
-        t = self.t
-        acc = self._acc
-        hits = self._hits
-        data = self._data
-        limit = len(data)
-        hit = self._hit
         ca = self.crash_at
         if ca is None:
             ca = n + 1
-        nid = self._nid
-        accessed = self._accessed
-        hooks = self._hooks
-        if i >= ca:
+        elif i >= ca:
             self._crash_exit()
             return None
+        ops = self.ops
+        t = self.t
+        acc = self._acc
+        hits = 0  # local hits this dispatch, added to _hits at the exit
+        data = None
         while True:
             op = ops[i]
             kind = op[0]
             if kind == "r":
                 b = op[1]
+                if data is None:
+                    data = self._data
+                    limit = len(data)
+                    hit = self._hit
+                    nid = self._nid
+                    accessed = self._accessed
+                    hooks = self._hooks
                 if b < limit and data[b]:
                     t += hit
                     acc += hit
@@ -228,7 +238,7 @@ class ReplayProcessor:
                     self.index = i
                     self.t = t
                     self._acc = acc
-                    self._hits = hits
+                    self._hits += hits
                     self._miss_exit(op)
                     return None
             elif kind == "c":
@@ -236,8 +246,15 @@ class ReplayProcessor:
                 t += c
                 acc += c
                 i += 1
-            elif kind == "w":
+            else:  # "w": _check_ops admits no other kind
                 b = op[1]
+                if data is None:
+                    data = self._data
+                    limit = len(data)
+                    hit = self._hit
+                    nid = self._nid
+                    accessed = self._accessed
+                    hooks = self._hooks
                 if b < limit and data[b] == 2:
                     t += hit
                     acc += hit
@@ -252,30 +269,29 @@ class ReplayProcessor:
                     self.index = i
                     self.t = t
                     self._acc = acc
-                    self._hits = hits
+                    self._hits += hits
                     self._miss_exit(op)
                     return None
-            else:
-                raise SimulationError(f"unknown trace op {op!r}")
             if i >= n:
                 self.index = i
                 self.t = t
                 self._acc = acc
-                self._hits = hits
+                self._hits += hits
                 self._done_exit()
                 return None
             if i >= ca:
                 self.index = i
                 self.t = t
                 self._acc = acc
-                self._hits = hits
+                self._hits += hits
                 self._crash_exit()
                 return None
             if t >= horizon:
                 self.index = i
                 self.t = t
                 self._acc = acc
-                self._hits = hits
+                if hits:
+                    self._hits += hits
                 return t
 
     def resume(self, t: float) -> None:
@@ -532,7 +548,11 @@ class Machine:
     # -- phase execution -----------------------------------------------------------
 
     def run_phase(self, trace: PhaseTrace) -> PhaseBreakdown:
-        """Replay one barrier-terminated parallel phase."""
+        """Replay one barrier-terminated parallel phase.
+
+        The trace is checked in full before any machine state changes, so
+        a rejected phase leaves the machine as it was.
+        """
         if len(trace.ops) != self.config.n_nodes:
             raise SimulationError(
                 f"trace has {len(trace.ops)} processor streams, machine has "
@@ -540,6 +560,7 @@ class Machine:
             )
         if self._phase_running:
             raise SimulationError("run_phase is not reentrant")
+        self._check_ops(trace)
         if self.recorder is not None:
             self.recorder.append(("phase", trace))
         self._phase_running = True
@@ -599,22 +620,14 @@ class Machine:
             hook(self, trace)
         return breakdown
 
-    def _launch_phase(self, trace: PhaseTrace, start: float,
-                      phase_index: int) -> list[ReplayProcessor]:
-        """Validate the phase's ops, build its processors, arm any crash
-        plan on them, and queue their first dispatch at ``start``.
+    def _check_ops(self, trace: PhaseTrace) -> None:
+        """Validate every op of the phase before it starts.
 
-        Every op is checked here, before the phase starts, so the hot loops
-        (:meth:`ReplayProcessor.step` and the engine's fused dispatch)
-        carry no per-op validation: a compute charge is a number in
-        ``[0, inf)`` and a block is a non-negative ``int``.  The fused
-        dispatch's "exactly one op before re-yield" rule rests on those
-        non-negative, non-NaN time charges.  The first dispatch of every
-        processor lands in one calendar slot, in node order.
-
-        The one seam the differential suite needs: its reference machine
-        (``tests/oracle.py``) overrides this to launch op-at-a-time
-        interpreters instead.
+        The op interpreter (:meth:`ReplayProcessor.step`) carries no per-op
+        validation: a compute charge is a number in ``[0, inf)``, a block
+        is a non-negative ``int`` and every kind is ``r``, ``w`` or ``c``.
+        The rule that a step at ``horizon ==`` its own time runs exactly
+        one op rests on those non-negative, non-NaN time charges.
         """
         for nid, node_ops in enumerate(trace.ops):
             op = None
@@ -643,12 +656,27 @@ class Machine:
                     f"phase {trace.name!r}, node {nid}: malformed trace op "
                     f"{op!r} ({exc})"
                 ) from exc
-        config = self.config
-        if config.cache_hit_cost < 0:
+        if self.config.cache_hit_cost < 0:
             raise SimulationError(
                 f"the replay requires cache_hit_cost >= 0, "
-                f"got {config.cache_hit_cost}"
+                f"got {self.config.cache_hit_cost}"
             )
+
+    def _launch_phase(self, trace: PhaseTrace, start: float,
+                      phase_index: int) -> list[ReplayProcessor]:
+        """Build the phase's processors, arm any crash plan on them, and
+        queue their first dispatch at ``start``.
+
+        The ops were checked by :meth:`_check_ops`.  The first dispatch of
+        every processor lands in one calendar slot, in node order; from
+        there the engine calls :meth:`ReplayProcessor.step` for every
+        continuation.
+
+        The one seam the differential suite needs: its reference machine
+        (``tests/oracle.py``) overrides this to launch op-at-a-time
+        interpreters instead.
+        """
+        config = self.config
         # Presize tag storage to cover every allocated block before any
         # processor caches the byte array, so hot-loop reads never fall off
         # its end (growth stays possible: this is not a correctness rule).

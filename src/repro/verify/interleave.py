@@ -4,8 +4,8 @@ The engine breaks ties between events with equal timestamps in FIFO
 (schedule) order, which makes runs reproducible but exercises exactly one
 of the many *legal* message orders — two messages that arrive at the same
 instant are semantically unordered, so a correct protocol must tolerate
-every permutation.  Installing a :class:`TieBreakPolicy` on the engine
-(``make_machine(..., policy=...)``,
+every permutation.  Installing a :class:`~repro.sim.engine.TieBreakPolicy`
+on the engine (``make_machine(..., policy=...)``,
 :class:`~repro.sim.engine.CalendarEngine`) exposes that choice:
 
 * :class:`FifoPolicy` — the engine's own order (always index 0);
@@ -52,32 +52,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from repro.sim.engine import Event
-
-
-class TieBreakPolicy:
-    """Decides which of several same-timestamp events dispatches first."""
-
-    def __init__(self) -> None:
-        #: index chosen at each choice point (frontier size 1 is skipped)
-        self.choices: list[int] = []
-        #: frontier size at each recorded choice point
-        self.frontiers: list[int] = []
-
-    def choose(self, frontier: list[Event]) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def pick(self, frontier: list[Event]) -> int:
-        """Record-keeping wrapper around :meth:`choose`."""
-        if len(frontier) == 1:
-            return 0
-        i = self.choose(frontier)
-        self.choices.append(i)
-        self.frontiers.append(len(frontier))
-        return i
-
-    def describe(self) -> str:
-        return type(self).__name__
+from repro.sim.engine import Event, TieBreakPolicy
 
 
 class FifoPolicy(TieBreakPolicy):

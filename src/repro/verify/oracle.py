@@ -8,7 +8,7 @@ particular (the paper's optimization) may only move data earlier, never
 alter what the processors read and write.
 
 :func:`run_workload` replays one session through a machine whose engine
-follows a :class:`~repro.verify.interleave.TieBreakPolicy`, with the
+follows a :class:`~repro.sim.engine.TieBreakPolicy`, with the
 :class:`~repro.verify.monitor.InvariantMonitor` attached; any protocol
 error, simulation deadlock, or invariant failure surfaces as a structured
 :class:`~repro.verify.monitor.CoherenceViolation` carrying the seed and

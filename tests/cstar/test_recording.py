@@ -58,11 +58,10 @@ def run_stats(prog, protocol="stache", optimized=True, cfg=CFG,
 # -- (i)/(iv) the committed results, through the recorded front end ------------
 
 
-# one id: oracle == production on real application runs is asserted by
+# oracle == production on real application runs is asserted by
 # tests/sim/test_differential.py and by the Table-1 rows below, so
 # the 12 bars are reproduced on the production simulator only
-@pytest.mark.parametrize("path", ["fastpath"])
-def test_committed_validation_rows_reproduced(path):
+def test_committed_validation_rows_reproduced():
     """All 12 figure bars (6 of them ``optimized=False`` replays of a
     recording captured from the placed tree) give the committed simulated
     wall, miss/message errors against the unchanged model, and pre-sends."""
@@ -91,7 +90,7 @@ TABLE1_ROWS = [
 
 
 @pytest.mark.parametrize("reference", [True, False],
-                         ids=["reference", "fastpath"])
+                         ids=["oracle", "production"])
 def test_committed_bench_rows_reproduced(reference):
     from repro.bench import figures as F
 

@@ -128,7 +128,7 @@ def test_real_apps(app_name, kwargs, protocol, optimized):
     assert results[True] == results[False]
 
 
-def test_oracle_fast_matches_reference():
+def test_oracle_matches_production():
     """run_workload on the FIFO drain observes exactly what it observes
     on the policy drain under a FIFO replay."""
     from repro.verify.interleave import ReplayPolicy

@@ -84,6 +84,22 @@ class TestReplayGuards:
         m.run_phase(PhaseTrace("empty", idle_ops(m.config.n_nodes)))
         assert m.clock == t0 + m.config.barrier_latency
 
+    @pytest.mark.parametrize("bad_op", [("c", float("nan")), ("r", -1),
+                                        ("x", 0)])
+    def test_rejected_phase_leaves_machine_unchanged(self, bad_op):
+        m, b = small_machine()
+        m.recorder = []
+        with pytest.raises(SimulationError):
+            m.run_phase(PhaseTrace("bad", idle_ops(m.config.n_nodes,
+                                                   {0: [bad_op]})))
+        assert m.recorder == []
+        assert m.phase_index == 0
+        assert not m._phase_running
+        run_one_phase(m, {1: [("r", b)]}, name="good")
+        assert m.phase_index == 1
+        assert [event[1].name for event in m.recorder] == ["good"]
+        assert m.stats.nodes[1].read_misses == 1
+
     def test_resume_guard_rejects_non_waiting(self):
         from repro.tempest.machine import ReplayProcessor
 
