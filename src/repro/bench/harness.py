@@ -121,7 +121,7 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
               corpus=None) -> list[VersionResult]:
     """Run a list of specs, optionally sharded across a farm worker pool.
 
-    Every spec runs as a ``bench-version`` job through
+    Every spec runs as a :func:`version_job` through
     :func:`repro.farm.run_jobs` and is folded from its payload at every
     ``jobs`` value.  Results come back in spec order regardless of
     scheduling, and each version's simulation is seeded entirely by its
@@ -149,7 +149,7 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
     from repro.farm import FarmJob, run_jobs
 
     payloads = run_jobs(
-        [FarmJob(index=i, kind="bench-version", params=params)
+        [FarmJob(index=i, run=version_job, params=params)
          for i, params in enumerate(params_list)],
         jobs, tracer=tracer, progress=progress,
     )

@@ -86,7 +86,7 @@ def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
     The document is fully deterministic — wall-clock timing is *not*
     recorded here so sim- and model-backed grids of the same spec differ
     only where their simulated/predicted numbers differ (callers that want
-    seconds measure around this call; see ``repro.model.validate``).
+    seconds measure around this call; see ``repro.bench.validate``).
     """
     if backend not in ("sim", "model"):
         raise ConfigError(f"unknown sweep backend {backend!r}")

@@ -445,7 +445,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     from repro.util.tables import format_table
 
     if args.calibrate:
-        from repro.model import calibrate, save_calibration
+        from repro.bench.validate import calibrate
+        from repro.model import save_calibration
 
         cal = calibrate(progress=print)
         rows = [[p, cal.alpha[p], cal.gamma[p], cal.delta[p],
@@ -464,7 +465,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     cal, cal_src = _load_model_calibration(args)
 
     if args.suite:
-        from repro.model import validate as mv
+        from repro.bench import validate as mv
 
         print(f"calibration: {cal_src}")
         doc = mv.validate(cal, quick=args.quick, timing=args.timing,
@@ -669,6 +670,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(report.summary())
             failed = not report.ok
             _write_report(args, report)
+    runs = report.runs
 
     if args.dfs:
         print()
@@ -676,6 +678,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for seed in range(args.dfs_seeds):
                 n, violations = dfs_explore_seed(
                     seed, protocol, max_runs=args.dfs, max_depth=args.dfs_depth)
+                runs += n
                 if n == 0 and not violations:
                     continue  # workload dialect incompatible with protocol
                 status = "ok" if not violations else "VIOLATION"
@@ -689,6 +692,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print()
         for path in sorted(traces_dir.glob("*.trace")):
             trace_report = verify_trace_file(path, protocols=protocols)
+            runs += trace_report.runs
             status = "ok" if trace_report.ok else "VIOLATION"
             print(f"trace {path.name}: {trace_report.runs} monitored "
                   f"replay(s) — {status}")
@@ -696,7 +700,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(rec.report())
             failed = failed or not trace_report.ok
 
+    if runs == 0:
+        return _nothing_checked(args, "monitored runs")
     return 1 if failed else 0
+
+
+def _nothing_checked(args: argparse.Namespace, runs: str) -> int:
+    """Report a campaign that monitored no run; returns exit status 2."""
+    traces = ("skipped (--no-traces)" if args.no_traces
+              else f"none found under {args.traces}")
+    print(f"error: nothing was checked: 0 {runs} ({args.seeds} fuzz "
+          f"seed(s); trace workloads: {traces})", file=sys.stderr)
+    return 2
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -736,6 +751,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         )
         print(report.summary())
         _write_report(args, report)
+    # the fail-fast probe counts as a run, but it checks no plan
+    if report.runs == (0 if report.unrecoverable_ok is None else 1):
+        return _nothing_checked(args, "fault-injected runs")
 
     if args.trace or args.metrics_out:
         # One representative traced run: the first selected plan against the
@@ -812,11 +830,25 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
                    help="artifact directory (default: benchmarks)")
 
 
+def _at_least(minimum: int) -> type[argparse.Action]:
+    """An argparse action storing an int option only if it is at least
+    ``minimum`` (a count of workers, seeds or variants)."""
+    class AtLeast(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < minimum:
+                raise argparse.ArgumentError(
+                    self, f"must be >= {minimum}, got {value}")
+            setattr(namespace, self.dest, value)
+
+    return AtLeast
+
+
 def _add_farm_options(p: argparse.ArgumentParser, *,
                       events: bool = True) -> None:
     """Farm execution: local worker processes, and with ``events`` the
     farm's lifecycle event log."""
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=int, action=_at_least(1), default=1,
+                   metavar="N",
                    help="shard the work across N farm worker processes "
                         "(repro.farm; reports are byte-identical to --jobs 1)")
     if not events:
@@ -829,7 +861,7 @@ def _add_farm_options(p: argparse.ArgumentParser, *,
 def _add_campaign_options(p: argparse.ArgumentParser, *,
                           seeds: int) -> None:
     """Campaign workload: fuzz seeds, protocols, bundled traces, shrinking."""
-    p.add_argument("--seeds", type=int, default=seeds,
+    p.add_argument("--seeds", type=int, action=_at_least(0), default=seeds,
                    help="number of generated fuzz workloads (one seed each)")
     p.add_argument("--protocols", type=_protocol_list,
                    help=f"comma-separated subset of {','.join(PROTOCOLS)}")
@@ -1036,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of the bundled fault plans "
                         "(default: all; see --list-plans)")
     _add_campaign_options(p, seeds=2)
-    p.add_argument("--variants", type=int, default=1,
+    p.add_argument("--variants", type=int, action=_at_least(1), default=1,
                    help="reseedings of each plan per workload")
     p.add_argument("--crash", action="store_true",
                    help="run the crash-stop plans (node failures with "

@@ -13,18 +13,13 @@ docs/FARM.md.
 from repro.farm.coordinator import FarmResult, run_farm, run_jobs
 from repro.farm.jobs import FarmJob, derive_seed, partition_jobs
 from repro.farm.scheduler import Assignment, WorkStealingScheduler
-from repro.farm.transport import (
-    FarmError,
-    InlineTransport,
-    LocalProcessTransport,
-)
+from repro.farm.transport import FarmError, LocalProcessTransport
 
 __all__ = [
     "Assignment",
     "FarmError",
     "FarmJob",
     "FarmResult",
-    "InlineTransport",
     "LocalProcessTransport",
     "WorkStealingScheduler",
     "derive_seed",

@@ -34,11 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.farm.jobs import FarmJob
 from repro.farm.scheduler import WorkStealingScheduler
-from repro.farm.transport import (
-    FarmError,
-    InlineTransport,
-    LocalProcessTransport,
-)
+from repro.farm.transport import FarmError, LocalProcessTransport
 from repro.farm.worker import execute_job, worker_main
 from repro.obs.events import EventKind
 
@@ -67,8 +63,9 @@ def run_farm(
 ) -> FarmResult:
     """Execute ``jobs`` on a worker pool; returns every job's payload.
 
-    ``n_workers`` is clamped to the job count; one worker uses the inline
-    (same-process) transport.  ``transport`` overrides the backend.
+    ``n_workers`` is clamped to the job count, and each worker is a
+    local process (:class:`~repro.farm.transport.LocalProcessTransport`);
+    ``transport`` overrides the backend.
     ``tracer`` receives ``farm.*`` lifecycle events; ``progress`` gets a
     coarse completion line every ~10% of jobs.  ``liveness_interval`` is
     the wall-clock cadence of crash sweeps, independent of message
@@ -79,8 +76,7 @@ def run_farm(
     if not jobs:
         return result
     if transport is None:
-        n = max(1, min(n_workers, len(jobs)))
-        transport = LocalProcessTransport(n) if n > 1 else InlineTransport()
+        transport = LocalProcessTransport(max(1, min(n_workers, len(jobs))))
     n_workers = transport.n_workers
     result.workers = n_workers
     scheduler = WorkStealingScheduler(jobs, n_workers)
@@ -105,7 +101,7 @@ def run_farm(
             # ends as soon as the worker dies (a broken pipe marks it dead)
             transport.send(wid, ("job", job))
             emit(EventKind.FARM_DISPATCH, node=wid, job=job.index,
-                 job_kind=job.kind)
+                 job_fn=job.run.__name__)
             if assignment.stolen_from is not None:
                 result.steals += 1
                 emit(EventKind.FARM_STEAL, node=wid, job=job.index,

@@ -4,9 +4,11 @@ A :class:`FarmJob` is a self-contained, transport-safe description of one
 unit of campaign work — its ``params`` hold only primitives (numbers,
 strings, lists, dicts), never live machines or workloads, so a job can
 cross a process boundary today and a host boundary later without changing
-shape.  Workers resolve the ``kind`` through the dispatch table in
-:mod:`repro.farm.worker` and rebuild whatever heavy state the job needs
-(generated workloads from their seed, trace workloads from their path).
+shape.  Its ``run`` is a module-level function of the campaign that
+built it, which the pipe pickles by reference; a worker calls
+``job.run(job.params)``, and that function rebuilds whatever heavy state
+the job needs (generated workloads from their seed, trace workloads from
+their path).
 
 Two properties make the farm's reports byte-identical to sequential runs:
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 #: derive_seed output range: 63 bits keeps seeds inside Python ints that
 #: random.Random and json both round-trip exactly
@@ -65,16 +68,18 @@ class FarmJob:
 
     ``index`` is the job's position in the campaign's canonical sequential
     order — results are folded by ascending index, which is what makes the
-    farmed aggregate equal the sequential one.  ``params`` must stay
-    transport-safe (primitives only).
+    farmed aggregate equal the sequential one.  ``run`` must be a
+    module-level function (pickled by reference) that maps ``params`` to
+    the job's JSON-safe result; ``params`` must stay transport-safe
+    (primitives only).
     """
 
     index: int
-    kind: str
+    run: Callable[[dict], object]
     params: dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        return f"job#{self.index} {self.kind}"
+        return f"job#{self.index} {self.run.__name__}"
 
 
 def partition_jobs(n_jobs: int, n_workers: int) -> list[list[int]]:

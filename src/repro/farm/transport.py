@@ -14,17 +14,14 @@ Wire protocol (one tuple shape both ways keeps backends trivial):
 * worker -> coordinator: ``(kind, worker_id, job_index, payload)`` with
   ``kind`` one of ``up`` / ``result`` / ``error``
 
-Two backends ship:
-
-* :class:`LocalProcessTransport` — a multiprocessing worker pool (fork
-  where available, spawn otherwise): one duplex pipe per worker.  No
-  lock, queue or feeder thread is shared between worker processes, so a worker that dies at any instant — even
-  halfway through writing a result — breaks only its own channel, which
-  the coordinator then reads as a crash.
-* :class:`InlineTransport` — executes jobs synchronously in-process.
-  Zero isolation, zero overhead: the deterministic reference backend the
-  farm tests drive the coordinator through, and the degenerate case a
-  single-worker farm collapses to.
+One backend ships: :class:`LocalProcessTransport`, a multiprocessing
+worker pool (fork where available, spawn otherwise) with one duplex pipe
+per worker.  No lock, queue or feeder thread is shared between worker
+processes, so a worker that dies at any instant — even halfway through
+writing a result — breaks only its own channel, which the coordinator
+then reads as a crash.  Running jobs in-process is not a transport:
+:func:`repro.farm.coordinator.run_jobs` calls the job functions directly
+when there is nothing to farm.
 """
 
 from __future__ import annotations
@@ -190,39 +187,3 @@ class LocalProcessTransport:
         return (self._conns[wid] is not None and proc is not None
                 and proc.is_alive())
 
-
-class InlineTransport:
-    """Synchronous single-"worker" backend: jobs run on send().
-
-    Presents exactly one worker (id 0).  Used by tests to drive the
-    coordinator deterministically without processes.
-    """
-
-    n_workers = 1
-
-    def __init__(self):
-        self._inbox: deque[tuple] = deque()
-        self._started = False
-
-    def start(self, worker_main: Callable) -> None:
-        # worker_main is process-entry machinery; inline execution goes
-        # straight to the job executor instead
-        self._inbox.append(("up", 0, None, None))
-        self._started = True
-
-    def stop(self) -> None:
-        self._started = False
-
-    def send(self, wid: int, message: tuple) -> None:
-        from repro.farm.worker import job_reply
-
-        self._inbox.append(job_reply(0, message[1]))
-
-    def recv(self, timeout: float = 0.2) -> tuple | None:
-        return self._inbox.popleft() if self._inbox else None
-
-    def alive(self, wid: int) -> bool:
-        return self._started
-
-    def respawn(self, wid: int) -> None:  # pragma: no cover - cannot die
-        raise FarmError("inline transport workers cannot crash")

@@ -1,11 +1,9 @@
-"""Farm worker: the process entry point and the job dispatch table.
+"""Farm worker: the process entry point and the job executor.
 
-A worker is a loop over its own pipe: rebuild the heavy state each
-transport-safe :class:`~repro.farm.jobs.FarmJob` describes, execute it
-through the dispatch table in :func:`execute_job`, and send the JSON-safe
-result payload back on the same pipe.  Domain modules are imported
-lazily inside the dispatch arms so importing this module (which the
-transports do) never drags in the whole simulator.
+A worker is a loop over its own pipe: run each transport-safe
+:class:`~repro.farm.jobs.FarmJob` it is sent (the job carries its own
+module-level function, so the farm imports no campaign code), and send
+the JSON-safe result payload back on the same pipe.
 
 Workers run under the fork start method where available, so they inherit
 the parent's module state — including test monkeypatches (a sabotaged
@@ -17,7 +15,6 @@ crash-injection tests use to kill a worker at a precise point.
 from __future__ import annotations
 
 from repro.farm.jobs import FarmJob
-from repro.farm.transport import FarmError
 
 #: test hook: called with the job before executing it (fork-inherited, so
 #: tests can monkeypatch it in the parent and have workers observe it);
@@ -26,26 +23,10 @@ _before_job_hook = None
 
 
 def execute_job(job: FarmJob):
-    """Run one job by kind; returns its JSON-safe result payload."""
+    """Run one job; returns its JSON-safe result payload."""
     if _before_job_hook is not None:
         _before_job_hook(job)
-    if job.kind == "fuzz-seed":
-        from repro.verify.fuzz import fuzz_seed_job
-
-        return fuzz_seed_job(job.params)
-    if job.kind == "fault-cell":
-        from repro.faults.campaign import run_fault_cell
-
-        return run_fault_cell(job.params)
-    if job.kind == "fault-probe":
-        from repro.faults.campaign import run_fault_probe
-
-        return run_fault_probe(job.params)
-    if job.kind == "bench-version":
-        from repro.bench.harness import version_job
-
-        return version_job(job.params)
-    raise FarmError(f"unknown farm job kind {job.kind!r}")
+    return job.run(job.params)
 
 
 def job_reply(wid: int, job: FarmJob) -> tuple:

@@ -2,16 +2,21 @@
 
 This package stresses the simulator's "repetitive but possibly dynamic"
 regime beyond what the paper's lossless CM-5 model assumes: messages may be
-dropped, duplicated, or delayed; protocol processors may stall; and
-predictive schedules may go stale or be corrupted outright.  The resilience
-machinery it exercises lives in the main tree — a reliable transport in
-:mod:`repro.faults.transport` wired into :mod:`repro.tempest.machine`, and
-graceful schedule degradation in :mod:`repro.core.predictive` — and the
-campaign driver here checks, via :mod:`repro.verify`, that coherence and the
-memory image survive every bundled fault plan.
+dropped, duplicated, or delayed; protocol processors may stall; predictive
+schedules may go stale or be corrupted outright; and whole nodes may
+crash-stop and restart.  A plan arms a machine through
+:meth:`FaultPlan.install`, which wires in the resilience machinery: the
+injector (:mod:`repro.faults.inject`), a reliable transport
+(:mod:`repro.faults.transport`), and for crashes the recovery controller
+and its watchdog (:mod:`repro.faults.crash`).  Graceful schedule
+degradation lives in :mod:`repro.core.predictive`.  The campaign driver
+here checks, via :mod:`repro.verify`, that coherence and the memory image
+survive every bundled fault plan.
 
-Everything is pay-for-what-you-use: an inactive :class:`FaultPlan` installs
-nothing, and the fault-free fast path is byte-for-byte unchanged.
+The machine imports none of this: the substrate keeps only the slots a
+plan fills.  Everything is pay-for-what-you-use: an inactive
+:class:`FaultPlan` installs nothing, and the fault-free fast path is
+byte-for-byte unchanged.
 """
 
 from repro.faults.plan import (

@@ -100,10 +100,14 @@ class FaultFailure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultFailure":
+        violation = CoherenceViolation.from_dict(data["violation"])
+        violation.fault_events = [
+            FaultEvent.from_dict(ev)
+            for ev in data["violation"].get("fault_events", [])]
         return cls(
             plan=data["plan"], protocol=data["protocol"],
             workload=data["workload"],
-            violation=CoherenceViolation.from_dict(data["violation"]),
+            violation=violation,
             injected=data["injected"],
             minimized_events=(
                 [FaultEvent.from_dict(ev) for ev in data["minimized_events"]]
@@ -477,11 +481,11 @@ def run_campaign(
              if check_unrecoverable and workloads else None)
 
     farm_jobs = [
-        FarmJob(index=i, kind="fault-cell", params=spec)
+        FarmJob(index=i, run=run_fault_cell, params=spec)
         for i, spec in enumerate(cells)
     ]
     if probe is not None:
-        farm_jobs.append(FarmJob(index=len(cells), kind="fault-probe",
+        farm_jobs.append(FarmJob(index=len(cells), run=run_fault_probe,
                                  params=probe))
     results = run_jobs(farm_jobs, jobs, tracer=tracer, progress=progress)
 

@@ -12,7 +12,7 @@ one of two modes:
   a minimal reproducer.
 
 The all-zero default plan is inert: :meth:`FaultPlan.is_active` is False and
-:meth:`repro.tempest.machine.Machine.install_fault_plan` installs nothing.
+:meth:`FaultPlan.install` arms nothing.
 """
 
 from __future__ import annotations
@@ -175,6 +175,36 @@ class FaultPlan:
         if self.scripted:
             return any(ev.action in NODE_ACTIONS for ev in self.events)
         return self.crash_rate > 0
+
+    def install(self, machine) -> None:
+        """Arm this plan on ``machine`` (a :class:`repro.tempest.machine.
+        Machine`), once, before its first phase.
+
+        An inactive (all-zero) plan is a no-op: the injector, stall hooks,
+        reliable transport and crash controller are only installed when the
+        plan can actually perturb something, so fault-free runs take the
+        unchanged fast path.
+        """
+        if not self.is_active():
+            return
+        # deferred: repro.faults.inject imports this module, and a
+        # fault-free run loads none of the three
+        from repro.faults.crash import CrashController, Watchdog
+        from repro.faults.inject import FaultInjector
+        from repro.faults.transport import ReliableTransport
+
+        injector = FaultInjector(self)
+        machine.fault_injector = injector
+        if self.affects_messages():
+            machine.network.injector = injector
+            machine._transport = ReliableTransport(machine, injector)
+        if self.stall_rate > 0.0 or injector.has_scripted("stall"):
+            for node in machine.nodes:
+                node.stall_hook = injector.stall_hook_for(node.id)
+        if self.affects_nodes():
+            machine.crash_controller = CrashController(machine, injector, self)
+            machine.watchdog = Watchdog(machine, self.detect_cycles)
+            machine.network.incarnation_of = machine.crash_controller.incarnation
 
     # -- derivation ------------------------------------------------------------
 

@@ -18,17 +18,19 @@ Pipeline (docs/MODEL.md has the derivations):
    miss classes, pre-send programs, learned schedules), then *assembles*
    cycles for a whole grid of cost tables at once — so sweeps over cost
    parameters reuse one walk and one array-valued assemble.
-3. :mod:`.calibrate` fits per-protocol residual coefficients (handler
-   contention, per-miss queueing) from a handful of short reference
-   simulations.
-4. :mod:`.validate` cross-validates model vs. simulator over the full
-   benchmark suite and gates the committed error budgets.
+3. :mod:`.calibrate` holds the per-protocol residual coefficients
+   (handler contention, per-miss queueing, realized ping-pong) the
+   assemble step adds, and loads and saves them.
+
+The model's experiments against the simulator — fitting those
+coefficients to short reference simulations, and cross-validating the
+model over the full benchmark suite — run the benchmark harness, so they
+live in :mod:`repro.bench.validate`.
 """
 
 from repro.cstar.recording import ProgramRecording, record_program
 from repro.model.calibrate import (
     Calibration,
-    calibrate,
     default_calibration,
     load_calibration,
     save_calibration,
@@ -39,7 +41,6 @@ __all__ = [
     "Calibration",
     "ModelPrediction",
     "ProgramRecording",
-    "calibrate",
     "default_calibration",
     "load_calibration",
     "predict",

@@ -1,12 +1,8 @@
-"""Calibration: fit the model's residual coefficients to reference sims.
+"""The model's calibration: per-protocol residual coefficients.
 
 The walk/assemble pipeline is exact for counts on data-parallel sharing but
-approximate for cycles: the event fold cannot see intra-phase ping-pong (a
-node re-missing after another node stole the block mid-phase), and the
-M/D/1 contention term is an estimate, not a queue replay.  Those residuals
-scale with observable phase features, so instead of modeling them
-structurally we *fit* them — per protocol — against a handful of short
-reference simulations:
+approximate for cycles, and the residuals scale with observable phase
+features, so the model adds them per protocol:
 
     phase remote-wait  =  base(walk, cost table)
                           + alpha * (misses in phase)
@@ -17,16 +13,9 @@ reference simulations:
 M/D/1 contention estimate, and ``delta`` is the fraction of the walk's
 ping-pong *chain exposure* (burst-compressed op-position interleaving,
 charged to every block participant) the simulator's timing actually
-realizes.  Only delta is fitted — by a deterministic coarse-to-fine grid
-search on reference wall-clock error — and the result is a tiny, fully
-deterministic :class:`Calibration` persisted as canonical JSON
-(``repro.model-calibration/v1``) via :mod:`repro.util.atomicio`.
-
-The reference matrix deliberately exercises each protocol's distinct
-timing machinery: large-block adaptive refinement for two-sharer boundary
-ping-pong, large-block Barnes-Hut for many-sharer tree ping-pong (stache
-and predictive), and SPMD Barnes-Hut for write-update's push trains
-(write-update forbids remote writes, so it has no ping-pong to fit).
+realizes.  :class:`Calibration` holds them and persists as canonical JSON
+(``repro.model-calibration/v1``) via :mod:`repro.util.atomicio`; the fit
+against reference simulations is :func:`repro.bench.validate.calibrate`.
 """
 
 from __future__ import annotations
@@ -34,21 +23,10 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.model.predictor import PROTOCOLS, predict, predict_grid
-from repro.util.errors import ConfigError, ReproError
+from repro.model.predictor import PROTOCOLS
+from repro.util.errors import ConfigError
 
 CALIBRATION_SCHEMA = "repro.model-calibration/v1"
-
-#: search ceiling for the fitted ping-pong fraction: delta is the realized
-#: share of the positional chain exposure, physically ~[0, 1]; the margin
-#: above 1 absorbs chains the position proxy slightly under-counts
-_DELTA_MAX = 2.0
-
-
-class CalibrationError(ReproError):
-    """Model and simulator disagreed structurally during calibration."""
 
 
 @dataclass(frozen=True)
@@ -97,161 +75,6 @@ def default_calibration() -> Calibration:
         gamma={p: 1.0 for p in PROTOCOLS},
         delta={p: 0.0 for p in PROTOCOLS},
     )
-
-
-def reference_specs() -> dict[str, list]:
-    """The per-protocol reference matrix (short sims, seconds each)."""
-    from repro.apps import adaptive, barnes
-    from repro.bench.figures import (
-        ADAPTIVE_CFG,
-        ADAPTIVE_KW,
-        BARNES_CFG,
-        BARNES_KW,
-    )
-    from repro.bench.harness import VersionSpec
-
-    return {
-        "stache": [
-            VersionSpec("calib adaptive (256)", adaptive, "stache", False,
-                        ADAPTIVE_CFG.with_(block_size=256), dict(ADAPTIVE_KW)),
-            VersionSpec("calib barnes (1024)", barnes, "stache", False,
-                        BARNES_CFG.with_(block_size=1024), dict(BARNES_KW)),
-        ],
-        "predictive": [
-            VersionSpec("calib adaptive (256)", adaptive, "predictive", True,
-                        ADAPTIVE_CFG.with_(block_size=256), dict(ADAPTIVE_KW)),
-            VersionSpec("calib barnes (1024)", barnes, "predictive", True,
-                        BARNES_CFG.with_(block_size=1024), dict(BARNES_KW)),
-        ],
-        "write-update": [
-            VersionSpec("calib barnes spmd (32)", barnes, "write-update",
-                        False, BARNES_CFG.with_(block_size=32),
-                        dict(BARNES_KW), variant="spmd"),
-        ],
-    }
-
-
-def _check_structure(spec, protocol: str, sim, base) -> None:
-    """The fit is only meaningful if model and sim agree on the phases."""
-    if len(sim.phases) != len(base.stats.phases):
-        raise CalibrationError(
-            f"[{protocol}] {spec.label}: phase count mismatch — sim ran "
-            f"{len(sim.phases)} phases, model predicted "
-            f"{len(base.stats.phases)}")
-    for sp, mp in zip(sim.phases, base.stats.phases):
-        if sp.phase_name != mp.phase_name:
-            raise CalibrationError(
-                f"[{protocol}] {spec.label}: phase sequence diverged — "
-                f"sim {sp.phase_name!r} vs model {mp.phase_name!r}")
-
-
-def _fit_protocol(specs, protocol: str):
-    """Fit ``delta`` by a deterministic grid search on wall-clock error.
-
-    Only delta is fitted: away from ping-pong regimes the base model is
-    already within a couple of percent, and per-phase residual features
-    (misses, contention, ping-pong) are collinear within any one workload,
-    so a joint alpha/gamma/delta least-squares produces huge offsetting
-    coefficients that extrapolate terribly outside the reference matrix.
-    The fit criterion is the summed squared *relative wall-clock error*
-    over the references rather than per-phase remote-wait sums: realized
-    ping-pong concentrates on the bounce chain's critical path (and lands
-    on everyone else's barrier), so matching per-node wait *sums* still
-    under-predicts the wall.  A coarse-to-fine grid (0.05 then 0.005)
-    keeps the search exactly reproducible; delta stays in
-    ``[0, _DELTA_MAX]`` by construction.
-    """
-    from repro.bench.harness import run_version
-
-    refs = []
-    walls = {}
-    for spec in specs:
-        sim = run_version(spec).stats
-        base = predict(
-            spec.app, spec.build_kwargs, protocol=protocol,
-            optimized=spec.optimized, config=spec.config,
-            variant=spec.variant)
-        _check_structure(spec, protocol, sim, base)
-        refs.append((spec, sim.wall_time))
-        walls[spec.label] = sim.wall_time
-
-    def total_errs(deltas: list[float]) -> list[float]:
-        """Each candidate's summed squared error: one grid per reference,
-        delta the per-point column."""
-        cals = [Calibration(alpha={protocol: 0.0}, gamma={protocol: 1.0},
-                            delta={protocol: d}) for d in deltas]
-        errs = [0.0] * len(deltas)
-        for spec, wall in refs:
-            grid = predict_grid(
-                spec.app, spec.build_kwargs, protocol=protocol,
-                optimized=spec.optimized,
-                configs=[spec.config] * len(deltas), variant=spec.variant,
-                calibration=cals)
-            for i, predicted in enumerate(grid.wall_time.tolist()):
-                errs[i] += ((predicted - wall) / wall) ** 2
-        return errs
-
-    coarse = 0.05
-    candidates = [round(i * coarse, 9)
-                  for i in range(int(round(_DELTA_MAX / coarse)) + 1)]
-    errs = total_errs(candidates)
-    best, best_err, err_before = 0.0, errs[0], errs[0]
-    for d, e in zip(candidates, errs):
-        if e < best_err:
-            best, best_err = d, e
-    # the fine stage re-centres on every improvement, so it can reach any
-    # lattice point within 9 + 8 + ... + 1 steps of the coarse best: price
-    # that whole lattice as one grid, then search it in the usual order
-    fine = 0.005
-    lattice = sorted({round(best + k * fine, 9) for k in range(-45, 46)})
-    lattice = [d for d in lattice if 0.0 <= d <= _DELTA_MAX]
-    err_at = dict(zip(lattice, total_errs(lattice)))
-    for i in range(-9, 10):
-        if i == 0:
-            continue
-        d = round(best + i * fine, 9)
-        if d < 0.0 or d > _DELTA_MAX:
-            continue
-        if err_at[d] < best_err:
-            best, best_err = d, err_at[d]
-
-    diag = {
-        "references": {label: round(float(w), 6)
-                       for label, w in walls.items()},
-        "rms_wall_err_before": round(float(np.sqrt(err_before / len(refs))),
-                                     6),
-        "rms_wall_err_after": round(float(np.sqrt(best_err / len(refs))), 6),
-    }
-    return (0.0, 1.0, round(float(best), 9)), diag
-
-
-def calibrate(*, progress=None, tracer=None) -> Calibration:
-    """Fit per-protocol residual coefficients from the reference sims.
-
-    Fully deterministic: the reference simulations, the walk, and the
-    least-squares fit all have a single possible outcome, so repeated
-    calibrations produce byte-identical documents.
-    """
-    alpha: dict[str, float] = {}
-    gamma: dict[str, float] = {}
-    delta: dict[str, float] = {}
-    diagnostics: dict[str, dict] = {}
-    for protocol, specs in reference_specs().items():
-        if progress is not None:
-            progress(f"calibrating {protocol} against "
-                     f"{len(specs)} reference(s) ...")
-        (a, g, dl), diag = _fit_protocol(specs, protocol)
-        alpha[protocol] = a
-        gamma[protocol] = g
-        delta[protocol] = dl
-        diagnostics[protocol] = diag
-        if tracer is not None and tracer.enabled:
-            from repro.obs.events import EventKind
-
-            tracer.emit(EventKind.MODEL_CALIBRATE, 0.0, protocol=protocol,
-                        alpha=a, gamma=g, delta=dl)
-    return Calibration(alpha=alpha, gamma=gamma, delta=delta,
-                       diagnostics=diagnostics)
 
 
 def save_calibration(path, calibration: Calibration) -> None:

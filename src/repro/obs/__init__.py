@@ -6,7 +6,7 @@ The subsystem has four layers, each usable on its own:
   instrumented site in the engine, protocols, transport, schedule store,
   and recovery layers emits through ``machine.obs``; the default sink is
   :data:`~repro.obs.events.NULL_TRACER`, whose disabled flag short-circuits
-  every site to a single attribute check (see :mod:`repro.obs.overhead` for
+  every site to a single attribute check (see :mod:`repro.bench.overhead` for
   the guard-cost bound the CI enforces).
 * :mod:`repro.obs.metrics` — a **metrics registry** (counters, gauges,
   histograms with labels) that is mergeable across nodes and runs;

@@ -10,7 +10,7 @@ network, and the engine.  The contract at every site is::
 
 With tracing off (the default), ``machine.obs`` is :data:`NULL_TRACER` and
 the site costs one attribute load plus one falsy check — nothing is
-allocated, formatted, or stored.  :mod:`repro.obs.overhead` measures that
+allocated, formatted, or stored.  :mod:`repro.bench.overhead` measures that
 guard cost and the CI asserts the disabled path stays under 5% of a seed
 run's wall time.
 

@@ -276,7 +276,7 @@ class BaseProtocol(ProtocolStateMachine):
             synthetic = Message(req.kind, src=req.requester, dst=entry.home, block=entry.block)
             self.dispatch(entry, req.kind, synthetic, t)
 
-    # -- crash recovery (driven by repro.recovery.crash.CrashController) ------------------------
+    # -- crash recovery (driven by repro.faults.crash.CrashController) ------------------------
 
     def on_node_crashed(self, node: int, t: float) -> None:
         """Immediate crash effects: the node's volatile protocol state dies.

@@ -1,13 +1,11 @@
-"""Crash-stop failures, recovery, and deterministic checkpoint/restart.
+"""Deterministic checkpoint/restart.
 
-* :mod:`repro.recovery.crash` — the crash-recovery controller installed by
-  :meth:`repro.tempest.machine.Machine.install_fault_plan` when a fault plan
-  can kill nodes: crash-stop + restart lifecycle, incarnation-stamped
-  delivery fencing, survivor-side directory repair, and restart-time home
-  state rebuild.
-* :mod:`repro.recovery.checkpoint` — versioned whole-machine snapshots taken
-  at quiescent points, restorable into a fresh machine such that restore +
-  replay is bit-identical to the uninterrupted run.
+:mod:`repro.recovery.checkpoint` takes versioned whole-machine snapshots at
+quiescent points, restorable into a fresh machine such that restore +
+replay is bit-identical to the uninterrupted run, faults or not.  A
+snapshot of a faulted machine re-arms its plan on restore, so this package
+sits above :mod:`repro.faults`, which owns crash-stop failures and their
+recovery (:mod:`repro.faults.crash`).
 """
 
 from repro.recovery.checkpoint import (
@@ -17,12 +15,9 @@ from repro.recovery.checkpoint import (
     save_checkpoint,
     snapshot_machine,
 )
-from repro.recovery.crash import CrashController, CrashRecord
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "CrashController",
-    "CrashRecord",
     "load_checkpoint",
     "restore_machine",
     "save_checkpoint",

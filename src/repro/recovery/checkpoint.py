@@ -28,6 +28,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.faults.crash import CrashRecord
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim.stats import NodeStats, PhaseBreakdown, TimeCategory
 from repro.util.atomicio import atomic_write_json
 from repro.util.errors import SimulationError
@@ -307,9 +309,7 @@ def restore_into(machine: "Machine", snap: dict) -> "Machine":
 
     restore_regions(machine, snap["regions"])
     if snap["plan"] is not None:
-        from repro.faults.plan import FaultPlan
-
-        machine.install_fault_plan(FaultPlan.from_dict(snap["plan"]))
+        FaultPlan.from_dict(snap["plan"]).install(machine)
 
     m = snap["machine"]
     machine.clock = m["clock"]
@@ -459,8 +459,6 @@ def _restore_predictive(machine: "Machine", rec: dict) -> None:
 
 
 def _restore_injector(machine: "Machine", rec: dict) -> None:
-    from repro.faults.plan import FaultEvent
-
     inj = machine.fault_injector
     st = rec["rng"]
     inj.rng.setstate((st[0], tuple(st[1]), st[2]))
@@ -494,8 +492,6 @@ def _restore_transport(machine: "Machine", channels: list) -> None:
 
 
 def _restore_crash(machine: "Machine", rec: dict) -> None:
-    from repro.recovery.crash import CrashRecord
-
     ctl = machine.crash_controller
     if ctl is None:  # pragma: no cover - plan mismatch is a bug
         raise SimulationError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING
 
 from repro.obs.events import EventKind, NULL_TRACER, Tracer
 from repro.sim.engine import CalendarEngine, Engine
@@ -37,9 +36,6 @@ from repro.tempest.network import Message, Network
 from repro.tempest.node import Node
 from repro.util.config import MachineConfig
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.base import BaseProtocol
 
 #: Trace operations: ("r", block), ("w", block), ("c", cycles)
 TraceOp = tuple
@@ -377,7 +373,8 @@ class Machine:
         #: observers called as ``hook(machine, trace)`` after each phase's
         #: barrier releases — the invariant monitor checks quiescence here
         self.phase_hooks: list = []
-        #: fault-injection state (None on the fault-free fast path)
+        #: fault-injection state (None on the fault-free fast path); set
+        #: by repro.faults.plan.FaultPlan.install, like the crash state
         self.fault_injector = None
         self._transport = None
         #: crash-recovery state (None unless the plan can crash nodes)
@@ -388,7 +385,8 @@ class Machine:
         #: observability sink (repro.obs); the default null tracer makes
         #: every instrumented site a single ``if obs.enabled`` check
         self.obs: Tracer = NULL_TRACER
-        self.protocol: BaseProtocol = protocol_factory(self)
+        #: the coherence protocol (a repro.protocols.base.BaseProtocol)
+        self.protocol = protocol_factory(self)
         self.network.attach(self._deliver)
 
     # -- plumbing ---------------------------------------------------------------
@@ -444,36 +442,6 @@ class Machine:
         if self._transport is not None:
             return self._transport.send(msg, at)
         return self.network.send(msg, at)
-
-    def install_fault_plan(self, plan) -> None:
-        """Arm a :class:`repro.faults.plan.FaultPlan` on this machine.
-
-        An inactive (all-zero) plan is a no-op: the injector, stall hooks,
-        and reliable transport are only installed when the plan can actually
-        perturb something, so fault-free runs take the unchanged fast path.
-        """
-        if plan is None or not plan.is_active():
-            return
-        # Imported lazily: repro.faults reuses the verify subsystem, which
-        # builds machines via core.factory — importing it at module scope
-        # would create a cycle.
-        from repro.faults.inject import FaultInjector
-        from repro.faults.transport import ReliableTransport
-
-        injector = FaultInjector(plan)
-        self.fault_injector = injector
-        if plan.affects_messages():
-            self.network.injector = injector
-            self._transport = ReliableTransport(self, injector)
-        if plan.stall_rate > 0.0 or injector.has_scripted("stall"):
-            for node in self.nodes:
-                node.stall_hook = injector.stall_hook_for(node.id)
-        if plan.affects_nodes():
-            from repro.recovery.crash import CrashController
-
-            self.crash_controller = CrashController(self, injector, plan)
-            self.watchdog = Watchdog(self, plan.detect_cycles)
-            self.network.incarnation_of = self.crash_controller.incarnation
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Route this machine's (and its network's and engine's) events to
@@ -726,31 +694,3 @@ class Machine:
         self.stats.check_conservation()
         return self.stats
 
-
-class Watchdog:
-    """Liveness layer: bounds how long a dead node can stall the machine.
-
-    A crash-stop failure is detected exactly ``detect_cycles`` simulated
-    cycles after the crash (survivors miss the node's heartbeats); detection
-    fires the recovery controller, which repairs directory state and unblocks
-    requests stuck on the dead node.  Because detection is an engine event,
-    a barrier stall caused by a dead node is bounded by construction: either
-    recovery lets the phase complete, or the drained engine fails fast with a
-    deadlock :class:`SimulationError` — the run can never hang.
-    """
-
-    def __init__(self, machine: "Machine", detect_cycles: float) -> None:
-        self.machine = machine
-        self.detect_cycles = detect_cycles
-        self.detections = 0
-
-    def arm(self, node: int, t_crash: float) -> float:
-        """Schedule failure detection for ``node``; returns the detect time."""
-        t_detect = t_crash + self.detect_cycles
-
-        def _fire() -> None:
-            self.detections += 1
-            self.machine.crash_controller.detect(node, t_detect)
-
-        self.machine.engine.schedule(t_detect, _fire)
-        return t_detect

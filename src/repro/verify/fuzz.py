@@ -292,7 +292,7 @@ def fuzz(
                 if entry is not None:
                     spec["warm"][protocol] = entry["records"]
     results = run_jobs(
-        [FarmJob(index=i, kind="fuzz-seed", params=spec)
+        [FarmJob(index=i, run=fuzz_seed_job, params=spec)
          for i, spec in enumerate(specs)],
         jobs, tracer=tracer, progress=progress)
     for i, result in enumerate(results):

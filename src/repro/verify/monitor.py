@@ -80,7 +80,9 @@ class CoherenceViolation(ReproError):
 
         Includes the ``fault_events`` list that :func:`repro.verify.oracle.
         run_workload` attaches after construction, so a violation can cross
-        a farm worker boundary without losing its injection record.
+        a farm worker boundary without losing its injection record;
+        :meth:`from_dict` leaves them encoded, and the fault campaign's
+        ``FaultFailure.from_dict`` decodes them.
         """
         return {
             "invariant": self.invariant,
@@ -95,16 +97,11 @@ class CoherenceViolation(ReproError):
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoherenceViolation":
-        from repro.faults.plan import FaultEvent
-
-        violation = cls(
+        return cls(
             data["invariant"], data["detail"],
             protocol=data["protocol"], phase=data["phase"],
             seed=data["seed"], schedule=data["schedule"],
         )
-        violation.fault_events = [FaultEvent.from_dict(ev)
-                                  for ev in data.get("fault_events", [])]
-        return violation
 
 
 @dataclass

@@ -83,9 +83,9 @@ def run_workload(
 ) -> Observables:
     """Replay ``workload`` under ``protocol`` with policy-driven tie-breaks.
 
-    ``fault_plan`` optionally arms a :class:`repro.faults.plan.FaultPlan` on
-    the machine (see :meth:`Machine.install_fault_plan`); an inactive plan
-    changes nothing.  ``tracer`` optionally attaches a
+    ``fault_plan`` optionally arms a fault plan on the machine (its
+    ``install(machine)``, :meth:`repro.faults.plan.FaultPlan.install`); an
+    inactive plan changes nothing.  ``tracer`` optionally attaches a
     :class:`repro.obs.events.Tracer` (``machine.attach_tracer``) so fault
     campaigns can export event timelines.  The engine follows the policy:
     FIFO tie-breaking (``None`` or a plain :class:`FifoPolicy`) installs
@@ -107,7 +107,7 @@ def run_workload(
                            policy=None if fifo else policy, warm=warm)
     machine.engine.default_max_events = max_events
     if fault_plan is not None:
-        machine.install_fault_plan(fault_plan)
+        fault_plan.install(machine)
     if tracer is not None:
         machine.attach_tracer(tracer)
     monitor = InvariantMonitor(seed=workload.seed, policy=policy)

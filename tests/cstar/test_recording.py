@@ -65,8 +65,8 @@ def test_committed_validation_rows_reproduced():
     """All 12 figure bars (6 of them ``optimized=False`` replays of a
     recording captured from the placed tree) give the committed simulated
     wall, miss/message errors against the unchanged model, and pre-sends."""
+    from repro.bench import validate as mv
     from repro.model import load_calibration
-    from repro.model import validate as mv
 
     committed = mv.load_validation(BENCHMARKS / "MODEL_validation.json")
     calibration = load_calibration(BENCHMARKS / "MODEL_calibration.json")

@@ -18,7 +18,7 @@ from repro.farm import FarmError, FarmJob, run_farm
 from repro.farm import worker as farm_worker
 from repro.farm.transport import LocalProcessTransport, _mp_context
 from repro.obs.events import EventKind, EventTrace
-from repro.verify.fuzz import fuzz
+from repro.verify.fuzz import fuzz, fuzz_seed_job
 
 pytestmark = pytest.mark.skipif(
     _mp_context().get_start_method() != "fork",
@@ -62,7 +62,7 @@ def test_repeated_crashes_exhaust_the_retry_budget(monkeypatch):
             os._exit(13)
 
     monkeypatch.setattr(farm_worker, "_before_job_hook", always_crash)
-    jobs = [FarmJob(index=i, kind="fuzz-seed",
+    jobs = [FarmJob(index=i, run=fuzz_seed_job,
                     params={"seed": i, "protocols": ["stache"],
                             "shrink": False})
             for i in range(2)]
@@ -71,7 +71,11 @@ def test_repeated_crashes_exhaust_the_retry_budget(monkeypatch):
                  transport=LocalProcessTransport(2), poll_interval=0.05)
 
 
+def failing_job(params):
+    raise RuntimeError("synthetic job failure")
+
+
 def test_job_exception_fails_fast_without_retry():
-    jobs = [FarmJob(index=0, kind="no-such-kind")]
-    with pytest.raises(FarmError, match="no-such-kind"):
+    jobs = [FarmJob(index=0, run=failing_job)]
+    with pytest.raises(FarmError, match="synthetic job failure"):
         run_farm(jobs, n_workers=2)

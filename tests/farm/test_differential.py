@@ -87,7 +87,7 @@ class TestBenchDifferential:
         assert [v.spec.label for v in par] == ["opt", "unopt"]
 
     def test_payload_fold_equals_direct_run(self):
-        # at every jobs value run_specs folds bench-version payloads; the
+        # at every jobs value run_specs folds version_job payloads; the
         # fold must equal running the version directly, field for field
         from repro.apps import water
         from repro.bench.figures import WATER_CFG
@@ -106,8 +106,9 @@ class TestRunJobs:
     @staticmethod
     def _jobs(n: int):
         from repro.farm import FarmJob
+        from repro.verify.fuzz import fuzz_seed_job
 
-        return [FarmJob(index=i, kind="fuzz-seed",
+        return [FarmJob(index=i, run=fuzz_seed_job,
                         params={"seed": i, "protocols": ["stache"],
                                 "shrink": False})
                 for i in range(n)]

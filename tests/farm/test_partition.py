@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.farm import FarmJob, derive_seed, partition_jobs
+from repro.verify.fuzz import fuzz_seed_job
 
 
 @given(n_jobs=st.integers(0, 200), n_workers=st.integers(1, 17))
@@ -53,5 +54,5 @@ def test_derive_seed_separates_identities():
 
 
 def test_farm_job_describe():
-    job = FarmJob(index=3, kind="fuzz-seed", params={"seed": 1})
-    assert job.describe() == "job#3 fuzz-seed"
+    job = FarmJob(index=3, run=fuzz_seed_job, params={"seed": 1})
+    assert job.describe() == "job#3 fuzz_seed_job"

@@ -11,8 +11,12 @@ import pytest
 from repro.farm import Assignment, FarmJob, WorkStealingScheduler
 
 
+def job_body(params):
+    return params
+
+
 def make_jobs(n):
-    return [FarmJob(index=i, kind="test", params={"i": i}) for i in range(n)]
+    return [FarmJob(index=i, run=job_body, params={"i": i}) for i in range(n)]
 
 
 def test_owner_drains_its_own_deck_front_first():
@@ -63,7 +67,7 @@ def test_running_on_reports_in_flight_jobs_per_worker():
     sched.acquire(1)
     assert [j.index for j in sched.running_on(0)] == [0]
     assert [j.index for j in sched.running_on(1)] == [1]
-    assert sched.running_on(0)[0].kind == "test"
+    assert sched.running_on(0)[0].run is job_body
 
 
 def test_outstanding_counts_down_to_zero():
@@ -77,6 +81,6 @@ def test_outstanding_counts_down_to_zero():
 
 
 def test_duplicate_job_indices_rejected():
-    jobs = [FarmJob(index=0, kind="test"), FarmJob(index=0, kind="test")]
+    jobs = [FarmJob(index=0, run=job_body), FarmJob(index=0, run=job_body)]
     with pytest.raises(ValueError):
         WorkStealingScheduler(jobs, n_workers=1)

@@ -39,9 +39,9 @@ class TestInjectedScheduleFaults:
         stale, first = small_machine("predictive", n_nodes=3)
         # freeze d1's very first instance: the read fault it would have
         # learned from is never recorded
-        stale.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("stale", ("sched", 1, 0)),
-        )))
+        )).install(stale)
         monitor = InvariantMonitor().attach(stale)
         _reader_writer_rounds(stale, first, 3)
         assert stale.protocol.presend_blocks < clean.protocol.presend_blocks
@@ -51,9 +51,9 @@ class TestInjectedScheduleFaults:
 
     def test_corrupt_schedule_mispredicts_but_stays_coherent(self):
         m, first = small_machine("predictive", n_nodes=3)
-        m.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("corrupt", ("sched", 1, 1)),
-        )))
+        )).install(m)
         monitor = InvariantMonitor().attach(m)
         _reader_writer_rounds(m, first, 4)
         assert monitor.checks_run > 0  # every barrier re-verified

@@ -34,9 +34,9 @@ class TestHealing:
     def test_dropped_request_is_retried_and_healed(self):
         baseline = _fault_free_stats()
         m, first = small_machine("stache")
-        m.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("drop", ("msg", "GET_RO", 1, 0, 0, 0, 0)),
-        )))
+        )).install(m)
         monitor = InvariantMonitor().attach(m)
         _read_phase(m, first)
         assert m.stats.transport_retries == 1
@@ -48,9 +48,9 @@ class TestHealing:
 
     def test_duplicated_data_is_suppressed(self):
         m, first = small_machine("stache")
-        m.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("dup", ("msg", "DATA_RO", 0, 1, 0, 0, 0), amount=50.0),
-        )))
+        )).install(m)
         InvariantMonitor().attach(m)
         _read_phase(m, first)
         assert m.stats.duplicates_suppressed == 1
@@ -59,9 +59,9 @@ class TestHealing:
 
     def test_lost_ack_costs_retry_then_dedup(self):
         m, first = small_machine("stache")
-        m.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("drop", ("msg", "TACK", 0, 1, 0, 0, 0)),
-        )))
+        )).install(m)
         InvariantMonitor().attach(m)
         _read_phase(m, first)
         # the GET_RO was received but its ack died: the sender retried, the
@@ -73,10 +73,10 @@ class TestHealing:
         # delay the GET_RO; a later GET_RW on the same channel must not
         # overtake it at the protocol layer
         m, first = small_machine("stache")
-        m.install_fault_plan(FaultPlan(events=(
+        FaultPlan(events=(
             FaultEvent("delay", ("msg", "GET_RO", 1, 0, 0, 0, 0),
                        amount=400.0),
-        )))
+        )).install(m)
         monitor = InvariantMonitor().attach(m)
         ops = [[] for _ in range(len(m.nodes))]
         ops[1] = [("r", first), ("w", first + 1)]
@@ -89,7 +89,7 @@ class TestHealing:
 class TestFailFast:
     def test_unrecoverable_plan_raises_structured_timeout(self):
         m, first = small_machine("stache")
-        m.install_fault_plan(UNRECOVERABLE_PLAN)
+        UNRECOVERABLE_PLAN.install(m)
         with pytest.raises(TransportTimeout) as e:
             _read_phase(m, first)
         err = e.value
@@ -101,7 +101,7 @@ class TestFailFast:
 
     def test_budget_bounds_time_to_failure(self):
         m, first = small_machine("stache")
-        m.install_fault_plan(UNRECOVERABLE_PLAN)
+        UNRECOVERABLE_PLAN.install(m)
         with pytest.raises(TransportTimeout) as e:
             _read_phase(m, first)
         # fail-fast: within the budget plus one backoff period, not hours in
@@ -111,21 +111,21 @@ class TestFailFast:
 class TestFastPath:
     def test_zero_plan_installs_nothing(self):
         m, _ = small_machine("stache")
-        m.install_fault_plan(FaultPlan())
+        FaultPlan().install(m)
         assert m._transport is None
         assert m.fault_injector is None
         assert m.network.injector is None
 
     def test_none_plan_installs_nothing(self):
-        m, _ = small_machine("stache")
-        m.install_fault_plan(None)
+        m, _ = small_machine("stache")  # no plan: nothing to install
         assert m._transport is None
 
     def test_zero_plan_run_is_bit_identical(self):
         runs = []
         for plan in (None, FaultPlan()):
             m, first = small_machine("predictive")
-            m.install_fault_plan(plan)
+            if plan is not None:
+                plan.install(m)
             m.begin_group(1)
             _read_phase(m, first)
             m.end_group()
@@ -134,7 +134,7 @@ class TestFastPath:
 
     def test_stall_only_plan_skips_transport(self):
         m, first = small_machine("stache")
-        m.install_fault_plan(FaultPlan(stall_rate=1.0, stall_cycles=500.0))
+        FaultPlan(stall_rate=1.0, stall_cycles=500.0).install(m)
         assert m._transport is None  # messages unperturbed
         assert all(node.stall_hook is not None for node in m.nodes)
         baseline = _fault_free_stats()

@@ -48,7 +48,7 @@ FAULT_REGIMES = {
 def run_workload(protocol, plan, phases):
     m, first = small_machine(protocol, n_nodes=N_NODES)
     if plan is not None:
-        m.install_fault_plan(plan)
+        plan.install(m)
     # write-update requires producer-owned data: non-home nodes only read
     # (the region is homed on node 0)
     demote = protocol == "write-update"

@@ -10,8 +10,9 @@ import pathlib
 
 import pytest
 
-from repro.model import calibrate, save_calibration
-from repro.model import validate as mv
+from repro.bench import validate as mv
+from repro.bench.validate import calibrate
+from repro.model import save_calibration
 
 BENCHMARKS = pathlib.Path(__file__).parent.parent.parent / "benchmarks"
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.apps import barnes, water
 from repro.bench import sweeps
+from repro.bench.validate import validation_specs
 from repro.cstar.recording import clear_cache, record, record_program
 from repro.model import Calibration, load_calibration, predict
 from repro.model.predictor import (
@@ -25,7 +26,6 @@ from repro.model.predictor import (
     model_info,
     predict_grid,
 )
-from repro.model.validate import validation_specs
 from repro.util import MachineConfig
 from repro.util.errors import ConfigError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import validate as mv
+from repro.bench import validate as mv
 from repro.util.errors import ReproError
 
 

@@ -1,6 +1,6 @@
 """The disabled-tracing overhead guard (CI smoke asserts the 5% budget)."""
 
-from repro.obs.overhead import (
+from repro.bench.overhead import (
     BUDGET,
     OverheadReport,
     measure_guard_cost,

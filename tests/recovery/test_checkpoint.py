@@ -39,7 +39,7 @@ def _run_full(workload, protocol, plan=None):
     """Uninterrupted run; returns the end-of-run snapshot."""
     machine = make_machine(workload.config, protocol)
     if plan is not None:
-        machine.install_fault_plan(plan)
+        plan.install(machine)
     replay_session(workload.session, machine, finish=False)
     return snapshot_machine(machine)
 
@@ -61,7 +61,7 @@ def _run_interrupted(workload, protocol, plan=None, cut=None,
     cut = cut if cut is not None else len(events) // 2
     machine = builders[0](workload.config, protocol)
     if plan is not None:
-        machine.install_fault_plan(plan)
+        plan.install(machine)
     # a cut can land mid-recovery (e.g. a restart still pending); step
     # forward to the next quiescent event boundary before checkpointing
     replay_session((events[:cut], regions), machine, finish=False)
@@ -92,7 +92,7 @@ class TestSnapshotOracle:
     def test_snapshot_is_json_canonical(self, tmp_path):
         w = generate_workload(0)
         machine = make_machine(w.config, "predictive")
-        machine.install_fault_plan(CRASH)
+        CRASH.install(machine)
         replay_session(w.session, machine, finish=False)
         snap = save_checkpoint(machine, tmp_path / "ckpt.json")
         loaded = load_checkpoint(tmp_path / "ckpt.json")

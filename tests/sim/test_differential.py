@@ -57,7 +57,7 @@ def _run_one(workload, protocol, regime, reference):
     machine = _machine(workload.config, protocol, reference)
     plan = _plan(regime)
     if plan is not None:
-        machine.install_fault_plan(plan)
+        plan.install(machine)
     stats = replay_session(workload.session, machine)
     return snapshot_machine(machine), _stats_key(stats)
 

@@ -130,7 +130,7 @@ def _outcome(build, workload, protocol, plan, policy):
     machine = build(workload.config, protocol, policy=policy)
     machine.engine.default_max_events = 500_000
     if plan is not None:
-        machine.install_fault_plan(plan)
+        plan.install(machine)
     stats = snap = error = None
     try:
         stats = replay_session(workload.session, machine).to_dict()

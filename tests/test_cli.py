@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser, main
 
 JACOBI = pathlib.Path(__file__).parent.parent / "examples/programs/jacobi.cstar"
+TRACES = pathlib.Path(__file__).parent.parent / "examples/traces"
 
 
 class TestParser:
@@ -161,6 +162,51 @@ class TestFaultsCommand:
         assert "fault campaign: 3 plan(s)" in out
 
 
+class TestCampaignsCheckSomething:
+    """Counts are range-checked where they are declared, and a campaign
+    that monitors no run fails instead of reporting a pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seeds", "-1", "--no-traces"],
+        ["faults", "--seeds", "1", "--variants", "0"],
+        ["faults", "--seeds", "1", "--variants", "-1"],
+        ["verify", "--jobs", "0"],
+        ["faults", "--jobs", "-3"],
+        ["figure", "table1", "--jobs", "0"],
+    ])
+    def test_out_of_range_count_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
+    def test_overhead_repeats_rejected_before_any_run(self, capsys):
+        from repro.bench.overhead import main as overhead_main
+
+        with pytest.raises(SystemExit) as exit_:
+            overhead_main(["--repeats", "0"])
+        assert exit_.value.code == 2
+        assert "--repeats must be >= 1" in capsys.readouterr().err
+
+    def test_verify_with_nothing_to_check_fails(self, capsys):
+        assert main(["verify", "--seeds", "0", "--no-traces"]) == 2
+        err = capsys.readouterr().err
+        assert "nothing was checked: 0 monitored runs" in err
+        assert "--no-traces" in err
+
+    def test_faults_with_nothing_to_check_fails(self, tmp_path, capsys):
+        assert main(["faults", "--seeds", "0",
+                     "--traces", str(tmp_path / "missing")]) == 2
+        err = capsys.readouterr().err
+        assert "nothing was checked: 0 fault-injected runs" in err
+        assert "none found under" in err
+
+    def test_verify_trace_workloads_alone_still_pass(self, capsys):
+        assert main(["verify", "--seeds", "0", "--traces", str(TRACES),
+                     "--protocols", "stache"]) == 0
+        assert "monitored replay(s) — ok" in capsys.readouterr().out
+
+
 class TestRunJson:
     def test_json_to_stdout_suppresses_table(self, capsys):
         assert main(["run", str(JACOBI), "--nodes", "4", "--json"]) == 0
@@ -293,8 +339,8 @@ class TestModelCommand:
                                          capsys):
         """Without a calibration in --dir the suite validates against the
         identity calibration, and says so, as the predict path does."""
+        from repro.bench import validate as mv
         from repro.model import default_calibration, save_calibration
-        from repro.model import validate as mv
 
         monkeypatch.setattr(mv, "validate",
                             lambda cal, **kw: {"passed": True})
