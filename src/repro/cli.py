@@ -855,7 +855,7 @@ def _add_farm_options(p: argparse.ArgumentParser, *,
         return
     p.add_argument("--farm-events", metavar="PATH",
                    help="with --jobs > 1, write the farm's lifecycle events "
-                        "(farm.* dispatch/steal/retry) as JSON lines to PATH")
+                        "(farm.* dispatch/done/retry) as JSON lines to PATH")
 
 
 def _add_campaign_options(p: argparse.ArgumentParser, *,
@@ -1044,12 +1044,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_options(p, seeds=50)
     p.add_argument("--replay", type=int, metavar="SEED",
                    help="re-run exactly one seed (as printed in a violation)")
-    p.add_argument("--dfs", type=int, metavar="N", default=0,
+    p.add_argument("--dfs", type=int, action=_at_least(0), metavar="N",
+                   default=0,
                    help="also model-check: enumerate up to N interleavings "
                         "per protocol by bounded DFS")
-    p.add_argument("--dfs-seeds", type=int, default=3,
+    p.add_argument("--dfs-seeds", type=int, action=_at_least(0), default=3,
                    help="workload seeds to model-check under --dfs")
-    p.add_argument("--dfs-depth", type=int, default=10,
+    p.add_argument("--dfs-depth", type=int, action=_at_least(0), default=10,
                    help="branching depth bound for --dfs")
     p.add_argument("--regen-traces", action="store_true",
                    help="regenerate the bundled traces under --traces and exit")

@@ -3,28 +3,20 @@
 A :class:`FarmJob` is a self-contained, transport-safe description of one
 unit of campaign work — its ``params`` hold only primitives (numbers,
 strings, lists, dicts), never live machines or workloads, so a job can
-cross a process boundary today and a host boundary later without changing
-shape.  Its ``run`` is a module-level function of the campaign that
-built it, which the pipe pickles by reference; a worker calls
-``job.run(job.params)``, and that function rebuilds whatever heavy state
-the job needs (generated workloads from their seed, trace workloads from
-their path).
+cross a process boundary without changing shape.  Its ``run`` is a
+module-level function of the campaign that built it, which the pipe
+pickles by reference; a worker calls ``job.run(job.params)``, and that
+function rebuilds whatever heavy state the job needs (generated workloads
+from their seed, trace workloads from their path).
 
-Two properties make the farm's reports byte-identical to sequential runs:
-
-* **stable seed derivation** — :func:`derive_seed` hashes the campaign
-  seed together with the job's stable identity (workload name, plan name,
-  variant, protocol), so a job's randomness is a pure function of *what*
-  it is, never of *when* or *where* it runs, and never of shared RNG
-  state threaded through a loop.  Running a subset of a campaign injects
-  exactly the faults the full campaign would have injected for those
-  cells.
-* **deterministic partitioning** — :func:`partition_jobs` deals jobs into
-  per-worker decks round-robin; the decks are disjoint, complete, and a
-  pure function of ``(n_jobs, n_workers)`` (Hypothesis-tested in
-  ``tests/farm/test_partition.py``).  Work stealing then rebalances the
-  decks at run time without affecting results, because results are folded
-  in job-index order regardless of completion order.
+Stable seed derivation makes the farm's reports byte-identical to
+sequential runs: :func:`derive_seed` hashes the campaign seed together
+with the job's stable identity (workload name, plan name, variant,
+protocol), so a job's randomness is a pure function of *what* it is,
+never of *when* or *where* it runs, and never of shared RNG state
+threaded through a loop.  Running a subset of a campaign injects exactly
+the faults the full campaign would have injected for those cells.
+Results are folded in job-index order, whatever order they complete in.
 
 The durable schedule corpus (:mod:`repro.corpus`) rides the same seam:
 warm-start envelopes are *looked up by the coordinator* and embedded in a
@@ -32,7 +24,7 @@ job's transport-safe ``params`` (``"warm"``: protocol -> schedule
 records), and harvested schedules travel back inside the ordinary result
 dict.  Workers never open the corpus directory themselves, so a job's
 outcome stays a pure function of its spec — the same spec warms the same
-way on any worker, any transport, any jobs count.
+way on any worker and at any jobs count.
 """
 
 from __future__ import annotations
@@ -81,21 +73,3 @@ class FarmJob:
     def describe(self) -> str:
         return f"job#{self.index} {self.run.__name__}"
 
-
-def partition_jobs(n_jobs: int, n_workers: int) -> list[list[int]]:
-    """Deal job indices ``0..n_jobs-1`` into ``n_workers`` decks, round-robin.
-
-    The decks are **disjoint** (no index appears twice), **complete**
-    (every index appears), **deterministic** (a pure function of the two
-    counts), and balanced to within one job.  Worker ``w`` owns deck ``w``;
-    an idle worker steals from the richest remaining deck (see
-    :mod:`repro.farm.scheduler`).
-    """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if n_jobs < 0:
-        raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
-    decks: list[list[int]] = [[] for _ in range(n_workers)]
-    for index in range(n_jobs):
-        decks[index % n_workers].append(index)
-    return decks

@@ -1,25 +1,22 @@
-"""Farm transports: how jobs reach workers and results come back.
+"""The farm transport: how jobs reach workers and results come back.
 
-The scheduler decides *what* runs where (:mod:`repro.farm.scheduler`); a
-transport is the dumb pipe that moves :class:`~repro.farm.jobs.FarmJob`
-records out and result messages back.  The coordinator drives any object
-with the same small seam — ``start``/``send``/``recv``/``alive``/
-``respawn``/``stop`` — so a backend that ships jobs elsewhere slots in without touching scheduling,
-retry, or merge logic (the retired socket wire did exactly that; see
-docs/FARM.md).
+The coordinator (:mod:`repro.farm.coordinator`) decides *what* runs
+where; :class:`LocalProcessTransport` is the dumb pipe that moves
+:class:`~repro.farm.jobs.FarmJob` records out and result messages back,
+through ``start``/``send``/``recv``/``alive``/``respawn``/``stop``.
 
-Wire protocol (one tuple shape both ways keeps backends trivial):
+Wire protocol (one tuple shape both ways):
 
 * coordinator -> worker: ``("job", FarmJob)`` or ``("stop",)``
 * worker -> coordinator: ``(kind, worker_id, job_index, payload)`` with
   ``kind`` one of ``up`` / ``result`` / ``error``
 
-One backend ships: :class:`LocalProcessTransport`, a multiprocessing
-worker pool (fork where available, spawn otherwise) with one duplex pipe
-per worker.  No lock, queue or feeder thread is shared between worker
-processes, so a worker that dies at any instant — even halfway through
-writing a result — breaks only its own channel, which the coordinator
-then reads as a crash.  Running jobs in-process is not a transport:
+The pool is made of multiprocessing workers (fork where available, spawn
+otherwise) with one duplex pipe per worker.  No lock, queue or feeder
+thread is shared between worker processes, so a worker that dies at any
+instant — even halfway through writing a result — breaks only its own
+channel, which the coordinator then reads as a crash.  Running jobs
+in-process is not a transport:
 :func:`repro.farm.coordinator.run_jobs` calls the job functions directly
 when there is nothing to farm.
 """
@@ -65,19 +62,21 @@ class LocalProcessTransport:
     blocked channel shared with the survivors, and nothing a dying worker
     can hold is ever waited on.
 
-    ``stop_grace``/``kill_grace`` bound shutdown: a worker that ignores
-    the stop message gets SIGTERM after ``stop_grace`` seconds, and one
-    that ignores SIGTERM too gets SIGKILL after ``kill_grace`` more —
-    ``stop()`` never leaves a live child behind.
+    :attr:`stop_grace`/:attr:`kill_grace` bound shutdown: a worker that
+    ignores the stop message gets SIGTERM after ``stop_grace`` seconds,
+    and one that ignores SIGTERM too gets SIGKILL after ``kill_grace``
+    more — ``stop()`` never leaves a live child behind.
     """
 
-    def __init__(self, n_workers: int, *, stop_grace: float = 10.0,
-                 kill_grace: float = 5.0):
+    #: seconds ``stop()`` waits for a worker to obey the stop message
+    stop_grace = 10.0
+    #: seconds it then waits after each of SIGTERM and SIGKILL
+    kill_grace = 5.0
+
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.stop_grace = stop_grace
-        self.kill_grace = kill_grace
         self._ctx = _mp_context()
         self._procs: list = [None] * n_workers
         #: the coordinator's end of each worker's pipe; None once broken
@@ -115,7 +114,7 @@ class LocalProcessTransport:
 
     def respawn(self, wid: int) -> None:
         """Replace a dead worker with a fresh process and a fresh pipe under
-        the same id (and deck)."""
+        the same id."""
         self._close(wid)
         proc = self._procs[wid]
         if proc is not None and proc.is_alive():
@@ -161,7 +160,7 @@ class LocalProcessTransport:
         except OSError:
             self._close(wid)
 
-    def recv(self, timeout: float = 0.2) -> tuple | None:
+    def recv(self, timeout: float) -> tuple | None:
         """The next worker message, or None after ``timeout`` seconds or
         when the only ready channels turned out to be dead workers'."""
         if not self._ready:

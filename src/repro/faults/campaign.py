@@ -166,7 +166,9 @@ class FaultCampaignReport:
                    if self.unrecoverable_ok
                    else "DID NOT fail as required")
             )
-        if not self.failures:
+        if not self.failures and not self.runs:
+            lines.append("nothing ran: no fault-injected run was monitored")
+        elif not self.failures:
             lines.append("no coherence violations under any fault plan")
         else:
             lines.append(f"{len(self.failures)} FAILURE(S):")

@@ -102,7 +102,6 @@ class EventKind:
     FARM_WORKER_UP = "farm.worker.up"
     FARM_WORKER_DOWN = "farm.worker.down"
     FARM_DISPATCH = "farm.dispatch"
-    FARM_STEAL = "farm.steal"
     FARM_DONE = "farm.done"
     FARM_RETRY = "farm.retry"
 

@@ -96,7 +96,9 @@ class FuzzReport:
             f"fuzzed {self.seeds} seed(s), {self.runs} run(s) across "
             f"protocols {', '.join(self.protocols)} in {self.elapsed:.1f}s"
         ]
-        if self.ok:
+        if self.ok and not self.runs:
+            lines.append("nothing ran: no fuzz run was monitored")
+        elif self.ok:
             lines.append("no coherence violations found")
         else:
             lines.append(f"{len(self.violations)} VIOLATION(S):")

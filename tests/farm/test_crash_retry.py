@@ -1,22 +1,27 @@
-"""Worker-crash handling: dead workers are respawned, their jobs retried,
-and the retried campaign's aggregate is identical to an undisturbed one.
+"""Worker-crash handling: dead workers are respawned, their jobs retried
+ahead of fresh work, and the retried campaign's aggregate is identical to
+an undisturbed one.
 
 Workers fork from the test process, so monkeypatching
 ``repro.farm.worker._before_job_hook`` here installs the hook in every
-worker.  The hook ``os._exit``s mid-job — a hard crash the coordinator can
-only see as process death — on the job's *first* attempt only (a marker
-file, created atomically by the dying worker, tells a retry apart from
-it), proving one crash costs one retry, not the campaign.
+worker (and monkeypatching a ``repro.farm.coordinator`` constant changes
+the coordinator).  The hook ``os._exit``s mid-job — a hard crash the
+coordinator can only see as process death — on the job's *first* attempt
+only (a marker file, created atomically by the dying worker, tells a
+retry apart from it), proving one crash costs one retry, not the
+campaign.
 """
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.farm import FarmError, FarmJob, run_farm
+from repro.farm import coordinator
 from repro.farm import worker as farm_worker
-from repro.farm.transport import LocalProcessTransport, _mp_context
+from repro.farm.transport import _mp_context
 from repro.obs.events import EventKind, EventTrace
 from repro.verify.fuzz import fuzz, fuzz_seed_job
 
@@ -62,13 +67,49 @@ def test_repeated_crashes_exhaust_the_retry_budget(monkeypatch):
             os._exit(13)
 
     monkeypatch.setattr(farm_worker, "_before_job_hook", always_crash)
+    monkeypatch.setattr(coordinator, "MAX_RETRIES", 1)
+    monkeypatch.setattr(coordinator, "POLL_INTERVAL", 0.05)
     jobs = [FarmJob(index=i, run=fuzz_seed_job,
                     params={"seed": i, "protocols": ["stache"],
                             "shrink": False})
             for i in range(2)]
     with pytest.raises(FarmError, match="job#0 .*retry budget"):
-        run_farm(jobs, n_workers=2, max_retries=1,
-                 transport=LocalProcessTransport(2), poll_interval=0.05)
+        run_farm(jobs, n_workers=2)
+
+
+def nap(params):
+    time.sleep(0.1)
+    return params["i"]
+
+
+def test_crashed_job_is_redispatched_before_fresh_work(monkeypatch,
+                                                       tmp_path):
+    monkeypatch.setattr(farm_worker, "_before_job_hook",
+                        crash_first_attempt_of(0, str(tmp_path / "crashed")))
+    tracer = EventTrace()
+    jobs = [FarmJob(index=i, run=nap, params={"i": i}) for i in range(8)]
+    assert run_farm(jobs, n_workers=2, tracer=tracer) \
+        == {i: i for i in range(8)}
+
+    kinds = [event.kind for event in tracer.events]
+    retried = kinds.index(EventKind.FARM_RETRY)
+    assert tracer.events[retried].attrs["job"] == 0
+    dispatched = [event.attrs["job"] for event in tracer.events[:retried]
+                  if event.kind == EventKind.FARM_DISPATCH]
+    redispatched = [event.attrs["job"] for event in tracer.events[retried:]
+                    if event.kind == EventKind.FARM_DISPATCH]
+    assert dispatched[0] == 0  # the head of the queue went out first
+    assert redispatched[0] == 0, redispatched
+    # fresh work was still queued at the crash, and all of it went out
+    # after the retry
+    fresh = [index for index in redispatched if index not in dispatched]
+    assert fresh and redispatched[1:] == fresh
+
+
+def test_duplicate_job_indices_rejected():
+    jobs = [FarmJob(index=0, run=nap), FarmJob(index=0, run=nap)]
+    with pytest.raises(ValueError, match="unique"):
+        run_farm(jobs, n_workers=2)
 
 
 def failing_job(params):

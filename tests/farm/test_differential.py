@@ -2,7 +2,7 @@
 
 Each campaign's report is canonicalized as sorted JSON of its ``to_dict``
 form (which deliberately excludes wall-clock fields) and compared across
-worker counts.  Scheduling, stealing, and completion order must all be
+worker counts.  Dispatch order, retries and completion order must all be
 invisible in the aggregate — including in failing campaigns, where the
 violation records themselves must match.
 """

@@ -10,7 +10,7 @@ import pytest
 
 from repro.farm import FarmError, FarmJob, run_farm
 from repro.farm import worker as farm_worker
-from repro.farm.transport import LocalProcessTransport, _mp_context
+from repro.farm.transport import _mp_context
 from repro.verify.fuzz import fuzz_seed_job
 
 
@@ -38,6 +38,6 @@ def assert_debuggable(excinfo):
                     reason="hook injection relies on fork inheritance")
 def test_process_worker_error_payload_has_traceback(explode):
     with pytest.raises(FarmError) as excinfo:
-        run_farm(JOB * 1, transport=LocalProcessTransport(1))
+        run_farm(JOB)
     assert_debuggable(excinfo)
 

@@ -33,8 +33,10 @@ def obedient_main(wid, conn):
             return
 
 
-def test_sigterm_ignoring_worker_is_killed():
-    transport = LocalProcessTransport(1, stop_grace=0.3, kill_grace=1.0)
+def test_sigterm_ignoring_worker_is_killed(monkeypatch):
+    monkeypatch.setattr(LocalProcessTransport, "stop_grace", 0.3)
+    monkeypatch.setattr(LocalProcessTransport, "kill_grace", 1.0)
+    transport = LocalProcessTransport(1)
     transport.start(stubborn_main)
     assert transport.recv(timeout=5.0) == ("up", 0, None, None)
     assert transport.alive(0)
@@ -45,8 +47,10 @@ def test_sigterm_ignoring_worker_is_killed():
     assert time.monotonic() - t0 < 10.0
 
 
-def test_cooperative_worker_stops_without_escalation():
-    transport = LocalProcessTransport(1, stop_grace=5.0, kill_grace=1.0)
+def test_cooperative_worker_stops_without_escalation(monkeypatch):
+    monkeypatch.setattr(LocalProcessTransport, "stop_grace", 5.0)
+    monkeypatch.setattr(LocalProcessTransport, "kill_grace", 1.0)
+    transport = LocalProcessTransport(1)
     transport.start(obedient_main)
     assert transport.recv(timeout=5.0) == ("up", 0, None, None)
     transport.stop()

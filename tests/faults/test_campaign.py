@@ -74,6 +74,13 @@ class TestRunCampaign:
         assert report.runs == report.plans + 1
         assert "no coherence violations" in report.summary()
 
+    def test_summary_of_no_runs_says_nothing_ran(self):
+        report = run_campaign(seeds=0, traces_dir=None)
+        assert report.runs == 0
+        text = report.summary()
+        assert "nothing ran" in text
+        assert "no coherence violations" not in text
+
     def test_custom_plan_subset(self):
         plans = {"drops": FaultPlan(name="drops", drop_rate=0.2, seed=5)}
         report = run_campaign(

@@ -173,6 +173,11 @@ class TestCampaignsCheckSomething:
         ["verify", "--jobs", "0"],
         ["faults", "--jobs", "-3"],
         ["figure", "table1", "--jobs", "0"],
+        ["verify", "--seeds", "1", "--no-traces", "--dfs", "-3"],
+        ["verify", "--seeds", "1", "--no-traces", "--dfs", "4",
+         "--dfs-seeds", "-2"],
+        ["verify", "--seeds", "1", "--no-traces", "--dfs", "4",
+         "--dfs-depth", "-1"],
     ])
     def test_out_of_range_count_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -190,16 +195,20 @@ class TestCampaignsCheckSomething:
 
     def test_verify_with_nothing_to_check_fails(self, capsys):
         assert main(["verify", "--seeds", "0", "--no-traces"]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "nothing was checked: 0 monitored runs" in err
         assert "--no-traces" in err
+        assert "nothing ran" in out
+        assert "no coherence violations" not in out
 
     def test_faults_with_nothing_to_check_fails(self, tmp_path, capsys):
         assert main(["faults", "--seeds", "0",
                      "--traces", str(tmp_path / "missing")]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "nothing was checked: 0 fault-injected runs" in err
         assert "none found under" in err
+        assert "nothing ran" in out
+        assert "no coherence violations" not in out
 
     def test_verify_trace_workloads_alone_still_pass(self, capsys):
         assert main(["verify", "--seeds", "0", "--traces", str(TRACES),

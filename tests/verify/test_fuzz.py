@@ -94,6 +94,13 @@ class TestCleanFuzz:
         assert "2 seed(s)" in text
         assert "no coherence violations" in text
 
+    def test_summary_of_no_runs_says_nothing_ran(self):
+        report = fuzz(seeds=0)
+        assert report.runs == 0
+        text = report.summary()
+        assert "nothing ran" in text
+        assert "no coherence violations" not in text
+
     def test_replay_seed_reruns_one_seed(self):
         report = replay_seed(5)
         assert report.ok
