@@ -116,16 +116,19 @@ def _run_meta(args: argparse.Namespace) -> dict:
                 block_size=args.block_size, optimized=not args.unoptimized)
 
 
-def _frontend_line() -> str:
+def _frontend_line(jobs: int = 1) -> str:
     """Which front end produced this command's numbers (host-side counters
-    of ``repro.cstar.recording``; farm workers keep their own)."""
+    of ``repro.cstar.recording``; farm workers keep their own, so with
+    ``jobs`` > 1 the line says it counts this process only)."""
     from repro.cstar.recording import cache_info
 
     info = cache_info()
+    scope = (" (this process only; the farm workers' recordings are not "
+             "included)" if jobs > 1 else "")
     return (f"front end: {info['recordings']} value pass(es) recorded "
             f"({info['ops_recorded']} ops, {info['record_seconds']:.2f}s), "
             f"{info['replays']} replay(s) served, "
-            f"{info['column_bytes'] / 1e6:.2f} MB of columns resident")
+            f"{info['column_bytes'] / 1e6:.2f} MB of columns resident{scope}")
 
 
 def _model_line() -> str:
@@ -288,7 +291,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         "fig7": figures.fig7_water,
     }[args.name](jobs=args.jobs, corpus=_open_corpus(args))
     print(fig.render())
-    print(_frontend_line())
+    print(_frontend_line(args.jobs))
     return 0
 
 
@@ -356,7 +359,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     tail = ("corpus-warmed run; shape checks skipped" if warmed
             else "all shape checks passed")
     report.append(f"({tail}; total {time.time() - t0:.1f}s)")
-    report.append(_frontend_line())
+    report.append(_frontend_line(args.jobs))
     text = "\n".join(report)
     print(text)
     out = pathlib.Path(args.output)

@@ -192,11 +192,12 @@ class PredictiveProtocol(StacheProtocol):
             # misprediction source hopefully passes), or nothing learned yet:
             # no pre-send phase, so no pre-send barrier either.
             return None
+        slices = sched.entries_by_home(self.machine.home, self.config.n_nodes)
         return [
-            self._run_presend(node.id, plan_presend(
-                sched, node.id, life, self.directory, self._tags_permit,
-                self.machine.home), t)
-            for node in self.machine.nodes
+            self._run_presend(home, plan_presend(
+                sched, entries, home, life, self.directory,
+                self._tags_permit), t)
+            for home, entries in enumerate(slices)
         ]
 
     def end_group(self, directive_id: int, t: float) -> None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.core.schedule import CommSchedule, EntryKind, ScheduleStore
+from repro.core.schedule import (CommSchedule, EntryKind, ScheduleEntry,
+                                 ScheduleStore)
 from repro.protocols.directory import DirState
 from repro.tempest.tags import AccessTag
 from repro.util.blocks import coalesce_blocks
@@ -166,10 +167,10 @@ class ScheduleLifecycle:
         self.presented = {p for p in self.presented if p[0] != node}
 
 
-def plan_presend(sched: CommSchedule, home: int, life: ScheduleLifecycle,
-                 directory, permits: Callable, home_of: Callable[[int], int]
-                 ) -> list[tuple]:
-    """``home``'s pre-send program for ``sched`` (see the token codes).
+def plan_presend(sched: CommSchedule, entries: list[ScheduleEntry],
+                 home: int, life: ScheduleLifecycle, directory,
+                 permits: Callable) -> list[tuple]:
+    """``home``'s pre-send program for its slice ``entries`` of ``sched``.
 
     Runs the directory step (:meth:`~repro.protocols.directory.DirEntry.
     demand`, ``reclaim``, the grants) on ``directory`` and enters every
@@ -182,7 +183,7 @@ def plan_presend(sched: CommSchedule, home: int, life: ScheduleLifecycle,
     program: list[tuple] = []
     # (dst, grant) -> blocks to transfer in bulk
     outgoing: dict[tuple[int, AccessTag], list[int]] = {}
-    for entry in sched.entries_for_home(home_of, home):
+    for entry in entries:
         block, kind = entry.block, entry.kind
         at = len(program)
         program.append((ENTRY, block, False))

@@ -244,15 +244,15 @@ class CommSchedule:
     def __iter__(self) -> Iterator[ScheduleEntry]:
         return iter(self.entries.values())
 
-    def entries_for_home(self, home_of: Callable[[int], int], node: int) -> list[ScheduleEntry]:
-        """This node's slice of the schedule, in block order.
-
-        Each processor executes pre-send actions only "for blocks in the
-        communication schedule for which it is the home node" (§3.4).
-        """
-        mine = [e for e in self.entries.values() if home_of(e.block) == node]
-        mine.sort(key=lambda e: e.block)
-        return mine
+    def entries_by_home(self, home_of: Callable[[int], int],
+                        n: int) -> list[list[ScheduleEntry]]:
+        """Each of ``n`` nodes' slice of the schedule, in block order, from
+        one pass with one ``home_of`` lookup per entry (§3.4: a home
+        pre-sends only the blocks it is home for)."""
+        slices: list[list[ScheduleEntry]] = [[] for _ in range(n)]
+        for block, entry in sorted(self.entries.items()):
+            slices[home_of(block)].append(entry)
+        return slices
 
     def conflict_blocks(self) -> list[int]:
         return sorted(b for b, e in self.entries.items() if e.kind is EntryKind.CONFLICT)
@@ -398,9 +398,6 @@ class ScheduleStore:
 
     def __getitem__(self, directive_id: int) -> CommSchedule:
         return self._store[directive_id]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._store)
 
     def get(self, directive_id: int, default=None):
         return self._store.get(directive_id, default)

@@ -269,11 +269,12 @@ class _Walker:
         messages, bytes_sent = self.messages, self.bytes_sent
         blocks_sent = self.counters["presend_blocks_sent"]
         blocks_received = self.counters["presend_blocks_received"]
+        slices = sched.entries_by_home(self.layout.home, self.n)
         for home in range(self.n):
             prog: list[int] = []
             sent: list[int] = []    # positions of prog's message tokens
-            for token in plan_presend(sched, home, self.life, self.dir,
-                                      DirEntry.permits, self.layout.home):
+            for token in plan_presend(sched, slices[home], home, self.life,
+                                      self.dir, DirEntry.permits):
                 code = token[0]
                 if code == _RECALL:  # synchronous owner write-back
                     messages[home] += 1

@@ -122,9 +122,17 @@ class AddressSpace:
         home = self._home_cache.get(block)
         if home is None:
             addr = self.block_addr(block)
-            home = self.find_region(addr).home_of(addr)
-            n = self.config.n_nodes
-            if not (0 <= home < n):
-                raise ConfigError(f"home policy returned node {home} (n_nodes={n})")
+            home = self._checked_home(self.find_region(addr).home_of(addr))
             self._home_cache[block] = home
+        return home
+
+    def page_homes(self, region: Region) -> list[int]:
+        """The home node of each of ``region``'s pages, in page order."""
+        return [self._checked_home(region.home_policy(page))
+                for page in range(region.size // region.page_size)]
+
+    def _checked_home(self, home: int) -> int:
+        n = self.config.n_nodes
+        if not (0 <= home < n):
+            raise ConfigError(f"home policy returned node {home} (n_nodes={n})")
         return home

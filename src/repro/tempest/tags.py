@@ -82,6 +82,16 @@ class TagTable:
             self._count += (v != 0) - (old != 0)
             data[block] = v
 
+    def set_run(self, first: int, count: int, tag: AccessTag) -> None:
+        """Set the ``count`` blocks from ``first`` on to ``tag`` at once."""
+        end = first + count
+        data = self._data
+        if end > len(data):
+            data.extend(bytes(end - len(data)))
+        v = int(tag)
+        self._count += (count if v else 0) - (count - data.count(0, first, end))
+        data[first:end] = bytes((v,)) * count
+
     def permits(self, block: int, kind: str) -> bool:
         data = self._data
         t = data[block] if 0 <= block < len(data) else 0

@@ -25,6 +25,7 @@ recreate the regions if they were recorded with the session — see
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -117,16 +118,20 @@ def load_session(path) -> tuple[list[Event], list[dict]]:
 
 def restore_regions(machine: Machine, regions: list[dict]) -> None:
     """Recreate recorded regions (and initial home ownership) on a machine."""
+    space = machine.addr_space
+    per_page = machine.config.blocks_per_page()
     for spec in regions:
         homes = spec["homes"]
-        region = machine.addr_space.allocate(
+        region = space.allocate(
             spec["name"], spec["size"],
             home_policy=lambda p, homes=homes: homes[min(p, len(homes) - 1)],
         )
-        first = machine.addr_space.block_of(region.base)
-        nblocks = region.size // machine.config.block_size
-        for b in range(first, first + nblocks):
-            machine.nodes[machine.home(b)].tags.set(b, AccessTag.READ_WRITE)
+        block = space.block_of(region.base)
+        # one tag write per run of pages sharing a home
+        for home, pages in groupby(space.page_homes(region)):
+            count = len(list(pages)) * per_page
+            machine.nodes[home].tags.set_run(block, count, AccessTag.READ_WRITE)
+            block += count
 
 
 def replay_session(

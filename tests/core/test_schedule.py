@@ -95,12 +95,26 @@ class TestFlushAndSlicing:
         s.flush()
         assert len(s) == 0
 
-    def test_entries_for_home_filters_and_sorts(self):
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=200),
+                              st.integers(min_value=0, max_value=7),
+                              st.sampled_from("rw"))),
+           st.integers(min_value=1, max_value=6), st.data())
+    def test_entries_by_home_partitions_in_block_order(self, accesses, n,
+                                                        data):
         s = CommSchedule(1)
-        for b in (5, 3, 8, 2):
-            s.record(b, 1, "r")
-        mine = s.entries_for_home(home_of=lambda b: b % 2, node=0)
-        assert [e.block for e in mine] == [2, 8]
+        for block, node, kind in accesses:
+            s.record(block, node, kind)
+        homes = {b: data.draw(st.integers(min_value=0, max_value=n - 1))
+                 for b in sorted(s.entries)}
+        slices = s.entries_by_home(homes.__getitem__, n)
+        assert len(slices) == n
+        for node in range(n):
+            # the reference: filter the whole schedule, then sort
+            ref = sorted((e for e in s if homes[e.block] == node),
+                         key=lambda e: e.block)
+            assert [id(e) for e in slices[node]] == [id(e) for e in ref]
+        flat = sorted(e.block for mine in slices for e in mine)
+        assert flat == sorted(s.entries)
 
     def test_iteration(self):
         s = CommSchedule(1)

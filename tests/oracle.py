@@ -319,6 +319,10 @@ class DictTagTable:
         else:
             self._tags[block] = tag
 
+    def set_run(self, first: int, count: int, tag: AccessTag) -> None:
+        for block in range(first, first + count):
+            self.set(block, tag)
+
     def permits(self, block: int, kind: str) -> bool:
         return self.get(block).permits(kind)
 

@@ -106,6 +106,9 @@ _TAG = st.sampled_from(list(AccessTag))
 @given(ops=st.lists(
     st.one_of(
         st.tuples(st.just("set"), _BLOCK, _TAG),
+        st.tuples(st.just("set_run"),
+                  st.tuples(_BLOCK, st.integers(min_value=0, max_value=40)),
+                  _TAG),
         st.tuples(st.just("get"), _BLOCK, st.none()),
         st.tuples(st.just("permits"), _BLOCK, st.sampled_from(["r", "w"])),
         st.tuples(st.just("downgrade"), _BLOCK, st.none()),
@@ -119,6 +122,8 @@ def test_tag_table_matches_reference(ops):
     ref, packed = DictTagTable(node=0), TagTable(node=0)
     for op, a, b in ops:
         args = [x for x in (a, b) if x is not None]
+        if op == "set_run":  # a is (first, count)
+            args = [*a, b]
         ref_out = getattr(ref, op)(*args)
         packed_out = getattr(packed, op)(*args)
         assert ref_out == packed_out, (op, args)

@@ -1,9 +1,12 @@
 """Tests for session recording, persistence, and cross-protocol replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_machine
 from repro.tempest.machine import PhaseTrace
+from repro.tempest.tags import AccessTag
 from repro.tempest.tracefile import (
     load_session,
     record_regions,
@@ -11,7 +14,7 @@ from repro.tempest.tracefile import (
     restore_regions,
     save_session,
 )
-from repro.util import MachineConfig, SimulationError
+from repro.util import ConfigError, MachineConfig, SimulationError
 
 from tests.helpers import small_machine
 
@@ -167,6 +170,40 @@ class TestReplay:
         assert m.nodes[0].tags.permits(first, "w")
         blocks_per_page = 512 // 32
         assert m.nodes[1].tags.permits(first + blocks_per_page, "w")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3000),
+                              st.lists(st.integers(min_value=0, max_value=3),
+                                       min_size=1, max_size=8)),
+                    min_size=1, max_size=4),
+           st.sampled_from([32, 64, 256]))
+    def test_restore_regions_matches_per_block_tags(self, specs, block_size):
+        """Page-run tag writes leave every node's table as one write per
+        block at that block's home would."""
+        cfg = MachineConfig(n_nodes=4, block_size=block_size, page_size=256)
+        regions = [{"name": f"r{i}", "size": size, "homes": homes}
+                   for i, (size, homes) in enumerate(specs)]
+        m = make_machine(cfg, "stache")
+        restore_regions(m, regions)
+        ref = make_machine(cfg, "stache")
+        for spec in regions:
+            homes = spec["homes"]
+            region = ref.addr_space.allocate(
+                spec["name"], spec["size"],
+                home_policy=lambda p, homes=homes: homes[min(p, len(homes) - 1)])
+            first = ref.addr_space.block_of(region.base)
+            for b in range(first, first + region.size // block_size):
+                ref.nodes[ref.home(b)].tags.set(b, AccessTag.READ_WRITE)
+        for node, want in zip(m.nodes, ref.nodes):
+            assert list(node.tags.items()) == list(want.tags.items())
+            assert len(node.tags) == len(want.tags)
+
+    def test_restore_regions_rejects_out_of_range_home_on_any_page(self):
+        m = make_machine(MachineConfig(n_nodes=2, page_size=512), "stache")
+        with pytest.raises(ConfigError,
+                           match=r"home policy returned node 2 \(n_nodes=2\)"):
+            restore_regions(m, [{"name": "x", "size": 3 * 512,
+                                 "homes": [0, 1, 2]}])
 
 
 class TestMalformedFiles:

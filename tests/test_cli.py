@@ -3,6 +3,7 @@
 import argparse
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -127,6 +128,39 @@ class TestOtherCommands:
     def test_figure_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+
+class TestFrontEndLine:
+    """The front-end line shows this process's recording counters; a farmed
+    figure says the farm workers' recordings are not among them."""
+
+    PATTERN = (r"front end: \d+ value pass\(es\) recorded \(\d+ ops, "
+               r"\d+\.\d\ds\), \d+ replay\(s\) served, \d+\.\d\d MB of "
+               r"columns resident")
+
+    def figure_line(self, monkeypatch, capsys, jobs):
+        from repro.bench import figures
+
+        seen = []
+
+        def fig5(jobs, corpus):
+            seen.append(jobs)
+            return argparse.Namespace(render=lambda: "figure 5")
+
+        monkeypatch.setattr(figures, "fig5_adaptive", fig5)
+        assert main(["figure", "fig5", "--jobs", str(jobs)]) == 0
+        assert seen == [jobs]
+        return capsys.readouterr().out.splitlines()[-1]
+
+    def test_sequential_line(self, monkeypatch, capsys):
+        line = self.figure_line(monkeypatch, capsys, 1)
+        assert re.fullmatch(self.PATTERN, line), line
+
+    def test_farmed_line_counts_this_process_only(self, monkeypatch, capsys):
+        line = self.figure_line(monkeypatch, capsys, 2)
+        assert re.fullmatch(
+            self.PATTERN + r" \(this process only; the farm workers' "
+            r"recordings are not included\)", line), line
 
 
 class TestDumpAst:

@@ -21,7 +21,8 @@ The other rules, each checked on the source with ``ast`` or ``tokenize``:
 * Retired names stay retired (:data:`RETIRED`): the second engine and its
   pass pipeline, the socket wire, farm preemption, work stealing and its
   per-worker decks, the segment-log corpus, the ``fast`` timing switch,
-  and the model walk's hand-mirrored copies of the predictive protocol.
+  the per-home schedule scan, and the model walk's hand-mirrored copies
+  of the predictive protocol.
   They are matched on code tokens and string literals, never on comments.
 * The stable directory step is stated once, on ``DirEntry``: no file under
   ``model/``, ``core/`` or ``protocols/`` but ``protocols/directory.py``
@@ -207,6 +208,8 @@ RETIRED: dict[str, tuple[str, ...]] = {
         # work stealing: one job queue in run_farm, which returns a dict
         "WorkStealingScheduler", "repro.farm.scheduler", "partition_jobs",
         "stolen_from", "FARM_STEAL", "farm.steal", "FarmResult",
+        # pre-send slices the schedule by home once per group, not per home
+        "entries_for_home",
         # the segment-log corpus, its flock and its corpus.* events
         "seg-*", "_recover_tail", "fcntl", "CORPUS_MAGIC", "max_bytes",
         "CORPUS_HIT", "CORPUS_MISS", "CORPUS_STORE", "CORPUS_QUARANTINE",
@@ -510,6 +513,7 @@ class TestRulesCatch:
         "k = EventKind.FARM_STEAL",
         "kinds = {'farm.steal'}",
         "def run_farm(jobs) -> FarmResult: pass",
+        "mine = sched.entries_for_home(home_of, node)",
         "paths = root.glob('seg-*.log')",
         "c._recover_tail()",
         "import fcntl",
