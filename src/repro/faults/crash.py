@@ -10,7 +10,7 @@ dead node, so no request waits forever on a message the dead node can no
 longer send.
 
 Determinism: crash decisions flow through the same seeded injector as every
-other fault, the crash/detect/restart events are ordinary engine events, and
+other fault, the crash/detect/restart events are ordinary step entries, and
 all repair walks iterate in sorted order — a (plan, workload, protocol)
 triple replays bit-identically, which is what lets the campaign driver
 shrink a failing crash script with ddmin.
@@ -107,18 +107,22 @@ class CrashController:
 
     def crash_now(self, proc: "ReplayProcessor") -> None:
         """The processor reached its crash point; halt it at its local time."""
+        self.machine.engine.push_step(proc.t, self, proc)
+
+    def step(self, horizon: float, proc: "ReplayProcessor") -> None:
+        """Dispatch a ``(controller, proc)`` lifecycle entry: the crash
+        effects of ``proc``'s node while it is up, its restart once down."""
+        t = self.machine.engine.now
+        if proc.node.id in self.down:
+            self.restart(proc, t)
+        else:
+            self._crash_effects(proc, t)
+
+    def _crash_effects(self, proc: "ReplayProcessor", t: float) -> None:
+        """The node dies: volatile state is gone, the outage window opens."""
         node = proc.node.id
         op_index = proc.crash_at
         proc.crash_at = None  # a restarted node does not re-crash on this arm
-        restart_delay = proc.restart_delay
-        t = proc.t
-        self.machine.engine.schedule(
-            t, lambda: self._crash_effects(proc, node, op_index, t, restart_delay)
-        )
-
-    def _crash_effects(self, proc: "ReplayProcessor", node: int, op_index: int,
-                       t: float, restart_delay: float) -> None:
-        """The node dies: volatile state is gone, the outage window opens."""
         self.down.add(node)
         proc.node.tags.clear()
         proc.node.stats.crashes += 1
@@ -126,7 +130,7 @@ class CrashController:
         proc.pending_op = None
         self.machine.protocol.on_node_crashed(node, t)
         detect_at = self.machine.watchdog.arm(node, t)
-        restart_at = t + restart_delay
+        restart_at = t + proc.restart_delay
         self.log.append(CrashRecord(node=node, time=t, phase=self._phase,
                                     op_index=op_index, detect_at=detect_at,
                                     restart_at=restart_at))
@@ -134,9 +138,7 @@ class CrashController:
         if obs.enabled:
             obs.emit(EventKind.CRASH, t, node=node, op_index=op_index,
                      detect_at=detect_at, restart_at=restart_at)
-        self.machine.engine.schedule(
-            restart_at, lambda: self.restart(proc, node, restart_at)
-        )
+        self.machine.engine.push_step(restart_at, self, proc)
 
     # -- detection (fired by the watchdog) ----------------------------------------
 
@@ -164,8 +166,9 @@ class CrashController:
 
     # -- restart -----------------------------------------------------------------
 
-    def restart(self, proc: "ReplayProcessor", node: int, t: float) -> None:
+    def restart(self, proc: "ReplayProcessor", t: float) -> None:
         """The node rejoins: new incarnation, cold caches, rebuilt home state."""
+        node = proc.node.id
         record = next(r for r in reversed(self.log) if r.node == node)
         self.incarnations[node] += 1
         self.down.discard(node)
@@ -206,7 +209,7 @@ class Watchdog:
     A crash-stop failure is detected exactly ``detect_cycles`` simulated
     cycles after the crash (survivors miss the node's heartbeats); detection
     fires the recovery controller, which repairs directory state and unblocks
-    requests stuck on the dead node.  Because detection is an engine event,
+    requests stuck on the dead node.  Because detection is an engine entry,
     a barrier stall caused by a dead node is bounded by construction: either
     recovery lets the phase complete, or the drained engine fails fast with a
     deadlock :class:`SimulationError` — the run can never hang.
@@ -218,12 +221,12 @@ class Watchdog:
         self.detections = 0
 
     def arm(self, node: int, t_crash: float) -> float:
-        """Schedule failure detection for ``node``; returns the detect time."""
+        """Queue failure detection for ``node``; returns the detect time."""
         t_detect = t_crash + self.detect_cycles
-
-        def _fire() -> None:
-            self.detections += 1
-            self.machine.crash_controller.detect(node, t_detect)
-
-        self.machine.engine.schedule(t_detect, _fire)
+        self.machine.engine.push_step(t_detect, self, node)
         return t_detect
+
+    def step(self, horizon: float, node: int) -> None:
+        """The ``(watchdog, node)`` entry: survivors detect the crash."""
+        self.detections += 1
+        self.machine.crash_controller.detect(node, self.machine.engine.now)

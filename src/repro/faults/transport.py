@@ -10,7 +10,8 @@ sees it.  The design is a classic per-channel reliable link:
   tracked), suppresses **duplicates**, and **holds back** out-of-order
   arrivals so the protocol observes each channel in FIFO order — the
   ordering assumption the coherence protocols were built on;
-* the sender keeps an unacked-send record with a cancellable **retry timer**;
+* the sender keeps an unacked-send record with a **retry timer** (a
+  ``(transport, pending)`` step entry, removed from the queue on ack);
   timeouts retransmit with exponential backoff until acked, and exhaust into
   a structured :class:`~repro.util.errors.TransportTimeout` naming the node,
   block, and the fault event that doomed the message — an unrecoverable
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.obs.events import EventKind
 from repro.tempest.network import Message
-from repro.util.errors import TransportTimeout
+from repro.util.errors import SimulationError, TransportTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.inject import FaultInjector
@@ -39,15 +40,16 @@ TACK = "TACK"
 
 
 class _Pending:
-    """One unacked send and its live retry timer."""
+    """One unacked send and its queued retry timer (entry and due time)."""
 
-    __slots__ = ("msg", "first_sent", "retries", "timer", "rto")
+    __slots__ = ("msg", "first_sent", "retries", "timer", "due", "rto")
 
     def __init__(self, msg: Message, first_sent: float, rto: float):
         self.msg = msg
         self.first_sent = first_sent
         self.retries = 0
         self.timer = None
+        self.due = 0.0
         self.rto = rto
 
 
@@ -101,20 +103,28 @@ class ReliableTransport:
         pend = _Pending(msg, at, self._base_rto(msg))
         ch.pending[msg.seq] = pend
         nominal = self.machine.network.send(msg, at)
-        self._arm_timer(ch, pend, at)
+        self._arm_timer(pend, at)
         return nominal
 
-    def _arm_timer(self, ch: _Channel, pend: _Pending, now: float) -> None:
-        backoff = pend.rto * (2 ** pend.retries)
-        pend.timer = self.machine.engine.schedule(
-            now + backoff, lambda: self._on_timeout(ch, pend)
-        )
+    def _arm_timer(self, pend: _Pending, now: float) -> None:
+        pend.due = now + pend.rto * (2 ** pend.retries)
+        pend.timer = self.machine.engine.push_step(pend.due, self, pend)
 
-    def _on_timeout(self, ch: _Channel, pend: _Pending) -> None:
+    def _cancel_timer(self, pend: _Pending) -> None:
+        if pend.timer is not None:
+            self.machine.engine.cancel(pend.due, pend.timer)
+
+    def step(self, horizon: float, pend: _Pending) -> None:
+        """The retry timer of ``pend`` fired: retransmit or give up."""
         msg = pend.msg
-        if ch.pending.get(msg.seq) is not pend:
-            return  # acked after the timer became uncancellable; stale fire
         now = self.machine.engine.now
+        ch = self._channels.get((msg.src, msg.dst))
+        if ch is None or ch.pending.get(msg.seq) is not pend:
+            # an ack or forget_node removes the timer with the send
+            raise SimulationError(
+                f"retry timer fired for {msg} after it left the unacked sends",
+                node=msg.src, time=now, block=msg.block, message_repr=repr(msg),
+            )
         stats = self.machine.node(msg.src).stats
         plan = self.plan
         obs = self.machine.obs
@@ -138,7 +148,7 @@ class ReliableTransport:
                      block=msg.block, attempt=pend.retries)
         msg.resends = pend.retries
         self.machine.network.send(msg, now)
-        self._arm_timer(ch, pend, now)
+        self._arm_timer(pend, now)
 
     # -- receiver side ----------------------------------------------------------
 
@@ -185,8 +195,8 @@ class ReliableTransport:
         # the acked channel is the reverse of the ack's own direction
         ch = self._channel(ack.dst, ack.src)
         pend = ch.pending.pop(ack.info["ack"], None)
-        if pend is not None and pend.timer is not None:
-            pend.timer.cancel()
+        if pend is not None:
+            self._cancel_timer(pend)
 
     # -- crash recovery ----------------------------------------------------------
 
@@ -194,7 +204,7 @@ class ReliableTransport:
         """Drop both directions of every channel involving ``node``.
 
         Called when survivors detect a crash: retry timers to the dead node
-        are cancelled (their sends are handled by crash recovery, not
+        leave the queue (their sends are handled by crash recovery, not
         retransmission) and sequence state is discarded on both sides, so
         after the restart each peer pair opens a fresh channel from seq 0 —
         a held-back out-of-order backlog from the previous incarnation could
@@ -203,8 +213,7 @@ class ReliableTransport:
         for key in [k for k in self._channels if node in k]:
             ch = self._channels.pop(key)
             for pend in ch.pending.values():
-                if pend.timer is not None:
-                    pend.timer.cancel()
+                self._cancel_timer(pend)
 
     def has_unacked(self, src: int, dst: int) -> bool:
         """Whether channel (src, dst) still has sends awaiting acknowledgement."""

@@ -9,8 +9,8 @@ in teapot style.
 Timing discipline: a message delivered at time *t* first occupies the
 destination's handler resource (FIFO), and all of its *effects* (tag changes,
 directory updates, outgoing messages) take place at the handler-completion
-time, scheduled through the event engine so effects interleave correctly
-with other nodes' activity.
+time, queued on the event engine as a ``(protocol, msg)`` step entry so
+effects interleave correctly with other nodes' activity.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class BaseProtocol(ProtocolStateMachine):
     def _deliver_local(self, node: int, block: int, kind: str, t: float) -> None:
         cost = self.config.handler_cost + self.config.directory_lookup_cost
         done = self.machine.node(node).service_handler(t, cost)
-        msg = Message(kind, src=node, dst=node, block=block)
-        self.machine.schedule_node_event(node, done, lambda: self._handle(msg, done))
+        self._queue_handler(Message(kind, src=node, dst=node, block=block), done)
 
     # -- message plumbing -----------------------------------------------------------
 
@@ -108,9 +107,29 @@ class BaseProtocol(ProtocolStateMachine):
 
     def on_message(self, msg: Message, t: float) -> None:
         done = self.machine.node(msg.dst).service_handler(t, self.handler_cost_for(msg))
-        # Handler effects are node-local state changes: under a crash plan
-        # they must not fire if the node dies before the completion time.
-        self.machine.schedule_node_event(msg.dst, done, lambda: self._handle(msg, done))
+        self._queue_handler(msg, done)
+
+    def _queue_handler(self, msg: Message, done: float) -> None:
+        """Queue the ``(protocol, msg)`` handler completion at ``done``,
+        stamped with the receiver's incarnation under a crash plan."""
+        ctl = self.machine.crash_controller
+        if ctl is not None:
+            msg.handler_inc = ctl.incarnations[msg.dst]
+        self.machine.engine.push_step(done, self, msg)
+
+    def step(self, horizon: float, msg: Message) -> None:
+        """The handler for ``msg`` completes: its effects happen now.
+
+        Handler effects are node-local state changes: one queued before a
+        crash must not fire while the node is down or after it restarts
+        with a fresh incarnation, so a stale stamp makes this dispatch a
+        no-op.
+        """
+        ctl = self.machine.crash_controller
+        if ctl is not None and (msg.dst in ctl.down
+                                or ctl.incarnations[msg.dst] != msg.handler_inc):
+            return
+        self._handle(msg, self.machine.engine.now)
 
     def _handle(self, msg: Message, t: float) -> None:
         """Route a serviced message; ``t`` is the effect time."""

@@ -2,18 +2,17 @@
 
 :class:`~repro.sim.engine.CalendarEngine` is the event-queue simulator
 every machine runs on; all timing behaviour of the DSM machine (network
-flights, handler occupancy, barrier waits) is expressed as events scheduled
-on one engine instance.  :class:`~repro.sim.engine.Engine` is its
+flights, handler occupancy, barrier waits) is expressed as step entries
+queued on one engine instance.  :class:`~repro.sim.engine.Engine` is its
 queue-agnostic contract.
 """
 
-from repro.sim.engine import CalendarEngine, Engine, Event
+from repro.sim.engine import CalendarEngine, Engine
 from repro.sim.stats import TimeCategory, NodeStats, PhaseBreakdown, RunStats
 
 __all__ = [
     "CalendarEngine",
     "Engine",
-    "Event",
     "TimeCategory",
     "NodeStats",
     "PhaseBreakdown",

@@ -61,10 +61,10 @@ class ReplayProcessor:
     """Replays one node's per-phase op list against the protocol.
 
     Dispatched from the calendar queue
-    (:class:`~repro.sim.engine.CalendarEngine`) as a bare
-    ``(proc, incarnation)`` step entry — no Event, no closure; the queue
-    carries the crash-restart incarnation stamp as an opaque token — by
-    calling :meth:`step`, the one op interpreter.  Tag checks read the tag
+    (:class:`~repro.sim.engine.CalendarEngine`) as a ``(proc,
+    incarnation)`` step entry — the queue carries the crash-restart
+    incarnation stamp as an opaque token — by calling :meth:`step`, the
+    one op interpreter.  Tag checks read the tag
     table's byte array directly.  The COMPUTE accumulator and local-hit
     counter live in ``_acc`` / ``_hits`` between dispatches and flush to
     ``stats`` at every *observable* exit (miss, crash, barrier) — nothing
@@ -400,27 +400,6 @@ class Machine:
     def is_down(self, node: int) -> bool:
         ctl = self.crash_controller
         return ctl is not None and node in ctl.down
-
-    def schedule_node_event(self, node: int, time: float, fn) -> None:
-        """Schedule a node-local effect, skipped if the node dies first.
-
-        Handler effects (tag changes, directory updates, replies) scheduled
-        before a crash must not fire while the node is down or after it
-        restarts with a fresh incarnation; without a crash controller this is
-        a plain engine schedule.
-        """
-        ctl = self.crash_controller
-        if ctl is None:
-            self.engine.schedule(time, fn)
-            return
-        inc = ctl.incarnations[node]
-
-        def _fire() -> None:
-            if node in ctl.down or ctl.incarnations[node] != inc:
-                return
-            fn()
-
-        self.engine.schedule(time, _fire)
 
     def _deliver(self, msg: Message, t: float) -> None:
         ctl = self.crash_controller

@@ -49,6 +49,9 @@ class Message:
     #: longer match (pre-crash traffic must not reach a restarted node)
     src_inc: int = 0
     dst_inc: int = 0
+    #: the receiver's incarnation when its handler completion was queued
+    #: (crash plans only); unlike ``dst_inc``, no retransmission rewrites it
+    handler_inc: int = 0
 
     def __repr__(self) -> str:  # compact for trace dumps
         blk = f" blk={self.block}" if self.block is not None else ""
@@ -151,12 +154,13 @@ class Network:
     def _schedule_delivery(self, msg: Message, arrival: float) -> None:
         self.messages_delivered += 1
         self.bytes_delivered += msg.payload_bytes
+        self.engine.push_step(arrival, self, msg)
 
-        def _arrive() -> None:
-            obs = self.obs
-            if obs.enabled:
-                obs.emit(EventKind.MSG_RECV, arrival, node=msg.dst,
-                         msg_id=msg.msg_id, msg_kind=msg.kind, src=msg.src)
-            self._deliver(msg, arrival)
-
-        self.engine.schedule(arrival, _arrive)
+    def step(self, horizon: float, msg: Message) -> None:
+        """Deliver ``msg``: the ``(network, msg)`` entry reached its arrival."""
+        arrival = self.engine.now
+        obs = self.obs
+        if obs.enabled:
+            obs.emit(EventKind.MSG_RECV, arrival, node=msg.dst,
+                     msg_id=msg.msg_id, msg_kind=msg.kind, src=msg.src)
+        self._deliver(msg, arrival)

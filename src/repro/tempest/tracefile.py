@@ -35,7 +35,7 @@ from repro.tempest.tags import AccessTag
 from repro.util.errors import SimulationError
 
 #: session event types
-Event = tuple
+SessionEvent = tuple
 
 FORMAT_VERSION = 1
 
@@ -53,7 +53,8 @@ def record_regions(machine: Machine) -> list[dict]:
     return regions
 
 
-def save_session(events: Iterable[Event], path, regions: list[dict] | None = None) -> None:
+def save_session(events: Iterable[SessionEvent], path,
+                 regions: list[dict] | None = None) -> None:
     """Write a recorded session to ``path`` as JSON-lines."""
     path = Path(path)
     with path.open("w") as fh:
@@ -76,7 +77,7 @@ def save_session(events: Iterable[Event], path, regions: list[dict] | None = Non
                 raise SimulationError(f"unknown session event {ev!r}")
 
 
-def load_session(path) -> tuple[list[Event], list[dict]]:
+def load_session(path) -> tuple[list[SessionEvent], list[dict]]:
     """Read a session file; returns (events, regions).
 
     A session without a phase event, or a region whose ``homes`` is not a
@@ -84,7 +85,7 @@ def load_session(path) -> tuple[list[Event], list[dict]]:
     :class:`SimulationError` naming the file (and the region).
     """
     path = Path(path)
-    events: list[Event] = []
+    events: list[SessionEvent] = []
     regions: list[dict] = []
     with path.open() as fh:
         header = json.loads(fh.readline())
@@ -135,7 +136,7 @@ def restore_regions(machine: Machine, regions: list[dict]) -> None:
 
 
 def replay_session(
-    session: tuple[list[Event], list[dict]] | list[Event],
+    session: tuple[list[SessionEvent], list[dict]] | list[SessionEvent],
     machine: Machine,
     regions: list[dict] | None = None,
     finish: bool = True,

@@ -24,13 +24,14 @@ is a complete, replayable schedule.
 What a choice point is
 ----------------------
 
-A *choice point* is a dispatch at which two or more live entries share
-the earliest timestamp in the queue.  The *frontier* is all of them —
-message deliveries, timers, handler effects **and processor
-continuations** alike, cancelled events excluded — in sequence-number
-(schedule) order, and a recorded choice is an index into that order.  A
-dispatch with a single live entry is not a choice point and records
-nothing.  An entry scheduled at the current timestamp by the dispatch
+A *choice point* is a dispatch at which two or more queued entries share
+the earliest timestamp.  The *frontier* is all of them — message
+deliveries, timers, handler effects **and processor continuations**
+alike, every one a step entry — in sequence-number (queue) order, and a
+recorded choice is an index into that order.  An entry that
+:meth:`~repro.sim.engine.CalendarEngine.cancel` removed has left the
+queue, so it is never in a frontier.  A dispatch with a single queued
+entry is not a choice point and records nothing.  An entry scheduled at the current timestamp by the dispatch
 just made joins the frontier of the next pick; a processor that loses a
 pick stays in the frontier, and one that wins executes exactly one op
 while any other entry remains at its timestamp (its conservative horizon
@@ -52,13 +53,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from repro.sim.engine import Event, TieBreakPolicy
+from repro.sim.engine import TieBreakPolicy
 
 
 class FifoPolicy(TieBreakPolicy):
     """The base engine's deterministic order: lowest sequence number first."""
 
-    def choose(self, frontier: list[Event]) -> int:
+    def choose(self, frontier: list[tuple]) -> int:
         return 0
 
 
@@ -70,7 +71,7 @@ class SeededRandomPolicy(TieBreakPolicy):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def choose(self, frontier: list[Event]) -> int:
+    def choose(self, frontier: list[tuple]) -> int:
         return self._rng.randrange(len(frontier))
 
     def describe(self) -> str:
@@ -90,7 +91,7 @@ class ReplayPolicy(TieBreakPolicy):
         self.schedule = list(schedule)
         self._cursor = 0
 
-    def choose(self, frontier: list[Event]) -> int:
+    def choose(self, frontier: list[tuple]) -> int:
         if self._cursor < len(self.schedule):
             i = min(self.schedule[self._cursor], len(frontier) - 1)
             self._cursor += 1

@@ -2,13 +2,14 @@
 
 Everything here was production code until the calendar queue learned to
 follow a tie-break policy; it was moved here, not rewritten, and is kept
-deliberately naive — a binary heap of :class:`~repro.sim.engine.Event`
-objects, an op-at-a-time processor that goes through the public tag and
+deliberately naive — a binary heap of ``(time, seq, entry)`` items, an
+op-at-a-time processor that goes through the public tag and
 stats APIs, a dict of tags — so that it shares as little as possible with
 what it checks:
 
 * :class:`HeapEngine` / :class:`HeapExplorerEngine` — against
   :class:`repro.sim.engine.CalendarEngine` without / with a policy;
+* :class:`Call` — a plain callback as a step entry, for engine tests;
 * :class:`ReferenceProcessor` — against
   :class:`repro.tempest.machine.ReplayProcessor`;
 * :class:`DictTagTable` — against :class:`repro.tempest.tags.TagTable`;
@@ -28,7 +29,7 @@ from typing import Callable
 
 from repro.obs.events import EventKind
 from repro.protocols.directory import Directory, DirEntry, DirState
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import TimeCategory
 from repro.tempest.machine import Machine, TraceOp
 from repro.tempest.node import Node
@@ -38,60 +39,75 @@ from repro.util.errors import ProtocolError, SimulationError
 # -- the heap engine -------------------------------------------------------------
 
 
+class Call:
+    """A test-only step object: dispatching ``(Call(fn), token)`` calls
+    ``fn()``, so a test can queue a plain callback on any engine."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn = fn
+
+    def step(self, horizon: float, token) -> None:
+        self.fn()
+
+
 class HeapEngine(Engine):
     """The binary-heap event queue: strictly FIFO among same-timestamp
-    events (heap order is ``(time, seq)``)."""
+    entries (heap order is ``(time, seq)``).  Heap items are ``(time,
+    seq, entry)`` triples; seqs are unique, so an entry never takes part in
+    a comparison."""
 
     def __init__(self, default_max_events: int | None = None) -> None:
         super().__init__(default_max_events)
-        self._queue: list[Event] = []
+        self._queue: list[tuple] = []
 
-    def schedule(self, time: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run at absolute ``time``."""
+    def _push(self, time: float, entry: tuple) -> None:
+        heapq.heappush(self._queue, (time, self._seq, entry))
+        self._seq += 1
+
+    def _check_time(self, time: float) -> None:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        ev = Event(time, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev
 
-    def _prune_cancelled_front(self) -> None:
-        """Drop cancelled events from the head of the queue.
+    def push_step(self, time: float, obj, token=-1) -> tuple:
+        self._check_time(time)
+        entry = (obj, token)
+        self._push(time, entry)
+        return entry
 
-        The cancel contract: :meth:`Event.cancel` only flags the event —
-        it stays queued until a queue operation walks past it.  Every
-        entry point that reads the queue head (:meth:`peek_time`,
-        :meth:`_next_event`) must prune flagged events first, or a
-        cancelled frontier would make ``peek_time`` report a stale time
-        that no live event will ever dispatch at.
-        """
-        q = self._queue
-        while q and q[0].cancelled:
-            heapq.heappop(q)
+    def push_steps(self, time: float, entries: list) -> None:
+        self._check_time(time)
+        for entry in entries:
+            self._push(time, entry)
 
-    def _next_event(self) -> Event | None:
-        """Select and remove the next event to dispatch (FIFO);
-        :class:`HeapExplorerEngine` overrides this hook."""
-        self._prune_cancelled_front()
-        if not self._queue:
-            return None
+    def cancel(self, time: float, entry: tuple) -> None:
+        """Remove the queued item holding ``entry`` at ``time``: a linear
+        scan and a re-heapify, nothing lazy."""
+        for k, item in enumerate(self._queue):
+            if item[0] == time and item[2] is entry:
+                del self._queue[k]
+                heapq.heapify(self._queue)
+                return
+
+    def _next_event(self) -> tuple:
+        """Select and remove the next ``(time, seq, entry)`` item to
+        dispatch (FIFO); :class:`HeapExplorerEngine` overrides this hook."""
         return heapq.heappop(self._queue)
 
     def _drain(self, until: float | None, max_events: int | None) -> int:
         dispatched = 0
-        while True:
-            t = self.peek_time()
-            if t is None:
+        while self._queue:
+            if until is not None and self._queue[0][0] > until:
                 break
-            if until is not None and t > until:
-                break
-            ev = self._next_event()
-            if ev is None:
-                break
-            self.now = ev.time
-            ev.fn()
+            time, _, entry = self._next_event()
+            self.now = time
+            horizon = self.peek_time()
+            r = entry[0].step(math.inf if horizon is None else horizon, entry[1])
+            if r is not None:
+                self._push(r, entry)
             dispatched += 1
             self._dispatched += 1
             if max_events is not None and dispatched >= max_events:
@@ -104,41 +120,32 @@ class HeapEngine(Engine):
 
     @property
     def pending(self) -> int:
-        if any(ev.cancelled for ev in self._queue):
-            self._queue = [ev for ev in self._queue if not ev.cancelled]
-            heapq.heapify(self._queue)
         return len(self._queue)
 
     def peek_time(self) -> float | None:
-        self._prune_cancelled_front()
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
 
 class HeapExplorerEngine(HeapEngine):
     """A heap engine whose same-timestamp dispatch order is
-    policy-controlled: every event, the whole same-time frontier is popped
-    off the heap and the losers pushed back."""
+    policy-controlled: every dispatch, the whole same-time frontier is
+    popped off the heap and the losers pushed back."""
 
     def __init__(self, policy, default_max_events: int | None = None) -> None:
         super().__init__(default_max_events)
         self.policy = policy
 
-    def _next_event(self) -> Event | None:
-        self._prune_cancelled_front()
-        if not self._queue:
-            return None
-        t = self._queue[0].time
-        frontier: list[Event] = []
-        while self._queue and self._queue[0].time == t:
-            ev = heapq.heappop(self._queue)
-            if not ev.cancelled:
-                frontier.append(ev)
+    def _next_event(self) -> tuple:
+        t = self._queue[0][0]
+        frontier: list[tuple] = []
+        while self._queue and self._queue[0][0] == t:
+            frontier.append(heapq.heappop(self._queue))
         # heap pops arrive in (time, seq) order, so the frontier is already
         # sorted by seq — choice indices are therefore stable across replays
-        i = self.policy.pick(frontier)
+        i = self.policy.pick([item[2] for item in frontier])
         chosen = frontier.pop(i)
-        for ev in frontier:
-            heapq.heappush(self._queue, ev)
+        for item in frontier:
+            heapq.heappush(self._queue, item)
         return chosen
 
 
@@ -183,20 +190,19 @@ class ReferenceProcessor:
         self._schedule_run(self.t)
 
     def _schedule_run(self, t: float) -> None:
-        """Schedule the next dispatch, incarnation-guarded under crash plans.
+        """Queue the next dispatch, incarnation-stamped under crash plans.
 
-        The closure captures the node's incarnation *at schedule time*: a
-        continuation scheduled before a crash must not fire into the node's
-        next life, and one scheduled while down must not fire at all.
+        The stamp is the node's incarnation *at queue time*: a
+        continuation queued before a crash must not fire into the node's
+        next life, and one queued while down must not fire at all.
         """
         ctl = self.machine.crash_controller
-        if ctl is None:
-            self.machine.engine.schedule(t, self._run)
-        else:
-            inc = ctl.incarnations[self.node.id]
-            self.machine.engine.schedule(t, lambda: self._run_alive(inc))
+        inc = -1 if ctl is None else ctl.incarnations[self.node.id]
+        self.machine.engine.push_step(t, self, inc)
 
-    def _run_alive(self, inc: int) -> None:
+    def step(self, horizon: float, inc: int) -> None:
+        """Dispatch one continuation; ``horizon`` is ignored, because
+        :meth:`_run` reads ``peek_time`` itself."""
         ctl = self.machine.crash_controller
         if ctl is not None and (self.node.id in ctl.down
                                 or ctl.incarnations[self.node.id] != inc):

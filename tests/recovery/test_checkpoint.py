@@ -29,6 +29,7 @@ from repro.verify.interleave import FifoPolicy
 from repro.verify.workload import generate_workload
 
 from tests.helpers import oracle_machine
+from tests.oracle import Call
 
 CHAOS = FaultPlan(name="chaos-lite", drop_rate=0.02, dup_rate=0.03,
                   delay_rate=0.05, delay_cycles=200.0, seed=11)
@@ -178,7 +179,7 @@ class TestGuards:
         w = generate_workload(0)
         machine = make_machine(w.config, "stache")
         replay_session(w.session, machine, finish=False)
-        machine.engine.schedule_after(10.0, lambda: None)
+        machine.engine.push_step(machine.engine.now + 10.0, Call(lambda: None))
         with pytest.raises(SimulationError, match="quiescent"):
             snapshot_machine(machine)
 

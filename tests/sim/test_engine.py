@@ -10,14 +10,21 @@ from repro.sim.engine import CalendarEngine
 from repro.util import SimulationError
 from repro.verify.interleave import FifoPolicy
 
+from tests.oracle import Call, HeapEngine, HeapExplorerEngine
+
+
+def at(eng, t, fn):
+    """Queue the callback ``fn`` at ``t``; returns the entry to cancel."""
+    return eng.push_step(t, Call(fn))
+
 
 class TestOrdering:
     def test_events_fire_in_time_order(self):
         eng = CalendarEngine()
         seen = []
-        eng.schedule(5.0, lambda: seen.append(5))
-        eng.schedule(1.0, lambda: seen.append(1))
-        eng.schedule(3.0, lambda: seen.append(3))
+        at(eng, 5.0, lambda: seen.append(5))
+        at(eng, 1.0, lambda: seen.append(1))
+        at(eng, 3.0, lambda: seen.append(3))
         eng.run()
         assert seen == [1, 3, 5]
 
@@ -25,15 +32,15 @@ class TestOrdering:
         eng = CalendarEngine()
         seen = []
         for i in range(10):
-            eng.schedule(7.0, lambda i=i: seen.append(i))
+            at(eng, 7.0, lambda i=i: seen.append(i))
         eng.run()
         assert seen == list(range(10))
 
     def test_now_tracks_dispatch_time(self):
         eng = CalendarEngine()
         times = []
-        eng.schedule(2.0, lambda: times.append(eng.now))
-        eng.schedule(9.0, lambda: times.append(eng.now))
+        at(eng, 2.0, lambda: times.append(eng.now))
+        at(eng, 9.0, lambda: times.append(eng.now))
         eng.run()
         assert times == [2.0, 9.0]
 
@@ -42,8 +49,8 @@ class TestOrdering:
         seen = []
         def first():
             seen.append("first")
-            eng.schedule_after(1.0, lambda: seen.append("second"))
-        eng.schedule(1.0, first)
+            at(eng, eng.now + 1.0, lambda: seen.append("second"))
+        at(eng, 1.0, first)
         eng.run()
         assert seen == ["first", "second"]
         assert eng.now == 2.0
@@ -53,7 +60,7 @@ class TestOrdering:
         eng = CalendarEngine()
         seen = []
         for t in times:
-            eng.schedule(t, lambda t=t: seen.append(t))
+            at(eng, t, lambda t=t: seen.append(t))
         eng.run()
         assert seen == sorted(times)
 
@@ -61,21 +68,21 @@ class TestOrdering:
 class TestGuards:
     def test_cannot_schedule_past(self):
         eng = CalendarEngine()
-        eng.schedule(10.0, lambda: None)
+        at(eng, 10.0, lambda: None)
         eng.run()
         with pytest.raises(SimulationError):
-            eng.schedule(5.0, lambda: None)
+            at(eng, 5.0, lambda: None)
 
     def test_negative_delay_rejected(self):
         eng = CalendarEngine()
         with pytest.raises(SimulationError):
-            eng.schedule_after(-1.0, lambda: None)
+            at(eng, eng.now - 1.0, lambda: None)
 
     def test_max_events_guard(self):
         eng = CalendarEngine()
         def loop():
-            eng.schedule_after(1.0, loop)
-        eng.schedule(0.0, loop)
+            at(eng, eng.now + 1.0, loop)
+        at(eng, 0.0, loop)
         with pytest.raises(SimulationError):
             eng.run(max_events=100)
 
@@ -83,7 +90,7 @@ class TestGuards:
         eng = CalendarEngine()
         def reenter():
             eng.run()
-        eng.schedule(0.0, reenter)
+        at(eng, 0.0, reenter)
         with pytest.raises(SimulationError):
             eng.run()
 
@@ -92,8 +99,8 @@ class TestControls:
     def test_run_until_leaves_later_events(self):
         eng = CalendarEngine()
         seen = []
-        eng.schedule(1.0, lambda: seen.append(1))
-        eng.schedule(10.0, lambda: seen.append(10))
+        at(eng, 1.0, lambda: seen.append(1))
+        at(eng, 10.0, lambda: seen.append(10))
         eng.run(until=5.0)
         assert seen == [1]
         assert eng.pending == 1
@@ -103,25 +110,25 @@ class TestControls:
     def test_cancelled_event_skipped(self):
         eng = CalendarEngine()
         seen = []
-        ev = eng.schedule(1.0, lambda: seen.append("cancelled"))
-        eng.schedule(2.0, lambda: seen.append("kept"))
-        ev.cancel()
+        ev = at(eng, 1.0, lambda: seen.append("cancelled"))
+        at(eng, 2.0, lambda: seen.append("kept"))
+        eng.cancel(1.0, ev)
         eng.run()
         assert seen == ["kept"]
 
     def test_peek_time(self):
         eng = CalendarEngine()
         assert eng.peek_time() is None
-        ev = eng.schedule(4.0, lambda: None)
-        eng.schedule(6.0, lambda: None)
+        ev = at(eng, 4.0, lambda: None)
+        at(eng, 6.0, lambda: None)
         assert eng.peek_time() == 4.0
-        ev.cancel()
+        eng.cancel(4.0, ev)
         assert eng.peek_time() == 6.0
 
     def test_dispatch_counts(self):
         eng = CalendarEngine()
         for t in range(5):
-            eng.schedule(float(t), lambda: None)
+            at(eng, float(t), lambda: None)
         n = eng.run()
         assert n == 5
         assert eng.total_dispatched == 5
@@ -130,29 +137,29 @@ class TestControls:
 class TestEdgeCases:
     def test_cancel_everything_before_run(self):
         eng = CalendarEngine()
-        events = [eng.schedule(float(t), lambda: None) for t in range(5)]
-        for ev in events:
-            ev.cancel()
+        events = [at(eng, float(t), lambda: None) for t in range(5)]
+        for t, ev in enumerate(events):
+            eng.cancel(float(t), ev)
         assert eng.pending == 0
         assert eng.run() == 0
         assert eng.now == 0.0  # nothing dispatched, clock never moved
 
     def test_pending_prunes_cancelled_events(self):
         eng = CalendarEngine()
-        events = [eng.schedule(float(t), lambda: None) for t in range(6)]
-        for ev in events[::2]:
-            ev.cancel()
+        events = [at(eng, float(t), lambda: None) for t in range(6)]
+        for t in range(0, 6, 2):
+            eng.cancel(float(t), events[t])
         assert eng.pending == 3
-        # pruned for real, not merely skipped: the queue no longer holds them
+        # removed for real, not merely skipped: the queue no longer holds them
         assert eng.pending == 3
-        assert all(not ev.cancelled
-                   for slot in eng._slots.values() for ev in slot)
+        assert not any(ev is gone for gone in events[::2]
+                       for slot in eng._slots.values() for ev in slot)
 
     def test_max_events_cutoff_mid_timestep(self):
         eng = CalendarEngine()
         seen = []
         for i in range(10):
-            eng.schedule(1.0, lambda i=i: seen.append(i))
+            at(eng, 1.0, lambda i=i: seen.append(i))
         with pytest.raises(SimulationError, match="max_events"):
             eng.run(max_events=4)
         # the cutoff fired after exactly 4 same-timestamp dispatches,
@@ -164,19 +171,19 @@ class TestEdgeCases:
 
     def test_peek_time_after_drain(self):
         eng = CalendarEngine()
-        eng.schedule(3.0, lambda: None)
+        at(eng, 3.0, lambda: None)
         eng.run()
         assert eng.peek_time() is None
         assert eng.pending == 0
         # the engine is still usable after draining
-        eng.schedule_after(1.0, lambda: None)
+        at(eng, eng.now + 1.0, lambda: None)
         assert eng.peek_time() == 4.0
 
     def test_cancel_during_dispatch(self):
         eng = CalendarEngine()
         seen = []
-        later = eng.schedule(2.0, lambda: seen.append("later"))
-        eng.schedule(1.0, lambda: later.cancel())
+        later = at(eng, 2.0, lambda: seen.append("later"))
+        at(eng, 1.0, lambda: eng.cancel(2.0, later))
         eng.run()
         assert seen == []
 
@@ -216,7 +223,7 @@ class TestStepEntries:
         eng = _engine(policy)
         a, b, c = Stepper(eng), Stepper(eng), Stepper(eng)
         eng.push_step(5.0, a, 1)
-        eng.schedule(5.0, lambda: None)  # a live Event follows a
+        at(eng, 5.0, lambda: None)  # a callback entry follows a
         eng.push_step(6.0, b, 2)
         eng.push_step(6.0, c, 3)  # a step entry follows b
         assert eng.run() == 4
@@ -229,9 +236,9 @@ class TestStepEntries:
         eng = _engine(policy)
         a = Stepper(eng)
         eng.push_step(5.0, a, 0)
-        eng.schedule(5.0, lambda: None).cancel()  # a cancelled follower
-        eng.schedule(7.0, lambda: None).cancel()  # an all-cancelled slot
-        eng.schedule(9.0, lambda: None)
+        eng.cancel(5.0, at(eng, 5.0, lambda: None))  # a cancelled follower
+        eng.cancel(7.0, at(eng, 7.0, lambda: None))  # an all-cancelled slot
+        at(eng, 9.0, lambda: None)
         assert eng.run() == 2
         assert a.calls == [(5.0, 9.0, 0)]
 
@@ -258,10 +265,10 @@ class TestStepEntries:
         def on_step():
             seen.append("step")
             if len(seen) == 1:
-                eng.schedule(8.0, lambda: seen.append("during"))
+                at(eng, 8.0, lambda: seen.append("during"))
 
         a = Stepper(eng, returns=[8.0], on_step=on_step)
-        eng.schedule(8.0, lambda: seen.append("before"))
+        at(eng, 8.0, lambda: seen.append("before"))
         eng.push_step(5.0, a, -1)
         eng.run()
         assert seen == ["step", "before", "during", "step"]
@@ -273,10 +280,125 @@ class TestStepEntries:
         steppers = [Stepper(eng, returns=[3.0] * k) for k in range(4)]
         for k, s in enumerate(steppers):
             eng.push_step(2.0, s, k)
-        eng.schedule(2.0, lambda: None)
+        at(eng, 2.0, lambda: None)
         n = eng.run()
         calls = sum(len(s.calls) for s in steppers)
         assert calls == 1 + 2 + 3 + 4
         assert n == eng.total_dispatched == calls + 1
         assert all(token == k for k, s in enumerate(steppers)
                    for _, _, token in s.calls)
+
+
+#: the calendar queue on both drains and the heap oracle, each with and
+#: without a tie-break policy (FifoPolicy records every frontier it sees)
+QUEUES = pytest.mark.parametrize("make", [
+    pytest.param(CalendarEngine, id="calendar-fifo"),
+    pytest.param(lambda: CalendarEngine(policy=FifoPolicy()),
+                 id="calendar-policy"),
+    pytest.param(HeapEngine, id="heap"),
+    pytest.param(lambda: HeapExplorerEngine(FifoPolicy()), id="heap-explorer"),
+])
+
+
+def _frontiers(eng):
+    policy = getattr(eng, "policy", None)
+    return None if policy is None else policy.frontiers
+
+
+class TestCancelRemoves:
+    """``cancel`` removes the entry.  In each case the cancelling dispatch
+    and the cancelled entry share a timestamp, the hardest place for it:
+    the victim sits in the batch (or frontier) being drained."""
+
+    @QUEUES
+    def test_same_slot_victim_is_never_dispatched_or_counted(self, make):
+        eng = make()
+        seen, victim = [], []
+
+        def killer():
+            seen.append("killer")
+            eng.cancel(5.0, victim[0])
+
+        at(eng, 5.0, killer)
+        victim.append(at(eng, 5.0, lambda: seen.append("victim")))
+        at(eng, 5.0, lambda: seen.append("keep"))
+        assert eng.run() == 2
+        assert seen == ["killer", "keep"]
+        assert eng.total_dispatched == 2
+        # [killer, victim, keep], then [keep] alone: no second choice point
+        assert _frontiers(eng) in (None, [3])
+
+    @QUEUES
+    def test_cancel_never_moves_now(self, make):
+        eng = make()
+        victims = []
+
+        def killer():
+            for t, entry in victims:
+                eng.cancel(t, entry)
+
+        at(eng, 5.0, killer)
+        victims.append((5.0, at(eng, 5.0, lambda: None)))
+        victims.append((9.0, at(eng, 9.0, lambda: None)))
+        assert eng.run() == 1
+        assert eng.now == 5.0
+        assert eng.peek_time() is None and eng.pending == 0
+        assert _frontiers(eng) in (None, [2])
+
+    @QUEUES
+    def test_cancel_emptying_the_batch_is_not_reported(self, make):
+        eng = make()
+        seen, victim = [], []
+
+        def killer():
+            eng.cancel(5.0, victim[0])
+            seen.append((eng.peek_time(), eng.pending))
+
+        at(eng, 5.0, killer)
+        victim.append(at(eng, 5.0, lambda: seen.append("victim")))
+        at(eng, 8.0, lambda: seen.append("tail"))
+        assert eng.run() == 2
+        assert seen == [(8.0, 1), "tail"]
+        assert eng.now == 8.0
+
+    @QUEUES
+    def test_cancel_emptying_a_slot_queued_mid_batch(self, make):
+        """The victim is queued at the current time by the first dispatch
+        (a fresh slot on the FIFO drain, the live frontier on a policy)
+        and cancelled by the second, which empties its slot."""
+        eng = make()
+        seen, victim = [], []
+        at(eng, 5.0, lambda: victim.append(at(eng, 5.0, lambda: seen.append("victim"))))
+
+        def killer():
+            eng.cancel(5.0, victim[0])
+            seen.append((eng.peek_time(), eng.pending))
+
+        at(eng, 5.0, killer)
+        assert eng.run() == 2
+        assert seen == [(None, 0)]
+        assert eng.now == 5.0 and eng.total_dispatched == 2
+        assert _frontiers(eng) in (None, [2, 2])
+
+    @QUEUES
+    def test_step_entry_cancels_its_slot_follower(self, make):
+        eng = make()
+        victim = []
+        a = Stepper(eng, on_step=lambda: eng.cancel(5.0, victim[0]))
+        eng.push_step(5.0, a, 0)
+        victim.append(at(eng, 5.0, lambda: None))
+        assert eng.run() == 1
+        # the follower was queued when the horizon was read
+        assert a.calls == [(5.0, 5.0, 0)]
+        assert eng.pending == 0 and eng.now == 5.0
+
+    @QUEUES
+    def test_cancel_after_dispatch_is_a_no_op(self, make):
+        eng = make()
+        first = at(eng, 5.0, lambda: None)
+        at(eng, 5.0, lambda: eng.cancel(5.0, first))
+        keep = at(eng, 5.0, lambda: None)
+        assert eng.run() == 3
+        assert eng.pending == 0
+        eng.cancel(5.0, keep)
+        assert eng.total_dispatched == 3

@@ -1,7 +1,8 @@
 """The calendar queue must dispatch in exactly the reference heap order.
 
-Hypothesis generates scripted event programs — nested schedules, same-time
-ties, cancellations (including of not-yet-dispatched same-slot events),
+Hypothesis generates scripted event programs — nested ``push_step`` calls,
+same-time ties, cancellations (including of not-yet-dispatched same-slot
+entries),
 ``until`` cutoffs, and ``max_events`` limits — and runs each program
 through the reference heap engine (``tests/oracle.py``) and the production
 :class:`~repro.sim.engine.CalendarEngine`.  The observed dispatch
@@ -21,7 +22,7 @@ from repro.sim.engine import CalendarEngine
 from repro.util.errors import SimulationError
 from repro.verify.interleave import ReplayPolicy, SeededRandomPolicy
 
-from tests.oracle import HeapEngine, HeapExplorerEngine
+from tests.oracle import Call, HeapEngine, HeapExplorerEngine
 
 #: a small time grid maximizes same-timestamp collisions (tie-break stress)
 TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5, 3.0])
@@ -30,8 +31,8 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 
 @st.composite
 def programs(draw):
-    """A program is a list of root events; each event may, when it fires,
-    schedule children (relative delays) and cancel earlier events by id."""
+    """A program is a list of root entries; each entry may, when it fires,
+    queue children (relative delays) and cancel earlier entries by id."""
     n_roots = draw(st.integers(min_value=1, max_value=6))
     events = []
     eid = 0
@@ -58,23 +59,25 @@ class Script:
 
     def start(self):
         for i, spec in enumerate(self.program):
-            self.handles[i] = self.engine.schedule(
-                spec["time"], self._fire(i, spec))
+            self._push(i, spec["time"], spec)
+
+    def _push(self, eid, t, spec):
+        # the handle is (time, entry): what ``cancel`` takes
+        self.handles[eid] = (t, self.engine.push_step(t, self._fire(eid, spec)))
 
     def _fire(self, eid, spec):
         def fn():
             self.log.append((eid, self.engine.now))
             for target in spec["cancels"]:
-                ev = self.handles.get(target)
-                if ev is not None:
-                    ev.cancel()
+                handle = self.handles.get(target)
+                if handle is not None:
+                    self.engine.cancel(*handle)
             for delay in spec["children"]:
                 cid = self.next_id
                 self.next_id += 1
                 child = {"children": [], "cancels": []}
-                self.handles[cid] = self.engine.schedule_after(
-                    delay, self._fire(cid, child))
-        return fn
+                self._push(cid, self.engine.now + delay, child)
+        return Call(fn)
 
 
 def _execute(engine_cls, program, until=None, max_events=None, policy=None):
@@ -158,10 +161,10 @@ def test_policy_drain_matches_heap_explorer(program, policy, until, limit):
     pytest.param(HeapEngine, id="Engine"), CalendarEngine])
 def test_schedule_into_past_raises(engine_cls):
     engine = engine_cls()
-    engine.schedule(5.0, lambda: None)
+    engine.push_step(5.0, Call(lambda: None))
     engine.run()
     with pytest.raises(SimulationError):
-        engine.schedule(1.0, lambda: None)
+        engine.push_step(1.0, Call(lambda: None))
 
 
 def test_calendar_engine_counts_like_reference_on_empty_run():

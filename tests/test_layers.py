@@ -21,8 +21,10 @@ The other rules, each checked on the source with ``ast`` or ``tokenize``:
 * Retired names stay retired (:data:`RETIRED`): the second engine and its
   pass pipeline, the socket wire, farm preemption, work stealing and its
   per-worker decks, the segment-log corpus, the ``fast`` timing switch,
-  the per-home schedule scan, and the model walk's hand-mirrored copies
-  of the predictive protocol.
+  the per-home schedule scan, the engine's second entry kind (``Event``
+  and the closure-scheduling ``schedule`` / ``schedule_after`` /
+  ``schedule_node_event``), and the model walk's hand-mirrored copies of
+  the predictive protocol.
   They are matched on code tokens and string literals, never on comments.
 * The stable directory step is stated once, on ``DirEntry``: no file under
   ``model/``, ``core/`` or ``protocols/`` but ``protocols/directory.py``
@@ -210,6 +212,9 @@ RETIRED: dict[str, tuple[str, ...]] = {
         "stolen_from", "FARM_STEAL", "farm.steal", "FarmResult",
         # pre-send slices the schedule by home once per group, not per home
         "entries_for_home",
+        # one kind of engine entry: (obj, token) step entries that cancel
+        # removes, never a closure in a flagged, cancellable Event
+        ".schedule(", "schedule_after", "schedule_node_event", ".cancelled",
         # the segment-log corpus, its flock and its corpus.* events
         "seg-*", "_recover_tail", "fcntl", "CORPUS_MAGIC", "max_bytes",
         "CORPUS_HIT", "CORPUS_MISS", "CORPUS_STORE", "CORPUS_QUARANTINE",
@@ -217,10 +222,11 @@ RETIRED: dict[str, tuple[str, ...]] = {
     ),
 }
 
-#: retired identifiers that are also English words, kept out of all of
-#: ``src/repro``: only a NAME token equal to one counts (the ``fast=`` /
-#: ``fast: bool`` switch)
-RETIRED_WORDS = ("fast",)
+#: retired identifiers that are also English words or parts of live names,
+#: kept out of all of ``src/repro``: only a NAME token equal to one counts
+#: (the ``fast=`` / ``fast: bool`` switch; the engine's ``Event`` class,
+#: not ``EventKind``, ``TraceEvent`` or ``FaultEvent``)
+RETIRED_WORDS = ("fast", "Event")
 
 _STRING_TYPES = {tokenize.STRING} | (
     {tokenize.FSTRING_MIDDLE} if hasattr(tokenize, "FSTRING_MIDDLE") else set())
@@ -514,6 +520,11 @@ class TestRulesCatch:
         "kinds = {'farm.steal'}",
         "def run_farm(jobs) -> FarmResult: pass",
         "mine = sched.entries_for_home(home_of, node)",
+        "self.engine.schedule(arrival, _arrive)",
+        "ev = eng.schedule_after(1.0, fn)",
+        "machine.schedule_node_event(node, done, fn)",
+        "if e.cancelled: pass",
+        "from repro.sim.engine import Event",
         "paths = root.glob('seg-*.log')",
         "c._recover_tail()",
         "import fcntl",
@@ -536,6 +547,10 @@ class TestRulesCatch:
         "breakfast = fastest = LOC_IDLE = 1",
         "note = 'the fault-free fast path'",
         "seg = segments - 1",
+        "k = EventKind.MSG_RECV",
+        "ev = TraceEvent(kind, t)",
+        "s = CommSchedule(entries)",
+        "self.schedule = list(schedule)",
     ]
 
     def test_retired_name_alternatives(self, tmp_path):
@@ -550,6 +565,24 @@ class TestRulesCatch:
         for name in names:
             assert retired_name_violations(path, (name,)), name
         assert retired_name_violations(path, (), RETIRED_WORDS)
+
+    def test_one_engine_entry_kind(self, tmp_path):
+        """A closure handed to ``engine.schedule(`` or an ``Event(`` is
+        flagged; a step entry and the live names that merely contain
+        ``Event`` or ``Schedule`` are not."""
+        path = tmp_path / "network.py"
+        path.write_text("\n".join([
+            "self.engine.schedule(arrival, _arrive)",
+            "ev = Event(t, seq, fn)",
+            "entry = self.engine.push_step(arrival, self, msg)",
+            "self.engine.cancel(pend.due, pend.timer)",
+            "k = EventKind.MSG_RECV",
+            "ev = TraceEvent(kind, t)",
+            "s = CommSchedule(entries)",
+        ]) + "\n")
+        flagged = {line for line, _ in retired_name_violations(
+            path, RETIRED["src"], RETIRED_WORDS)}
+        assert flagged == {1, 2}
 
     #: assignments the stable-step rule must flag, then ones it must not
     STABLE_WRITES = [

@@ -13,6 +13,8 @@ from repro.verify import (
     run_workload,
 )
 
+from tests.oracle import Call
+
 # policies only inspect len(frontier); opaque placeholders suffice for units
 F2 = ["a", "b"]
 F3 = ["a", "b", "c"]
@@ -65,8 +67,8 @@ class TestExplorerEngine:
         for engine, order in [(CalendarEngine(), order_base),
                               (CalendarEngine(policy=FifoPolicy()), order_exp)]:
             for label in ("a", "b", "c"):
-                engine.schedule(10.0, lambda l=label: order.append(l))
-            engine.schedule(5.0, lambda: order.append("first"))
+                engine.push_step(10.0, Call(lambda l=label: order.append(l)))
+            engine.push_step(5.0, Call(lambda: order.append("first")))
             engine.run()
         assert order_exp == order_base == ["first", "a", "b", "c"]
 
@@ -74,7 +76,7 @@ class TestExplorerEngine:
         order = []
         engine = CalendarEngine(policy=ReplayPolicy([2, 1]))
         for label in ("a", "b", "c"):
-            engine.schedule(10.0, lambda l=label: order.append(l))
+            engine.push_step(10.0, Call(lambda l=label: order.append(l)))
         engine.run()
         assert order == ["c", "b", "a"]
 
@@ -82,16 +84,16 @@ class TestExplorerEngine:
         order = []
         engine = CalendarEngine(policy=SeededRandomPolicy(7))
         for i, t in enumerate((3.0, 1.0, 2.0)):
-            engine.schedule(t, lambda i=i: order.append(i))
+            engine.push_step(t, Call(lambda i=i: order.append(i)))
         engine.run()
         assert order == [1, 2, 0]
 
     def test_cancelled_events_never_enter_the_frontier(self):
         order = []
         engine = CalendarEngine(policy=SeededRandomPolicy(3))
-        engine.schedule(10.0, lambda: order.append("keep"))
-        dead = engine.schedule(10.0, lambda: order.append("dead"))
-        dead.cancel()
+        engine.push_step(10.0, Call(lambda: order.append("keep")))
+        dead = engine.push_step(10.0, Call(lambda: order.append("dead")))
+        engine.cancel(10.0, dead)
         engine.run()
         assert order == ["keep"]
 
@@ -101,9 +103,9 @@ class TestExplorerEngine:
         engine = CalendarEngine(default_max_events=10, policy=FifoPolicy())
 
         def reschedule():
-            engine.schedule(engine.now + 1.0, reschedule)
+            engine.push_step(engine.now + 1.0, Call(reschedule))
 
-        engine.schedule(0.0, reschedule)
+        engine.push_step(0.0, Call(reschedule))
         with pytest.raises(SimulationError):
             engine.run()
 

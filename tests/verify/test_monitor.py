@@ -12,6 +12,7 @@ from repro.verify import (
 )
 
 from tests.helpers import run_one_phase, small_machine
+from tests.oracle import Call
 
 
 class TestProfiles:
@@ -125,7 +126,7 @@ class TestLostInvalidation:
 class TestQuiescence:
     def test_queued_event_at_barrier(self):
         m, b = small_machine()
-        m.engine.schedule(m.engine.now + 100.0, lambda: None)
+        m.engine.push_step(m.engine.now + 100.0, Call(lambda: None))
         with pytest.raises(CoherenceViolation) as ei:
             InvariantMonitor().check(m)
         assert ei.value.invariant == "quiescence"
