@@ -132,14 +132,15 @@ def _frontend_line(jobs: int = 1) -> str:
 
 
 def _model_line() -> str:
-    """How the model backend priced this command's points (host-side
-    counters of ``repro.model.predictor``)."""
+    """How the model backend priced this command's points, and the host
+    seconds of each stage (host-side counters of ``repro.model.predictor``)."""
     from repro.model.predictor import model_info
 
     info = model_info()
     return (f"model: {info['points']} points, {info['groups']} structural "
             f"groups, {info['walks']} walks ({info['walks_cached']} cached), "
-            f"{info['folds']} folds")
+            f"{info['folds']} folds; fold {info['fold_s']:.2f}s, walk "
+            f"{info['walk_s']:.2f}s, assemble {info['assemble_s']:.2f}s")
 
 
 def _write_json(path: str, doc: dict) -> None:

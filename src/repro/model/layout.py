@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.cstar.recording import ProgramRecording
 from repro.util.config import MachineConfig
+from repro.util.errors import ConfigError, SimulationError
 
 #: ping-pong burst compression: consecutive same-(node, block) ops whose
 #: positions are at most this far apart count as one atomic burst (a few
@@ -47,36 +48,40 @@ class PhaseFold:
 
 
 class LayoutModel:
-    """Element→block and block→home mapping for one (recording, config)."""
+    """Element→block and block→home mapping for one (recording, config),
+    and the recording's fold at its block size."""
 
     def __init__(self, recording: ProgramRecording, config: MachineConfig):
         recording.check_placement(config)
         self.recording = recording
         self.block_size = config.block_size
         self._shift = config.block_size.bit_length() - 1
-        self._home_cache: dict[int, int] = {}
-        self._fold: list[PhaseFold] | None = None
+        #: a block's page is ``block >> _page_shift`` (page_size >= block_size)
+        self._page_shift = config.page_size.bit_length() - 1 - self._shift
+        #: home of every page of the address space (-1: the reserved page 0;
+        #: regions are allocated back to back after it)
+        space = recording.addr_space
+        self._page_homes = [-1] + [home for region in space.regions
+                                   for home in space.page_homes(region)]
+        page_homes = np.array(self._page_homes, dtype=np.int64)
+        self._fold = [self._fold_phase(ph, page_homes)
+                      for ph in recording.phases()]
 
     def blocks(self, agg_idx: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """Vectorized element→block map (first byte of each element)."""
         return self.recording.blocks(agg_idx, flat, self._shift)
 
     def home(self, block: int) -> int:
-        h = self._home_cache.get(block)
-        if h is None:
-            addr = block * self.block_size
-            h = self.recording.addr_space.find_region(addr).home_of(addr)
-            self._home_cache[block] = h
-        return h
+        page = block >> self._page_shift
+        if not 1 <= page < len(self._page_homes):
+            raise SimulationError(f"block {block} is in no region")
+        return self._page_homes[page]
 
     def fold(self) -> list[PhaseFold]:
         """The recording's phases, folded (in ``recording.phases()`` order)."""
-        if self._fold is None:
-            self._fold = [self._fold_phase(ph)
-                          for ph in self.recording.phases()]
         return self._fold
 
-    def _fold_phase(self, ph) -> PhaseFold:
+    def _fold_phase(self, ph, page_homes: np.ndarray) -> PhaseFold:
         """Fold access streams to per-(node, block) first-read/first-write
         events.  A block's repeated accesses after the granting fault hit,
         and a read *after* the node's first write hits (the write grant
@@ -87,47 +92,67 @@ class LayoutModel:
         exposure, and left to the calibration's ``delta``.
         """
         n = self.recording.n_nodes
-        streams = [ph.accesses(node) for node in range(n)]
-        counts = np.array([len(flat) for _, flat, _ in streams],
-                          dtype=np.int64)
-        nodec = np.repeat(np.arange(n, dtype=np.int64), counts)
-        blockc = np.concatenate([self.blocks(agg, flat)
-                                 for agg, flat, _ in streams])
-        kindc = np.concatenate([kind for _, _, kind in streams])
-        posc = np.concatenate([np.arange(c, dtype=np.int64) for c in counts])
-
-        # first occurrence of each (node, block, kind)
-        order = np.lexsort((posc, kindc, blockc, nodec))
-        nn, bb, kk, pp = nodec[order], blockc[order], kindc[order], posc[order]
-        first = np.ones(len(nn), dtype=bool)
-        first[1:] = (nn[1:] != nn[:-1]) | (bb[1:] != bb[:-1]) | (kk[1:] != kk[:-1])
-        nn, bb, kk, pp = nn[first], bb[first], kk[first], pp[first]
-        # a pair both read and written is two adjacent rows (kind sorts the
-        # read first); its read is an event only if it precedes the write
-        read_of_both = np.zeros(len(nn), dtype=bool)
-        read_of_both[:-1] = (nn[1:] == nn[:-1]) & (bb[1:] == bb[:-1])
-        write_of_both = np.roll(read_of_both, 1)
-        event = ~read_of_both | (pp < np.roll(pp, -1))
+        blocks, kinds = [], []
+        for node in range(n):
+            agg, flat, kind = ph.accesses(node)
+            blocks.append(self.blocks(agg, flat))
+            kinds.append(kind)
+        counts = np.array([len(b) for b in blocks], dtype=np.int64)
+        NB, BB, PB = key_widths(n, max((int(b.max()) for b in blocks
+                                        if len(b)), default=0),
+                                int(counts.max()))
+        # every order is one in-place sort of an int64 key packing its sort
+        # columns (docs/MODEL.md, "Fold"); here every access as a (node,
+        # block, pos, kind) key, sorted one node at a time: a (node, block)
+        # pair's accesses are adjacent, in op order
+        key = np.empty(int(counts.sum()), dtype=np.int64)
+        for node, part in enumerate(np.split(key, np.cumsum(counts)[:-1])):
+            part[:] = (blocks[node] << PB | np.arange(len(part))) << 1
+            part |= kinds[node] | node << (BB + PB + 1)
+            blocks[node] = kinds[node] = None
+            part.sort()
+        pair = key >> (PB + 1)
+        nn, bb = pair >> BB, pair & ((1 << BB) - 1)
+        pp, kk = (key >> 1) & ((1 << PB) - 1), key & 1
+        first = np.diff(pair, prepend=-1) != 0
+        # a pair's first access and its first write are the miss candidates
+        # (a read after the write hits)
+        writes = np.flatnonzero(kk)
+        first_write = writes[np.diff(pair[writes], prepend=-1) != 0]
+        event = first.copy()
+        event[first_write] = True
         # same-block events from different nodes ordered by op position
-        # (the intra-phase time proxy), reads before writes on ties
-        ev = np.flatnonzero(event)
-        ev = ev[np.lexsort((nn[ev], kk[ev], pp[ev], bb[ev]))]
-        blocks, inverse = np.unique(bb[ev], return_inverse=True)
-        homes = np.array([self.home(b) for b in blocks.tolist()],
-                         dtype=np.int64)
-        pairs = np.stack([nn, bb], axis=1)
+        # (the intra-phase time proxy), reads before writes on ties: a
+        # (block, pos, kind, node) key
+        ev = (((bb[event] << PB | pp[event]) << 1 | kk[event]) << NB
+              | nn[event])
+        ev.sort()
+        ev_block = ev >> (NB + 1 + PB)
         return PhaseFold(
             accesses=counts,
-            events=np.stack([bb[ev], nn[ev], kk[ev], homes[inverse]], axis=1),
-            touched=pairs[~write_of_both],
-            wrote=pairs[kk == 1],
-            pingpong=_pingpong(n, nodec, blockc, kindc, posc),
+            events=np.stack([ev_block, ev & ((1 << NB) - 1), (ev >> NB) & 1,
+                             page_homes[ev_block >> self._page_shift]],
+                            axis=1),
+            touched=np.stack([nn[first], bb[first]], axis=1),
+            wrote=np.stack([nn[first_write], bb[first_write]], axis=1),
+            pingpong=_pingpong(n, nn, bb, pp, kk, first, NB, PB),
         )
 
 
-def _pingpong(n: int, nodec, blockc, kindc, posc) -> np.ndarray:
+def key_widths(n_nodes: int, max_block: int, n_ops: int) -> tuple[int, ...]:
+    """Bit widths ``(node, block, pos)`` of the fold's int64 keys."""
+    widths = ((n_nodes - 1).bit_length(), max_block.bit_length(),
+              max(n_ops - 1, 0).bit_length())
+    if sum(widths) + 1 > 63:
+        raise ConfigError(
+            "fold key needs {} bits (node {}, block {}, kind 1, position "
+            "{}); an int64 key holds 63".format(sum(widths) + 1, *widths))
+    return widths
+
+
+def _pingpong(n: int, nn, bb, pp, kk, first, NB: int, PB: int) -> np.ndarray:
     """Per-node ping-pong chain exposure (docs/MODEL.md, "Intra-phase
-    ping-pong", has the rationale).
+    ping-pong", has the rationale) of the fold's sorted access columns.
 
     Three-stage fold: (1) each (node, block)'s accesses compress into
     *bursts* of op positions at most ``_BURST_GAP`` apart, which behave
@@ -139,48 +164,23 @@ def _pingpong(n: int, nodec, blockc, kindc, posc) -> np.ndarray:
     result enters the prediction only scaled by the fitted ``delta``.
     """
     exposure = np.zeros(n, dtype=np.float64)
-    # stage 1: own-stream bursts per (block, node)
-    order = np.lexsort((posc, nodec, blockc))
-    b1, n1, k1, p1 = (blockc[order], nodec[order], kindc[order],
-                      posc[order])
-    new_burst = np.ones(len(b1), dtype=bool)
-    new_burst[1:] = ((b1[1:] != b1[:-1]) | (n1[1:] != n1[:-1])
-                     | (p1[1:] - p1[:-1] > _BURST_GAP))
-    starts = np.flatnonzero(new_burst)
-    if not len(starts):
+    # stage 1: own-stream bursts per (node, block)
+    starts = np.flatnonzero(first | (np.diff(pp, prepend=0) > _BURST_GAP))
+    # stage 2: interleave bursts per block by start position, by a
+    # (block, pos, node, write) key; a run is one node's consecutive bursts
+    runs = ((bb[starts] << PB | pp[starts]) << NB | nn[starts]) << 1
+    runs |= np.maximum.reduceat(kk, starts)
+    runs.sort()
+    owner = runs >> (1 + NB + PB) << NB | (runs >> 1) & ((1 << NB) - 1)
+    rs = np.flatnonzero(np.diff(owner, prepend=-1))
+    writers = owner[rs][np.maximum.reduceat(runs & 1, rs) > 0]
+    if not len(writers):
         return exposure
-    bb, bn, bp = b1[starts], n1[starts], p1[starts]
-    bw = np.maximum.reduceat(k1, starts)
-    # stage 2: interleave bursts per block by start position
-    order = np.lexsort((bn, bp, bb))
-    b2, n2, k2 = bb[order], bn[order], bw[order]
-    boundary = np.ones(len(b2), dtype=bool)
-    boundary[1:] = (b2[1:] != b2[:-1]) | (n2[1:] != n2[:-1])
-    rs = np.flatnonzero(boundary)
-    run_write = np.maximum.reduceat(k2, rs) > 0
-    if not run_write.any():
-        return exposure
-    # extra write-bearing runs per (block, node) pair
-    key = (b2[rs][run_write] * n + n2[rs][run_write])
-    uniq, counts = np.unique(key, return_counts=True)
-    # stage 3: per-block chain length = total extra runs over all nodes
-    cb = uniq // n
-    bnd = np.ones(len(cb), dtype=bool)
-    bnd[1:] = cb[1:] != cb[:-1]
-    cstarts = np.flatnonzero(bnd)
-    chain_len = np.add.reduceat(counts - 1, cstarts)
-    chain_blk = cb[cstarts]
-    nz = chain_len > 0
-    chain_blk, chain_len = chain_blk[nz], chain_len[nz]
-    if not len(chain_blk):
-        return exposure
-    # every participant (any burst on the block) bears the full chain
-    pairs = np.unique(bb * n + bn)
-    pblk = pairs // n
-    pnode = (pairs % n).astype(np.intp)
-    idx = np.searchsorted(chain_blk, pblk)
-    idx_c = np.minimum(idx, len(chain_blk) - 1)
-    valid = chain_blk[idx_c] == pblk
-    np.add.at(exposure, pnode[valid],
-              chain_len[idx_c[valid]].astype(np.float64))
+    # stage 3: a block's chain length is its write-bearing runs beyond each
+    # writer's first; every node with a burst on the block bears all of it
+    blk, n_runs = np.unique(writers >> NB, return_counts=True)
+    chain = n_runs - np.unique(np.unique(writers) >> NB, return_counts=True)[1]
+    idx = np.minimum(np.searchsorted(blk, bb[first]), len(blk) - 1)
+    bears = blk[idx] == bb[first]
+    np.add.at(exposure, nn[first][bears], chain[idx[bears]])
     return exposure

@@ -52,6 +52,7 @@ class                     ``demand``          fault   (F, L, DATA, H, D)
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,17 +95,17 @@ _COMPUTE, _WAIT, _PRESEND, _SYNCH = range(4)
 #: at home, keyed by what ``DirEntry.demand`` names and whether the faulting
 #: node is home; k invalidations add k x ``_PER_ACK`` and k runs
 _MISS_CLASSES = {
-    ("recall", True): (np.array([1., 1., 1., 3., 2.]), 2),      # LOC_RECALL
-    ("recall", False): (np.array([1., 2., 2., 4., 2.]), 2),     # REM_RECALL
-    ("invalidate", True): (np.array([1., 2., 0., 2., 1.]), 1),  # LOC_WRITE_SHARED
-    ("invalidate", False): (np.array([1., 3., 1., 3., 1.]), 1),  # REM_WRITE_SHARED
-    ("neither", True): (np.array([1., 0., 0., 1., 1.]), 1),     # LOC_IDLE
-    ("neither", False): (np.array([1., 1., 1., 2., 1.]), 1),    # REM_CURRENT
+    ("recall", True): ((1., 1., 1., 3., 2.), 2),      # LOC_RECALL
+    ("recall", False): ((1., 2., 2., 4., 2.), 2),     # REM_RECALL
+    ("invalidate", True): ((1., 2., 0., 2., 1.), 1),  # LOC_WRITE_SHARED
+    ("invalidate", False): ((1., 3., 1., 3., 1.), 1),  # REM_WRITE_SHARED
+    ("neither", True): ((1., 0., 0., 1., 1.), 1),     # LOC_IDLE
+    ("neither", False): ((1., 1., 1., 2., 1.), 1),    # REM_CURRENT
 }
-_PER_ACK = np.array([0., 0., 0., 1., 1.])
+_PER_ACK = (0., 0., 0., 1., 1.)
 
 #: REM_RECALL (write flavor): what one ping-pong re-steal costs
-_STEAL = _MISS_CLASSES["recall", False][0]
+_STEAL = np.array(_MISS_CLASSES["recall", False][0])
 
 
 @dataclass
@@ -202,8 +203,8 @@ class _Walker:
         # are simply processed in sequence
         self.dir = Directory(layout.home)
         self.steps: list[tuple[str, object]] = []
-        #: run totals per node, keyed by NodeStats field
-        self.counters = {name: np.zeros(self.n, dtype=np.int64) for name in (
+        #: run totals per node, keyed by NodeStats field (Python ints)
+        self.counters = {name: [0] * self.n for name in (
             "read_misses", "write_misses", "local_hits",
             "presend_blocks_sent", "presend_blocks_received",
             "presend_useless_blocks", "messages_sent", "bytes_sent")}
@@ -234,7 +235,8 @@ class _Walker:
             n_nodes=self.n,
             block_size=self.block_size,
             steps=self.steps,
-            counters=self.counters,
+            counters={name: np.array(column, dtype=np.int64)
+                      for name, column in self.counters.items()},
             degraded=self.degraded,
             total_requests=self.total_requests,
         )
@@ -262,11 +264,8 @@ class _Walker:
     def _presend(self, sched) -> PresendWalk:
         """Run the protocol's pre-send planner at every home; count its
         messages and keep its token programs for the assemble stage."""
-        B = self.block_size
-        programs, tokens = [], []
-        dsts: list[int] = []
-        counts: list[int] = []
         messages, bytes_sent = self.messages, self.bytes_sent
+        B, programs, tokens, dsts, counts = self.block_size, [], [], [], []
         blocks_sent = self.counters["presend_blocks_sent"]
         blocks_received = self.counters["presend_blocks_received"]
         slices = sched.entries_by_home(self.layout.home, self.n)
@@ -298,75 +297,57 @@ class _Walker:
     # -- phases ---------------------------------------------------------------
 
     def _walk_phase(self, ph, fold: PhaseFold) -> PhaseWalk:
-        misses = np.zeros((2, self.n), dtype=np.int64)     # reads, writes
-        coeff = np.zeros((self.n, 5), dtype=np.float64)
-        services = np.zeros((self.n, self.n), dtype=np.int64)
-        sent_before = int(self.messages.sum())
+        n, life, missed = self.n, self.life, [0] * self.n
+        coeff = [[0.0] * 5 for _ in range(n)]
+        services = [[0] * n for _ in range(n)]
+        sent_before = sum(self.messages)
 
         entry_of = self.dir.entry
+        by_kind = self.counters["read_misses"], self.counters["write_misses"]
         for block, node, kind, home in fold.events.tolist():
             st = entry_of(block)
             access = "rw"[kind]
             if st.permits(node, access):
                 continue
-            misses[kind, node] += 1
-            self.total_requests += 1
-            if self.life is not None:
-                self.life.record(self.current_directive, block, node, access)
+            missed[node] += 1
+            by_kind[kind][node] += 1
+            if life is not None:
+                life.record(self.current_directive, block, node, access)
             self._classify(st, node, access, home, coeff, services)
+        self.total_requests += sum(missed)
 
-        # completed accesses: usefulness judgment + group bookkeeping
-        if self.life is not None:
-            for pair in map(tuple, fold.touched.tolist()):
-                self.group_accessed.add(pair)
-                self.life.consume(*pair)
+        # completed accesses: usefulness judgment + group bookkeeping (a
+        # touched pair consumes its pending pre-sent copy, if any)
+        if life is not None:
+            pairs = list(map(tuple, fold.touched.tolist()))
+            self.group_accessed.update(pairs)
+            for pair in [p for p in pairs if p in life.pending]:
+                life.consume(*pair)
 
         pushes = (self._push_walk(fold)
                   if self.protocol == "write-update" else None)
-        missed = misses.sum(axis=0)
-        self.counters["read_misses"] += misses[0]
-        self.counters["write_misses"] += misses[1]
-        self.counters["local_hits"] += fold.accesses - missed
+        self.counters["local_hits"] = [h + a - m for h, a, m in zip(
+            self.counters["local_hits"], fold.accesses.tolist(), missed)]
         return PhaseWalk(
             name=ph.name,
             directive=self.current_directive,
             compute=np.asarray(ph.compute, dtype=np.float64),
             accesses=fold.accesses,
-            misses=missed,
-            coeff=coeff,
-            messages=int(self.messages.sum()) - sent_before,
-            services=services,
+            misses=np.array(missed, dtype=np.int64),
+            coeff=np.array(coeff, dtype=np.float64),
+            messages=sum(self.messages) - sent_before,
+            services=np.array(services, dtype=np.int64),
             pingpong=fold.pingpong,
             pushes=pushes,
         )
 
     # -- stache/predictive miss classification --------------------------------
 
-    def _charge(self, node, home, coeff, services, vec, served, *,
-                owner=None, acks=()) -> None:
-        """One classified miss: its coefficient vector, the ``served``
-        handler runs it needs at home, and the protocol's messages — a
-        remote fault's request and data grant, the forward to a recalled
-        ``owner`` and its write-back, one invalidation and ACK per sharer
-        in ``acks``."""
-        messages, bytes_sent, B = self.messages, self.bytes_sent, self.block_size
-        coeff[node] += vec
-        services[node, home] += served
-        messages[home] += (owner is not None) + len(acks)
-        if node != home:
-            messages[node] += 1
-            messages[home] += 1
-            bytes_sent[home] += B
-        if owner is not None:
-            messages[owner] += 1
-            bytes_sent[owner] += B
-        for sharer in acks:
-            messages[sharer] += 1
-
     def _classify(self, st: DirEntry, node, kind, home, coeff,
                   services) -> None:
-        """One miss through the directory step: price what ``demand``
-        names, then reclaim and grant as the home's handlers do."""
+        """One miss through the directory step: price what ``demand`` names
+        (``coeff[node]`` gains its vector component by component), then
+        reclaim and grant as the home's handlers do."""
         if kind == "w" and self.protocol == "write-update":
             raise ProtocolError(
                 f"write-update protocol requires producer-owned data; node "
@@ -379,11 +360,24 @@ class _Walker:
             "recall" if owner is not None else "invalidate" if k else "neither",
             node == home]
         if k:
-            vec, served = vec + k * _PER_ACK, served + k
-        self._charge(node, home, coeff, services, vec, served,
-                     owner=owner, acks=acks)
+            vec = [v + k * a for v, a in zip(vec, _PER_ACK)]
+            served += k
+        row = coeff[node]
+        for j, v in enumerate(vec):
+            row[j] += v
+        services[node][home] += served
+        messages, bytes_sent, B = self.messages, self.bytes_sent, self.block_size
+        messages[home] += (owner is not None) + k
+        if node != home:
+            messages[node] += 1
+            messages[home] += 1
+            bytes_sent[home] += B
         if owner is not None:
+            messages[owner] += 1
+            bytes_sent[owner] += B
             st.reclaim()
+        for sharer in acks:
+            messages[sharer] += 1
         if kind == "r":
             st.grant_read(node, self.shared_state)
         else:
@@ -398,14 +392,13 @@ class _Walker:
         if not pushes:
             return None
         producers = sorted(pushes)
-        per = [sorted(pushes[p].items()) for p in producers]
-        runs = np.array([sum(len(blocks) for _, blocks in consumers)
-                         for consumers in per])
-        self.messages[producers] += runs
-        self.bytes_sent[producers] += runs * self.block_size
-        return PushWalk(np.array(producers), runs, np.array(
-            [consumer for consumers in per
-             for consumer, blocks in consumers for _ in blocks]))
+        dst = [[consumer for consumer, blocks in sorted(pushes[p].items())
+                for _ in blocks] for p in producers]
+        for producer, sends in zip(producers, dst):
+            self.messages[producer] += len(sends)
+            self.bytes_sent[producer] += len(sends) * self.block_size
+        return PushWalk(np.array(producers), np.array(list(map(len, dst))),
+                        np.array([c for sends in dst for c in sends]))
 
 
 # -- the assemble stage -------------------------------------------------------
@@ -642,12 +635,13 @@ class GridPrediction:
 
 #: host-side counters (never part of a report), zeroed by clear_walk_cache()
 _STATS = {"points": 0, "groups": 0, "walks": 0, "walks_cached": 0,
-          "folds": 0}
+          "folds": 0, "fold_s": 0.0, "walk_s": 0.0, "assemble_s": 0.0}
 
 
 def model_info() -> dict:
-    """How many points were priced in how many grids, and how many walks
-    and folds that took (``walks_cached`` counts reuses)."""
+    """Points priced, grids, walks (``walks_cached`` reuses) and folds
+    made, and each stage's host seconds (``fold_s``, ``walk_s``,
+    ``assemble_s``)."""
     return dict(_STATS)
 
 
@@ -669,11 +663,15 @@ def _get_walk(recording: ProgramRecording, config: MachineConfig,
         return walk, True
     layout = recording.folds.get(config.block_size)
     if layout is None:
+        start = time.perf_counter()
         layout = recording.folds[config.block_size] = LayoutModel(
             recording, config)
+        _STATS["fold_s"] += time.perf_counter() - start
         _STATS["folds"] += 1
+    start = time.perf_counter()
     walk = recording.walks[key] = _Walker(
         recording, layout, protocol, optimized, warm).run()
+    _STATS["walk_s"] += time.perf_counter() - start
     _STATS["walks"] += 1
     return walk, False
 
@@ -722,8 +720,10 @@ def predict_grid(app, build_kwargs: dict | None = None, *, protocol: str,
     residuals = np.array([(0.0, 1.0, 0.0) if cal is None
                           else cal.for_protocol(protocol)
                           for cal in calibration]).T
+    start = time.perf_counter()
     wall_time, cycles, phase_rows = _assemble(
         walk, _CostGrid(configs, config.block_size, residuals))
+    _STATS["assemble_s"] += time.perf_counter() - start
     _STATS["points"] += len(configs)
     _STATS["groups"] += 1
     return GridPrediction(protocol, optimized, walk, cached, wall_time,

@@ -12,6 +12,7 @@ a local hit, software handler occupancy per message, cheap hardware barriers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -23,6 +24,12 @@ from repro.util.errors import ConfigError
 #: :class:`MachineConfig` fields
 SWEEP_AXES = ("protocol", "n_nodes", "block_size", "msg_latency",
               "per_byte_cost", "fault_cost", "handler_cost")
+
+
+#: the :class:`MachineConfig` fields that are cycle costs
+_COST_FIELDS = ("cache_hit_cost", "fault_cost", "handler_cost", "msg_latency",
+                "per_byte_cost", "bulk_msg_overhead", "presend_entry_cost",
+                "barrier_latency", "directory_lookup_cost")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -91,20 +98,12 @@ class MachineConfig:
             raise ConfigError(
                 f"page_size ({self.page_size}) must be >= block_size ({self.block_size})"
             )
-        for name in (
-            "cache_hit_cost",
-            "fault_cost",
-            "handler_cost",
-            "msg_latency",
-            "bulk_msg_overhead",
-            "presend_entry_cost",
-            "barrier_latency",
-            "directory_lookup_cost",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.per_byte_cost < 0:
-            raise ConfigError("per_byte_cost must be non-negative")
+        for name in _COST_FIELDS:
+            # NaN fails both comparisons
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and non-negative, got "
+                    f"{getattr(self, name)!r}")
 
     # -- derived quantities -------------------------------------------------
 

@@ -119,7 +119,7 @@ def assert_same_step(protocol, case):
     assert shape(sim_entry) == shape(walk_entry)
     for field in ("messages_sent", "bytes_sent"):
         assert [getattr(ns, field) for ns in m.stats.nodes] == (
-            walker.counters[field].tolist()), field
+            walker.counters[field]), field
     basis = (CFG.fault_cost, CFG.msg_latency,
              CFG.message_cost(CFG.block_size), CFG.handler_cost,
              CFG.directory_lookup_cost)

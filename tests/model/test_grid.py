@@ -210,6 +210,15 @@ class TestFoldAndWalkLifetime:
         assert ([len(f.events) for f in rec.folds[32].fold()]
                 != [len(f.events) for f in rec.folds[64].fold()])
 
+    def test_stage_seconds_count_and_reset(self):
+        clear_walk_cache()
+        predict_grid(water, TINY, protocol="predictive", optimized=True,
+                     configs=[CFG, CFG.with_(msg_latency=2000)])
+        stages = ("fold_s", "walk_s", "assemble_s")
+        assert all(model_info()[s] > 0 for s in stages)
+        clear_walk_cache()
+        assert all(model_info()[s] == 0 for s in stages)
+
     def test_keyless_recordings_do_not_share_walks(self):
         # both have key None: a table keyed on recording.key would serve
         # the first program's walk to the second

@@ -8,7 +8,7 @@ from repro.core import make_machine
 from repro.model.layout import LayoutModel
 from repro.cstar.recording import record_program, recording_key
 from repro.util import MachineConfig
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, SimulationError
 
 TINY = dict(n=16, iterations=2)
 CFG = MachineConfig(n_nodes=4, page_size=512)
@@ -62,6 +62,16 @@ class TestLayoutModel:
             if checked:
                 break  # one phase of agreement is representative
         assert checked > 0
+
+    def test_home_outside_every_region_raises(self):
+        # page 0 is reserved and nothing lies past the last region: the
+        # directory must never be handed a home for such a block
+        layout = LayoutModel(recording(), CFG.with_(block_size=32))
+        end = recording().addr_space.regions[-1].end // 32
+        assert layout.home(end - 1) >= 0
+        for block in (0, 512 // 32 - 1, end, -1):
+            with pytest.raises(SimulationError, match="in no region"):
+                layout.home(block)
 
     def test_node_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):

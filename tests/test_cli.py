@@ -419,6 +419,8 @@ class TestSweepCommand:
                      "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
+        assert re.search(r"^model: .*; fold \d+\.\d\ds, walk \d+\.\d\ds, "
+                         r"assemble \d+\.\d\ds$", out, re.M)
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("msg_latency,")
         assert len(lines) == 3
@@ -430,6 +432,8 @@ class TestSweepCommand:
                      "--out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
         assert doc["schema"] == "repro.sweep/v1"
+        # host seconds stay on the terminal, out of the document
+        assert "walk_s" not in out_path.read_text()
         assert [r["block_size"] for r in doc["rows"]] == [32, 64]
 
     def test_requires_axes(self, capsys):
@@ -459,6 +463,18 @@ class TestSweepAxisErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("backend", [[], ["--model"]],
+                             ids=["sim", "model"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cost_is_a_clean_error(self, backend, value, capsys):
+        assert main(["sweep", "water", *backend,
+                     "--axis", f"per_byte_cost=0.6,{value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (f"per_byte_cost must be finite and non-negative, got "
+                f"{value}") in err
         assert "Traceback" not in err
 
     def test_axis_lists_come_from_sweep_axes(self, capsys):

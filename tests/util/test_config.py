@@ -1,5 +1,7 @@
 """Tests for MachineConfig validation and derived costs."""
 
+import math
+
 import pytest
 
 from repro.util import ConfigError, MachineConfig
@@ -41,6 +43,20 @@ class TestValidation:
             MachineConfig(msg_latency=-1)
         with pytest.raises(ConfigError):
             MachineConfig(per_byte_cost=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "cache_hit_cost", "fault_cost", "handler_cost", "msg_latency",
+        "per_byte_cost", "bulk_msg_overhead", "presend_entry_cost",
+        "barrier_latency", "directory_lookup_cost"])
+    def test_rejects_non_finite_costs(self, name, value):
+        # a NaN or infinite cost would reach the engine's calendar and the
+        # model's walls as nan
+        with pytest.raises(ConfigError,
+                           match=f"{name} must be finite and non-negative"):
+            MachineConfig(**{name: value})
+        with pytest.raises(ConfigError):
+            MachineConfig().with_(**{name: value})
 
 
 class TestDerived:
