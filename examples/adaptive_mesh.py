@@ -50,7 +50,9 @@ def main() -> None:
 
     machine, _ = runs["optimized"]
     print("\nincremental schedule growth (new blocks per iteration):")
-    for d, sched in sorted(machine.protocol.schedules.items()):
+    for sched in sorted(machine.protocol.schedules.values(),
+                        key=lambda s: s.directive_id):
+        d = sched.directive_id
         growth = sched.additions_per_instance[1:]
         print(f"  directive {d}: start {growth[0] if growth else 0} blocks, "
               f"then +{growth[1:]}")

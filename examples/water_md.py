@@ -48,7 +48,9 @@ def main() -> None:
     stats = env.finish()
     assert np.abs(env.agg("pos").data[:, :3] - ref_pos).max() == 0.0
 
-    for d, sched in sorted(machine.protocol.schedules.items()):
+    for sched in sorted(machine.protocol.schedules.values(),
+                        key=lambda s: s.directive_id):
+        d = sched.directive_id
         adds = sched.additions_per_instance[1:]
         print(f"  directive {d}: schedule growth per iteration: {adds}"
               f"  (static pattern -> converges immediately)")

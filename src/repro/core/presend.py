@@ -71,11 +71,10 @@ class ScheduleLifecycle:
 
     def warm_seed(self, records) -> Iterator[CommSchedule]:
         """Install corpus records as starting schedules, yielding each one
-        that took.  They enter through the same :meth:`ScheduleStore.insert`
-        path a checkpoint restore uses.  Records that fail to decode are
-        skipped (corpus damage must never surface as a simulation
-        exception), and sites that already hold a schedule are left alone
-        (live learning outranks the corpus)."""
+        that took.  They enter through :meth:`ScheduleStore.insert`.
+        Records that fail to decode are skipped (corpus damage must never
+        surface as a simulation exception), and sites that already hold a
+        schedule are left alone (live learning outranks the corpus)."""
         for record in records or ():
             try:
                 sched = CommSchedule.from_record(record)

@@ -257,18 +257,6 @@ class CommSchedule:
     def conflict_blocks(self) -> list[int]:
         return sorted(b for b, e in self.entries.items() if e.kind is EntryKind.CONFLICT)
 
-    def snapshot(self) -> dict[int, tuple]:
-        """A canonical, instance-independent view of the learned entries.
-
-        Two schedules that learned the same access history — e.g. one evicted
-        and rebuilt from scratch — snapshot identically even though their
-        instance counters differ.
-        """
-        return {
-            b: (e.kind, frozenset(e.readers), e.writer)
-            for b, e in self.entries.items()
-        }
-
     # -- persistence (repro.corpus) -------------------------------------------
 
     def to_record(self) -> dict:
@@ -331,11 +319,9 @@ class ScheduleStore:
     Schedule memory on a real machine is finite; a long-running program with
     many directive sites must not grow it without bound.  Eviction is safe by
     construction — a schedule only *anticipates* communication, so losing one
-    merely costs first-execution faults while it is relearned (and
-    :meth:`CommSchedule.snapshot` lets tests check the relearned schedule is
-    identical).
+    merely costs first-execution faults while it is relearned.
 
-    Dict-flavoured reads (``in``, ``[]``, ``get``, ``values`` ...) do not
+    Dict-flavoured reads (``in``, ``[]``, ``get``, ``values``) do not
     touch recency; :meth:`fetch` is the use-and-touch accessor.
     """
 
@@ -381,8 +367,8 @@ class ScheduleStore:
         return sched
 
     def insert(self, sched: CommSchedule) -> None:
-        """Install a schedule as most-recently used (checkpoint restore,
-        corpus warm-start)."""
+        """Install a schedule as most-recently used (corpus warm-start, and
+        the tests' checkpoint restore)."""
         self._evicted_cooldowns.pop(sched.directive_id, None)
         self._store[sched.directive_id] = sched
         self._store.move_to_end(sched.directive_id)
@@ -402,12 +388,6 @@ class ScheduleStore:
     def get(self, directive_id: int, default=None):
         return self._store.get(directive_id, default)
 
-    def keys(self):
-        """Directive ids, least- to most-recently used."""
-        return self._store.keys()
-
     def values(self):
+        """The schedules, least- to most-recently used."""
         return self._store.values()
-
-    def items(self):
-        return self._store.items()

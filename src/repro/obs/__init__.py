@@ -4,10 +4,10 @@ The subsystem has four layers, each usable on its own:
 
 * :mod:`repro.obs.events` — a typed, timestamped **event bus**.  Every
   instrumented site in the engine, protocols, transport, schedule store,
-  and recovery layers emits through ``machine.obs``; the default sink is
-  :data:`~repro.obs.events.NULL_TRACER`, whose disabled flag short-circuits
-  every site to a single attribute check (see :mod:`repro.bench.overhead` for
-  the guard-cost bound the CI enforces).
+  and crash-recovery layers emits through ``machine.obs``; the default
+  sink is :data:`~repro.obs.events.NULL_TRACER`, whose disabled flag
+  short-circuits every site to a single attribute check (see
+  :mod:`repro.bench.overhead` for the guard-cost bound the CI enforces).
 * :mod:`repro.obs.metrics` — a **metrics registry** (counters, gauges,
   histograms with labels) that is mergeable across nodes and runs;
   :func:`~repro.obs.metrics.registry_from_run` folds a finished run's

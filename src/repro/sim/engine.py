@@ -183,8 +183,8 @@ class Engine(ABC):
     def pending(self) -> int:
         """Number of queued, not-yet-dispatched entries.
 
-        Quiescence checks call this at every phase barrier, and
-        checkpointing requires a zero to mean the queue is truly empty.
+        Quiescence checks call this at every phase barrier, and the tests'
+        checkpoint oracle requires a zero to mean the queue is truly empty.
         """
 
     @property
@@ -322,7 +322,7 @@ class CalendarEngine(Engine):
         ``inf``.  The batch length is re-read after every dispatch, since a
         step may cancel an entry of its own batch.  ``_dispatched``
         accumulates in a local and flushes in the ``finally`` — nothing
-        reads it mid-run (checkpointing requires quiescence).
+        reads it mid-run.
         """
         if self.policy is not None:
             return self._drain_policy(until, max_events)

@@ -230,32 +230,6 @@ class RunStats:
                     f"node {n.node}: categories sum to {n.total}, wall={self.wall_time}"
                 )
 
-    def phase_category_totals(self) -> dict[str, float]:
-        """Per-category cycles summed over all recorded phase breakdowns."""
-        totals: dict[str, float] = {}
-        for p in self.phases:
-            for key, cycles in p.cycles.items():
-                totals[key] = totals.get(key, 0.0) + cycles
-        return totals
-
-    def check_phase_conservation(self, tol: float = 1e-6) -> None:
-        """Assert the per-phase cycle breakdowns telescope to the node totals.
-
-        Each phase records the across-node delta of every category
-        accumulator, so summing the phases must reproduce the across-node
-        totals exactly (up to float tolerance).  Guards the schema the
-        analytical model predicts into.
-        """
-        phase_totals = self.phase_category_totals()
-        for c in TimeCategory:
-            node_total = sum(n.cycles[c] for n in self.nodes)
-            phase_total = phase_totals.get(c.value, 0.0)
-            if abs(node_total - phase_total) > tol * max(1.0, node_total):
-                raise AssertionError(
-                    f"category {c.value}: phases sum to {phase_total}, "
-                    f"nodes sum to {node_total}"
-                )
-
     def phase_rows(self) -> list[list[object]]:
         """Per-phase activity (name, wall, misses, hit rate) for reports."""
         return [

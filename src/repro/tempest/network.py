@@ -72,7 +72,8 @@ class Network:
         self.engine = engine
         self.config = config
         self._deliver: Callable[[Message, float], None] | None = None
-        # plain int rather than itertools.count so checkpoints can capture it
+        # plain int rather than itertools.count so the tests' checkpoint
+        # oracle can capture it
         self._next_msg_id = 0
         self.messages_delivered = 0
         self.bytes_delivered = 0

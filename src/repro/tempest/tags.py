@@ -43,8 +43,7 @@ class TagTable:
     its identity.
 
     The replay hot loop bypasses this API and reads ``_data`` directly;
-    everything else (protocols, checkpointing, the monitor) goes through
-    the methods.  Walks (:meth:`items`, :meth:`blocks_with_tag`) are in
+    everything else (protocols, the monitor) goes through the methods.  Walks (:meth:`items`, :meth:`blocks_with_tag`) are in
     ascending block order, so their consumers — crash recovery rebuilding
     home state, the invariant monitor — are deterministic.  The dict-backed
     table this is property-tested against lives in ``tests/oracle.py``.

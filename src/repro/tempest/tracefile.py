@@ -144,10 +144,11 @@ def replay_session(
     """Replay a recorded session on ``machine`` and return its statistics.
 
     ``finish=False`` skips the end-of-run close-out so the machine can be
-    checkpointed (:mod:`repro.recovery.checkpoint`) or continued with more
-    events; resuming a restored machine should also pass ``regions=[]`` —
-    the checkpoint already restored the region layout and tag state, and
-    re-running ``restore_regions`` would clobber it.
+    continued with more events, or snapshotted by the tests' checkpoint
+    oracle (``tests/checkpoint.py``); resuming a restored machine should
+    also pass ``regions=[]`` — the checkpoint already restored the region
+    layout and tag state, and re-running ``restore_regions`` would
+    clobber it.
     """
     if isinstance(session, tuple):
         events, rec_regions = session

@@ -1,7 +1,7 @@
 """Crash-safe file writes: write-temp + fsync + rename.
 
 Every artifact the toolchain persists for later runs to trust — bench
-snapshots, fault-script reproducer archives, machine checkpoints — must
+snapshots, fault-script reproducer archives, model calibrations — must
 never be observable half-written.  A plain
 ``open(path, "w").write(...)`` can tear on crash or power loss, leaving a
 truncated JSON document at the final path.  The pattern here is the

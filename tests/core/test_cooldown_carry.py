@@ -59,9 +59,9 @@ def test_insert_clears_stale_carry():
 
 def test_checkpoint_snapshot_preserves_carried_cooldowns():
     from repro.core import make_machine
-    from repro.recovery.checkpoint import (_restore_predictive,
-                                           _snapshot_predictive)
     from repro.util.config import MachineConfig
+
+    from tests.checkpoint import _restore_predictive, _snapshot_predictive
 
     cfg = MachineConfig(n_nodes=2)
     src = make_machine(cfg, "predictive")

@@ -64,7 +64,7 @@ def test_lru_order_matches_reference_model(seq, capacity):
     for d in seq:
         store.fetch(d)
     model = _reference_lru(seq, capacity)
-    assert list(store.keys()) == list(model.keys())
+    assert [s.directive_id for s in store.values()] == list(model.keys())
     assert store.evictions == len(set(seq)) - len(model) + _re_admissions(
         seq, capacity
     )
@@ -98,7 +98,7 @@ def test_reads_do_not_touch_recency(seq, capacity):
             store[d]
             store.get(d)
     model = _reference_lru(seq, capacity)
-    assert list(store.keys()) == list(model.keys())
+    assert [s.directive_id for s in store.values()] == list(model.keys())
 
 
 @settings(max_examples=150)
@@ -109,7 +109,7 @@ def test_evicted_schedule_relearns_identically(history, filler):
     first.begin_instance()
     for block, requester, kind in history:
         first.record(block, requester, kind)
-    original = first.snapshot()
+    original = first.to_record()
 
     for d in range(1, filler + 1):  # push directive 0 out
         store.fetch(d)
@@ -121,7 +121,7 @@ def test_evicted_schedule_relearns_identically(history, filler):
     relearned.begin_instance()
     for block, requester, kind in history:
         relearned.record(block, requester, kind)
-    assert relearned.snapshot() == original
+    assert relearned.to_record() == original
 
 
 @settings(max_examples=100)

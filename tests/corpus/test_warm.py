@@ -43,9 +43,10 @@ class TestWarmSeed:
         for record in records:
             expected.protocol.schedules.insert(CommSchedule.from_record(record))
 
-        got = {d: s.to_record() for d, s in warmed.protocol.schedules.items()}
-        want = {d: s.to_record()
-                for d, s in expected.protocol.schedules.items()}
+        got = {s.directive_id: s.to_record()
+               for s in warmed.protocol.schedules.values()}
+        want = {s.directive_id: s.to_record()
+                for s in expected.protocol.schedules.values()}
         assert got == want
 
     def test_warm_seed_skips_undecodable_records(self):

@@ -23,9 +23,9 @@ from repro.cstar.embedded import EmbeddedProgram, access
 from repro.cstar.runtime import CStarRuntime, Distribution
 from repro.model.layout import LayoutModel
 from repro.obs.events import EventKind, EventTrace
-from repro.recovery.checkpoint import snapshot_machine
 from repro.util import ConfigError, MachineConfig, SimulationError
 
+from tests.checkpoint import snapshot_machine
 from tests.helpers import oracle_machine
 
 BENCHMARKS = pathlib.Path(__file__).parent.parent.parent / "benchmarks"

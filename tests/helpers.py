@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core import make_machine
 from repro.core.factory import PROTOCOLS
+from repro.sim.stats import RunStats, TimeCategory
 from repro.tempest.machine import Machine, PhaseTrace
 from repro.tempest.tags import AccessTag
 from repro.util import MachineConfig
@@ -54,3 +55,25 @@ def idle_ops(n_nodes: int, busy: dict[int, list] | None = None) -> list[list]:
 
 def run_one_phase(m: Machine, busy: dict[int, list], name: str = "phase") -> None:
     m.run_phase(PhaseTrace(name, idle_ops(m.config.n_nodes, busy)))
+
+
+def check_phase_conservation(stats: RunStats, tol: float = 1e-6) -> None:
+    """Assert the per-phase cycle breakdowns telescope to the node totals.
+
+    Each phase records the across-node delta of every category
+    accumulator, so summing the phases must reproduce the across-node
+    totals exactly (up to float tolerance).  Guards the schema the
+    analytical model predicts into.
+    """
+    phase_totals: dict[str, float] = {}
+    for p in stats.phases:
+        for key, cycles in p.cycles.items():
+            phase_totals[key] = phase_totals.get(key, 0.0) + cycles
+    for c in TimeCategory:
+        node_total = sum(n.cycles[c] for n in stats.nodes)
+        phase_total = phase_totals.get(c.value, 0.0)
+        if abs(node_total - phase_total) > tol * max(1.0, node_total):
+            raise AssertionError(
+                f"category {c.value}: phases sum to {phase_total}, "
+                f"nodes sum to {node_total}"
+            )

@@ -18,7 +18,7 @@ from repro.model import predict
 from repro.tempest.machine import PhaseTrace
 from repro.util import MachineConfig
 
-from tests.helpers import small_machine
+from tests.helpers import check_phase_conservation, small_machine
 
 N_NODES = 3
 N_BLOCKS = 8
@@ -86,7 +86,7 @@ class TestSimConservation:
             stats = run_workload(protocol, plan, phases)
             # finish() already ran check_conservation; the phase schema
             # must telescope too
-            stats.check_phase_conservation()
+            check_phase_conservation(stats)
             assert len(stats.phases) == len(phases)
 
 
@@ -110,4 +110,4 @@ class TestModelConservation:
             pred = predict(app, kw, protocol=protocol, optimized=optimized,
                            config=config, variant=variant).stats
             pred.check_conservation()
-            pred.check_phase_conservation()
+            check_phase_conservation(pred)

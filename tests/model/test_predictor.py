@@ -11,6 +11,8 @@ from repro.sim.stats import TimeCategory
 from repro.util import MachineConfig
 from repro.util.errors import ConfigError
 
+from tests.helpers import check_phase_conservation
+
 # tiny but steal-free configurations: the walk reproduces the simulator's
 # counters exactly (coarse blocks with mid-phase ping-pong would not be)
 TINY = dict(n=24, iterations=2, work_scale=8.0)
@@ -151,7 +153,7 @@ class TestPredictionShape:
         pred = predict(water, dict(TINY), protocol="predictive",
                        optimized=True, config=CFG).stats
         pred.check_conservation()
-        pred.check_phase_conservation()
+        check_phase_conservation(pred)
 
     def test_phase_sequence_matches_sim(self):
         sim = sim_stats("stache", False)

@@ -15,7 +15,12 @@ import pytest
 from repro.apps import water
 from repro.core import make_machine
 from repro.faults import CRASH_PLANS, FaultPlan
-from repro.recovery.checkpoint import (
+from repro.tempest.tracefile import replay_session
+from repro.util import MachineConfig, SimulationError
+from repro.verify.interleave import FifoPolicy
+from repro.verify.workload import generate_workload
+
+from tests.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
     restore_into,
@@ -23,11 +28,6 @@ from repro.recovery.checkpoint import (
     save_checkpoint,
     snapshot_machine,
 )
-from repro.tempest.tracefile import replay_session
-from repro.util import MachineConfig, SimulationError
-from repro.verify.interleave import FifoPolicy
-from repro.verify.workload import generate_workload
-
 from tests.helpers import oracle_machine
 from tests.oracle import Call
 

@@ -23,10 +23,10 @@ import pytest
 
 from repro.core.factory import make_machine
 from repro.faults.plan import BUNDLED_PLANS, CRASH_PLANS
-from repro.recovery.checkpoint import snapshot_machine
 from repro.tempest.tracefile import replay_session
 from repro.verify.workload import ALL_PROTOCOLS, generate_workload
 
+from tests.checkpoint import snapshot_machine
 from tests.helpers import oracle_machine
 
 #: one representative of each fault regime the campaign distinguishes

@@ -18,7 +18,6 @@ import pytest
 from repro.core.factory import PROTOCOLS, make_machine
 from repro.faults.plan import BUNDLED_PLANS, CRASH_PLANS
 from repro.protocols.stache import StacheProtocol
-from repro.recovery.checkpoint import snapshot_machine
 from repro.sim.engine import CalendarEngine
 from repro.tempest.machine import Machine, ReplayProcessor
 from repro.tempest.tags import TagTable
@@ -34,6 +33,7 @@ from repro.verify.monitor import CoherenceViolation
 from repro.verify.oracle import run_workload
 from repro.verify.workload import ALL_PROTOCOLS, generate_workload
 
+from tests.checkpoint import snapshot_machine
 from tests.helpers import oracle_machine, run_one_phase
 from tests.verify.test_fuzz import DroppedAck
 

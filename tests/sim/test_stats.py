@@ -98,7 +98,7 @@ class TestPhaseBreakdownRoundTrip:
         back = RunStats.from_dict(rs.to_dict())
         assert len(back.phases) == 1
         assert back.phases[0] == rs.phases[0]
-        assert back.phase_category_totals() == rs.phase_category_totals()
+        assert [p.cycles for p in back.phases] == [p.cycles for p in rs.phases]
 
     def test_json_serializable(self):
         import json

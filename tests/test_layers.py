@@ -3,7 +3,7 @@
 Every ``repro`` package sits on one layer, bottom to top::
 
     util < sim < obs < farm < tempest < protocols < core < corpus < cstar
-         < apps < model < verify < faults < recovery < bench < cli
+         < apps < model < verify < faults < bench < cli
 
 and may import only from its own layer and the ones below it — at any
 depth of a file, so deferred (function-level) and ``if TYPE_CHECKING:``
@@ -23,8 +23,9 @@ The other rules, each checked on the source with ``ast`` or ``tokenize``:
   per-worker decks, the segment-log corpus, the ``fast`` timing switch,
   the per-home schedule scan, the engine's second entry kind (``Event``
   and the closure-scheduling ``schedule`` / ``schedule_after`` /
-  ``schedule_node_event``), and the model walk's hand-mirrored copies of
-  the predictive protocol.
+  ``schedule_node_event``), the model walk's hand-mirrored copies of
+  the predictive protocol, and the ``repro.recovery`` package (checkpoint
+  and restore are the tests' oracle, ``tests/checkpoint.py``).
   They are matched on code tokens and string literals, never on comments.
 * The stable directory step is stated once, on ``DirEntry``: no file under
   ``model/``, ``core/`` or ``protocols/`` but ``protocols/directory.py``
@@ -50,8 +51,8 @@ ENGINE = REPRO / "sim" / "engine.py"
 #: the layers, bottom to top; ``repro/__init__.py`` re-exports ``util``
 #: names, and ``cli.py`` / ``__main__.py`` are the top
 LAYERS = ("util", "sim", "obs", "farm", "tempest", "protocols", "core",
-          "corpus", "cstar", "apps", "model", "verify", "faults",
-          "recovery", "bench", "cli")
+          "corpus", "cstar", "apps", "model", "verify", "faults", "bench",
+          "cli")
 
 #: imports allowed to point up, as {(file under src/, module): reason}; a
 #: stale entry fails the test
@@ -219,6 +220,8 @@ RETIRED: dict[str, tuple[str, ...]] = {
         "seg-*", "_recover_tail", "fcntl", "CORPUS_MAGIC", "max_bytes",
         "CORPUS_HIT", "CORPUS_MISS", "CORPUS_STORE", "CORPUS_QUARANTINE",
         "CORPUS_EVICT", "CORPUS_RECOVER", "CORPUS_FALLBACK",
+        # checkpoint/restore is the tests' oracle (tests/checkpoint.py)
+        "repro.recovery",
     ),
 }
 
@@ -437,14 +440,14 @@ class TestRulesCatch:
             "        from repro.faults.inject import FaultInjector\n"
             "        import repro.obs.events\n"
             "        from . import network\n"
-            "        from ..recovery import checkpoint\n"
+            "        from ..cli import main\n"
             "        from repro import bench, util\n"
         )
         assert sorted(upward_imports(path, "repro.tempest.machine")) == [
             (4, "repro.protocols.base"),
             (6, "repro.verify.interleave"),
             (9, "repro.faults.inject"),
-            (12, "repro.recovery"),
+            (12, "repro.cli"),
             (13, "repro.bench"),
         ]
 
@@ -537,6 +540,7 @@ class TestRulesCatch:
         "k = EventKind.CORPUS_EVICT",
         "k = EventKind.CORPUS_RECOVER",
         "k = EventKind.CORPUS_FALLBACK",
+        "from repro.recovery.checkpoint import snapshot_machine",
         "doc = f'{n} FastEngine dispatches'",
     ]
 
