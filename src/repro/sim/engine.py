@@ -35,17 +35,17 @@ globally in increasing order, every slot list is seq-ascending by
 construction and never needs sorting; a whole same-timestamp batch
 dispatches with one dict pop and one heap pop.
 
-Two drains, one queue
----------------------
+One drain
+---------
 
 Same-timestamp entries are semantically unordered, and a slot *is* that
-frontier: every entry at the earliest time, in seq order.  With no
-:class:`TieBreakPolicy` installed the slot is dispatched front to back as
-one batch (:meth:`CalendarEngine._drain`, FIFO); with one installed, each
-dispatch is ``policy.pick`` over the slot's remainder
-(:meth:`CalendarEngine._drain_policy`) — see :mod:`repro.verify.interleave`
-for what a choice point and the concrete policies are.  Both drains
-dispatch an entry the same way.
+frontier: every entry at the earliest time, in seq order.
+:meth:`CalendarEngine._drain` dispatches each slot front to back as one
+batch.  With a :class:`TieBreakPolicy` installed, the same loop first
+moves entries queued at the slot time into the batch, then, only where two
+or more remain, asks ``policy.pick`` which of them goes next — see
+:mod:`repro.verify.interleave` for what a choice point and the concrete
+policies are.
 
 Cancellation removes
 --------------------
@@ -77,21 +77,21 @@ class TieBreakPolicy:
     """
 
     def __init__(self) -> None:
-        #: index chosen at each choice point (frontier size 1 is skipped)
+        #: index chosen at each choice point
         self.choices: list[int] = []
         #: frontier size at each recorded choice point
         self.frontiers: list[int] = []
 
-    def choose(self, frontier: list[tuple]) -> int:  # pragma: no cover - abstract
+    def choose(self, width: int) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def pick(self, frontier: list[tuple]) -> int:
-        """Record-keeping wrapper around :meth:`choose`."""
-        if len(frontier) == 1:
-            return 0
-        i = self.choose(frontier)
+    def pick(self, width: int) -> int:
+        """Record-keeping wrapper around :meth:`choose`: an index into a
+        frontier of ``width >= 2`` entries (the engine never asks about
+        one entry alone)."""
+        i = self.choose(width)
         self.choices.append(i)
-        self.frontiers.append(len(frontier))
+        self.frontiers.append(width)
         return i
 
     def describe(self) -> str:
@@ -209,17 +209,17 @@ class CalendarEngine(Engine):
     def __init__(self, default_max_events: int | None = None,
                  policy: TieBreakPolicy | None = None) -> None:
         super().__init__(default_max_events)
-        #: tie-break policy over same-timestamp entries; None is FIFO, on
-        #: the batched drain (which never consults a policy)
+        #: tie-break policy over same-timestamp entries, consulted only at
+        #: choice points; None is FIFO
         self.policy = policy
         #: time -> non-empty, seq-ascending list of (obj, token)
         self._slots: dict[float, list] = {}
         #: heap of slot times; a time whose slot is gone is stale
         self._times: list[float] = []
-        #: batch currently being dispatched (run() in progress), or None;
-        #: peek_time/pending/cancel must see its not-yet-dispatched remainder
+        #: batch currently being dispatched at ``now`` (run() in progress),
+        #: or None; peek_time/pending/cancel must see its not-yet-dispatched
+        #: remainder
         self._cur_list: list | None = None
-        self._cur_time: float = 0.0
         self._cur_idx: int = 0
 
     # -- queueing ------------------------------------------------------------
@@ -270,7 +270,7 @@ class CalendarEngine(Engine):
                         del self._slots[time]
                     return
         lst = self._cur_list
-        if lst is not None and time == self._cur_time:
+        if lst is not None and time == self.now:
             for k in range(self._cur_idx, len(lst)):
                 if lst[k] is entry:
                     del lst[k]
@@ -293,7 +293,7 @@ class CalendarEngine(Engine):
         of the queue, as same-timestamp entries still in the heap would be."""
         lst = self._cur_list
         if lst is not None and self._cur_idx < len(lst):
-            return self._cur_time
+            return self.now
         return self._peek_future()
 
     @property
@@ -309,23 +309,25 @@ class CalendarEngine(Engine):
     def _drain(self, until: float | None, max_events: int | None) -> int:
         """Dispatch entries in (time, seq) order until the queue empties.
 
-        The :meth:`Engine.run` contract, on either drain: the ``until``
-        cutoff leaves the first later entry queued, the ``max_events``
-        guard raises *after* the offending dispatch, and the idle clock
-        advances to ``until`` when the queue drains.  An installed
-        tie-break policy selects :meth:`_drain_policy`; the rest of this
-        method is the FIFO drain.
+        The :meth:`Engine.run` contract: the ``until`` cutoff leaves the
+        first later entry queued, the ``max_events`` guard raises *after*
+        the offending dispatch, and the idle clock advances to ``until``
+        when the queue drains.
 
-        An entry followed by another in its slot gets the slot time as its
-        horizon (with non-negative op charges a processor then runs
-        exactly one op); the slot's last entry gets the next slot time, or
-        ``inf``.  The batch length is re-read after every dispatch, since a
-        step may cancel an entry of its own batch.  ``_dispatched``
-        accumulates in a local and flushes in the ``finally`` — nothing
-        reads it mid-run.
+        Each slot is claimed as one batch.  An entry followed by another in
+        its batch gets the slot time as its horizon (with non-negative op
+        charges a processor then runs exactly one op); the batch's last
+        entry gets the next slot time, or ``inf``.  The batch length is
+        re-read after every dispatch, since a step may cancel an entry of
+        its own batch.  Under a policy, entries queued at the slot time
+        during the batch move to its end before each dispatch, so the
+        remainder is the frontier in seq order; at a choice point (two or
+        more left) the entry ``policy.pick`` names is taken out of the
+        remainder and dispatched, and the rest keep their order.
+        ``_dispatched`` accumulates in a local and flushes in the
+        ``finally`` — nothing reads it mid-run.
         """
-        if self.policy is not None:
-            return self._drain_policy(until, max_events)
+        policy = self.policy
         dispatched = 0
         limit = (1 << 62) if max_events is None else max_events
         slots, times = self._slots, self._times
@@ -346,19 +348,33 @@ class CalendarEngine(Engine):
                     break
                 if until is not None and t > until:
                     break
-                # take the whole same-timestamp batch in one pop; entries
-                # queued at t *during* the batch open a fresh slot and join
-                # the next iteration (same (time, seq) order as the heap)
+                # take the whole same-timestamp batch in one pop; without a
+                # policy, entries queued at t *during* the batch open a
+                # fresh slot and join the next iteration (same (time, seq)
+                # order as the heap)
                 del slots[t]
                 heappop(times)
-                self._cur_time = t
                 self._cur_list = lst
                 self.now = t
                 i = 0
                 try:
                     while i < len(lst):
-                        e = lst[i]
-                        i += 1
+                        if policy is None:
+                            e = lst[i]
+                            i += 1
+                        else:
+                            if t in slots:
+                                # queued at t during the batch: nothing is
+                                # earlier, so the heap's top is this t
+                                lst += slots.pop(t)
+                                heappop(times)
+                            width = len(lst) - i
+                            k = policy.pick(width) if width > 1 else 0
+                            if k:
+                                e = lst.pop(i + k)
+                            else:
+                                e = lst[i]
+                                i += 1
                         self._cur_idx = i
                         if i < len(lst):
                             horizon = t
@@ -389,11 +405,11 @@ class CalendarEngine(Engine):
                             )
                 finally:
                     self._cur_list = None
-                    rem = lst[i:]
-                    if rem:
+                    if i < len(lst):
                         # an exception unwound mid-batch: restore the
                         # undispatched remainder so the queue state matches
                         # the reference engine's (entries stay in the heap)
+                        rem = lst[i:]
                         existing = slots_get(t)
                         if existing is None:
                             slots[t] = rem
@@ -402,63 +418,6 @@ class CalendarEngine(Engine):
                             # entries queued at t during the batch carry
                             # higher seqs, so remainder-first keeps order
                             slots[t] = rem + existing
-            if until is not None and self.now < until and exhausted:
-                self.now = until
-        finally:
-            self._dispatched += dispatched
-        return dispatched
-
-    def _drain_policy(self, until: float | None, max_events: int | None) -> int:
-        """The drain under a tie-break policy: one ``policy.pick`` per dispatch.
-
-        The earliest slot stays in the table while it drains, so its
-        remainder — plus anything a step queues at the same timestamp — is
-        the frontier the next pick chooses among, in seq order.  The chosen
-        entry is dispatched as on the FIFO drain: while losers remain the
-        horizon is the slot's own time, which pins a processor to one op
-        before it re-yields into the frontier.
-        """
-        policy = self.policy
-        slots, times = self._slots, self._times
-        peek_future = self._peek_future
-        limit = (1 << 62) if max_events is None else max_events
-        dispatched = 0
-        exhausted = False
-        try:
-            while True:
-                t = peek_future()
-                if t is None:
-                    exhausted = True
-                    break
-                if until is not None and t > until:
-                    break
-                slot = slots[t]
-                e = slot.pop(policy.pick(slot))
-                self.now = t
-                if slot:
-                    horizon = t  # the losers pin the horizon
-                else:
-                    del slots[t]
-                    heappop(times)
-                    horizon = peek_future()
-                    if horizon is None:
-                        horizon = inf
-                r = e[0].step(horizon, e[1])
-                if r is not None:
-                    # re-yield: same tuple, one new seq
-                    self._seq += 1
-                    later = slots.get(r)
-                    if later is None:
-                        slots[r] = [e]
-                        heappush(times, r)
-                    else:
-                        later.append(e)
-                dispatched += 1
-                if dispatched >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a livelocked model"
-                    )
             if until is not None and self.now < until and exhausted:
                 self.now = until
         finally:

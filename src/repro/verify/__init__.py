@@ -26,7 +26,6 @@ from repro.verify.fuzz import (
     verify_trace_file,
 )
 from repro.verify.interleave import (
-    DfsPolicy,
     FifoPolicy,
     ReplayPolicy,
     SeededRandomPolicy,
@@ -53,7 +52,6 @@ from repro.verify.workload import (
 __all__ = [
     "ALL_PROTOCOLS",
     "CoherenceViolation",
-    "DfsPolicy",
     "FifoPolicy",
     "FuzzReport",
     "INVALIDATE_PROTOCOLS",

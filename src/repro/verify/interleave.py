@@ -12,10 +12,10 @@ on the engine (``make_machine(..., policy=...)``,
 * :class:`SeededRandomPolicy` — a seeded pseudo-random pick at every choice
   point, so one seed names one complete interleaving;
 * :class:`ReplayPolicy` — follow a recorded choice list, then fall back to
-  FIFO; this is what makes violation traces replayable and shrinkable;
-* :class:`DfsPolicy` — used by :func:`explore_dfs` to enumerate distinct
-  interleavings systematically (bounded depth-first search over choice
-  points, in the stateless-model-checking style).
+  FIFO; this is what makes violation traces replayable and shrinkable, and
+  what :func:`explore_dfs` runs to enumerate distinct interleavings
+  systematically (bounded depth-first search over choice points, in the
+  stateless-model-checking style).
 
 Every policy records its decisions in ``choices`` and the number of ready
 events it chose among in ``frontiers``; together with the workload seed this
@@ -59,7 +59,7 @@ from repro.sim.engine import TieBreakPolicy
 class FifoPolicy(TieBreakPolicy):
     """The base engine's deterministic order: lowest sequence number first."""
 
-    def choose(self, frontier: list[tuple]) -> int:
+    def choose(self, width: int) -> int:
         return 0
 
 
@@ -71,8 +71,8 @@ class SeededRandomPolicy(TieBreakPolicy):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def choose(self, frontier: list[tuple]) -> int:
-        return self._rng.randrange(len(frontier))
+    def choose(self, width: int) -> int:
+        return self._rng.randrange(width)
 
     def describe(self) -> str:
         return f"SeededRandomPolicy(seed={self.seed})"
@@ -91,19 +91,15 @@ class ReplayPolicy(TieBreakPolicy):
         self.schedule = list(schedule)
         self._cursor = 0
 
-    def choose(self, frontier: list[tuple]) -> int:
+    def choose(self, width: int) -> int:
         if self._cursor < len(self.schedule):
-            i = min(self.schedule[self._cursor], len(frontier) - 1)
+            i = min(self.schedule[self._cursor], width - 1)
             self._cursor += 1
             return i
         return 0
 
     def describe(self) -> str:
         return f"ReplayPolicy({self.schedule})"
-
-
-class DfsPolicy(ReplayPolicy):
-    """ReplayPolicy that keeps recording after the prefix (for DFS search)."""
 
 
 def explore_dfs(
@@ -123,7 +119,7 @@ def explore_dfs(
     executed = 0
     while stack and executed < max_runs:
         prefix = stack.pop()
-        policy = DfsPolicy(prefix)
+        policy = ReplayPolicy(prefix)
         result = run(policy)
         executed += 1
         # Branch on every choice point this run passed beyond its prefix:

@@ -89,10 +89,10 @@ def run_workload(
     :class:`repro.obs.events.Tracer` (``machine.attach_tracer``) so fault
     campaigns can export event timelines.  The engine follows the policy:
     FIFO tie-breaking (``None`` or a plain :class:`FifoPolicy`) installs
-    none — the engine's batched drain dispatches in exactly that order and
+    none — the engine's one drain dispatches in exactly that order and
     there are no choices to record; any exploratory or replay policy is
-    installed on the engine (:func:`make_machine`), which then consults it
-    at every choice point.  ``warm`` optionally seeds corpus
+    installed on the engine (:func:`make_machine`), and the same drain
+    consults it only at choice points.  ``warm`` optionally seeds corpus
     schedule records into the protocol before the run (see
     :meth:`PredictiveProtocol.warm_seed`); ``harvest=True`` collects the
     learned schedules into ``Observables.harvest`` afterwards so the

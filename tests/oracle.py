@@ -141,8 +141,9 @@ class HeapExplorerEngine(HeapEngine):
         while self._queue and self._queue[0][0] == t:
             frontier.append(heapq.heappop(self._queue))
         # heap pops arrive in (time, seq) order, so the frontier is already
-        # sorted by seq — choice indices are therefore stable across replays
-        i = self.policy.pick([item[2] for item in frontier])
+        # sorted by seq — choice indices are therefore stable across replays;
+        # a lone entry is no choice point, so the policy is not asked
+        i = self.policy.pick(len(frontier)) if len(frontier) > 1 else 0
         chosen = frontier.pop(i)
         for item in frontier:
             heapq.heappush(self._queue, item)

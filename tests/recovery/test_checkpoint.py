@@ -46,7 +46,7 @@ def _run_full(workload, protocol, plan=None):
 
 
 def _policy_machine(config, protocol):
-    """Production machine on the policy drain (FIFO picks: same order)."""
+    """Production machine with a FIFO policy installed (same order)."""
     return make_machine(config, protocol, policy=FifoPolicy())
 
 
@@ -135,7 +135,8 @@ class TestInterruptedReplay:
     def test_resume_crosses_timing_paths(self, plan, before, after):
         """Checkpoints are representation-independent: a snapshot taken on
         the reference simulator resumes bit-identically in production, and
-        one taken on either drain resumes bit-identically on the other."""
+        one taken with a FIFO policy installed resumes bit-identically
+        without one, and back."""
         w = generate_workload(0)
         for proto in w.protocols:
             _, resumed = _run_interrupted(w, proto, plan=plan,

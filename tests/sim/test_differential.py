@@ -129,8 +129,8 @@ def test_real_apps(app_name, kwargs, protocol, optimized):
 
 
 def test_oracle_matches_production():
-    """run_workload on the FIFO drain observes exactly what it observes
-    on the policy drain under a FIFO replay."""
+    """run_workload with no policy observes exactly what it observes
+    with a FIFO replay policy consulted at every choice point."""
     from repro.verify.interleave import ReplayPolicy
     from repro.verify.oracle import run_workload
 

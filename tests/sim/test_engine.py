@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import CalendarEngine
 from repro.util import SimulationError
-from repro.verify.interleave import FifoPolicy
+from repro.verify.interleave import FifoPolicy, SeededRandomPolicy
+from repro.verify.oracle import run_workload
+from repro.verify.workload import generate_workload
 
 from tests.oracle import Call, HeapEngine, HeapExplorerEngine
 
@@ -206,7 +208,7 @@ class Stepper:
         return self.returns.pop(0) if self.returns else None
 
 
-#: both drains dispatch a step entry the same way
+#: the drain dispatches a step entry the same way with or without a policy
 DRAINS = pytest.mark.parametrize("policy", [None, FifoPolicy],
                                  ids=["fifo", "policy"])
 
@@ -289,7 +291,7 @@ class TestStepEntries:
                    for _, _, token in s.calls)
 
 
-#: the calendar queue on both drains and the heap oracle, each with and
+#: the calendar queue and the heap oracle, each with and
 #: without a tie-break policy (FifoPolicy records every frontier it sees)
 QUEUES = pytest.mark.parametrize("make", [
     pytest.param(CalendarEngine, id="calendar-fifo"),
@@ -364,7 +366,7 @@ class TestCancelRemoves:
     @QUEUES
     def test_cancel_emptying_a_slot_queued_mid_batch(self, make):
         """The victim is queued at the current time by the first dispatch
-        (a fresh slot on the FIFO drain, the live frontier on a policy)
+        (a fresh slot without a policy, moved into the batch under one)
         and cancelled by the second, which empties its slot."""
         eng = make()
         seen, victim = [], []
@@ -402,3 +404,58 @@ class TestCancelRemoves:
         assert eng.pending == 0
         eng.cancel(5.0, keep)
         assert eng.total_dispatched == 3
+
+
+class CountingPolicy(SeededRandomPolicy):
+    """A seeded policy that refuses a frontier of fewer than two entries
+    and counts the times it is asked."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def pick(self, width):
+        if width < 2:
+            raise AssertionError(f"asked to pick among {width} entry")
+        self.calls += 1
+        return super().pick(width)
+
+
+class TestOneDrain:
+    """Under a policy the batch loop asks ``pick`` at choice points and
+    nowhere else, and still orders like the heap explorer."""
+
+    @staticmethod
+    def _program(eng, seen):
+        def mark(name, *queue):
+            def fn():
+                seen.append(name)
+                for dt, label in queue:
+                    at(eng, eng.now + dt, mark(label))
+            return fn
+
+        at(eng, 1.0, mark("lone"))
+        at(eng, 2.0, mark("a", (0.0, "a-now"), (0.0, "a-now2")))
+        at(eng, 2.0, mark("b", (2.0, "b-later")))
+        at(eng, 2.0, mark("c"))
+        at(eng, 3.0, mark("d", (0.0, "d-now")))  # a singleton, then another
+        at(eng, 4.0, mark("e"))
+
+    def test_policy_is_consulted_only_at_choice_points(self):
+        for seed in range(8):
+            orders = []
+            for make in (lambda p: CalendarEngine(policy=p),
+                         HeapExplorerEngine):
+                policy = CountingPolicy(seed)
+                eng = make(policy)
+                seen = []
+                self._program(eng, seen)
+                assert eng.run() == 10
+                assert policy.calls == len(policy.choices) > 0
+                orders.append((seen, policy.choices, policy.frontiers))
+            assert orders[0] == orders[1]
+            assert orders[0][2][0] == 3  # a, b and c tie at 2.0
+
+        policy = CountingPolicy(5)
+        run_workload(generate_workload(2), "stache", policy)
+        assert policy.calls == len(policy.choices) > 0

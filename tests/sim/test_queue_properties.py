@@ -8,7 +8,7 @@ through the reference heap engine (``tests/oracle.py``) and the production
 :class:`~repro.sim.engine.CalendarEngine`.  The observed dispatch
 sequence ``(event id, now)``, final clock, dispatch counters, pending
 counts, and raised errors must all be identical — under FIFO order, and
-under a tie-break policy (heap explorer vs. the calendar's policy drain),
+under a tie-break policy (heap explorer vs. the calendar under a policy),
 where the policy's recorded ``choices`` and ``frontiers`` must agree too.
 """
 

@@ -24,7 +24,6 @@ from repro.tempest.tags import TagTable
 from repro.tempest.tracefile import replay_session
 from repro.util.config import MachineConfig
 from repro.verify.interleave import (
-    DfsPolicy,
     FifoPolicy,
     ReplayPolicy,
     SeededRandomPolicy,
@@ -78,7 +77,7 @@ class TestRunWorkloadFollowsThePolicy:
         run_workload(generate_workload(0), "stache", policy, max_events=123_456)
         (machine,) = built
         assert machine.engine.default_max_events == 123_456
-        _assert_the_one_simulator(machine)  # no policy installed: FIFO drain
+        _assert_the_one_simulator(machine)  # no policy installed: FIFO order
 
     @pytest.mark.parametrize("policy_factory", [
         lambda: SeededRandomPolicy(7), lambda: ReplayPolicy([1, 0]),
@@ -120,7 +119,7 @@ POLICIES = {
     "seeded-random": lambda seed: SeededRandomPolicy(1000 + seed),
     "replay": lambda seed: ReplayPolicy(
         [random.Random(seed).randrange(6) for _ in range(40)]),
-    "dfs": lambda seed: DfsPolicy([1, 0, 2, 1]),
+    "dfs": lambda seed: ReplayPolicy([1, 0, 2, 1]),
 }
 PLANS = {None: None, "chaos": BUNDLED_PLANS["chaos"],
          "crash-storm": CRASH_PLANS["crash-storm"]}

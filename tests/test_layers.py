@@ -222,6 +222,9 @@ RETIRED: dict[str, tuple[str, ...]] = {
         "CORPUS_EVICT", "CORPUS_RECOVER", "CORPUS_FALLBACK",
         # checkpoint/restore is the tests' oracle (tests/checkpoint.py)
         "repro.recovery",
+        # one drain consults the policy at choice points; explore_dfs runs
+        # a ReplayPolicy
+        "_drain_policy", "DfsPolicy",
     ),
 }
 
@@ -541,6 +544,8 @@ class TestRulesCatch:
         "k = EventKind.CORPUS_RECOVER",
         "k = EventKind.CORPUS_FALLBACK",
         "from repro.recovery.checkpoint import snapshot_machine",
+        "return self._drain_policy(until, max_events)",
+        "policy = DfsPolicy(prefix)",
         "doc = f'{n} FastEngine dispatches'",
     ]
 

@@ -1,10 +1,9 @@
-"""Tests for tie-break policies, the engine's policy drain, and DFS enumeration."""
+"""Tests for tie-break policies, the engine's drain under a policy, and DFS enumeration."""
 
 import pytest
 
 from repro.sim.engine import CalendarEngine
 from repro.verify import (
-    DfsPolicy,
     FifoPolicy,
     ReplayPolicy,
     SeededRandomPolicy,
@@ -15,9 +14,9 @@ from repro.verify import (
 
 from tests.oracle import Call
 
-# policies only inspect len(frontier); opaque placeholders suffice for units
-F2 = ["a", "b"]
-F3 = ["a", "b", "c"]
+# a policy chooses by the frontier's width alone
+F2 = 2
+F3 = 3
 
 
 class TestPolicies:
@@ -27,10 +26,15 @@ class TestPolicies:
         assert p.choices == [0, 0, 0]
 
     def test_singleton_frontier_is_not_a_choice_point(self):
+        """The engine asks the policy only where two entries tie: one
+        entry alone at each of two times records nothing."""
         p = SeededRandomPolicy(0)
-        p.pick(["only"])
-        assert p.choices == []
-        assert p.frontiers == []
+        engine = CalendarEngine(policy=p)
+        for t in (1.0, 2.0, 3.0, 3.0):
+            engine.push_step(t, Call(lambda: None))
+        assert engine.run() == 4
+        assert p.frontiers == [2]
+        assert len(p.choices) == 1
 
     def test_seeded_policy_is_reproducible(self):
         a, b = SeededRandomPolicy(42), SeededRandomPolicy(42)
@@ -62,7 +66,7 @@ class TestPolicies:
 
 class TestExplorerEngine:
     def test_fifo_policy_matches_base_engine(self):
-        """With FifoPolicy the policy drain is behaviourally the FIFO drain."""
+        """With FifoPolicy the drain dispatches as with no policy."""
         order_base, order_exp = [], []
         for engine, order in [(CalendarEngine(), order_base),
                               (CalendarEngine(policy=FifoPolicy()), order_exp)]:
@@ -149,7 +153,7 @@ class TestWorkloadExploration:
         assert obs.stats is not None
 
     def test_dfs_policy_records_beyond_prefix(self):
-        p = DfsPolicy([1])
+        p = ReplayPolicy([1])
         p.pick(F3)
         p.pick(F3)
         assert p.choices == [1, 0]
