@@ -13,12 +13,19 @@ highlights:
 Run:  python examples/adaptive_mesh.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.apps import adaptive
 from repro.core import make_machine
 from repro.sim import TimeCategory
 from repro.util import MachineConfig
+
+# the sequential reference numerics live with this checkout's tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.apps.reference import adaptive_reference  # noqa: E402
 
 PARAMS = dict(size=16, iterations=10, threshold=0.05, work_scale=8.0)
 CFG = MachineConfig(n_nodes=8, page_size=512, block_size=32)
@@ -27,7 +34,7 @@ CFG = MachineConfig(n_nodes=8, page_size=512, block_size=32)
 def main() -> None:
     print("sequential reference for validation ...")
     ref_params = {k: v for k, v in PARAMS.items() if k != "work_scale"}
-    ref_mesh, ref_level, _ = adaptive.reference(**ref_params)
+    ref_mesh, ref_level, _ = adaptive_reference(**ref_params)
     print(f"  refined cells: {(ref_level > 0).sum()} "
           f"(level 2: {(ref_level == 2).sum()})")
 

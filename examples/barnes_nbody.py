@@ -13,11 +13,18 @@ center-of-mass loop's schedule hoisted (the paper's Figure 4).
 Run:  python examples/barnes_nbody.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.apps import barnes
 from repro.core import make_machine
 from repro.util import MachineConfig
+
+# the sequential reference numerics live with this checkout's tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.apps.reference import barnes_reference  # noqa: E402
 
 PARAMS = dict(n=96, iterations=3, vel_scale=1.0, dt=0.15, work_scale=5.0)
 BASE = MachineConfig(n_nodes=8, page_size=1024, per_byte_cost=1.15)
@@ -30,7 +37,7 @@ def main() -> None:
     print(placement.describe())
 
     ref_params = {k: v for k, v in PARAMS.items() if k != "work_scale"}
-    ref_pos, _ = barnes.reference(**ref_params)
+    ref_pos, _ = barnes_reference(**ref_params)
     rows = []
     for label, protocol, optimized, block, variant in [
         ("C** unopt (32 B)", "stache", False, 32, "cstar"),

@@ -17,11 +17,18 @@ version whose private-partial merge traffic the C** formulation avoids.
 Run:  python examples/water_md.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.apps import water
 from repro.core import make_machine
 from repro.util import MachineConfig
+
+# the sequential reference numerics live with this checkout's tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.apps.reference import water_reference  # noqa: E402
 
 PARAMS = dict(n=64, iterations=6, work_scale=20.0)
 CFG = MachineConfig(n_nodes=8, page_size=512, block_size=32)
@@ -39,7 +46,7 @@ def miss_timeline(machine) -> list[int]:
 
 
 def main() -> None:
-    ref_pos, _ = water.reference(n=PARAMS["n"], iterations=PARAMS["iterations"])
+    ref_pos, _ = water_reference(n=PARAMS["n"], iterations=PARAMS["iterations"])
 
     print("predictive protocol on a static repetitive pattern:")
     program = water.build(**PARAMS)

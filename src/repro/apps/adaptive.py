@@ -45,6 +45,8 @@ from repro.cstar.runtime import RowBlock2D
 
 DEFAULTS = dict(size=16, iterations=10, threshold=0.08, work_scale=1.0)
 PAPER_SCALE = dict(size=128, iterations=100, threshold=0.08)
+#: the app variants: Adaptive has only its C** program
+VARIANTS = ("cstar",)
 
 MAX_LEVEL = 2
 #: quad-tree layout per cell: nodes 0..3 are depth-1 quadrants, 4..19 are
@@ -239,58 +241,3 @@ def build(
     )
     return prog
 
-
-def reference(
-    size: int = DEFAULTS["size"],
-    iterations: int = DEFAULTS["iterations"],
-    threshold: float = DEFAULTS["threshold"],
-):
-    """Sequential reference with identical phase/snapshot semantics.
-
-    Returns (mesh, level, tree) arrays.
-    """
-    n = size
-    mesh = np.zeros((n, n))
-    mesh[:, 0] = 1.0
-    level = np.zeros((n, n), dtype=np.int64)
-    tree = np.zeros((n * n, TREE_NODES))
-
-    def sweep(cells):
-        msnap, lsnap, tsnap = mesh.copy(), level.copy(), tree.copy()
-        for i, j in cells:
-            new_center, updates, _ = cell_update(
-                i, j, n,
-                lambda a, b: msnap[a, b],
-                lambda a, b: int(lsnap[a, b]),
-                lambda c, k: tsnap[c, k],
-            )
-            mesh[i, j] = new_center
-            for k, v in updates.items():
-                tree[i * n + j, k] = v
-
-    def refine(cells):
-        msnap, lsnap, tsnap = mesh.copy(), level.copy(), tree.copy()
-        for i, j in cells:
-            new_level = refine_decision(
-                i, j,
-                lambda a, b: msnap[a, b],
-                lambda a, b: int(lsnap[a, b]),
-                threshold,
-            )
-            if new_level is not None:
-                level[i, j] = new_level
-                cell = i * n + j
-                center = msnap[i, j]
-                if new_level == 1:
-                    tree[cell, 0:4] = center
-                else:
-                    for q in range(4):
-                        tree[cell, 4 + q * 4 : 8 + q * 4] = tsnap[cell, q]
-
-    red = _interior_cells(n, 0)
-    black = _interior_cells(n, 1)
-    for _ in range(iterations):
-        sweep(red)
-        sweep(black)
-        refine(red)
-    return mesh, level, tree

@@ -51,6 +51,8 @@ from repro.util.errors import SimulationError
 
 DEFAULTS = dict(n=128, iterations=3, theta=0.6, dt=0.1, vel_scale=0.4, work_scale=1.0)
 PAPER_SCALE = dict(n=16384, iterations=3, theta=0.6, dt=0.1, vel_scale=0.4)
+#: the ``variant`` values ``build`` accepts
+VARIANTS = ("cstar", "spmd")
 
 #: tree row fields: cx, cy, cz, mass, half-size, is_leaf, body_id, depth
 TREE_FIELDS = 8
@@ -587,87 +589,3 @@ def build(
         )
     return prog
 
-
-# --------------------------------------------------------------------------- #
-# references
-# --------------------------------------------------------------------------- #
-
-
-def reference(
-    n: int = DEFAULTS["n"],
-    iterations: int = DEFAULTS["iterations"],
-    theta: float = DEFAULTS["theta"],
-    dt: float = DEFAULTS["dt"],
-    vel_scale: float = DEFAULTS["vel_scale"],
-    seed: int = 77,
-):
-    """Sequential Barnes-Hut with the same tree and traversal: values must
-    match the simulated run exactly.  Returns (positions, velocities)."""
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(-1.0, 1.0, (n, 3))
-    pos[: n // 4] = rng.uniform(0.3, 0.9, (n // 4, 3))
-    vel = vel_scale * rng.uniform(-1.0, 1.0, (n, 3))
-    mass = np.full(n, 1.0 / n)
-    maxn = max_tree_rows(n)
-    for _ in range(iterations):
-        layout = TreeLayout.build(pos.copy())
-        tvals = np.zeros((maxn, TREE_FIELDS))
-        cvals = np.full((maxn, 8), -1, dtype=np.int64)
-        for node_id, nd in enumerate(layout.octree.nodes):
-            row = layout.row_of[node_id]
-            tvals[row, 0:3] = nd.center
-            tvals[row, 4] = nd.half
-            if nd.body != -1:
-                tvals[row, 0:3] = pos[nd.body]
-                tvals[row, 3] = mass[nd.body]
-                tvals[row, 5] = 1.0
-                tvals[row, 6] = nd.body
-            for o, c in enumerate(nd.children):
-                if c != -1:
-                    cvals[row, o] = layout.row_of[c]
-        for level in reversed(layout.levels):
-            for node_id in level:
-                row = layout.row_of[node_id]
-                mx = my = mz = m = 0.0
-                for o in range(8):
-                    c = cvals[row, o]
-                    if c < 0:
-                        continue
-                    cm = tvals[c, 3]
-                    mx += tvals[c, 0] * cm
-                    my += tvals[c, 1] * cm
-                    mz += tvals[c, 2] * cm
-                    m += cm
-                if m > 0:
-                    tvals[row, 0:3] = (mx / m, my / m, mz / m)
-                tvals[row, 3] = m
-        acc = np.zeros((n, 3))
-        for b in range(n):
-            (ax, ay, az), _ = traverse_force(
-                b, pos[b], theta,
-                lambda r, f: tvals[r, f],
-                lambda r, o: cvals[r, o],
-                lambda i, f: pos[i, f] if f < 3 else mass[i],
-            )
-            acc[b] = (ax, ay, az)
-        vel = vel + acc * dt
-        pos = pos + vel * dt
-    return pos, vel
-
-
-def direct_reference(n=DEFAULTS["n"], seed=77):
-    """O(n^2) accelerations for the initial configuration — used to check
-    the Barnes-Hut approximation error is small."""
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(-1.0, 1.0, (n, 3))
-    pos[: n // 4] = rng.uniform(0.3, 0.9, (n // 4, 3))
-    mass = np.full(n, 1.0 / n)
-    acc = np.zeros((n, 3))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = pos[j] - pos[i]
-            r2 = float(d @ d) + SOFTENING2
-            acc[i] += G * mass[j] * d / (r2 * np.sqrt(r2))
-    return acc

@@ -39,17 +39,9 @@ Variants:
   plus Stache's default round-robin page homes and the absence of
   directives are what make this version slower than both C** versions
   (paper Figure 7).
-* ``variant="splash-naive"`` — pedagogical worst case used by the ablation
-  benches: Newton's-third-law reactions accumulated *directly* into the
-  partner's shared force row, one read-modify-write per pair, migrating
-  force blocks between processors mid-phase.  On a software DSM this is
-  catastrophic — the overhead Chandra et al. [2] measured for transparent
-  shared memory.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.apps.common import RowAligned, lattice_positions, read_vec, rows, write_vec
 from repro.cstar.embedded import EmbeddedProgram, access, keyed_build
@@ -57,6 +49,8 @@ from repro.cstar.driver import Env
 
 DEFAULTS = dict(n=64, iterations=5, box=6.0, dt=0.002, work_scale=1.0)
 PAPER_SCALE = dict(n=512, iterations=20, box=12.0, dt=0.002)
+#: the ``variant`` values ``build`` accepts
+VARIANTS = ("cstar", "splash")
 
 #: Lennard-Jones parameters (reduced units), softened and truncated.
 EPS = 1.0
@@ -109,8 +103,7 @@ def build(
     without touching the communication pattern.
     """
     cutoff = box / 2.0
-    splashy = variant.startswith("splash")
-    home = "round_robin" if splashy else "owner"
+    home = "round_robin" if variant == "splash" else "owner"
 
     def setup(env: Env) -> None:
         nodes = env.config.n_nodes
@@ -224,48 +217,6 @@ def build(
         splash_interactions_body,
     )
 
-    def splash_naive_body(ctx, env: Env) -> None:
-        """Pedagogical worst case: reactions accumulated straight into the
-        partner's shared force row (one remote RMW per pair)."""
-        i = ctx.pos[0]
-        pos, force = env.agg("pos"), env.agg("force")
-        ri = read_vec(ctx, pos, i)
-        fx = fy = fz = 0.0
-        for off in _pair_window(i):
-            j = (i + off) % n
-            rj = read_vec(ctx, pos, j)
-            ctx.charge(12 * work_scale)
-            px, py, pz = _pair_force(ri, rj, cutoff)
-            fx += px
-            fy += py
-            fz += pz
-            ctx.update(force, (j, 0), -px)
-            ctx.update(force, (j, 1), -py)
-            ctx.update(force, (j, 2), -pz)
-        ctx.update(force, (i, 0), fx)
-        ctx.update(force, (i, 1), fy)
-        ctx.update(force, (i, 2), fz)
-
-    prog.parallel(
-        "splash_naive_interactions",
-        [
-            access("pos", "r", "home"),
-            access("pos", "r", "non-home"),
-            access("force", "r", "non-home"),
-            access("force", "w", "non-home"),
-        ],
-        splash_naive_body,
-    )
-
-    def zero_forces_body(ctx, env: Env) -> None:
-        i = ctx.pos[0]
-        ctx.charge(1 * work_scale)
-        write_vec(ctx, env.agg("force"), i, (0.0, 0.0, 0.0))
-
-    prog.parallel(
-        "zero_forces", [access("force", "w", "home")], zero_forces_body
-    )
-
     def merge_body(ctx, env: Env) -> None:
         """Processor p publishes its private partials into the shared
         scratch (SPLASH's UPDATE_FORCES step, one slot per (molecule, p))."""
@@ -332,18 +283,6 @@ def build(
                           elements=molecule_rows),
             )
         )
-    elif variant == "splash-naive":
-        prog.build(
-            prog.loop(
-                iterations,
-                prog.call("zero_forces", over="force", elements=molecule_rows),
-                prog.call("splash_naive_interactions", over="pos",
-                          snapshot=["pos"], elements=molecule_rows),
-                prog.call("update", over="pos",
-                          snapshot=["pos", "vel", "force"],
-                          elements=molecule_rows),
-            )
-        )
     else:
         prog.build(
             prog.loop(
@@ -356,22 +295,3 @@ def build(
         )
     return prog
 
-
-def reference(
-    n: int = DEFAULTS["n"],
-    iterations: int = DEFAULTS["iterations"],
-    box: float = DEFAULTS["box"],
-    dt: float = DEFAULTS["dt"],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential reference: returns (positions, velocities) after the run."""
-    cutoff = box / 2.0
-    pos = lattice_positions(n, box)
-    vel = np.zeros_like(pos)
-    for _ in range(iterations):
-        force = np.zeros_like(pos)
-        for i in range(n):
-            for j in _neighbor_window(i, n):
-                force[i] += np.array(_pair_force(pos[i], pos[j], cutoff))
-        vel = vel + force * dt
-        pos = pos + vel * dt
-    return pos, vel

@@ -22,7 +22,7 @@ PROTOCOLS = ("stache", "predictive", "write-update")
 #: the benchmark apps ``model`` / ``sweep`` run (Figure-5/6/7 workloads)
 _MODEL_APPS = ("adaptive", "barnes", "water")
 
-#: the machine ``run`` / ``trace`` / ``profile`` simulate unless told otherwise
+#: the machine ``run`` / ``profile`` simulate unless told otherwise
 _RUN_BASE = MachineConfig(n_nodes=8, block_size=32, page_size=512)
 
 
@@ -52,7 +52,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _simulate_file(args: argparse.Namespace, tracer=None, corpus=None):
     """Compile ``args.file`` and run it on a machine built from the common
-    run/trace/profile options; returns (stats, config).
+    run/profile options; returns (stats, config).
 
     With ``corpus``, the run warm-starts from schedules a previous run of
     the same (source, protocol, placement) persisted, and harvests what it
@@ -198,9 +198,15 @@ def _farm(args: argparse.Namespace):
 
 
 def _export_trace(path: str, tracer, n_nodes: int) -> list[str]:
-    """Write a Chrome trace and validate it; returns the problem list."""
-    from repro.obs import validate_chrome_trace, write_chrome_trace
+    """Write the traced events to ``path``: the raw event log as JSON lines
+    when it ends in ``.jsonl``, else a Chrome trace, validated.  Returns
+    the problem list."""
+    from repro.obs import validate_chrome_trace, write_chrome_trace, write_jsonl
 
+    if path.endswith(".jsonl"):
+        n = write_jsonl(path, tracer.events)
+        print(f"event log: {n} events -> {path}")
+        return []
     doc = write_chrome_trace(path, tracer.events, n_nodes)
     problems = validate_chrome_trace(doc)
     print(f"trace: {len(tracer.events)} events -> {path} "
@@ -235,6 +241,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print(format_table(["metric", "value"], stats.summary_rows(),
                            floatfmt=".6g"))
+        if tracer is not None:
+            rows = [[kind, float(n)]
+                    for kind, n in sorted(tracer.counts().items())]
+            print(format_table(["event kind", "count"], rows, floatfmt=".0f"))
     if args.metrics_out:
         from repro.obs import registry_from_run
 
@@ -243,23 +253,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace and _export_trace(args.trace, tracer, cfg.n_nodes):
         return 1
     return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run a program with tracing on; export (and validate) the timeline."""
-    from repro.obs import EventTrace, write_jsonl
-    from repro.util.tables import format_table
-
-    tracer = EventTrace()
-    stats, cfg = _simulate_file(args, tracer)
-    print(f"{_shape_line(args, cfg)} wall={stats.wall_time:g} cycles")
-    rows = [[kind, float(n)] for kind, n in sorted(tracer.counts().items())]
-    print(format_table(["event kind", "count"], rows, floatfmt=".0f"))
-    if args.jsonl:
-        n = write_jsonl(args.jsonl, tracer.events)
-        print(f"event log: {n} events -> {args.jsonl}")
-    problems = _export_trace(args.out, tracer, cfg.n_nodes)
-    return 1 if problems else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -823,7 +816,8 @@ def _add_machine_options(p: argparse.ArgumentParser, *, protocol: str,
 def _add_model_options(p: argparse.ArgumentParser) -> None:
     """The app variant and the model calibration (``model`` / ``sweep``)."""
     p.add_argument("--variant", default="cstar",
-                   help="app variant (default: cstar; e.g. spmd, splash)")
+                   help="app variant: cstar (default) for every app, "
+                        "splash for water, spmd for barnes")
     p.add_argument("--calibration", metavar="PATH",
                    help="calibration document to predict with (default: "
                         "<--dir>/MODEL_calibration.json when present)")
@@ -905,7 +899,8 @@ def _add_output_options(p: argparse.ArgumentParser, *, report: bool = False,
     if trace:
         p.add_argument("--trace", metavar="PATH",
                        help=f"export a Chrome/Perfetto trace.json timeline "
-                            f"of {trace} to PATH")
+                            f"of {trace} to PATH (the raw event log as "
+                            f"JSON lines if PATH ends in .jsonl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -932,19 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "is omitted or '-'")
     _add_output_options(p, metrics="the run", trace="the run")
     p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a C** file with event tracing on; export a validated "
-             "Chrome/Perfetto trace.json timeline",
-    )
-    _add_machine_options(p, protocol="predictive", base=_RUN_BASE)
-    p.add_argument("-o", "--out", default="trace.json",
-                   help="output path for the Chrome trace (default: "
-                        "trace.json; open in Perfetto or chrome://tracing)")
-    p.add_argument("--jsonl", metavar="PATH",
-                   help="also write the raw event log as JSON lines")
-    p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
         "profile",

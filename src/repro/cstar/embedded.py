@@ -23,7 +23,7 @@ from repro.cstar.access import Access, AccessKind, AccessSummary, Locality
 from repro.cstar.driver import Env, execute
 from repro.cstar.flow import FlowCall, FlowIf, FlowLoop, FlowSeq, FlowStmt
 from repro.cstar.placement import PlacementResult, place_directives
-from repro.cstar.recording import record, record_program, replay
+from repro.cstar.recording import check_variant, record, record_program, replay
 from repro.cstar.runtime import ElementContext
 from repro.tempest.machine import Machine
 from repro.util.errors import CompileError
@@ -180,16 +180,19 @@ class EmbeddedProgram:
 
 
 def keyed_build(build: Callable[..., EmbeddedProgram]):
-    """Decorator for an application module's ``build``: stamps the program
-    with ``(module, bound kwargs)`` so every bar of a figure shares one
+    """Decorator for an application module's ``build``: rejects a variant
+    the module's ``VARIANTS`` does not list, and stamps the program with
+    ``(module, bound kwargs)`` so every bar of a figure shares one
     recording per placement."""
     signature = inspect.signature(build)
 
     @functools.wraps(build)
     def stamped(*args, **kwargs) -> EmbeddedProgram:
+        app = sys.modules[build.__module__]
+        arguments = dict(signature.bind(*args, **kwargs).arguments)
+        check_variant(app, arguments.get("variant", "cstar"))
         prog = build(*args, **kwargs)
-        prog.identity = (sys.modules[build.__module__],
-                         dict(signature.bind(*args, **kwargs).arguments))
+        prog.identity = (app, arguments)
         return prog
 
     return stamped

@@ -173,6 +173,15 @@ _CACHE_SLOTS = 8
 _CACHE: OrderedDict[tuple, ProgramRecording] = OrderedDict()
 
 
+def check_variant(app, variant: str) -> None:
+    """Raise :class:`ConfigError` unless ``app`` (an application module)
+    lists ``variant`` in its ``VARIANTS``."""
+    if variant not in app.VARIANTS:
+        raise ConfigError(
+            f"{app.__name__} has no variant {variant!r}; expected one of "
+            f"{', '.join(app.VARIANTS)}")
+
+
 def recording_key(app, build_kwargs: dict | None, variant: str,
                   n_nodes: int, page_size: int) -> tuple:
     """The axes that change the value pass or the address map.
@@ -183,6 +192,7 @@ def recording_key(app, build_kwargs: dict | None, variant: str,
     kwargs = dict(build_kwargs or {})
     if variant != "cstar":
         kwargs["variant"] = variant
+    check_variant(app, kwargs.get("variant", "cstar"))
     bound = inspect.signature(app.build).bind(**kwargs)
     bound.apply_defaults()
     for name, value in bound.arguments.items():

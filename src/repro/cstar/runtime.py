@@ -259,22 +259,7 @@ class ElementContext:
             self._flush_compute()
         flat = agg.flatten(idx)
         self._ops.append(flat << _FLAT_SHIFT | agg._wcode)
-        self._writes.append((agg, flat, value, False))
-
-    def update(self, agg: Aggregate, idx: tuple[int, ...], delta) -> None:
-        """Read-modify-write accumulation (e.g. `force[j] += f`).
-
-        Used by shared-memory codes that accumulate into other elements'
-        state (SPLASH-style paired force updates); deltas commute, so the
-        value pass applies them associatively while the trace records the
-        read+write the protocol must serialize.
-        """
-        if self._pending > 0:
-            self._flush_compute()
-        flat = agg.flatten(idx)
-        code = flat << _FLAT_SHIFT | agg._rcode
-        self._ops.extend((code, code | 1))
-        self._writes.append((agg, flat, delta, True))
+        self._writes.append((agg, flat, value))
 
     def _row(self, agg: Aggregate, row: int, k: int) -> int:
         """Flat index of ``agg[row, 0]`` after one check covering fields 0..k-1."""
@@ -298,7 +283,7 @@ class ElementContext:
         flat = self._row(agg, row, len(values))
         for v in values:
             self._ops.append(flat << _FLAT_SHIFT | agg._wcode)
-            self._writes.append((agg, flat, float(v), False))
+            self._writes.append((agg, flat, float(v)))
             flat += 1
 
 
@@ -466,7 +451,7 @@ class CStarRuntime:
         n_nodes = self.config.n_nodes
         streams = [array("q") for _ in range(n_nodes)]
         charges: list[dict[float, int]] = [{} for _ in range(n_nodes)]
-        writes: list[tuple[Aggregate, int, object, bool]] = []
+        writes: list[tuple[Aggregate, int, object]] = []
         for agg in (over, *snapshot_of):
             if agg._view is agg.data:
                 agg._view = agg.data.copy()
@@ -489,11 +474,8 @@ class CStarRuntime:
                 agg._view = agg.data
 
         # apply buffered writes (phase-end visibility)
-        for agg, flat, value, accumulate in writes:
-            if accumulate:
-                agg.data.reshape(-1)[flat] += value
-            else:
-                agg.data.reshape(-1)[flat] = value
+        for agg, flat, value in writes:
+            agg.data.reshape(-1)[flat] = value
 
         self.phase_count += 1
         phase = RecordedPhase.from_streams(f"{name}#{self.phase_count}",

@@ -25,8 +25,8 @@ report.
 
 Farm lifecycle events (``farm.*`` in :class:`repro.obs.events.EventKind`)
 are emitted on the caller's tracer with host-relative timestamps and the
-worker id as the node, so ``repro trace``-style timelines cover parallel
-campaigns.
+worker id as the node, so ``repro run --trace``-style timelines cover
+parallel campaigns.
 """
 
 from __future__ import annotations

@@ -37,13 +37,7 @@ from repro.tempest.tracefile import load_session
 from repro.util.config import MachineConfig
 from repro.util.errors import TransportTimeout
 from repro.verify.monitor import CoherenceViolation
-from repro.verify.oracle import (
-    Observables,
-    deserialize_observables,
-    differential_check,
-    run_workload,
-    serialize_observables,
-)
+from repro.verify.oracle import Observables, differential_check, run_workload
 from repro.verify.workload import ALL_PROTOCOLS, Workload, generate_workload
 
 #: default location of the bundled sessions, relative to the repo root
@@ -327,9 +321,7 @@ def run_fault_cell(spec: dict) -> dict:
             continue
         registry = registry_from_run(obs.stats, plan=plan_name,
                                      protocol=protocol)
-        done.append({"failure": None,
-                     "obs": serialize_observables(obs),
-                     "metrics": registry.to_dict()})
+        done.append({"failure": None, "obs": obs, "metrics": registry})
     return _finish_cell(workload, w_name, plan_name, done)
 
 
@@ -343,9 +335,9 @@ def _finish_cell(workload: Workload, w_name: str, plan_name: str,
         if run_res["failure"] is not None:
             result["failures"].append(run_res["failure"])
         else:
-            obs = deserialize_observables(run_res["obs"])
+            obs = run_res["obs"]
             observed[obs.protocol] = obs
-            registry.update(MetricsRegistry.from_dict(run_res["metrics"]))
+            registry.update(run_res["metrics"])
     if observed:
         try:
             differential_check(workload, observed)

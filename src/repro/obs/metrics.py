@@ -124,10 +124,6 @@ class Histogram:
         self.sum += other.sum
         self.count += other.count
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def to_payload(self) -> dict[str, Any]:
         return {
             "buckets": list(self.buckets),
@@ -185,42 +181,6 @@ class MetricsRegistry:
                   **labels: Any) -> Histogram:
         return self._fetch(name, labels, Histogram, buckets=buckets)
 
-    def get(self, name: str, **labels: Any) -> Metric | None:
-        return self._metrics.get((name, _label_key(labels)))
-
-    def value(self, name: str, **labels: Any) -> float:
-        """The scalar value of a counter/gauge (0.0 when absent)."""
-        metric = self.get(name, **labels)
-        if metric is None:
-            return 0.0
-        if isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} is a histogram; use .get()")
-        return metric.value
-
-    def names(self) -> list[str]:
-        return sorted({name for name, _ in self._metrics})
-
-    def series(self, name: str) -> list[tuple[dict[str, str], Metric]]:
-        """All (labels, metric) series of one name, sorted by labels."""
-        out = [
-            (dict(key), metric)
-            for (n, key), metric in self._metrics.items()
-            if n == name
-        ]
-        out.sort(key=lambda pair: sorted(pair[0].items()))
-        return out
-
-    def total(self, name: str) -> float:
-        """Sum of a counter's value across all label sets."""
-        return sum(m.value for _, m in self.series(name)
-                   if isinstance(m, Counter))
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __bool__(self) -> bool:
-        return True
-
     # -- merge -----------------------------------------------------------------
 
     def update(self, other: "MetricsRegistry") -> "MetricsRegistry":
@@ -237,15 +197,9 @@ class MetricsRegistry:
                 mine.merge(theirs)
         return self
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """A new registry holding this one merged with ``other`` (pure)."""
-        out = MetricsRegistry()
-        out.update(self)
-        out.update(other)
-        return out
-
     @classmethod
     def merge_all(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
+        """A new registry holding ``registries`` merged (they are unchanged)."""
         out = cls()
         for reg in registries:
             out.update(reg)

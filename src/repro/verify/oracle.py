@@ -53,24 +53,6 @@ class Observables:
             self.image[block] = (node, count + 1)
 
 
-def serialize_observables(obs: Observables) -> dict:
-    """JSON-safe form of the replay-visible observables (not the stats)."""
-    return {
-        "protocol": obs.protocol,
-        "readers": [[b, sorted(ns)] for b, ns in sorted(obs.readers.items())],
-        "writers": [[b, sorted(ns)] for b, ns in sorted(obs.writers.items())],
-        "image": [[b, [w, c]] for b, (w, c) in sorted(obs.image.items())],
-    }
-
-
-def deserialize_observables(data: dict) -> Observables:
-    obs = Observables(protocol=data["protocol"])
-    obs.readers = {b: set(ns) for b, ns in data["readers"]}
-    obs.writers = {b: set(ns) for b, ns in data["writers"]}
-    obs.image = {b: (w, c) for b, (w, c) in data["image"]}
-    return obs
-
-
 def run_workload(
     workload: Workload,
     protocol: str,

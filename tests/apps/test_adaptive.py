@@ -6,7 +6,10 @@ import pytest
 from repro.apps import adaptive
 from repro.core import make_machine
 from repro.core.schedule import EntryKind
+from repro.cstar.recording import record_program
 from repro.util import MachineConfig
+from repro.util.errors import ConfigError
+from tests.apps.reference import adaptive_reference
 
 CFG = MachineConfig(n_nodes=4, page_size=512)
 SMALL = dict(size=12, iterations=6, threshold=0.05)
@@ -23,14 +26,14 @@ def run(protocol="stache", optimized=False, cfg=CFG, **kw):
 class TestValues:
     def test_matches_reference(self):
         env, _ = run()
-        ref_mesh, ref_level, ref_tree = adaptive.reference(**SMALL)
+        ref_mesh, ref_level, ref_tree = adaptive_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("mesh").data, ref_mesh)
         np.testing.assert_array_equal(env.agg("level").data, ref_level)
         np.testing.assert_array_equal(env.agg("tree").data, ref_tree)
 
     def test_optimized_values_identical(self):
         env, _ = run(protocol="predictive", optimized=True)
-        ref_mesh, ref_level, ref_tree = adaptive.reference(**SMALL)
+        ref_mesh, ref_level, ref_tree = adaptive_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("mesh").data, ref_mesh)
         np.testing.assert_array_equal(env.agg("tree").data, ref_tree)
 
@@ -133,3 +136,10 @@ class TestPaperShape:
         _, m = run(protocol="predictive", optimized=True)
         m.stats.wall_time = m.clock
         m.stats.check_conservation()
+
+
+class TestVariants:
+    def test_unknown_variant_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="expected one of cstar$"):
+            record_program(adaptive, dict(SMALL), variant="spmd", n_nodes=4,
+                           page_size=512)

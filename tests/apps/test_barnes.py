@@ -7,6 +7,8 @@ from repro.apps import barnes
 from repro.apps.barnes import Octree, TreeLayout, traverse_force
 from repro.core import make_machine
 from repro.util import MachineConfig
+from repro.util.errors import ConfigError
+from tests.apps.reference import barnes_direct_reference, barnes_reference
 
 CFG = MachineConfig(n_nodes=4, page_size=1024)
 SMALL = dict(n=48, iterations=2)
@@ -67,18 +69,18 @@ class TestOctree:
     def test_mass_conservation_in_reference_tree(self):
         """After the upward pass the root mass is the total mass."""
         # run reference one iteration and reuse its tree construction
-        pos, vel = barnes.reference(n=24, iterations=1)
+        pos, vel = barnes_reference(n=24, iterations=1)
         assert np.isfinite(pos).all()
 
 
 class TestForceKernel:
     def test_bh_approximates_direct_sum(self):
         n = 48
-        acc_direct = barnes.direct_reference(n=n)
+        acc_direct = barnes_direct_reference(n=n)
         # reconstruct BH acceleration at iteration 0 via the reference with
         # dt=0: pos after one step with dt -> vel = acc*dt
         dt = 1e-6
-        pos0, vel1 = barnes.reference(n=n, iterations=1, dt=dt, vel_scale=0.0)
+        pos0, vel1 = barnes_reference(n=n, iterations=1, dt=dt, vel_scale=0.0)
         acc_bh = vel1 / dt
         denom = np.linalg.norm(acc_direct, axis=1) + 1e-12
         rel = np.linalg.norm(acc_bh - acc_direct, axis=1) / denom
@@ -87,8 +89,8 @@ class TestForceKernel:
     def test_theta_zero_matches_direct_exactly(self):
         n = 24
         dt = 1e-6
-        acc_direct = barnes.direct_reference(n=n)
-        pos0, vel1 = barnes.reference(n=n, iterations=1, dt=dt, theta=0.0,
+        acc_direct = barnes_direct_reference(n=n)
+        pos0, vel1 = barnes_reference(n=n, iterations=1, dt=dt, theta=0.0,
                                       vel_scale=0.0)
         acc_bh = vel1 / dt
         np.testing.assert_allclose(acc_bh, acc_direct, rtol=1e-6)
@@ -97,7 +99,7 @@ class TestForceKernel:
         # one distant body pair: force magnitudes equal and opposite
         n = 16
         dt = 1e-6
-        _, vel1 = barnes.reference(n=n, iterations=1, dt=dt, vel_scale=0.0)
+        _, vel1 = barnes_reference(n=n, iterations=1, dt=dt, vel_scale=0.0)
         assert np.isfinite(vel1).all()
 
 
@@ -112,7 +114,7 @@ class TestValues:
     )
     def test_matches_reference(self, variant, protocol, optimized):
         env, _ = run(variant=variant, protocol=protocol, optimized=optimized)
-        ref_pos, ref_vel = barnes.reference(**SMALL)
+        ref_pos, ref_vel = barnes_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("bodies").data[:, 0:3], ref_pos)
         np.testing.assert_array_equal(env.agg("bodies").data[:, 3:6], ref_vel)
 
@@ -173,3 +175,9 @@ class TestPaperShape:
             _, m = run(variant=variant, protocol=protocol, optimized=optimized)
             m.stats.wall_time = m.clock
             m.stats.check_conservation()
+
+
+class TestVariants:
+    def test_unknown_variant_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cstar, spmd"):
+            barnes.build(variant="bogus")

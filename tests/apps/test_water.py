@@ -6,6 +6,8 @@ import pytest
 from repro.apps import water
 from repro.core import make_machine
 from repro.util import MachineConfig
+from repro.util.errors import ConfigError
+from tests.apps.reference import water_reference
 
 CFG = MachineConfig(n_nodes=4, page_size=512)
 SMALL = dict(n=24, iterations=3)
@@ -22,18 +24,18 @@ def run(variant="cstar", protocol="stache", optimized=False, cfg=CFG, **kw):
 class TestValues:
     def test_matches_sequential_reference(self):
         env, _ = run()
-        ref_pos, ref_vel = water.reference(**SMALL)
+        ref_pos, ref_vel = water_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("pos").data[:, :3], ref_pos)
         np.testing.assert_array_equal(env.agg("vel").data[:, :3], ref_vel)
 
     def test_optimized_values_identical(self):
         env, _ = run(protocol="predictive", optimized=True)
-        ref_pos, _ = water.reference(**SMALL)
+        ref_pos, _ = water_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("pos").data[:, :3], ref_pos)
 
     def test_splash_values_identical(self):
         env, _ = run(variant="splash")
-        ref_pos, _ = water.reference(**SMALL)
+        ref_pos, _ = water_reference(**SMALL)
         np.testing.assert_array_equal(env.agg("pos").data[:, :3], ref_pos)
 
     def test_molecules_actually_move(self):
@@ -110,3 +112,10 @@ class TestPaperShape:
         ):
             _, stats = run(**kwargs)
             stats.check_conservation()
+
+
+class TestVariants:
+    @pytest.mark.parametrize("variant", ["splash-naive", "splashy", "spmd"])
+    def test_unknown_variant_is_a_config_error(self, variant):
+        with pytest.raises(ConfigError, match="cstar, splash"):
+            water.build(variant=variant)

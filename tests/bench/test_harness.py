@@ -13,6 +13,8 @@ from repro.bench.harness import (
 from repro.bench.figures import TABLE1_ROWS, table1
 from repro.util import MachineConfig
 
+from tests.helpers import metric_series, metric_value
+
 TINY = dict(n=16, iterations=2)
 CFG = MachineConfig(n_nodes=4, page_size=512)
 
@@ -115,8 +117,9 @@ class TestHarnessMetrics:
         reg = result.metrics()
         labels = dict(version="a", protocol="predictive", optimized=True,
                       block_size=CFG.block_size)
-        assert reg.value("run.wall_cycles", **labels) == result.wall
-        assert reg.value("run.phases", **labels) == len(result.stats.phases)
+        assert metric_value(reg, "run.wall_cycles", **labels) == result.wall
+        assert (metric_value(reg, "run.phases", **labels)
+                == len(result.stats.phases))
 
     def test_figure_metrics_merge_all_versions(self):
         fig = FigureResult(
@@ -125,10 +128,10 @@ class TestHarnessMetrics:
              run_version(tiny_spec("b", "predictive", True))],
         )
         reg = fig.metrics()
-        walls = reg.series("run.wall_cycles")
+        walls = [m["labels"] for m in metric_series(reg, "run.wall_cycles")]
         assert len(walls) == 2
-        assert all(lab["figure"] == "Figure X" for lab, _ in walls)
-        assert {lab["version"] for lab, _ in walls} == {"a", "b"}
+        assert all(lab["figure"] == "Figure X" for lab in walls)
+        assert {lab["version"] for lab in walls} == {"a", "b"}
         # registries stay mergeable across figures and serialize cleanly
         from repro.obs import MetricsRegistry
 

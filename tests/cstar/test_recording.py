@@ -122,7 +122,7 @@ class ModuloRows(Distribution):
 
 
 def random_program(shape, pad, home, seed):
-    """Two phases of seeded scattered reads, updates and charges over
+    """Two phases of seeded scattered reads, writes and charges over
     ``data``, one invocation per row of ``over``."""
     rng = np.random.default_rng(seed)
     rows = shape[0]
@@ -145,7 +145,8 @@ def random_program(shape, pad, home, seed):
             ctx.charge(1 + (i + k) % 3)
             total += ctx.read(data, targets[4 * i + k])
         ctx.charge(0.5 * i)
-        ctx.update(data, targets[4 * i], total + 1.0)
+        rmw = targets[4 * i]
+        ctx.write(data, rmw, ctx.read(data, rmw) + total + 1.0)
         ctx.write(data, targets[4 * i + 1], float(i))
 
     prog.parallel("scatter", [access("data", "r", "non-home"),
@@ -252,7 +253,7 @@ class TestIndexChecks:
         for bad_access in (
             lambda ctx: ctx.read(a, (4, 0)),
             lambda ctx: ctx.write(a, (0, 3), 1.0),
-            lambda ctx: ctx.update(a, (0,), 1.0),
+            lambda ctx: ctx.write(a, (0,), ctx.read(a, (0,)) + 1.0),
             lambda ctx: read_vec(ctx, a, 4),
             lambda ctx: read_vec(ctx, a, -1),
             lambda ctx: read_vec(ctx, a, 0, k=4),

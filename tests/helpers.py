@@ -77,3 +77,16 @@ def check_phase_conservation(stats: RunStats, tol: float = 1e-6) -> None:
                 f"category {c.value}: phases sum to {phase_total}, "
                 f"nodes sum to {node_total}"
             )
+
+
+def metric_series(registry, name: str) -> list[dict]:
+    """The ``to_dict()`` records of every series of metric ``name``, in the
+    document's order (sorted by labels)."""
+    return [m for m in registry.to_dict()["metrics"] if m["name"] == name]
+
+
+def metric_value(registry, name: str, **labels) -> float:
+    """The value of one counter or gauge series (0.0 when absent)."""
+    want = {k: str(v) for k, v in labels.items()}
+    return next((m["value"] for m in metric_series(registry, name)
+                 if m["labels"] == want), 0.0)

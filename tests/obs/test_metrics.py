@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.metrics import METRICS_SCHEMA, _label_key
 
+from tests.helpers import metric_series, metric_value
+
 
 class TestPrimitives:
     def test_counter_monotone(self):
@@ -30,7 +32,7 @@ class TestPrimitives:
             h.observe(v)
         assert h.counts == [1, 1, 1, 1]  # one per bucket + overflow
         assert h.count == 4
-        assert h.mean == pytest.approx((0.5 + 5 + 50 + 500) / 4)
+        assert h.sum == pytest.approx(0.5 + 5 + 50 + 500)
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
@@ -62,22 +64,11 @@ class TestRegistryAccessors:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
-    def test_value_and_total(self):
-        reg = MetricsRegistry()
-        reg.counter("m", node=0).inc(2)
-        reg.counter("m", node=1).inc(3)
-        assert reg.value("m", node=0) == 2
-        assert reg.value("m", node=9) == 0.0
-        assert reg.total("m") == 5
-        reg.histogram("h").observe(1)
-        with pytest.raises(TypeError):
-            reg.value("h")
-
     def test_series_sorted(self):
         reg = MetricsRegistry()
         reg.counter("m", node=2).inc()
         reg.counter("m", node=0).inc()
-        labels = [lab for lab, _ in reg.series("m")]
+        labels = [m["labels"] for m in metric_series(reg, "m")]
         assert labels == [{"node": "0"}, {"node": "2"}]
 
 
@@ -121,61 +112,68 @@ def canonical(reg: MetricsRegistry):
     return reg.to_dict()
 
 
+def merged(*regs: MetricsRegistry) -> MetricsRegistry:
+    return MetricsRegistry.merge_all(regs)
+
+
 class TestMergeAlgebra:
     @given(registries(), registries())
     @settings(max_examples=60, deadline=None)
     def test_commutative(self, a, b):
-        assert canonical(a.merge(b)) == canonical(b.merge(a))
+        assert canonical(merged(a, b)) == canonical(merged(b, a))
 
     @given(registries(), registries(), registries())
     @settings(max_examples=60, deadline=None)
     def test_associative(self, a, b, c):
-        assert (canonical(a.merge(b).merge(c))
-                == canonical(a.merge(b.merge(c))))
+        assert (canonical(merged(merged(a, b), c))
+                == canonical(merged(a, merged(b, c))))
 
     @given(registries())
     @settings(max_examples=60, deadline=None)
     def test_empty_is_identity(self, a):
         empty = MetricsRegistry()
-        assert canonical(a.merge(empty)) == canonical(a)
-        assert canonical(empty.merge(a)) == canonical(a)
+        assert canonical(merged(a, empty)) == canonical(a)
+        assert canonical(merged(empty, a)) == canonical(a)
 
     @given(registries(), registries())
     @settings(max_examples=60, deadline=None)
     def test_merge_is_pure(self, a, b):
         before_a, before_b = canonical(a), canonical(b)
-        a.merge(b)
+        merged(a, b)
         assert canonical(a) == before_a
         assert canonical(b) == before_b
 
     @given(registries(), registries())
     @settings(max_examples=60, deadline=None)
     def test_histogram_counts_conserved(self, a, b):
-        merged = a.merge(b)
+        both = merged(a, b)
 
         def totals(reg):
             total, per_bucket = 0, [0] * (len(_BUCKETS) + 1)
-            for _, h in reg.series("lat"):
-                total += h.count
-                per_bucket = [x + y for x, y in zip(per_bucket, h.counts)]
+            for h in metric_series(reg, "lat"):
+                total += h["count"]
+                per_bucket = [x + y for x, y in zip(per_bucket, h["counts"])]
             return total, per_bucket
 
         ta, ba = totals(a)
         tb, bb = totals(b)
-        tm, bm = totals(merged)
+        tm, bm = totals(both)
         assert tm == ta + tb
         assert bm == [x + y for x, y in zip(ba, bb)]
-        # within every histogram, bucket counts always sum to .count
-        for _, h in merged.series("lat"):
-            assert sum(h.counts) == h.count
+        # within every histogram, bucket counts always sum to its count
+        for h in metric_series(both, "lat"):
+            assert sum(h["counts"]) == h["count"]
 
     @given(registries(), registries())
     @settings(max_examples=60, deadline=None)
     def test_counter_totals_add(self, a, b):
-        merged = a.merge(b)
+        def total(reg, name):
+            return sum(m["value"] for m in metric_series(reg, name))
+
+        both = merged(a, b)
         for name in ("reqs", "misses"):
-            assert merged.total(name) == pytest.approx(
-                a.total(name) + b.total(name))
+            assert total(both, name) == pytest.approx(
+                total(a, name) + total(b, name))
 
     @given(registries())
     @settings(max_examples=60, deadline=None)
@@ -185,8 +183,9 @@ class TestMergeAlgebra:
     @given(registries(), registries())
     @settings(max_examples=30, deadline=None)
     def test_merge_all_matches_pairwise(self, a, b):
+        pairwise = MetricsRegistry().update(a).update(b)
         assert (canonical(MetricsRegistry.merge_all([a, b]))
-                == canonical(a.merge(b)))
+                == canonical(pairwise))
 
 
 class TestSerde:
@@ -219,15 +218,14 @@ class TestRegistryFromRun:
 
         stats = traced_run(protocol="predictive")
         reg = registry_from_run(stats, app="jacobi", protocol="predictive")
-        assert reg.value("run.wall_cycles", app="jacobi",
-                         protocol="predictive") == stats.wall_time
+        assert metric_value(reg, "run.wall_cycles", app="jacobi",
+                            protocol="predictive") == stats.wall_time
         # per-node category cycles must reproduce conservation
         for node in stats.nodes:
             total = sum(
-                m.value for lab, m in reg.series("node.cycles")
-                if lab["node"] == str(node.node)
+                m["value"] for m in metric_series(reg, "node.cycles")
+                if m["labels"]["node"] == str(node.node)
             )
             assert total == pytest.approx(stats.wall_time)
-        hist = reg.get("phase.wall_cycles", app="jacobi",
-                       protocol="predictive")
-        assert hist.count == len(stats.phases)
+        (hist,) = metric_series(reg, "phase.wall_cycles")
+        assert hist["count"] == len(stats.phases)

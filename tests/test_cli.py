@@ -9,6 +9,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.helpers import metric_series, metric_value
+
 JACOBI = pathlib.Path(__file__).parent.parent / "examples/programs/jacobi.cstar"
 TRACES = pathlib.Path(__file__).parent.parent / "examples/traces"
 
@@ -32,8 +34,7 @@ class TestParser:
 class TestOneTimingPath:
     """The engine is chosen by the system; no verb offers a switch."""
 
-    VERBS = ["run", "trace", "profile", "figure", "sweep", "reproduce",
-             "faults"]
+    VERBS = ["run", "profile", "figure", "sweep", "reproduce", "faults"]
 
     @pytest.mark.parametrize("verb", VERBS)
     def test_help_offers_no_fast_flag(self, verb, capsys):
@@ -53,6 +54,12 @@ class TestOneTimingPath:
             main(["bench"])
         assert exit_.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_trace_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["trace", str(JACOBI)])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
 
 
 class TestSocketWireRetired:
@@ -275,9 +282,9 @@ class TestRunJson:
         from repro.obs import MetricsRegistry
 
         reg = MetricsRegistry.from_dict(json.loads(out_path.read_text()))
-        assert reg.value("run.wall_cycles", app=str(JACOBI),
-                         protocol="predictive", nodes=4, block_size=32,
-                         optimized=True) > 0
+        assert metric_value(reg, "run.wall_cycles", app=str(JACOBI),
+                            protocol="predictive", nodes=4, block_size=32,
+                            optimized=True) > 0
 
     def test_run_trace_flag(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
@@ -294,11 +301,13 @@ class TestTraceCommand:
     def test_trace_writes_valid_timeline(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "events.jsonl"
-        assert main(["trace", str(JACOBI), "--nodes", "4",
-                     "-o", str(out_path), "--jsonl", str(jsonl_path)]) == 0
+        for path in (out_path, jsonl_path):
+            assert main(["run", str(JACOBI), "--nodes", "4",
+                         "--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "event kind" in out  # the per-kind count table
         assert "VALID Chrome trace" in out
+        assert f"-> {jsonl_path}" in out
         doc = json.loads(out_path.read_text())
         names = {ev["args"]["name"] for ev in doc["traceEvents"]
                  if ev["ph"] == "M" and ev["name"] == "thread_name"}
@@ -344,7 +353,7 @@ class TestFaultsObservability:
         assert validate_chrome_trace(
             json.loads(trace_path.read_text())) == []
         reg = MetricsRegistry.from_dict(json.loads(metrics_path.read_text()))
-        assert "node.cycles" in reg.names()
+        assert metric_series(reg, "node.cycles")
 
 
 class TestModelCommand:
@@ -492,8 +501,9 @@ class TestSweepAxisErrors:
 # const, required, type name), sorted by dest.  Captured from the parser
 # before its shared options were gathered into groups; the deliberate
 # changes since are ``--protocols``, which validates its comma list at parse
-# time, and the retired socket farm (``farm-worker``; ``--hosts``,
-# ``--bind``, ``--port`` and ``--chaos-seed`` on verify and faults).
+# time, the retired socket farm (``farm-worker``; ``--hosts``, ``--bind``,
+# ``--port`` and ``--chaos-seed`` on verify and faults), and the retired
+# ``trace`` verb (``run --trace`` writes the same files).
 SURFACE = {
     'ablation': [
         ((), 'name', None, ('coalescing', 'incremental', 'flush', 'blocks'), None, None, True, None),
@@ -597,16 +607,6 @@ SURFACE = {
         (('--unoptimized',), 'unoptimized', False, None, 0, True, False, None),
         (('--variant',), 'variant', 'cstar', None, None, None, False, None),
         (('-v', '--verbose'), 'verbose', False, None, 0, True, False, None),
-    ],
-    'trace': [
-        (('--block-size',), 'block_size', 32, None, None, None, False, 'int'),
-        ((), 'file', None, None, None, None, True, None),
-        (('--jsonl',), 'jsonl', None, None, None, None, False, None),
-        (('--nodes',), 'nodes', 8, None, None, None, False, 'int'),
-        (('-o', '--out'), 'out', 'trace.json', None, None, None, False, None),
-        (('--page-size',), 'page_size', 512, None, None, None, False, 'int'),
-        (('--protocol',), 'protocol', 'predictive', ('stache', 'predictive', 'write-update'), None, None, False, None),
-        (('--unoptimized',), 'unoptimized', False, None, 0, True, False, None),
     ],
     'verify': [
         (('--corpus',), 'corpus', None, None, None, None, False, None),

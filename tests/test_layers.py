@@ -25,7 +25,9 @@ The other rules, each checked on the source with ``ast`` or ``tokenize``:
   and the closure-scheduling ``schedule`` / ``schedule_after`` /
   ``schedule_node_event``), the model walk's hand-mirrored copies of
   the predictive protocol, and the ``repro.recovery`` package (checkpoint
-  and restore are the tests' oracle, ``tests/checkpoint.py``).
+  and restore are the tests' oracle, ``tests/checkpoint.py``), Water's
+  ``splash-naive`` variant, the fault cell's observables round trip and the
+  ``repro trace`` verb.
   They are matched on code tokens and string literals, never on comments.
 * The stable directory step is stated once, on ``DirEntry``: no file under
   ``model/``, ``core/`` or ``protocols/`` but ``protocols/directory.py``
@@ -225,6 +227,10 @@ RETIRED: dict[str, tuple[str, ...]] = {
         # one drain consults the policy at choice points; explore_dfs runs
         # a ReplayPolicy
         "_drain_policy", "DfsPolicy",
+        # Water has two variants (Figure 7's), a fault cell keeps its
+        # Observables in memory, and `repro run --trace` is the traced run
+        "splash-naive", "splash_naive", "serialize_observables",
+        "deserialize_observables", "_cmd_trace",
     ),
 }
 
@@ -546,6 +552,11 @@ class TestRulesCatch:
         "from repro.recovery.checkpoint import snapshot_machine",
         "return self._drain_policy(until, max_events)",
         "policy = DfsPolicy(prefix)",
+        "build(variant='splash-naive')",
+        "def splash_naive_body(ctx, env): pass",
+        "wire = serialize_observables(obs)",
+        "obs = deserialize_observables(wire)",
+        "p.set_defaults(fn=_cmd_trace)",
         "doc = f'{n} FastEngine dispatches'",
     ]
 

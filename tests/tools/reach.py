@@ -56,8 +56,8 @@ COMMANDS: dict[str, list[str]] = {
             "--trace", "{tmp}/run-trace.json"],
     "run-table": ["run", "examples/programs/convergence.cstar",
                   "--protocol", "stache"],
-    "trace": ["trace", "examples/programs/jacobi.cstar", "--nodes", "4",
-              "-o", "{tmp}/trace.json", "--jsonl", "{tmp}/trace.jsonl"],
+    "trace": ["run", "examples/programs/jacobi.cstar", "--nodes", "4",
+              "--trace", "{tmp}/run-trace.jsonl"],
     "profile": ["profile", "examples/programs/jacobi.cstar", "--nodes", "4",
                 "--json", "{tmp}/profile.json"],
     "figure": ["figure", "table1"],

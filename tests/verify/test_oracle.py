@@ -1,10 +1,7 @@
 """Tests for the differential oracle and workload generator."""
 
-import json
-
 import pytest
 
-from repro.faults.plan import BUNDLED_PLANS
 from repro.tempest.tracefile import load_session, save_session
 from repro.verify import (
     ALL_PROTOCOLS,
@@ -16,7 +13,6 @@ from repro.verify import (
     generate_workload,
     run_workload,
 )
-from repro.verify.oracle import deserialize_observables, serialize_observables
 
 
 class TestWorkloadGeneration:
@@ -88,16 +84,6 @@ class TestRunWorkload:
         obs = run_workload(wl, "stache")
         assert obs.stats.misses > 0
         differential_check(wl, {"stache": obs})
-
-    def test_observables_serialization_round_trips(self):
-        """Fault-cell payloads carry observables as JSON (farmed or not)."""
-        ref = run_workload(generate_workload(0), "stache",
-                           fault_plan=BUNDLED_PLANS["chaos"].with_(seed=7))
-        wire = json.loads(json.dumps(serialize_observables(ref)))
-        back = deserialize_observables(wire)
-        assert back.readers == ref.readers
-        assert back.writers == ref.writers
-        assert back.image == ref.image
 
 
 class TestDifferentialCheck:
